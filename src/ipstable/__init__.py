@@ -21,13 +21,11 @@ from .core import (
     StabilityReport,
     STABILITY_TOL,
     audit,
-    avg_dist,
     brute_force,
     is_t_stable,
-    violation,
 )
-from .line1d import LineInstance, solve_1d, sweep
-from .dp_target import build_table, reconstruct, solve_targets
+from .line1d import LineInstance, solve_1d
+from .dp_target import solve_targets
 from .tree import WeightedTree, solve_tree2
 from .hst import (
     Hst,
@@ -35,7 +33,6 @@ from .hst import (
     embed_hst,
     hst_k_clustering,
     normalize_leaves,
-    restrict,
 )
 from .separated import (
     GAMMA_MIN,
@@ -69,15 +66,10 @@ __all__ = [
     "StabilityReport",
     "STABILITY_TOL",
     "audit",
-    "avg_dist",
     "brute_force",
     "is_t_stable",
-    "violation",
     "LineInstance",
     "solve_1d",
-    "sweep",
-    "build_table",
-    "reconstruct",
     "solve_targets",
     "WeightedTree",
     "solve_tree2",
@@ -86,7 +78,6 @@ __all__ = [
     "embed_hst",
     "hst_k_clustering",
     "normalize_leaves",
-    "restrict",
     "GAMMA_MIN",
     "check_alpha_gamma",
     "exact_enumerate",

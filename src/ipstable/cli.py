@@ -156,21 +156,27 @@ def load_assignment(path):
 
 
 def build_oracle(args):
-    """(oracle, features-or-None, tree-or-None) from --input/--metric."""
+    """(oracle, features-or-None, tree-or-None) from --input/--metric.
+
+    The distance matrix is built here, so non-finite input and distances
+    that overflow fail as a CliError before any solver or audit runs.
+    """
     metric = args.metric
-    if metric in POINT_METRICS:
-        pts = load_points(args.input, standardize=args.standardize)
-        return DistanceOracle.from_points(pts, metric), pts, None
-    if args.standardize:
+    if args.standardize and metric not in POINT_METRICS:
         raise CliError("--standardize only applies to point inputs")
-    if metric == "matrix":
-        try:
+    try:
+        if metric in POINT_METRICS:
+            pts = load_points(args.input, standardize=args.standardize)
+            oracle = DistanceOracle.from_points(pts, metric)
+            oracle.matrix()
+            return oracle, pts, None
+        if metric == "matrix":
             return DistanceOracle.from_matrix(load_matrix(args.input)), None, None
-        except ValueError as exc:
-            raise CliError(f"{args.input}: {exc}")
-    if metric == "tree":
-        t = load_tree(args.input)
-        return t.to_oracle(), None, t
+        if metric == "tree":
+            t = load_tree(args.input)
+            return t.to_oracle(), None, t
+    except ValueError as exc:
+        raise CliError(f"{args.input}: {exc}")
     raise CliError(f"unknown metric {metric!r}")
 
 

@@ -6,14 +6,22 @@ any other cluster. This module holds the distance abstraction shared by all
 solvers, the audit that quantifies how far a clustering is from stability,
 and a brute-force reference solver for small instances.
 
+The audit has one primitive: the n x k cluster-sums matrix S = D @ onehot
+(`_cluster_averages`). Violation factors, the within-cluster cost and the
+separation check in `separated` are all read from it. `brute_force` keeps
+its own plain loops on purpose, as the reference the exact solvers are
+tested against.
+
 All averages use the convention 0/0 = 0; a point with positive own-cluster
 average and a zero foreign-cluster average has infinite violation.
+Distances must be finite and small enough that every row sum stays finite;
+oracles reject anything else when their matrix is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -32,6 +40,16 @@ _FEATURE_METRICS = {
 }
 
 
+def _check_range(m):
+    """Reject a distance matrix whose entries or row sums are not finite.
+
+    One max-reduction: if n * max is finite, so is every entry and every
+    cluster sum the audit forms. NaN propagates through max and fails too.
+    """
+    if not math.isfinite(float(m.max()) * len(m)):
+        raise ValueError("distances are not finite or overflow the float range")
+
+
 class DistanceOracle:
     """Uniform access to pairwise distances.
 
@@ -41,8 +59,7 @@ class DistanceOracle:
     audits of the same oracle are cheap.
     """
 
-    def __init__(self, kind, n, matrix=None, features=None, metric=None):
-        self.kind = kind
+    def __init__(self, n, matrix=None, features=None, metric=None):
         self.n = int(n)
         self._matrix = matrix
         self._features = features
@@ -57,22 +74,23 @@ class DistanceOracle:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, d) array")
-        return cls("points", pts.shape[0], features=pts, metric=metric)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite")
+        return cls(pts.shape[0], features=pts, metric=metric)
 
     @classmethod
     def from_matrix(cls, matrix):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("matrix must be square and nonempty")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
+        _check_range(m)
         if np.any(m < 0):
             raise ValueError("matrix entries must be nonnegative")
         if np.any(np.abs(np.diagonal(m)) > MATRIX_SYM_TOL):
             raise ValueError("matrix diagonal must be zero")
         if np.max(np.abs(m - m.T)) > MATRIX_SYM_TOL:
             raise ValueError("matrix must be symmetric")
-        return cls("matrix", m.shape[0], matrix=m.copy())
+        return cls(m.shape[0], matrix=m.copy())
 
     @classmethod
     def from_tree(cls, tree, point_to_node=None):
@@ -84,25 +102,25 @@ class DistanceOracle:
         if point_to_node is not None:
             idx = np.asarray(point_to_node, dtype=int)
             m = m[np.ix_(idx, idx)]
-        return cls("tree", m.shape[0], matrix=m)
+        _check_range(m)
+        return cls(m.shape[0], matrix=m)
 
     def matrix(self):
         if self._matrix is None:
             key = _FEATURE_METRICS[self._metric]
-            self._matrix = cdist(self._features, self._features, key)
+            m = cdist(self._features, self._features, key)
+            _check_range(m)
+            self._matrix = m
         return self._matrix
 
     def d(self, x, y):
         return float(self.matrix()[x, y])
 
-    def row(self, x):
-        return self.matrix()[x]
-
     def sub_oracle(self, indices):
         """Restriction to a subset of points (new indices follow `indices` order)."""
         idx = np.asarray(indices, dtype=int)
         m = self.matrix()[np.ix_(idx, idx)]
-        return DistanceOracle(self.kind, len(idx), matrix=m)
+        return DistanceOracle(len(idx), matrix=m)
 
 
 @dataclass(frozen=True)
@@ -157,82 +175,46 @@ class StabilityReport:
     cost: float                # sum over clusters of avg within-cluster distance
     obj: float | None = None   # lp-norm of cluster size deviations, if targets given
 
-    def as_dict(self):
-        return {
-            "num_unstable": int(self.num_unstable),
-            "max_violation": float(self.max_violation),
-            "mean_violation": float(self.mean_violation),
-            "cost": float(self.cost),
-            "obj": None if self.obj is None else float(self.obj),
-        }
 
+def _cluster_averages(matrix, clustering):
+    """Per-point cluster sums and averages, all read from one n x k product.
 
-def avg_dist(oracle, x, cluster, exclude_self=False):
-    """Average distance from x to the points of `cluster`.
-
-    With exclude_self the divisor is |cluster| - 1 and x must belong to the
-    cluster. An empty divisor yields 0.0.
+    S = D @ onehot holds S[x, i] = total distance from x to cluster i; it is
+    the only place the package turns a distance matrix and a clustering into
+    cluster sums. Returns (own_sum, own_avg, avg): own_sum[x] = S[x, a[x]],
+    own_avg[x] is its average over the rest of x's cluster (0 for a
+    singleton), and avg[x, i] = S[x, i] / |C_i|.
     """
-    members = np.asarray(list(cluster), dtype=int)
-    if len(members) == 0:
-        raise ValueError("cluster must be nonempty")
-    total = float(oracle.row(x)[members].sum())
-    m = len(members)
-    if exclude_self:
-        if x not in members:
-            raise ValueError("exclude_self requires x in cluster")
-        m -= 1
-    if m == 0:
-        return 0.0
-    return total / m
-
-
-def violation(oracle, clustering, x):
-    """Violation factor Vi(x): worst ratio of own average to a foreign average.
-
-    0/0 counts as 0; a positive own average against a zero foreign average is
-    an infinite violation. With k = 1 there is no foreign cluster and the
-    factor is 0.
-    """
-    a = clustering.assignment
-    own_members = clustering.members(a[x])
-    own = avg_dist(oracle, x, own_members, exclude_self=True)
-    worst = 0.0
-    for i in range(clustering.k):
-        if i == a[x]:
-            continue
-        other = avg_dist(oracle, x, clustering.members(i))
-        if own == 0.0:
-            continue
-        if other == 0.0:
-            return math.inf
-        worst = max(worst, own / other)
-    return worst
-
-
-def _violation_vector(matrix, clustering):
-    """Vectorized per-point violation factors."""
     a = clustering.assignment
     n = len(a)
-    k = clustering.k
-    onehot = np.zeros((n, k))
+    onehot = np.zeros((n, clustering.k))
     onehot[np.arange(n), a] = 1.0
-    sums = matrix @ onehot                      # sums[x, i] = total distance x -> C_i
+    sums = matrix @ onehot
     sizes = clustering.sizes().astype(float)
 
     own_sum = sums[np.arange(n), a]
     own_den = sizes[a] - 1.0
     own_avg = np.divide(own_sum, own_den, out=np.zeros(n), where=own_den > 0)
+    return own_sum, own_avg, sums / sizes
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        foreign_avg = sums / sizes
-        ratios = own_avg[:, None] / foreign_avg
+
+def _violation_vector(own_avg, avg, clustering):
+    """Per-point violation factors: worst own/foreign average ratio.
+
+    0/0 counts as 0; a positive own average against a zero foreign average is
+    an infinite violation. With k = 1 there is no foreign cluster and every
+    factor is 0.
+    """
+    a = clustering.assignment
+    n = len(a)
+    if clustering.k == 1:
+        return np.zeros(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = own_avg[:, None] / avg
     # own == 0 -> stable against everything (covers 0/0); own > 0, foreign == 0 -> inf
     ratios = np.where(own_avg[:, None] == 0.0, 0.0, ratios)
     ratios[np.isnan(ratios)] = 0.0
     ratios[np.arange(n), a] = -np.inf          # mask the own column
-    if k == 1:
-        return np.zeros(n)
     return np.max(ratios, axis=1)
 
 
@@ -253,22 +235,19 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
     """
     if clustering.n != oracle.n:
         raise ValueError("clustering and oracle size mismatch")
-    m = oracle.matrix()
-    vi = _violation_vector(m, clustering)
+    own_sum, own_avg, avg = _cluster_averages(oracle.matrix(), clustering)
+    vi = _violation_vector(own_avg, avg, clustering)
     unstable = vi > 1.0 + tol
     num_unstable = int(np.count_nonzero(unstable))
     max_violation = float(np.max(vi)) if len(vi) else 0.0
     mean_violation = float(np.mean(vi[unstable])) if num_unstable else 0.0
 
-    cost = 0.0
+    # summing own_sum over a cluster counts each within-cluster pair twice,
+    # so dividing by s(s-1) gives the average over the s(s-1)/2 pairs
     sizes = clustering.sizes()
-    for i in range(clustering.k):
-        si = int(sizes[i])
-        if si < 2:
-            continue
-        members = clustering.members(i)
-        within = m[np.ix_(members, members)].sum() / 2.0
-        cost += within / (si * (si - 1) / 2.0)
+    pair_sums = np.bincount(clustering.assignment, weights=own_sum, minlength=clustering.k)
+    big = sizes >= 2
+    cost = float(np.sum(pair_sums[big] / (sizes[big] * (sizes[big] - 1.0))))
 
     obj = None
     if targets is not None:

@@ -145,10 +145,6 @@ class SeparatorState:
         b[sep] -= 1
         self.moves += 1
 
-    def recompute(self):
-        """Fresh bookkeeping from scratch (test oracle for the O(1) updates)."""
-        return SeparatorState(self.instance, self.bounds, tol=self.tol)
-
     def to_clustering(self):
         assign_sorted = np.empty(self.instance.n, dtype=int)
         for i in range(self.k):

@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, _partitions_into_k, audit
+from .core import (
+    STABILITY_TOL,
+    Clustering,
+    _cluster_averages,
+    _partitions_into_k,
+    audit,
+)
 from .hst import embed_hst, hst_k_clustering, normalize_leaves
 
 GAMMA_MIN = 2.0 + math.sqrt(3.0)
@@ -40,29 +46,17 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma, tol=STABILITY_TOL):
     least gamma times the average to the rest of its own cluster. Own
     averages exclude the point itself (matching the stability audit), which
     is the stricter reading, so a pass here implies the guarantee
-    downstream algorithms rely on.
+    downstream algorithms rely on; a singleton's own average is 0. Both
+    averages come from the audit's cluster-sums kernel.
     """
     n = oracle.n
-    members = clustering.clusters()
-    if any(len(c) + tol < alpha * n for c in members):
+    if np.any(clustering.sizes() + tol < alpha * n):
         return False
     if clustering.k == 1:
         return True
-    m = oracle.matrix()
-    for x in range(n):
-        own = clustering.assignment[x]
-        own_members = members[own]
-        if len(own_members) == 1:
-            own_avg = 0.0
-        else:
-            own_avg = (m[x, own_members].sum()) / (len(own_members) - 1)
-        for j in range(clustering.k):
-            if j == own:
-                continue
-            foreign_avg = m[x, members[j]].mean()
-            if foreign_avg < gamma * own_avg * (1.0 - tol):
-                return False
-    return True
+    _, own_avg, avg = _cluster_averages(oracle.matrix(), clustering)
+    avg[np.arange(n), clustering.assignment] = np.inf   # the own column is not foreign
+    return not np.any(avg < gamma * own_avg[:, None] * (1.0 - tol))
 
 
 @dataclass

@@ -11,6 +11,7 @@ stability of the two boundary endpoints implies stability of every node.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .core import STABILITY_TOL, Clustering, DistanceOracle
 
 
 class WeightedTree:
-    """Tree on nodes 0..n-1 with positive edge weights."""
+    """Tree on nodes 0..n-1 with positive, finite edge weights."""
 
     def __init__(self, n, edges, root=0):
         self.n = int(n)
@@ -35,11 +36,14 @@ class WeightedTree:
             u, v, w = int(u), int(v), float(w)
             if not 0 <= u < self.n or not 0 <= v < self.n or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
-            if not w > 0:
-                raise ValueError("edge weights must be positive")
+            if not 0 < w < math.inf:
+                raise ValueError("edge weights must be positive and finite")
             self.adj[u].append((v, w))
             self.adj[v].append((u, w))
             self.edges.append((u, v, w))
+        # every path is at most the total weight, so this bounds all distances
+        if not math.isfinite(sum(w for _, _, w in self.edges)):
+            raise ValueError("edge weights overflow the float range")
         # connectivity check doubles as a cycle check given the edge count
         if self.n > 1 and len(self._bfs_order(0)) != self.n:
             raise ValueError("edges do not form a connected tree")
@@ -93,10 +97,6 @@ class WeightedTree:
     def component(self, keep, drop):
         """Nodes reachable from `keep` after removing edge (keep, drop)."""
         return self._bfs_order(keep, skip={keep, drop})
-
-
-def tree_dist(tree, u, v):
-    return float(tree.dists_from(u)[v])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Shared helpers: an independent audit implementation and instance generators.
 
-naive_vi below is deliberately written with plain double loops and no shared
-code with the package, so the fast vectorized auditor is checked against a
-reimplementation rather than against itself.
+naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
+plain loops and no shared code with the package, so the audit's cluster-sums
+kernel is checked against a reimplementation rather than against itself.
 """
 
 import itertools
@@ -25,7 +25,7 @@ def naive_vi(matrix, labels):
     Singletons and 1-clusterings get 0. A zero own-average gives 0; a
     positive own-average against a zero foreign average gives inf.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix, dtype=float).tolist()   # Python floats: x / tiny is inf, not a warning
     labels = list(labels)
     n = len(labels)
     ks = sorted(set(labels))
@@ -53,6 +53,47 @@ def naive_vi(matrix, labels):
 
 def naive_num_unstable(matrix, labels, tol=TOL):
     return sum(1 for v in naive_vi(matrix, labels) if v > 1.0 + tol)
+
+
+def naive_cost(matrix, labels):
+    """Sum over clusters of the average distance over unordered member pairs.
+
+    Singletons contribute 0.
+    """
+    m = np.asarray(matrix, dtype=float)
+    labels = list(labels)
+    cost = 0.0
+    for c in sorted(set(labels)):
+        members = [x for x in range(len(labels)) if labels[x] == c]
+        pairs = [(x, y) for i, x in enumerate(members) for y in members[i + 1 :]]
+        if pairs:
+            cost += sum(m[x][y] for x, y in pairs) / len(pairs)
+    return cost
+
+
+def naive_alpha_gamma(matrix, labels, alpha, gamma, tol=TOL):
+    """(alpha, gamma)-separation by per-point, per-cluster loops.
+
+    Every cluster needs at least alpha*n points; every point's average to each
+    foreign cluster must be at least gamma times its average to the rest of
+    its own cluster (0 for a singleton).
+    """
+    m = np.asarray(matrix, dtype=float)
+    labels = list(labels)
+    n = len(labels)
+    clusters = {c: [y for y in range(n) if labels[y] == c] for c in set(labels)}
+    if any(len(members) + tol < alpha * n for members in clusters.values()):
+        return False
+    for x in range(n):
+        own = clusters[labels[x]]
+        own_avg = 0.0 if len(own) == 1 else sum(m[x][y] for y in own) / (len(own) - 1)
+        for c, members in clusters.items():
+            if c == labels[x]:
+                continue
+            foreign_avg = sum(m[x][y] for y in members) / len(members)
+            if foreign_avg < gamma * own_avg * (1.0 - tol):
+                return False
+    return True
 
 
 def all_label_partitions(n, k):

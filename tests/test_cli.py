@@ -169,6 +169,38 @@ def test_missing_input_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _write_tree(path, edges):
+    _write_lines(path, [f"{u} {v} {w}" for u, v, w in edges])
+
+
+NON_FINITE_INPUTS = {
+    # name: (metric, writer, input rows, solve algorithm and its flags)
+    "nan-point": ("euclidean", _write_lines, ["0,0", "1,1", "nan,2", "5,5"],
+                  ["--algo", "embed", "--k", "2"]),
+    "inf-point": ("euclidean", _write_lines, ["0,0", "1,1", "inf,2", "5,5"],
+                  ["--algo", "embed", "--k", "2"]),
+    "overflowing-points": ("euclidean", _write_lines,
+                           ["1e300,1e300", "-1e300,-1e300", "0,0", "1,1"],
+                           ["--algo", "embed", "--k", "2"]),
+    "inf-tree-weight": ("tree", _write_tree, [(0, 1, 1.0), (1, 2, "inf"), (2, 3, 1.0)],
+                        ["--algo", "solve-tree2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_is_an_error_not_a_certificate(tmp_path, capsys, case):
+    metric, write, rows, solve_flags = NON_FINITE_INPUTS[case]
+    inp = tmp_path / "input.txt"
+    write(inp, rows)
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [0, 0, 1, 1])
+    common = ["--input", str(inp), "--metric", metric]
+    assert cli.main(["audit", *common, "--assignment", str(assign)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(["solve", *common, *solve_flags]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve + round trips
 

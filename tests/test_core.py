@@ -9,17 +9,17 @@ from ipstable.core import (
     Clustering,
     DistanceOracle,
     STABILITY_TOL,
+    _cluster_averages,
     _partitions_into_k,
     audit,
-    avg_dist,
     brute_force,
     is_t_stable,
-    violation,
 )
 from ipstable.hardgen import fixtures
 
 from conftest import (
     all_label_partitions,
+    naive_cost,
     naive_num_unstable,
     naive_vi,
     random_graph_metric,
@@ -58,6 +58,26 @@ def test_matrix_validation():
         DistanceOracle.from_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
         DistanceOracle.from_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        DistanceOracle.from_matrix(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+    # every entry is finite, but a row sum of the audit would overflow
+    with pytest.raises(ValueError, match="overflow"):
+        DistanceOracle.from_matrix(np.full((3, 3), 1e308) * (1.0 - np.eye(3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_points_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DistanceOracle.from_points([[0.0, 0.0], [bad, 1.0]])
+
+
+def test_overflowing_point_distances_rejected():
+    # each coordinate is finite, but cdist squares them past the float range
+    o = DistanceOracle.from_points([[1e300, 1e300], [-1e300, -1e300], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="overflow"):
+        o.matrix()
+    with pytest.raises(ValueError, match="overflow"):
+        audit(o, Clustering(np.array([0, 0, 1]), 2))
 
 
 def test_sub_oracle_reorders():
@@ -97,37 +117,41 @@ def test_from_labels_and_accessors():
 # --- single-point quantities -------------------------------------------------
 
 
-def test_avg_dist_hand_values():
-    o = DistanceOracle.from_points([0.0, 1.0, 3.0])
-    assert avg_dist(o, 0, [1, 2]) == pytest.approx(2.0)
-    assert avg_dist(o, 0, [0, 1, 2], exclude_self=True) == pytest.approx(2.0)
-    assert avg_dist(o, 0, [0], exclude_self=True) == 0.0
-    with pytest.raises(ValueError):
-        avg_dist(o, 0, [1, 2], exclude_self=True)
+def test_cluster_averages_hand_values():
+    m = DistanceOracle.from_points([0.0, 1.0, 3.0, 7.0]).matrix()
+    own_sum, own_avg, avg = _cluster_averages(m, Clustering(np.array([0, 0, 0, 1]), 2))
+    # point 0: distances 1 and 3 to the rest of its cluster, 7 to cluster 1
+    assert own_sum[0] == pytest.approx(4.0)
+    assert own_avg[0] == pytest.approx(2.0)
+    assert avg[0, 1] == pytest.approx(7.0)
+    # the own column averages over the whole cluster, self included
+    assert avg[0, 0] == pytest.approx(4.0 / 3.0)
+    # a singleton's own average is 0 (no other member)
+    assert own_sum[3] == 0.0 and own_avg[3] == 0.0
+    assert avg[3, 0] == pytest.approx((7.0 + 6.0 + 4.0) / 3.0)
 
 
 def test_violation_hand_value():
     # own average 2, foreign average 4 -> ratio 1/2
     o = DistanceOracle.from_points([0.0, 2.0, 4.0])
-    c = Clustering(np.array([0, 0, 1]), 2)
-    assert violation(o, c, 0) == pytest.approx(0.5)
-    assert violation(o, c, 2) == 0.0  # singleton cluster
+    vi = audit(o, Clustering(np.array([0, 0, 1]), 2)).vi
+    assert vi[0] == pytest.approx(0.5)
+    assert vi[2] == 0.0  # singleton cluster
     # point 1: own average 2, foreign cluster {2} at distance 2 -> exactly 1
-    assert violation(o, c, 1) == pytest.approx(1.0)
+    assert vi[1] == pytest.approx(1.0)
 
 
 def test_violation_zero_distance_conventions():
     # three coincident points and one far away
     o = DistanceOracle.from_points([0.0, 0.0, 0.0, 9.0])
-    both_zero = Clustering(np.array([0, 0, 1, 1]), 2)
-    # point 0: own avg 0 -> factor 0 regardless of the foreign averages
-    assert violation(o, both_zero, 0) == 0.0
+    vi = audit(o, Clustering(np.array([0, 0, 1, 1]), 2)).vi
+    # point 0: own avg 0 -> factor 0 regardless of the foreign averages (0/0 = 0)
+    assert vi[0] == 0.0
     # point 2 sits at distance 0 from cluster 0 but 9 from its own partner
-    assert violation(o, both_zero, 2) == math.inf
+    assert vi[2] == math.inf
     # singleton and k = 1 are always stable
-    single = Clustering(np.array([0, 0, 0, 1]), 2)
-    assert violation(o, single, 3) == 0.0
-    assert violation(o, Clustering(np.array([0, 0, 0, 0]), 1), 1) == 0.0
+    assert audit(o, Clustering(np.array([0, 0, 0, 1]), 2)).vi[3] == 0.0
+    assert np.array_equal(audit(o, Clustering(np.array([0, 0, 0, 0]), 1)).vi, np.zeros(4))
 
 
 # --- the auditor against the naive reimplementation --------------------------
@@ -152,6 +176,7 @@ def test_audit_matches_naive_on_random_instances():
         assert np.allclose(rep.vi, expect, rtol=1e-10, atol=1e-12)
         assert rep.num_unstable == naive_num_unstable(m, labels)
         assert rep.max_violation == pytest.approx(max(expect))
+        assert rep.cost == pytest.approx(naive_cost(m, labels), rel=1e-12)
 
 
 def test_audit_with_duplicate_points_matches_naive():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
 
-from ipstable.core import Clustering, DistanceOracle, audit, violation
+from ipstable.core import Clustering, DistanceOracle, audit
 from ipstable.baselines import kcenter_greedy, kmeans_pp
 from ipstable.hardgen import (
     fixtures,
@@ -29,7 +29,7 @@ def test_kmeanspp_block_violation_is_alpha():
         rep = audit(o, c)
         # each block contributes one point whose violation equals alpha
         for v in meta["v_indices"]:
-            assert violation(o, c, v) == pytest.approx(alpha, abs=1e-9)
+            assert rep.vi[v] == pytest.approx(alpha, abs=1e-9)
         assert rep.max_violation == pytest.approx(
             meta["claimed_max_violation"], abs=1e-9
         )
@@ -79,7 +79,7 @@ def test_kcenter_instance_violation_and_trap():
     o = DistanceOracle.from_points(pts)
     c = _clustering(meta, 2)
     p = meta["p"]
-    vi_p = violation(o, c, p)
+    vi_p = audit(o, c).vi[p]
     assert vi_p >= 2.0 - 1e-9
     assert vi_p == pytest.approx(meta["audited_vi_p"], abs=1e-9)
     assert meta["claimed_min_violation"] == pytest.approx(2.0)
@@ -113,7 +113,7 @@ def test_single_linkage_violation_scales_with_n():
         o = DistanceOracle.from_points(vals.reshape(-1, 1))
         v2 = meta["v2"]
         assert meta["claimed_vi_v2"] == pytest.approx(want)
-        assert violation(o, _clustering(meta, 2), v2) == pytest.approx(want, abs=1e-6)
+        assert audit(o, _clustering(meta, 2)).vi[v2] == pytest.approx(want, abs=1e-6)
 
 
 def test_single_linkage_cut_isolates_endpoint():

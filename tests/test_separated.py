@@ -13,7 +13,7 @@ from ipstable.separated import (
     pipeline,
 )
 
-from conftest import naive_num_unstable, planted
+from conftest import naive_alpha_gamma, naive_num_unstable, planted, random_points
 
 
 def _oracle(feats):
@@ -44,6 +44,50 @@ def test_check_alpha_gamma_rejections():
     assert not check_alpha_gamma(o, Clustering.from_labels(bad), alpha=0.25, gamma=4.0)
     # absurd gamma demand fails even on the true labels
     assert not check_alpha_gamma(o, c, alpha=0.25, gamma=1e6)
+
+
+def _separation_ratio(m, labels):
+    """Smallest foreign/own average ratio over points with a cluster partner."""
+    n = len(labels)
+    ratios = []
+    for x in range(n):
+        own = [y for y in range(n) if labels[y] == labels[x] and y != x]
+        if not own:
+            continue
+        own_avg = m[x, own].mean()
+        for c in set(labels.tolist()) - {labels[x]}:
+            ratios.append(m[x, labels == c].mean() / own_avg)
+    return min(ratios, default=math.inf)
+
+
+def test_check_alpha_gamma_matches_loop_reference():
+    rng = np.random.default_rng(3)
+    boundaries_checked = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 14))
+        k = int(rng.integers(1, min(4, n) + 1))
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)
+        if k > 1 and rng.random() < 0.3:
+            labels[k:] = rng.integers(0, k - 1, size=n - k)  # cluster k-1 a singleton
+        m = _oracle(random_points(rng, n, 3)).matrix()
+        o = DistanceOracle.from_matrix(m)
+        c = Clustering(labels, k)
+        smallest = int(c.sizes().min())
+        gammas = [0.5, 2.0, GAMMA_MIN]
+        ratio = _separation_ratio(m, labels)
+        if math.isfinite(ratio):
+            below, above = ratio * (1.0 - 1e-6), ratio * (1.0 + 1e-6)
+            gammas += [below, above]
+            # the size test passes at alpha = smallest/n, so separation decides
+            assert check_alpha_gamma(o, c, smallest / n, below)
+            assert not check_alpha_gamma(o, c, smallest / n, above)
+            boundaries_checked += 1
+        for alpha in (smallest / n, (smallest + 1) / n):
+            for gamma in gammas:
+                got = check_alpha_gamma(o, c, alpha, gamma)
+                assert got == naive_alpha_gamma(m, labels, alpha, gamma), (trial, alpha, gamma)
+    assert boundaries_checked > 30
 
 
 def test_size_guard_reaches_alpha_sizes_and_refines_planted():

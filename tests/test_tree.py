@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from ipstable.tree import (
     furthest_neighbor,
     rotate,
     solve_tree2,
-    tree_dist,
 )
 
 from conftest import naive_num_unstable, random_tree
@@ -29,7 +30,7 @@ def test_distance_matrix_hand_values():
     assert m[0, 2] == pytest.approx(5.0)
     assert m[0, 3] == pytest.approx(3.0)
     assert m[2, 3] == pytest.approx(4.0)
-    assert tree_dist(t, 2, 3) == pytest.approx(4.0)
+    assert t.dists_from(2)[3] == pytest.approx(4.0)
 
 
 def test_tree_validation():
@@ -39,6 +40,22 @@ def test_tree_validation():
         WeightedTree(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])  # cycle
     with pytest.raises(ValueError):
         WeightedTree(2, [(0, 1, -1.0)])  # negative weight
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tree_weights_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightedTree(3, [(0, 1, 1.0), (1, 2, bad)])
+
+
+def test_tree_distances_that_overflow_are_rejected():
+    # both weights are finite; the path 0-1-2 is not
+    with pytest.raises(ValueError, match="overflow"):
+        WeightedTree(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    # every distance is finite, but an audit row sum would not be
+    path = WeightedTree(11, [(i, i + 1, 1e307) for i in range(10)])
+    with pytest.raises(ValueError, match="overflow"):
+        path.to_oracle()
 
 
 def test_furthest_neighbor_ties_to_smallest_id():
