@@ -5,7 +5,10 @@ A 2-HST here is a rooted tree whose edge weights are a function of depth
 at least geometrically downward. Data points map injectively to nodes. After
 normalization the points are exactly the leaves, all at one depth, which
 makes same-depth subtree distances depend only on the lca depth; that is the
-property the cluster-selection argument uses.
+property the cluster-selection argument uses. point_distance_matrix relies
+on the same fact for any mapped points: a pair's distance is a function of
+the two depths and the lca depth, and the lca depths of all m^2 pairs come
+from one m x m comparison per depth, with no Python work per pair.
 
 The embedding is a seeded random hierarchical decomposition (random center
 permutation, random radius scale beta in [1, 2), radii shrinking by powers of
@@ -24,6 +27,10 @@ import numpy as np
 from .core import STABILITY_TOL, Clustering, audit
 
 HALVING_SLACK = 1e-12
+
+# rows per float block in Hst.point_distance_matrix; bounds its float
+# temporaries to ROW_CHUNK x m
+ROW_CHUNK = 64
 
 
 class Hst:
@@ -116,16 +123,39 @@ class Hst:
         return self.node_dist(nodes[p], nodes[q])
 
     def point_distance_matrix(self):
-        """Tree distances between all mapped points, ordered like points()."""
+        """Tree distances between all mapped points, ordered like points().
+
+        Entry (a, b) is cum[depth a] + cum[depth b] - 2 cum[depth lca(a, b)],
+        node_dist's own formula, so the matrix is bit-identical to it. A
+        pair's lca depth is the number of depths >= 1 at which the two points
+        share an ancestor: one m x m comparison per depth fills a small-int
+        matrix, and the float arithmetic runs in row chunks, so the output is
+        the only m x m float array.
+        """
         pts = self.points()
-        nodes = self.point_node()
-        cum = self._cum()
         m = len(pts)
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b = nodes[pts[i]], nodes[pts[j]]
-                out[i, j] = out[j, i] = self.node_dist(a, b)
+        node_of = self.point_node()
+        parent = np.asarray(self.parent)
+        depth = np.asarray(self.depth)
+        cur = np.array([node_of[p] for p in pts], dtype=np.intp)
+        point_depth = depth[cur]
+        deepest = int(point_depth.max()) if m else 0
+        lca = np.zeros((m, m), dtype=np.min_scalar_type(deepest))
+        alone = -1 - np.arange(m)     # stands in above a shallow point; matches no other
+        for d in range(deepest, 0, -1):
+            here = depth[cur] == d
+            anc = np.where(here, cur, alone)
+            lca += anc[:, None] == anc[None, :]
+            cur = np.where(here, parent[cur], cur)
+        cum = np.asarray(self._cum())
+        twice = 2.0 * cum
+        cd = cum[point_depth]
+        out = np.empty((m, m))
+        for lo in range(0, m, ROW_CHUNK):
+            block = out[lo : lo + ROW_CHUNK]
+            np.add(cd[lo : lo + ROW_CHUNK, None], cd, out=block)
+            block -= twice[lca[lo : lo + ROW_CHUNK]]
+        np.fill_diagonal(out, 0.0)     # a point matches itself at every depth, stand-ins too
         return out
 
     def is_normalized(self):

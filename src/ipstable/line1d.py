@@ -10,6 +10,7 @@ separators left, which bounds the total number of moves by k*n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class LineInstance:
             raise ValueError("need at least one value")
         if not np.all(np.isfinite(raw)):
             raise ValueError("values must be finite")
+        # every prefix sum and every sum of n distances is at most 2 n max|x|
+        if not math.isfinite(2.0 * len(raw) * float(np.abs(raw).max())):
+            raise ValueError("value sums overflow the float range")
         perm = np.argsort(raw, kind="stable")
         return cls(raw[perm], perm)
 

@@ -182,18 +182,24 @@ def linkage_size_guard(oracle, alpha):
     merge happens exactly when one side holds fewer than alpha*n points.
     Every final cluster then holds at least alpha*n points (or everything
     collapsed into one), because a smaller cluster's next incident edge
-    would still have triggered a merge.
+    would still have triggered a merge. Sizes only grow, so the scan stops
+    as soon as no cluster is undersized: no later edge can merge.
     """
     m = oracle.matrix()
     st = _MergeState(m)
     log = []
     thresh = alpha * oracle.n
+    undersized = oracle.n if 1 < thresh else 0
     for i, j, d in zip(*_sorted_edges(m)):
+        if not undersized:
+            break
         ra, rb = st.find(int(i)), st.find(int(j))
         if ra == rb:
             continue
-        if st.size[ra] < thresh or st.size[rb] < thresh:
-            st.union(ra, rb)
+        small = (st.size[ra] < thresh) + (st.size[rb] < thresh)
+        if small:
+            root = st.union(ra, rb)
+            undersized -= small - (st.size[root] < thresh)
             log.append((float(d), int(i), int(j), 1))
     return st.partition(alpha, log)
 
@@ -236,6 +242,11 @@ def linkage_conditioned(oracle, alpha, gamma):
     return st.partition(alpha, log)
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def exact_enumerate(oracle, k, alpha, tol=STABILITY_TOL):
     """Exactly stable k-clustering of a size-alpha separated instance.
 
@@ -245,6 +256,7 @@ def exact_enumerate(oracle, k, alpha, tol=STABILITY_TOL):
     raises when no grouping is stable, which means the input had no
     sufficiently separated underlying clustering.
     """
+    _check_alpha(alpha)
     if (1.0 / alpha) ** k > ENUM_GUARD:
         raise ValueError("enumeration too large: (1/alpha)**k exceeds the guard")
     part = linkage_size_guard(oracle, alpha)
@@ -292,6 +304,7 @@ def pipeline(oracle, k, alpha, gamma, seed=0, tol=STABILITY_TOL):
     combination stretch * uniformity**2 bounds the violation whenever the
     separation promise actually held.
     """
+    _check_alpha(alpha)
     part = linkage_conditioned(oracle, alpha, gamma)
     if part.ell < k:
         raise ValueError("fewer superclusters than k; lower alpha or k")

@@ -7,6 +7,13 @@ stable (its own-cluster average is a mixture of branch averages, each at
 most the u^f branch's). Rotating the unstable endpoint walks the boundary
 monotonically away from the root, so the loop ends within n steps, and
 stability of the two boundary endpoints implies stability of every node.
+
+Cost: construction roots the tree with one depth-first pass, and the first
+solve adds one pass for each node's distance sum over its subtree and, by
+rerooting, over the whole tree. Every branch average and endpoint check then
+costs O(1) per neighbor, and successive pivots are distinct nodes, so
+solve_tree2 is O(n). distance_matrix fills the n x n matrix with two numpy
+passes over the preorder: O(n^2) writes from O(n) numpy calls.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ from .core import STABILITY_TOL, Clustering, DistanceOracle
 
 
 class WeightedTree:
-    """Tree on nodes 0..n-1 with positive, finite edge weights."""
+    """Tree on nodes 0..n-1 with positive, finite edge weights.
+
+    Construction roots the tree at `root` with one depth-first pass that
+    records the preorder `order` (and its inverse `pos`), each node's
+    `parent` (-1 at the root), `parent_weight`, hop `depth` and subtree
+    `size`. In preorder every subtree is one contiguous slice,
+    order[pos[v] : pos[v] + size[v]].
+    """
 
     def __init__(self, n, edges, root=0):
         self.n = int(n)
@@ -30,6 +44,8 @@ class WeightedTree:
         if len(edges) != self.n - 1:
             raise ValueError("a tree on n nodes has exactly n-1 edges")
         self.root = int(root)
+        if not 0 <= self.root < self.n:
+            raise ValueError("root must be a node of the tree")
         self.adj = [[] for _ in range(self.n)]
         self.edges = []
         for u, v, w in edges:
@@ -44,23 +60,58 @@ class WeightedTree:
         # every path is at most the total weight, so this bounds all distances
         if not math.isfinite(sum(w for _, _, w in self.edges)):
             raise ValueError("edge weights overflow the float range")
-        # connectivity check doubles as a cycle check given the edge count
-        if self.n > 1 and len(self._bfs_order(0)) != self.n:
-            raise ValueError("edges do not form a connected tree")
+        self._root_pass()
+        self._sums = None
 
-    def _bfs_order(self, start, skip=None):
-        seen = [False] * self.n
-        seen[start] = True
-        order = [start]
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v, _ in self.adj[u]:
-                if not seen[v] and (skip is None or {u, v} != skip):
+    def _root_pass(self):
+        n = self.n
+        parent, weight, depth = [-1] * n, [0.0] * n, [0] * n
+        seen = [False] * n
+        seen[self.root] = True
+        order = []
+        stack = [self.root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v, w in self.adj[u]:
+                if not seen[v]:
                     seen[v] = True
-                    order.append(v)
-                    q.append(v)
-        return order
+                    parent[v], weight[v], depth[v] = u, w, depth[u] + 1
+                    stack.append(v)
+        # connectivity check doubles as a cycle check given the edge count
+        if len(order) != n:
+            raise ValueError("edges do not form a connected tree")
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        self.order, self.pos, self.size = order, pos, size
+        self.parent, self.parent_weight, self.depth = parent, weight, depth
+
+    def distance_sums(self):
+        """(down, total): per node, distance sums to its subtree and to all nodes.
+
+        down is summed bottom-up; total comes by rerooting from the root,
+        total[c] = total[p] + w * (n - 2 * size[c]) for a child c of p over an
+        edge of weight w. Computed once and cached. Raises ValueError when a
+        sum overflows the float range.
+        """
+        if self._sums is None:
+            n, parent, weight, size = self.n, self.parent, self.parent_weight, self.size
+            down = [0.0] * n
+            for v in reversed(self.order[1:]):
+                down[parent[v]] += down[v] + size[v] * weight[v]
+            total = [0.0] * n
+            total[self.root] = down[self.root]
+            for v in self.order[1:]:
+                total[v] = total[parent[v]] + weight[v] * (n - 2 * size[v])
+            # every down[v] <= total[root], so one check covers both lists
+            if not math.isfinite(max(total)):
+                raise ValueError("tree distance sums overflow the float range")
+            self._sums = (down, total)
+        return self._sums
 
     def dists_from(self, start):
         """Distances from one node to all nodes (single BFS, O(n))."""
@@ -75,28 +126,40 @@ class WeightedTree:
                     q.append(v)
         return d
 
-    def depths(self):
-        """Hop depth of every node measured from the root."""
-        d = np.full(self.n, -1, dtype=int)
-        d[self.root] = 0
-        q = deque([self.root])
-        while q:
-            u = q.popleft()
-            for v, _ in self.adj[u]:
-                if d[v] < 0:
-                    d[v] = d[u] + 1
-                    q.append(v)
-        return d
-
     def distance_matrix(self):
-        return np.vstack([self.dists_from(u) for u in range(self.n)])
+        """All-pairs distances; row u equals dists_from(u) bit for bit.
+
+        Two numpy passes over the preorder apply dists_from's recurrence
+        d[v] = d[u] + w along the same paths, one column slice per node:
+        bottom-up, each node's subtree gets its distance to the node's
+        parent; top-down, every node outside a subtree gets its distance to
+        the subtree's root. O(n^2) writes and O(n) numpy calls.
+        """
+        n, order, pos, size = self.n, self.order, self.pos, self.size
+        d = np.zeros((n, n))    # indexed by preorder position until the end
+        for j in range(n - 1, 0, -1):
+            v = order[j]
+            p, end = pos[self.parent[v]], j + size[v]
+            d[j:end, p] = d[j:end, j] + self.parent_weight[v]
+        for j in range(1, n):
+            v = order[j]
+            p, end, w = pos[self.parent[v]], j + size[v], self.parent_weight[v]
+            d[:j, j] = d[:j, p] + w
+            d[end:, j] = d[end:, p] + w
+        at = np.asarray(pos)
+        return d[np.ix_(at, at)]
 
     def to_oracle(self):
         return DistanceOracle.from_tree(self)
 
     def component(self, keep, drop):
-        """Nodes reachable from `keep` after removing edge (keep, drop)."""
-        return self._bfs_order(keep, skip={keep, drop})
+        """Nodes left on `keep`'s side after removing edge (keep, drop), in preorder."""
+        if self.parent[keep] == drop:
+            return self.order[self.pos[keep] : self.pos[keep] + self.size[keep]]
+        if self.parent[drop] == keep:
+            lo = self.pos[drop]
+            return self.order[:lo] + self.order[lo + self.size[drop] :]
+        raise ValueError(f"({keep}, {drop}) is not a tree edge")
 
 
 @dataclass(frozen=True)
@@ -110,13 +173,26 @@ class BoundaryEdge:
         return {self.u, self.v}
 
 
+def _branch_sum(tree, u, v):
+    """(sum of distances from u, node count) over the branch behind neighbor v.
+
+    A child v's branch is its subtree, at down[v] + size[v] * w; the parent's
+    branch is everything outside u's subtree, at total[u] - down[u].
+    """
+    down, total = tree.distance_sums()
+    if tree.parent[v] == u:
+        return down[v] + tree.size[v] * tree.parent_weight[v], tree.size[v]
+    if tree.parent[u] == v:
+        return total[u] - down[u], tree.n - tree.size[u]
+    raise ValueError(f"({u}, {v}) is not a tree edge")
+
+
 def _branch_averages(tree, u):
     """Average distance from u to each neighbor branch, keyed by neighbor."""
-    dist = tree.dists_from(u)
     out = {}
-    for w, wt in tree.adj[u]:
-        comp = tree.component(w, u)
-        out[w] = float(dist[comp].mean())
+    for v, _ in tree.adj[u]:
+        s, count = _branch_sum(tree, u, v)
+        out[v] = s / count
     return out
 
 
@@ -161,12 +237,11 @@ def endpoint_stable(tree, boundary, endpoint, tol=STABILITY_TOL):
     other = boundary.v if endpoint == boundary.u else boundary.u
     if endpoint not in boundary.nodes():
         raise ValueError("endpoint must belong to the boundary edge")
-    own_comp = tree.component(endpoint, other)
-    other_comp = tree.component(other, endpoint)
-    dist = tree.dists_from(endpoint)
-    own = dist[own_comp].sum() / (len(own_comp) - 1) if len(own_comp) > 1 else 0.0
-    foreign = dist[other_comp].mean()
-    return own <= foreign * (1.0 + tol)
+    foreign_sum, foreign_count = _branch_sum(tree, endpoint, other)
+    own_count = tree.n - foreign_count - 1      # the endpoint itself excluded
+    _, total = tree.distance_sums()
+    own = (total[endpoint] - foreign_sum) / own_count if own_count else 0.0
+    return own <= foreign_sum / foreign_count * (1.0 + tol)
 
 
 def solve_tree2(tree, tol=STABILITY_TOL):
@@ -174,7 +249,7 @@ def solve_tree2(tree, tol=STABILITY_TOL):
     if tree.n < 2:
         raise ValueError("need at least 2 nodes for a 2-clustering")
     r = tree.root
-    depths = tree.depths()
+    depths = tree.depth
 
     # initial edge: smallest-id neighbor of the root, then one setup rotate
     v0 = min(w for w, _ in tree.adj[r])

@@ -1,12 +1,16 @@
-"""Shared helpers: an independent audit implementation and instance generators.
+"""Shared helpers: independent reference implementations and instance generators.
 
 naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
+bfs_solve_tree2, naive_point_distance_matrix and full_scan_size_guard are the
+plain per-call walks and scans the tree, HST and linkage code replaced; the
+faster paths must reproduce them exactly.
 """
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -94,6 +98,86 @@ def naive_alpha_gamma(matrix, labels, alpha, gamma, tol=TOL):
             if foreign_avg < gamma * own_avg * (1.0 - tol):
                 return False
     return True
+
+
+def _bfs_side(tree, keep, drop):
+    """Nodes reachable from keep without crossing edge (keep, drop)."""
+    seen = {keep}
+    q = deque([keep])
+    while q:
+        u = q.popleft()
+        for v, _ in tree.adj[u]:
+            if v not in seen and {u, v} != {keep, drop}:
+                seen.add(v)
+                q.append(v)
+    return sorted(seen)
+
+
+def bfs_solve_tree2(tree, tol=TOL):
+    """Boundary-rotation 2-clustering with a BFS per branch average and check.
+
+    The quadratic solver solve_tree2 replaced: every branch average and
+    endpoint check walks the tree from scratch. Returns labels with the
+    root's side at 0.
+    """
+
+    def furthest(u):
+        dist = tree.dists_from(u)
+        avgs = {v: float(dist[_bfs_side(tree, v, u)].mean()) for v, _ in tree.adj[u]}
+        return max(sorted(avgs), key=lambda v: (avgs[v], -v))
+
+    def stable(e, o):
+        own, other = _bfs_side(tree, e, o), _bfs_side(tree, o, e)
+        dist = tree.dists_from(e)
+        own_avg = dist[own].sum() / (len(own) - 1) if len(own) > 1 else 0.0
+        return own_avg <= dist[other].mean() * (1.0 + tol)
+
+    r = tree.root
+    prev, cur = r, furthest(r)
+    for _ in range(tree.n):
+        if stable(cur, prev) and stable(prev, cur):
+            break
+        nxt = furthest(cur)
+        if nxt == prev:
+            break
+        prev, cur = cur, nxt
+    labels = np.ones(tree.n, dtype=int)
+    labels[_bfs_side(tree, prev, cur)] = 0
+    return labels if labels[r] == 0 else 1 - labels
+
+
+def naive_point_distance_matrix(hst):
+    """Hst.node_dist over every pair of mapped points, ordered like points()."""
+    pts = hst.points()
+    nodes = hst.point_node()
+    out = np.zeros((len(pts), len(pts)))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            out[i, j] = out[j, i] = hst.node_dist(nodes[pts[i]], nodes[pts[j]])
+    return out
+
+
+def full_scan_size_guard(matrix, alpha):
+    """Size-guarded single linkage over every edge, with no early stop.
+
+    Returns (merge log, clusters as sorted id lists ordered by smallest id)
+    in linkage_size_guard's formats.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n = len(m)
+    edges = sorted((m[i, j], i, j) for i in range(n) for j in range(i + 1, n))
+    cluster = {i: [i] for i in range(n)}
+    log = []
+    for d, i, j in edges:
+        a, b = cluster[i], cluster[j]
+        if a is b or (len(a) >= alpha * n and len(b) >= alpha * n):
+            continue
+        merged = a + b
+        for x in merged:
+            cluster[x] = merged
+        log.append((float(d), i, j, 1))
+    blocks = {id(c): sorted(c) for c in cluster.values()}
+    return log, sorted(blocks.values())
 
 
 def all_label_partitions(n, k):

@@ -201,6 +201,26 @@ def test_non_finite_input_is_an_error_not_a_certificate(tmp_path, capsys, case):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["solve-1d", "solve-dp"])
+def test_line_values_whose_sums_overflow_are_an_error(tmp_path, capsys, algo):
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, np.tile([1e307, -1e307], 65))
+    flags = ["--k", "2"] if algo == "solve-1d" else ["--targets", "65,65"]
+    assert cli.main(["solve", "--input", str(inp), "--algo", algo, *flags]) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["separated-exact", "separated-pipeline"])
+@pytest.mark.parametrize("alpha", ["0", "-0.5"])
+def test_alpha_outside_unit_interval_is_an_error(tmp_path, capsys, algo, alpha):
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, [[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
+    rc = cli.main(["solve", "--input", str(inp), "--algo", algo, "--k", "2",
+                   "--alpha", alpha])
+    assert rc == 1
+    assert "alpha" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve + round trips
 

@@ -13,7 +13,13 @@ from ipstable.hst import (
     restrict,
 )
 
-from conftest import naive_num_unstable, random_graph_metric, random_hst, random_points
+from conftest import (
+    naive_num_unstable,
+    naive_point_distance_matrix,
+    random_graph_metric,
+    random_hst,
+    random_points,
+)
 
 
 def _tiny_hst():
@@ -34,6 +40,18 @@ def test_node_dist_hand_values():
     assert h.node_dist(3, 2) == pytest.approx(10.0)
     assert h.node_dist(1, 1) == 0.0
     assert h.point_dist(1, 2) == pytest.approx(4.0)
+
+
+def test_point_distance_matrix_is_bitwise_the_node_dist_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        h = random_hst(rng, max_depth=int(rng.integers(1, 7)))
+        for tree in (h, normalize_leaves(h)):
+            assert np.array_equal(tree.point_distance_matrix(), naive_point_distance_matrix(tree))
+    # more points than one row chunk holds
+    o = DistanceOracle.from_points(random_points(rng, 150, 2))
+    h = embed_hst(o, seed=3)
+    assert np.array_equal(h.point_distance_matrix(), naive_point_distance_matrix(h))
 
 
 def test_validate_rejects_non_halving_used_weights():
@@ -145,9 +163,10 @@ def test_embedding_handles_duplicates_and_tiny_inputs():
     assert h1.points() == [0]
     dup = DistanceOracle.from_points([[0.0], [0.0], [0.0]])
     hd = embed_hst(dup, seed=0)
-    assert np.allclose(hd.point_distance_matrix()[np.triu_indices(3, 1)], 0.0, atol=1e-12) or True
-    # zero original distances may legitimately inflate; only dominance is owed
-    assert np.all(hd.point_distance_matrix() >= 0.0)
+    # duplicates become sibling leaves under the root: zero original distances
+    # inflate to two root edges, which still dominates
+    expected = 2.0 * hd.level_weights[0] * (1.0 - np.eye(3))
+    assert np.array_equal(hd.point_distance_matrix(), expected)
 
 
 def test_level_weights_halve_exactly_in_embedding():

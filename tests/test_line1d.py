@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipstable.core import Clustering, DistanceOracle, STABILITY_TOL, audit
+from ipstable.dp_target import solve_targets
 from ipstable.hardgen import fixtures
 from ipstable.line1d import LineInstance, solve_1d, sweep
 
@@ -102,6 +103,24 @@ def test_edge_cases():
         solve_1d([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         solve_1d([1.0, 2.0], 0)
+
+
+def test_values_whose_sums_overflow_are_rejected():
+    big = np.tile([1e307, -1e307], 65)   # each value finite, their prefix sums not
+    with pytest.raises(ValueError, match="overflow"):
+        LineInstance.from_values(big)
+    with pytest.raises(ValueError, match="overflow"):
+        solve_1d(big, 2)
+    with pytest.raises(ValueError, match="overflow"):
+        solve_targets(big, [65, 65], p=1)
+    # n max|x| is finite here, but 129 distances of 2e306 from the last point
+    # sum past the float range: the bound is 2 n max|x|
+    lopsided = np.array([-1e306] * 129 + [1e306])
+    with pytest.raises(ValueError, match="overflow"):
+        solve_targets(lopsided, [65, 65], p=1)
+    ok = np.tile([4e305, -4e305], 65)
+    assert solve_1d(ok, 2).k == 2
+    assert solve_targets(ok, [65, 65], p=1)[0].k == 2
 
 
 def test_input_order_irrelevant_to_cluster_contents():

@@ -13,7 +13,13 @@ from ipstable.separated import (
     pipeline,
 )
 
-from conftest import naive_alpha_gamma, naive_num_unstable, planted, random_points
+from conftest import (
+    full_scan_size_guard,
+    naive_alpha_gamma,
+    naive_num_unstable,
+    planted,
+    random_points,
+)
 
 
 def _oracle(feats):
@@ -102,6 +108,22 @@ def test_size_guard_reaches_alpha_sizes_and_refines_planted():
         assert part.ell == 3
 
 
+def test_size_guard_early_stop_matches_full_scan():
+    rng = np.random.default_rng(19)
+    for trial in range(30):
+        n = int(rng.integers(2, 60))
+        if trial % 2:
+            feats, _ = planted(n, int(rng.integers(1, 4)), 4.0, seed=trial)
+        else:
+            feats = random_points(rng, n, 2)
+        alpha = float(rng.choice([0.01, 0.1, 0.25, 0.5, 1.0]))
+        o = _oracle(feats)
+        part = linkage_size_guard(o, alpha)
+        log, clusters = full_scan_size_guard(o.matrix(), alpha)
+        assert part.merge_log == log, trial
+        assert sorted(part.clusters) == clusters, trial
+
+
 def test_conditioned_linkage_recovers_planted():
     for seed in range(5):
         feats, labels = planted(80, 4, 4.0, seed=10 + seed)
@@ -182,6 +204,16 @@ def test_exact_enumerate_guards():
     # alpha so large the guard merges below k superclusters
     with pytest.raises(RuntimeError):
         exact_enumerate(o, 4, alpha=0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+def test_alpha_outside_unit_interval_is_rejected(alpha):
+    feats, _ = planted(20, 2, 4.0, seed=8)
+    o = _oracle(feats)
+    with pytest.raises(ValueError, match="alpha"):
+        exact_enumerate(o, 2, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        pipeline(o, 2, alpha=alpha, gamma=4.0)
 
 
 def test_pipeline_certificate_and_shape():

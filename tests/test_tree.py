@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ipstable import tree as tree_mod
 from ipstable.core import DistanceOracle, audit
 from ipstable.tree import (
     BoundaryEdge,
@@ -13,7 +14,7 @@ from ipstable.tree import (
     solve_tree2,
 )
 
-from conftest import naive_num_unstable, random_tree
+from conftest import bfs_solve_tree2, naive_num_unstable, random_tree
 
 
 def _audit_tree(tree, clustering):
@@ -40,6 +41,8 @@ def test_tree_validation():
         WeightedTree(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])  # cycle
     with pytest.raises(ValueError):
         WeightedTree(2, [(0, 1, -1.0)])  # negative weight
+    with pytest.raises(ValueError):
+        WeightedTree(2, [(0, 1, 1.0)], root=2)  # root outside the tree
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -56,6 +59,9 @@ def test_tree_distances_that_overflow_are_rejected():
     path = WeightedTree(11, [(i, i + 1, 1e307) for i in range(10)])
     with pytest.raises(ValueError, match="overflow"):
         path.to_oracle()
+    # the solver's distance sums hit the same bound before any arithmetic warns
+    with pytest.raises(ValueError, match="overflow"):
+        solve_tree2(path)
 
 
 def test_furthest_neighbor_ties_to_smallest_id():
@@ -185,3 +191,64 @@ def test_component_helper():
     keep_side = t.component(3, 1)
     assert set(keep_side) == {3, 4}
     assert set(t.component(1, 3)) == {0, 1, 2}
+    with pytest.raises(ValueError):
+        t.component(0, 2)  # not an edge
+
+
+def _shaped_trees(rng):
+    """Random, path and star trees with shuffled labels and a random root."""
+    for trial in range(60):
+        n = int(rng.integers(1, 120))
+        shape = trial % 3
+        parents = [0 if shape == 2 else v - 1 if shape == 1 else int(rng.integers(0, v))
+                   for v in range(1, n)]
+        label = rng.permutation(n)
+        edges = [(int(label[u]), int(label[v + 1]), float(rng.uniform(0.1, 3.0)))
+                 for v, u in enumerate(parents)]
+        yield WeightedTree(n, edges, root=int(rng.integers(0, n)))
+
+
+def test_distance_matrix_is_bitwise_the_bfs_rows():
+    for t in _shaped_trees(np.random.default_rng(41)):
+        bfs = np.vstack([t.dists_from(u) for u in range(t.n)])
+        assert np.array_equal(t.distance_matrix(), bfs)
+
+
+def test_distance_sums_match_the_matrix():
+    for t in _shaped_trees(np.random.default_rng(43)):
+        down, total = t.distance_sums()
+        m = t.distance_matrix()
+        for v in range(t.n):
+            subtree = t.order[t.pos[v] : t.pos[v] + t.size[v]]
+            assert down[v] == pytest.approx(m[v, subtree].sum(), rel=1e-12)
+            assert total[v] == pytest.approx(m[v].sum(), rel=1e-12)
+
+
+def test_solver_matches_bfs_reference_on_random_trees():
+    rng = np.random.default_rng(47)
+    trees = [random_tree(rng, int(rng.integers(2, 201))) for _ in range(60)]
+    trees += [t for t in _shaped_trees(rng) if t.n >= 2]
+    for trial, t in enumerate(trees):
+        assert np.array_equal(solve_tree2(t).assignment, bfs_solve_tree2(t)), trial
+
+
+def test_solver_matches_bfs_reference_on_tied_integer_trees():
+    # identical integer-weight legs hung from a hub: branch sums are exact, the
+    # hub's furthest branches tie exactly, and the smallest-id rule decides
+    rng = np.random.default_rng(53)
+    for trial in range(100):
+        m, copies = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+        leg = [(int(rng.integers(0, v)), v, float(rng.integers(1, 4))) for v in range(1, m)]
+        hub_w = float(rng.integers(1, 4))
+        edges = []
+        for c in range(copies):
+            off = 1 + c * m
+            edges.append((0, off, hub_w))
+            edges += [(off + u, off + v, w) for u, v, w in leg]
+        n = 1 + m * copies
+        label = rng.permutation(n)
+        edges = [(int(label[u]), int(label[v]), w) for u, v, w in edges]
+        t = WeightedTree(n, edges, root=int(label[0]) if trial % 2 else 0)
+        hub = sorted(tree_mod._branch_averages(t, int(label[0])).values())
+        assert hub[-1] == hub[-2]
+        assert np.array_equal(solve_tree2(t).assignment, bfs_solve_tree2(t)), trial
