@@ -638,7 +638,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, ArithmeticError) as exc:   # overflow or zero division in the library
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

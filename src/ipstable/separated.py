@@ -16,6 +16,12 @@ the hidden clusters. Two consumers build on that:
   superclusters. Reports measured stretch and cross-distance uniformity so
   the caller gets a concrete per-run quality certificate instead of an
   asymptotic constant.
+
+Both linkages walk the n(n-1)/2 edges in length order. The linkage state
+only changes at a merge, so the edges are tested in numpy batches and only
+the merges (at most n-1, O(n) each) run as Python steps. At n=1000 one
+call takes about 0.25 s, of which sorting the edges is about 0.1 s; a
+Python loop over every edge took 1.4 s for the conditioned linkage.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .hst import embed_hst, hst_k_clustering, normalize_leaves
 
 GAMMA_MIN = 2.0 + math.sqrt(3.0)
 ENUM_GUARD = 1e7
+_FIRST_BATCH = 32    # edges in a linkage scan's first batch after a merge
 
 
 def check_alpha_gamma(oracle, clustering, alpha, gamma, tol=STABILITY_TOL):
@@ -108,38 +115,33 @@ class SuperclusterPartition:
 
 
 class _MergeState:
-    """Union-find plus the incremental distance bookkeeping linkage needs."""
+    """Cluster labels plus the incremental distance bookkeeping linkage needs.
+
+    Clusters are named by a root point: root[x] is the root of x's cluster,
+    and size and the mn/mx rows and columns are read at roots only.
+    """
 
     def __init__(self, m):
         self.m = m
         self.n = len(m)
-        self.parent = list(range(self.n))
-        self.size = [1] * self.n
-        self.members = [[i] for i in range(self.n)]
+        self.root = np.arange(self.n)
+        self.size = np.ones(self.n, dtype=np.int64)
         # extreme cross distances between current clusters, indexed by roots
         self.mn = m.copy()
         self.mx = m.copy()
         # per point: max distance into its own current cluster
         self.maxd = np.zeros(self.n)
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
     def union(self, ra, rb):
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
-        a_pts = np.asarray(self.members[ra])
-        b_pts = np.asarray(self.members[rb])
-        cross = self.m[np.ix_(a_pts, b_pts)]
+        a_pts = np.flatnonzero(self.root == ra)
+        b_pts = np.flatnonzero(self.root == rb)
+        cross = self.m[a_pts[:, None], b_pts]
         self.maxd[a_pts] = np.maximum(self.maxd[a_pts], cross.max(axis=1))
         self.maxd[b_pts] = np.maximum(self.maxd[b_pts], cross.max(axis=0))
-        self.parent[rb] = ra
+        self.root[b_pts] = ra
         self.size[ra] += self.size[rb]
-        self.members[ra].extend(self.members[rb])
-        self.members[rb] = []
         self.mn[ra, :] = np.minimum(self.mn[ra, :], self.mn[rb, :])
         self.mn[:, ra] = self.mn[ra, :]
         self.mx[ra, :] = np.maximum(self.mx[ra, :], self.mx[rb, :])
@@ -147,20 +149,48 @@ class _MergeState:
         self.mn[ra, ra] = self.mx[ra, ra] = 0.0
         return ra
 
+    def scan(self, fires, done):
+        """Merge at every sorted edge whose criterion fires; returns the merge log.
+
+        fires(ri, rj, i, j, d) gives, for a batch of edges (i, j) of length
+        d whose endpoints sit in clusters ri and rj, the criterion (1-3) each
+        edge would merge by under the current state, 0 where none fires.
+        The state only changes at a merge, so a whole batch is tested at
+        once: the first firing edge that joins two clusters is merged and
+        the scan resumes right after it. Batches start at _FIRST_BATCH
+        edges and double while nothing fires. done() is asked before each
+        batch and ends the scan early when it holds.
+        """
+        iu, ju, du = _sorted_edges(self.m)
+        log = []
+        pos, batch = 0, _FIRST_BATCH
+        while pos < len(du) and not done():
+            i, j, d = iu[pos:pos + batch], ju[pos:pos + batch], du[pos:pos + batch]
+            ri, rj = self.root[i], self.root[j]
+            crit = fires(ri, rj, i, j, d)
+            hit = np.flatnonzero((crit != 0) & (ri != rj))
+            if len(hit) == 0:
+                pos += batch
+                batch *= 2
+                continue
+            h = hit[0]
+            self.union(int(ri[h]), int(rj[h]))
+            log.append((float(d[h]), int(i[h]), int(j[h]), int(crit[h])))
+            pos += h + 1
+            batch = _FIRST_BATCH
+        return log
+
     def partition(self, alpha, merge_log):
-        roots = sorted({self.find(i) for i in range(self.n)})
-        clusters = [sorted(self.members[r]) for r in roots]
-        ell = len(roots)
-        cmn = np.zeros((ell, ell))
-        cmx = np.zeros((ell, ell))
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                cmn[a, b] = cmn[b, a] = self.mn[roots[a], roots[b]]
-                cmx[a, b] = cmx[b, a] = self.mx[roots[a], roots[b]]
+        roots = np.flatnonzero(self.root == np.arange(self.n))
+        clusters = [np.flatnonzero(self.root == r).tolist() for r in roots]
+        grid = np.ix_(roots, roots)
+        # the upper triangle, mirrored: from_matrix tolerates a tiny asymmetry
+        cmn = np.triu(self.mn[grid], 1)
+        cmx = np.triu(self.mx[grid], 1)
         return SuperclusterPartition(
             clusters=clusters,
-            cross_min=cmn,
-            cross_max=cmx,
+            cross_min=cmn + cmn.T,
+            cross_max=cmx + cmx.T,
             representatives=[c[0] for c in clusters],
             merge_log=merge_log,
             alpha=alpha,
@@ -169,10 +199,11 @@ class _MergeState:
 
 
 def _sorted_edges(m):
-    n = len(m)
-    iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((ju, iu, m[iu, ju]))
-    return iu[order], ju[order], m[iu, ju][order]
+    """All pairs i < j by nondecreasing length, ties in (i, j) order."""
+    iu, ju = np.triu_indices(len(m), k=1)
+    d = m[iu, ju]
+    order = np.argsort(d, kind="stable")   # triu order is already (i, j) order
+    return iu[order], ju[order], d[order]
 
 
 def linkage_size_guard(oracle, alpha):
@@ -184,24 +215,20 @@ def linkage_size_guard(oracle, alpha):
     collapsed into one), because a smaller cluster's next incident edge
     would still have triggered a merge. Sizes only grow, so the scan stops
     as soon as no cluster is undersized: no later edge can merge.
+
+    Cost: sorting the n(n-1)/2 edges, then numpy batches up to the last
+    merge plus O(n) per merge (at most n-1 merges).
     """
-    m = oracle.matrix()
-    st = _MergeState(m)
-    log = []
+    st = _MergeState(oracle.matrix())
     thresh = alpha * oracle.n
-    undersized = oracle.n if 1 < thresh else 0
-    for i, j, d in zip(*_sorted_edges(m)):
-        if not undersized:
-            break
-        ra, rb = st.find(int(i)), st.find(int(j))
-        if ra == rb:
-            continue
-        small = (st.size[ra] < thresh) + (st.size[rb] < thresh)
-        if small:
-            root = st.union(ra, rb)
-            undersized -= small - (st.size[root] < thresh)
-            log.append((float(d), int(i), int(j), 1))
-    return st.partition(alpha, log)
+
+    def fires(ri, rj, i, j, d):
+        return (st.size[ri] < thresh) | (st.size[rj] < thresh)
+
+    def done():
+        return not np.any(st.size[st.root] < thresh)
+
+    return st.partition(alpha, st.scan(fires, done))
 
 
 def linkage_conditioned(oracle, alpha, gamma):
@@ -215,31 +242,28 @@ def linkage_conditioned(oracle, alpha, gamma):
     Any firing criterion merges; under a true (alpha, gamma)-separation
     none of them can fire across the hidden clusters, so the result
     refines it while pushing every cluster to at least alpha*n points.
+
+    Criteria 2 and 3 can fire on any edge, so every edge is scanned:
+    sorting the n(n-1)/2 edges, numpy batches over all of them, and O(n)
+    per merge (at most n-1 merges).
     """
-    if gamma < GAMMA_MIN:
-        raise ValueError("gamma must be at least 2 + sqrt(3)")
-    m = oracle.matrix()
-    st = _MergeState(m)
-    log = []
-    thresh = alpha * oracle.n
+    if not (gamma >= GAMMA_MIN and math.isfinite(gamma * gamma)):
+        # NaN fails the comparison; above ~1.3e154 the merge bounds overflow
+        raise ValueError(f"gamma must be at least 2 + sqrt(3) and below ~1.3e154, got {gamma}")
     spread_bound = ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2
     own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
-    for i, j, d in zip(*_sorted_edges(m)):
-        i, j, d = int(i), int(j), float(d)
-        ra, rb = st.find(i), st.find(j)
-        if ra == rb:
-            continue
-        crit = 0
-        if st.size[ra] < thresh or st.size[rb] < thresh:
-            crit = 1
-        elif st.mn[ra, rb] > 0 and st.mx[ra, rb] / st.mn[ra, rb] > spread_bound:
-            crit = 2
-        elif st.maxd[i] > own_bound * d or st.maxd[j] > own_bound * d:
-            crit = 3
-        if crit:
-            st.union(ra, rb)
-            log.append((d, i, j, crit))
-    return st.partition(alpha, log)
+    st = _MergeState(oracle.matrix())
+    thresh = alpha * oracle.n
+
+    def fires(ri, rj, i, j, d):
+        small = (st.size[ri] < thresh) | (st.size[rj] < thresh)
+        mn, mx = st.mn[ri, rj], st.mx[ri, rj]
+        spread = np.divide(mx, mn, out=np.zeros_like(mx), where=mn > 0) > spread_bound
+        far = d * own_bound
+        long_own = (st.maxd[i] > far) | (st.maxd[j] > far)
+        return np.where(small, 1, np.where(spread, 2, np.where(long_own, 3, 0)))
+
+    return st.partition(alpha, st.scan(fires, lambda: False))
 
 
 def _check_alpha(alpha):

@@ -3,9 +3,10 @@
 naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
-bfs_solve_tree2, naive_point_distance_matrix and full_scan_size_guard are the
-plain per-call walks and scans the tree, HST and linkage code replaced; the
-faster paths must reproduce them exactly.
+bfs_solve_tree2, naive_point_distance_matrix, full_scan_size_guard and
+full_scan_conditioned are the plain per-call walks and per-edge scans the
+tree, HST and linkage code replaced; the faster paths must reproduce them
+exactly.
 """
 
 import itertools
@@ -178,6 +179,67 @@ def full_scan_size_guard(matrix, alpha):
         log.append((float(d), i, j, 1))
     blocks = {id(c): sorted(c) for c in cluster.values()}
     return log, sorted(blocks.values())
+
+
+def full_scan_conditioned(matrix, alpha, gamma):
+    """Conditioned single linkage, one edge at a time over every edge.
+
+    Python lists throughout: union by size (on a size tie the root of the
+    edge's first endpoint stays), cross minima and maxima per pair of
+    roots, and each point's furthest own-cluster partner. Returns (merge
+    log, clusters ordered by root, cross_min, cross_max) in
+    SuperclusterPartition's formats.
+    """
+    m = np.asarray(matrix, dtype=float).tolist()
+    n = len(m)
+    thresh = alpha * n
+    spread_bound = ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2
+    own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
+    edges = sorted((m[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+    root = list(range(n))
+    members = {i: [i] for i in range(n)}
+    mn = [row[:] for row in m]
+    mx = [row[:] for row in m]
+    maxd = [0.0] * n
+    log = []
+    for d, i, j in edges:
+        ra, rb = root[i], root[j]
+        if ra == rb:
+            continue
+        if len(members[ra]) < thresh or len(members[rb]) < thresh:
+            crit = 1
+        elif mn[ra][rb] > 0 and mx[ra][rb] / mn[ra][rb] > spread_bound:
+            crit = 2
+        elif maxd[i] > own_bound * d or maxd[j] > own_bound * d:
+            crit = 3
+        else:
+            continue
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        for a in members[ra]:
+            for b in members[rb]:
+                maxd[a] = max(maxd[a], m[a][b])
+                maxd[b] = max(maxd[b], m[a][b])
+        for c in range(n):
+            mn[ra][c] = min(mn[ra][c], mn[rb][c])
+            mx[ra][c] = max(mx[ra][c], mx[rb][c])
+        for c in range(n):
+            mn[c][ra] = mn[ra][c]
+            mx[c][ra] = mx[ra][c]
+        mn[ra][ra] = mx[ra][ra] = 0.0
+        members[ra] += members.pop(rb)
+        for x in members[ra]:
+            root[x] = ra
+        log.append((d, i, j, crit))
+    roots = sorted(members)
+    ell = len(roots)
+    cross_min = np.zeros((ell, ell))
+    cross_max = np.zeros((ell, ell))
+    for a in range(ell):
+        for b in range(a + 1, ell):
+            cross_min[a, b] = cross_min[b, a] = mn[roots[a]][roots[b]]
+            cross_max[a, b] = cross_max[b, a] = mx[roots[a]][roots[b]]
+    return log, [sorted(members[r]) for r in roots], cross_min, cross_max
 
 
 def all_label_partitions(n, k):

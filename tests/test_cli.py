@@ -221,6 +221,44 @@ def test_alpha_outside_unit_interval_is_an_error(tmp_path, capsys, algo, alpha):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "1e200"])
+def test_gamma_must_be_finite_with_finite_bounds(tmp_path, capsys, gamma):
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, [[0.0, 0.0], [1.0, 0.0], [9.0, 9.0], [10.0, 9.0]])
+    rc = cli.main(["solve", "--input", str(inp), "--algo", "separated-pipeline",
+                   "--k", "2", "--alpha", "0.5", "--gamma", gamma])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gamma" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("exc", [OverflowError("math range error"),
+                                 ZeroDivisionError("float division by zero")])
+def test_arithmetic_errors_exit_one_with_a_message(tmp_path, capsys, monkeypatch, exc):
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, [0.0, 1.0, 7.0, 8.0])
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [0, 0, 1, 1])
+    monkeypatch.setattr(cli, "audit", _raise(exc))
+    monkeypatch.setattr(cli, "solve_1d", _raise(exc))
+    monkeypatch.setattr(cli.baselines, "random_clustering", _raise(exc))
+    monkeypatch.setattr(cli.hardgen, "gen_kcenter_hard", _raise(exc))
+    common = ["--input", str(inp)]
+    for argv in (["audit", *common, "--assignment", str(assign)],
+                 ["solve", *common, "--algo", "solve-1d", "--k", "2"],
+                 ["bench", *common, "--algo", "random", "--k", "2"],
+                 ["gen", "--family", "kcenter-balls", "--n", "5", "--epsilon", "0.1",
+                  "--out", str(tmp_path / "g")]):
+        assert cli.main(argv) == 1, argv
+        assert f"error: {exc}" in capsys.readouterr().err, argv
+
+
 # ---------------------------------------------------------------------------
 # solve + round trips
 

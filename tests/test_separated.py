@@ -14,6 +14,7 @@ from ipstable.separated import (
 )
 
 from conftest import (
+    full_scan_conditioned,
     full_scan_size_guard,
     naive_alpha_gamma,
     naive_num_unstable,
@@ -117,11 +118,50 @@ def test_size_guard_early_stop_matches_full_scan():
         else:
             feats = random_points(rng, n, 2)
         alpha = float(rng.choice([0.01, 0.1, 0.25, 0.5, 1.0]))
-        o = _oracle(feats)
-        part = linkage_size_guard(o, alpha)
-        log, clusters = full_scan_size_guard(o.matrix(), alpha)
-        assert part.merge_log == log, trial
-        assert sorted(part.clusters) == clusters, trial
+        # rounded coordinates tie many edge lengths, which the id order breaks
+        for o in (_oracle(feats), _oracle(np.round(feats))):
+            part = linkage_size_guard(o, alpha)
+            log, clusters = full_scan_size_guard(o.matrix(), alpha)
+            assert part.merge_log == log, trial
+            assert sorted(part.clusters) == clusters, trial
+
+
+def _linkage_oracle(rng, kind):
+    n = int(rng.integers(2, 45))
+    if kind == "planted":
+        # split planted clusters, so the spread and long-edge criteria fire
+        feats, _ = planted(n, int(rng.integers(1, 4)), 4.0, seed=int(rng.integers(1000)))
+        return _oracle(feats + rng.choice([-3.0, 3.0], size=(n, 1)))
+    feats = random_points(rng, n, 2)
+    if kind == "rounded":
+        return _oracle(np.round(feats))
+    if kind == "duplicated":
+        return _oracle(feats[rng.integers(0, max(1, n // 3), size=n)])
+    if kind == "asymmetric":
+        # within from_matrix's symmetry tolerance: the upper triangle is reported
+        m = _oracle(feats).matrix()
+        return DistanceOracle.from_matrix(m + np.triu(rng.uniform(0, 5e-13, m.shape), 1))
+    return _oracle(feats)
+
+
+def test_conditioned_linkage_matches_full_scan():
+    rng = np.random.default_rng(23)
+    fired = {1: 0, 2: 0, 3: 0}
+    for kind in ("random", "rounded", "duplicated", "planted", "asymmetric"):
+        for trial in range(3):
+            o = _linkage_oracle(rng, kind)
+            for alpha in (0.05, 0.1, 0.25, 0.5, 1.0):
+                for gamma in (GAMMA_MIN, 4.0, 10.0):
+                    part = linkage_conditioned(o, alpha, gamma)
+                    log, clusters, cmn, cmx = full_scan_conditioned(o.matrix(), alpha, gamma)
+                    where = (kind, trial, alpha, gamma)
+                    assert part.merge_log == log, where
+                    assert part.clusters == clusters, where
+                    assert np.array_equal(part.cross_min, cmn), where
+                    assert np.array_equal(part.cross_max, cmx), where
+                    for entry in log:
+                        fired[entry[3]] += 1
+    assert min(fired.values()) > 20, fired
 
 
 def test_conditioned_linkage_recovers_planted():
@@ -139,6 +179,22 @@ def test_conditioned_linkage_gamma_guard():
     feats, _ = planted(20, 2, 4.0, seed=3)
     with pytest.raises(ValueError):
         linkage_conditioned(_oracle(feats), alpha=0.3, gamma=2.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 1e155, 1e200])
+def test_gamma_must_be_finite_with_finite_bounds(gamma):
+    feats, _ = planted(20, 2, 4.0, seed=3)
+    o = _oracle(feats)
+    with pytest.raises(ValueError, match="gamma"):
+        linkage_conditioned(o, alpha=0.3, gamma=gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        pipeline(o, 2, alpha=0.3, gamma=gamma)
+
+
+def test_huge_gamma_below_the_overflow_still_runs():
+    feats, _ = planted(20, 2, 4.0, seed=3)
+    part = linkage_conditioned(_oracle(feats), alpha=0.3, gamma=1e150)
+    assert part.sizes_ok()
 
 
 def test_merge_log_replay():
