@@ -187,8 +187,8 @@ def _parse_p(text):
         p = float(text)
     except ValueError:
         raise CliError(f"--p must be a number or 'inf', got {text!r}")
-    if p < 1:
-        raise CliError("--p must be >= 1")
+    if not p >= 1:                                   # also rejects NaN
+        raise CliError("--p must be >= 1 or 'inf'")
     return p
 
 
@@ -389,10 +389,7 @@ def _solve_dispatch(args):
 
 
 def cmd_solve(args):
-    try:
-        labels, _, report, extras = _solve_dispatch(args)
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc))
+    labels, _, report, extras = _solve_dispatch(args)
     payload = report_dict(report, with_vi=args.vi)
     payload.update(extras)
     _write_assignment(args.out, labels)
@@ -483,26 +480,17 @@ def cmd_gen(args):
     if fam == "kmeanspp-blocks":
         if args.alpha is None:
             raise CliError("kmeanspp-blocks needs --alpha")
-        try:
-            features, meta = hardgen.gen_kmeanspp_hard(
-                args.alpha, args.n_blocks, r=args.r, spacing=args.spacing
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
+        features, meta = hardgen.gen_kmeanspp_hard(
+            args.alpha, args.n_blocks, r=args.r, spacing=args.spacing
+        )
     elif fam == "kcenter-balls":
         if args.n is None or args.epsilon is None:
             raise CliError("kcenter-balls needs --n and --epsilon")
-        try:
-            features, meta = hardgen.gen_kcenter_hard(args.n, args.epsilon)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        features, meta = hardgen.gen_kcenter_hard(args.n, args.epsilon)
     elif fam == "single-linkage-path":
         if args.n is None or args.epsilon is None:
             raise CliError("single-linkage-path needs --n and --epsilon")
-        try:
-            features, meta = hardgen.gen_single_linkage_hard(args.n, args.epsilon)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        features, meta = hardgen.gen_single_linkage_hard(args.n, args.epsilon)
     elif fam in ("fig1-no-stable", "fig2-two-stable"):
         fx = hardgen.fixtures()[fam]
         if fx["kind"] == "matrix":
@@ -638,7 +626,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ArithmeticError) as exc:   # overflow or zero division in the library
+    # library errors: bad input (ValueError), infeasible instance (RuntimeError),
+    # overflow or zero division (ArithmeticError)
+    except (CliError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

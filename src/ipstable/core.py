@@ -258,7 +258,7 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
         if p == math.inf:
             obj = float(dev.max())
         else:
-            if p < 1:
+            if not p >= 1:                       # also rejects NaN
                 raise ValueError("p must be >= 1")
             obj = float(np.sum(dev**p) ** (1.0 / p))
     return StabilityReport(vi, num_unstable, max_violation, mean_violation, cost, obj)

@@ -8,10 +8,18 @@ two adjacent points, so the recurrence over the previous cluster size s only
 needs two average comparisons at the boundary.
 
 Both boundary conditions are monotone in s (averages over nested point sets
-on a line), so for fixed (boundary position, right size) the feasible s form
-an interval. The fill therefore precomputes interval endpoints by binary
-search and answers the min over each interval with a sparse-table range
-minimum, which brings the naive O(n^3 k) fill down to roughly O(n^2 (k+log n)).
+on a line), so for fixed (boundary position m, right size j) the feasible s
+form an interval [s_lo[m, j], s_hi[m, j]]. The thresholds are found once by
+binary search (n - 1 rows of numpy work) and kept as two n x n small-int
+arrays. Each layer l is then filled from layer l-1 in blocks of ROW_BLOCK
+rows m: a block builds the sparse-table levels of its rows along s (range
+minima, Bender and Farach-Colton; one numpy minimum per level) and answers
+all of its (m, j) interval minima with one gather and one scatter. The fill
+keeps, per row, the first and last finite column of the previous layer and
+clips every interval and every block's table to that span, so the table
+width and the number of queries follow the finite cells. A layer costs
+O(n^2) for the threshold masks plus at most O(n^2 log n) for the levels, in
+O(n / ROW_BLOCK) Python steps, instead of the naive O(n^3) per layer.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from .line1d import LineInstance
 P_OVERFLOW_WARN = 30
 
 MAX_TABLE_CELLS = 2.5e8
+
+# boundary rows per sparse-table block in the layer fill; bounds the block's
+# levels x ROW_BLOCK x n float64 scratch (about 5 MB at n = 1000)
+ROW_BLOCK = 64
 
 
 @dataclass
@@ -73,70 +85,94 @@ def _boundary_ok(x, P, pos, left_size, right_size, tol):
     return own2 <= other2 * (1.0 + tol)
 
 
-class _SparseMin:
-    """Static range-minimum structure with vectorized queries."""
-
-    def __init__(self, a):
-        self.tables = [a]
-        length = len(a)
-        t = 1
-        while (1 << t) <= length:
-            prev = self.tables[-1]
-            half = 1 << (t - 1)
-            self.tables.append(np.minimum(prev[: length - (1 << t) + 1], prev[half : length - half + 1]))
-            t += 1
-
-    def query(self, lo, hi):
-        """Minimum over [lo, hi] inclusive, elementwise over index arrays."""
-        length = hi - lo + 1
-        out = np.full(len(lo), np.inf)
-        ok = length > 0
-        if not np.any(ok):
-            return out
-        t = np.zeros(len(lo), dtype=int)
-        t[ok] = np.int64(np.floor(np.log2(length[ok])))
-        for level in np.unique(t[ok]):
-            sel = ok & (t == level)
-            tab = self.tables[level]
-            span = 1 << int(level)
-            out[sel] = np.minimum(tab[lo[sel]], tab[hi[sel] - span + 1])
-        return out
-
-
 def _feasibility_thresholds(x, P, tol):
-    """Per boundary position m: feasible previous-size interval endpoints.
+    """Feasible previous-size interval endpoints for every boundary.
 
-    Returns (s_hi, s_lo): lists indexed by m = 1..n-1 of arrays over
-    j = 1..n-m. s_hi[m][j-1] is the largest s satisfying the left-boundary
-    condition, s_lo[m][j-1] the smallest s satisfying the right-boundary one
-    (n - m + 1 means none).
+    Returns (s_lo, s_hi), two (n, n) arrays indexed [m, j] for boundary
+    position m = 1..n-1 and right size j = 1..n-m. s_hi[m, j] is the largest
+    s satisfying the left-boundary condition, s_lo[m, j] the smallest s
+    satisfying the right-boundary one; the interval is empty when
+    s_lo > s_hi, and every unused cell (m = 0, j = 0 or j > n - m) holds an
+    empty interval.
     """
     n = len(x)
-    s_hi = [None] * n
-    s_lo = [None] * n
+    dtype = np.int16 if n < 32000 else np.int32
+    s_lo = np.full((n, n), n + 1, dtype=dtype)
+    s_hi = np.zeros((n, n), dtype=dtype)
+    ar = np.arange(n + 1, dtype=float)
     for m in range(1, n):
         xm = x[m - 1]
         xm1 = x[m]
-        counts = np.arange(m, dtype=float)                       # s - 1 = 0..m-1
-        left_sums = counts * xm - (P[m - 1] - P[m - 1 - np.arange(m)])
-        with np.errstate(invalid="ignore"):
-            left_avg = np.divide(left_sums, counts, out=np.zeros(m), where=counts > 0)
+        before = P[m - 1 :: -1]                                  # P[m-1], ..., P[0]
+        after = P[m + 1 :]                                       # P[m+1], ..., P[n]
+        counts = ar[:m]                                          # s - 1 = 0..m-1
+        left_sums = counts * xm - (P[m - 1] - before)
+        left_avg = np.zeros(m)
+        left_avg[1:] = left_sums[1:] / counts[1:]
 
-        js = np.arange(1, n - m + 1, dtype=float)
-        right_sums = P[m + np.arange(1, n - m + 1)] - P[m] - js * xm
-        right_avg = right_sums / js
+        js = ar[1 : n - m + 1]
+        right_avg = (after - P[m] - js * xm) / js
 
-        own2_sums = P[m + np.arange(1, n - m + 1)] - P[m + 1] - (js - 1) * xm1
-        with np.errstate(invalid="ignore"):
-            own2_avg = np.divide(own2_sums, js - 1, out=np.zeros(n - m), where=js > 1)
+        own2_sums = after - P[m + 1] - ar[: n - m] * xm1        # ar[:n-m] = j - 1
+        own2_avg = np.zeros(n - m)
+        own2_avg[1:] = own2_sums[1:] / ar[1 : n - m]
 
-        scounts = np.arange(1, m + 1, dtype=float)
-        left2_sums = scounts * xm1 - (P[m] - P[m - np.arange(1, m + 1)])
-        left2_avg = left2_sums / scounts
+        scounts = ar[1 : m + 1]
+        left2_avg = (scounts * xm1 - (P[m] - before)) / scounts
 
-        s_hi[m] = np.searchsorted(left_avg, right_avg * (1.0 + tol), side="right")
-        s_lo[m] = np.searchsorted(left2_avg * (1.0 + tol), own2_avg, side="left") + 1
-    return s_hi, s_lo
+        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_avg, right_avg * (1.0 + tol), side="right")
+        s_lo[m, 1 : n - m + 1] = np.searchsorted(left2_avg * (1.0 + tol), own2_avg, side="left") + 1
+    return s_lo, s_hi
+
+
+def _fill_layer(T, l, pen, s_lo, s_hi, first, last, p):
+    """Fill T[:, :, l] from T[:, :, l-1], ROW_BLOCK boundary rows at a time.
+
+    Row m of layer l-1 (the first m points, last cluster of size s) feeds
+    T[m + j, j, l] = pen[j] (+ or max) the min over s in [s_lo[m, j],
+    s_hi[m, j]] of T[m, s, l-1]. Row m of layer l-1 is infinite outside
+    columns first[m]..last[m] (and last[m] <= m - l + 2), so each interval is
+    clipped to that range; rows and (m, j) pairs left empty are skipped, and
+    the cells they would feed stay infinite. Returns the same column bounds
+    for layer l.
+    """
+    n = T.shape[0] - 1
+    prev = T[:, :, l - 1]
+    rows = np.arange(l - 1, n)
+    rows = rows[first[rows] <= last[rows]]
+    new_first = np.full(n + 1, n + 1)
+    new_last = np.zeros(n + 1, dtype=int)
+    floor_log2 = np.frexp(np.arange(1, n + 1))[1] - 1          # [length - 1]
+    for start in range(0, len(rows), ROW_BLOCK):
+        ms = rows[start : start + ROW_BLOCK]
+        a, b = first[ms], last[ms]
+        c0 = int(a.min())
+        width = int(b.max()) - c0 + 1
+        levels = int(floor_log2[width - 1]) + 1
+        # table[t, r, c] = min of prev[ms[r], c0+c .. c0+c+2^t-1]
+        table = np.empty((levels, len(ms), width))
+        table[0] = prev[ms, c0 : c0 + width]
+        for t in range(1, levels):
+            half = 1 << (t - 1)
+            w = width - 2 * half + 1
+            np.minimum(table[t - 1, :, :w], table[t - 1, :, half : half + w], out=table[t, :, :w])
+
+        jmax = n - int(ms[0])
+        lo = np.maximum(s_lo[ms, 1 : jmax + 1], a[:, None])
+        hi = np.minimum(s_hi[ms, 1 : jmax + 1], b[:, None])
+        r, jj = np.nonzero(lo <= hi)
+        lo = lo[r, jj] - c0
+        hi = hi[r, jj] - c0
+        t = floor_log2[hi - lo]
+        mins = np.minimum(table[t, r, lo], table[t, r, hi - (1 << t) + 1])
+        js = jj + 1
+        i = ms[r] + js
+        vals = np.maximum(pen[js], mins) if p == math.inf else pen[js] + mins
+        T[i, js, l] = vals
+        fin = np.isfinite(vals)
+        np.minimum.at(new_first, i[fin], js[fin])
+        np.maximum.at(new_last, i[fin], js[fin])
+    return new_first, new_last
 
 
 def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
@@ -156,15 +192,14 @@ def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     if int(targets.sum()) != n:
         raise ValueError("targets must sum to n")
     k = len(targets)
-    if p != math.inf:
-        if p < 1:
-            raise ValueError("p must be >= 1 or infinity")
-        if p >= P_OVERFLOW_WARN:
-            warnings.warn(
-                f"p={p} risks float overflow in |size-target|^p; consider p=inf",
-                UserWarning,
-                stacklevel=2,
-            )
+    if not p >= 1:                                   # also rejects NaN
+        raise ValueError("p must be >= 1 or infinity")
+    if P_OVERFLOW_WARN <= p < math.inf:
+        warnings.warn(
+            f"p={p} risks float overflow in |size-target|^p; consider p=inf",
+            UserWarning,
+            stacklevel=2,
+        )
     if float(n + 1) ** 2 * (k + 1) > MAX_TABLE_CELLS:
         raise ValueError("DP table would exceed the memory guard; reduce n or k")
 
@@ -180,30 +215,13 @@ def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     if k == 1:
         return DpTable(T, targets, p, instance, tol)
 
-    s_hi_all, s_lo_all = _feasibility_thresholds(x, P, tol)
-
+    s_lo, s_hi = _feasibility_thresholds(x, P, tol)
+    all_j = np.arange(n + 1, dtype=float)
+    first = last = np.arange(n + 1)                  # layer 1 is the diagonal
     for l in range(2, k + 1):
         tl = float(targets[l - 1])
-        all_j = np.arange(n + 1, dtype=float)
         pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
-        for m in range(l - 1, n):
-            layer = T[m, 1 : m + 1, l - 1]
-            if not np.any(np.isfinite(layer)):
-                continue
-            rmq = _SparseMin(layer)
-            jmax = n - m
-            lo = s_lo_all[m][:jmax]
-            hi = np.minimum(s_hi_all[m][:jmax], m - l + 2)
-            valid = lo <= hi
-            mins = np.full(jmax, np.inf)
-            if np.any(valid):
-                mins[valid] = rmq.query(lo[valid] - 1, hi[valid] - 1)
-            js = np.arange(1, jmax + 1)
-            if p == math.inf:
-                vals = np.maximum(pen[js], mins)
-            else:
-                vals = pen[js] + mins
-            T[m + js, js, l] = vals
+        first, last = _fill_layer(T, l, pen, s_lo, s_hi, first, last, p)
     return DpTable(T, targets, p, instance, tol)
 
 

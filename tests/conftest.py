@@ -3,10 +3,10 @@
 naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
-bfs_solve_tree2, naive_point_distance_matrix, full_scan_size_guard and
-full_scan_conditioned are the plain per-call walks and per-edge scans the
-tree, HST and linkage code replaced; the faster paths must reproduce them
-exactly.
+bfs_solve_tree2, naive_point_distance_matrix, full_scan_size_guard,
+full_scan_conditioned and per_row_dp_table are the plain per-call walks,
+per-edge scans and per-row fills the tree, HST, linkage and DP code replaced;
+the faster paths must reproduce them exactly.
 """
 
 import itertools
@@ -15,8 +15,9 @@ from collections import deque
 
 import numpy as np
 
-from ipstable.core import DistanceOracle
+from ipstable.core import STABILITY_TOL, DistanceOracle
 from ipstable.hst import Hst
+from ipstable.line1d import LineInstance
 from ipstable.tree import WeightedTree
 
 TOL = 1e-9
@@ -240,6 +241,100 @@ def full_scan_conditioned(matrix, alpha, gamma):
             cross_min[a, b] = cross_min[b, a] = mn[roots[a]][roots[b]]
             cross_max[a, b] = cross_max[b, a] = mx[roots[a]][roots[b]]
     return log, [sorted(members[r]) for r in roots], cross_min, cross_max
+
+
+class _SparseMin:
+    """Static range-minimum structure over one array, vectorized queries."""
+
+    def __init__(self, a):
+        self.tables = [a]
+        length = len(a)
+        t = 1
+        while (1 << t) <= length:
+            prev = self.tables[-1]
+            half = 1 << (t - 1)
+            self.tables.append(np.minimum(prev[: length - (1 << t) + 1], prev[half : length - half + 1]))
+            t += 1
+
+    def query(self, lo, hi):
+        """Minimum over [lo, hi] inclusive, elementwise over index arrays."""
+        length = hi - lo + 1
+        out = np.full(len(lo), np.inf)
+        ok = length > 0
+        if not np.any(ok):
+            return out
+        t = np.zeros(len(lo), dtype=int)
+        t[ok] = np.int64(np.floor(np.log2(length[ok])))
+        for level in np.unique(t[ok]):
+            sel = ok & (t == level)
+            tab = self.tables[level]
+            span = 1 << int(level)
+            out[sel] = np.minimum(tab[lo[sel]], tab[hi[sel] - span + 1])
+        return out
+
+
+def _per_row_thresholds(x, P, tol):
+    """Lists over m = 1..n-1 of per-j (s_hi, s_lo) arrays, one row at a time."""
+    n = len(x)
+    s_hi = [None] * n
+    s_lo = [None] * n
+    for m in range(1, n):
+        xm = x[m - 1]
+        xm1 = x[m]
+        counts = np.arange(m, dtype=float)
+        left_sums = counts * xm - (P[m - 1] - P[m - 1 - np.arange(m)])
+        with np.errstate(invalid="ignore"):
+            left_avg = np.divide(left_sums, counts, out=np.zeros(m), where=counts > 0)
+        js = np.arange(1, n - m + 1, dtype=float)
+        right_avg = (P[m + np.arange(1, n - m + 1)] - P[m] - js * xm) / js
+        own2_sums = P[m + np.arange(1, n - m + 1)] - P[m + 1] - (js - 1) * xm1
+        with np.errstate(invalid="ignore"):
+            own2_avg = np.divide(own2_sums, js - 1, out=np.zeros(n - m), where=js > 1)
+        scounts = np.arange(1, m + 1, dtype=float)
+        left2_avg = (scounts * xm1 - (P[m] - P[m - np.arange(1, m + 1)])) / scounts
+        s_hi[m] = np.searchsorted(left_avg, right_avg * (1.0 + tol), side="right")
+        s_lo[m] = np.searchsorted(left2_avg * (1.0 + tol), own2_avg, side="left") + 1
+    return s_hi, s_lo
+
+
+def per_row_dp_table(values, targets, p=math.inf, tol=STABILITY_TOL):
+    """The size-targeted DP cube filled one boundary row m at a time.
+
+    Each live row of layer l-1 gets its own sparse table, queried for all
+    right sizes j at once; dp_target.build_table must match it bit for bit.
+    """
+    instance = LineInstance.from_values(values)
+    n = instance.n
+    k = len(targets)
+    x = instance.values
+    P = np.concatenate(([0.0], np.cumsum(x)))
+    T = np.full((n + 1, n + 1, k + 1), np.inf)
+    t1 = float(targets[0])
+    for i in range(1, n + 1):
+        dev = abs(i - t1)
+        T[i, i, 1] = dev if p == math.inf else dev**p
+    if k == 1:
+        return T
+    s_hi_all, s_lo_all = _per_row_thresholds(x, P, tol)
+    for l in range(2, k + 1):
+        tl = float(targets[l - 1])
+        all_j = np.arange(n + 1, dtype=float)
+        pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
+        for m in range(l - 1, n):
+            layer = T[m, 1 : m + 1, l - 1]
+            if not np.any(np.isfinite(layer)):
+                continue
+            rmq = _SparseMin(layer)
+            jmax = n - m
+            lo = s_lo_all[m][:jmax]
+            hi = np.minimum(s_hi_all[m][:jmax], m - l + 2)
+            valid = lo <= hi
+            mins = np.full(jmax, np.inf)
+            if np.any(valid):
+                mins[valid] = rmq.query(lo[valid] - 1, hi[valid] - 1)
+            js = np.arange(1, jmax + 1)
+            T[m + js, js, l] = np.maximum(pen[js], mins) if p == math.inf else pen[js] + mins
+    return T
 
 
 def all_label_partitions(n, k):

@@ -387,6 +387,20 @@ def test_solve_writes_default_report_next_to_out(tmp_path):
     assert _read_json(str(out) + ".report.json")["num_unstable"] == 0
 
 
+def test_nan_norm_order_is_an_error(tmp_path, capsys):
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, [0.0, 1.0, 7.0, 8.0])
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [0, 0, 1, 1])
+    for argv in (
+        ["solve", "--input", str(inp), "--algo", "solve-dp", "--targets", "2,2", "--p", "nan"],
+        ["audit", "--input", str(inp), "--assignment", str(assign),
+         "--targets", "2,2", "--p", "nan"],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert "error: --p must be >= 1" in capsys.readouterr().err, argv
+
+
 def test_solve_error_paths(tmp_path, capsys):
     inp = tmp_path / "v.csv"
     _write_csv(inp, [0.0, 1.0, 7.0, 8.0])
@@ -468,6 +482,18 @@ def test_bench_error_paths(tmp_path, capsys):
     for argv in cases:
         assert cli.main(argv) == 1, argv
     capsys.readouterr()
+
+
+def test_bench_library_errors_exit_one_with_a_message(tmp_path, capsys):
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, [0.0, 1.0, 5.0, 6.0])
+    common = ["bench", "--input", str(inp)]
+    for argv, message in (
+        ([*common, "--algo", "kcenter", "--k", "2", "--first", "99"], "first out of range"),
+        ([*common, "--algo", "average-linkage-prune", "--k", "1"], "need 2 <= k <= n"),
+    ):
+        assert cli.main(argv) == 1, argv
+        assert f"error: {message}" in capsys.readouterr().err, argv
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,14 @@ def test_obj_norms():
         audit(o, c, targets=[2, 2, 2])
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+def test_obj_rejects_norm_orders_below_one_and_nan(p):
+    o = DistanceOracle.from_points([0.0, 1.0, 2.0, 3.0])
+    c = Clustering(np.array([0, 0, 0, 1]), 2)
+    with pytest.raises(ValueError):
+        audit(o, c, targets=[2, 2], p=p)
+
+
 def test_is_t_stable_tracks_max_violation():
     o = DistanceOracle.from_points([0.0, 1.0, 10.0])
     c = Clustering(np.array([0, 1, 0]), 2)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from ipstable.core import DistanceOracle, audit
+from ipstable import dp_target
 from ipstable.dp_target import build_table, reconstruct, solve_targets
 from ipstable.hardgen import fixtures
 
-from conftest import contiguous_stable_optimum, naive_num_unstable
+from conftest import contiguous_stable_optimum, naive_num_unstable, per_row_dp_table
+
+NORM_ORDERS = (1.0, 1.5, 2.0, math.inf)
 
 
 def _line_matrix(values):
@@ -48,12 +51,12 @@ def test_matches_exhaustive_optimum_small():
         n = int(rng.integers(3, 10))
         k = int(rng.integers(1, min(4, n) + 1))
         targets = _random_targets(rng, n, k)
-        p = float(rng.choice([1.0, math.inf]))
         vals = rng.normal(size=n) * 5
-        _, obj = solve_targets(vals, targets, p=p)
-        best = contiguous_stable_optimum(vals, targets, p)
-        assert best is not None
-        assert obj == pytest.approx(best)
+        for p in NORM_ORDERS:
+            _, obj = solve_targets(vals, targets, p=p)
+            best = contiguous_stable_optimum(vals, targets, p)
+            assert best is not None
+            assert obj == pytest.approx(best), p
 
 
 def test_cluster_order_matches_target_order():
@@ -120,6 +123,10 @@ def test_validation_errors():
         solve_targets(np.arange(3.0), [], p=1)
     with pytest.raises(ValueError):
         solve_targets(np.arange(3.0), [1, 1], p=0.5)
+    with pytest.raises(ValueError):
+        solve_targets(np.arange(4.0), [2, 2], p=math.nan)
+    with pytest.raises(ValueError):
+        build_table(np.arange(4.0), [2, 2], p=math.nan)
 
 
 def test_build_then_reconstruct_equals_wrapper():
@@ -129,3 +136,44 @@ def test_build_then_reconstruct_equals_wrapper():
     c2, o2 = solve_targets(vals, [2, 2, 1], p=1)
     assert o1 == o2
     assert np.array_equal(c1.assignment, c2.assignment)
+
+
+def _sweep_values(rng, kind, n):
+    if kind == "random":
+        return rng.normal(size=n) * 10
+    if kind == "tied":
+        return np.round(rng.normal(size=n), 1)
+    return rng.integers(0, 4, size=n).astype(float)     # duplicate-heavy
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "duplicates"])
+@pytest.mark.parametrize("p", NORM_ORDERS)
+def test_layer_fill_is_bit_identical_to_per_row_fill(kind, p):
+    rng = np.random.default_rng(["random", "tied", "duplicates"].index(kind))
+    for trial in range(16):
+        n = int(rng.integers(1, 61))
+        k = [1, min(2, n), int(rng.integers(1, n + 1)), n][trial % 4]
+        targets = _random_targets(rng, n, k)
+        vals = _sweep_values(rng, kind, n)
+        table = build_table(vals, targets, p=p).table
+        assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, k)
+
+
+def test_layer_fill_spans_several_row_blocks(monkeypatch):
+    # more boundary rows than one block holds: on all-equal values every
+    # reachable cell is finite, so each block's sparse table spans whole rows;
+    # evenly spaced values leave a few finite cells per row
+    for vals in (np.zeros(150), np.arange(150.0)):
+        for p in (2.0, math.inf):
+            table = build_table(vals, [50, 30, 70], p=p).table
+            assert np.array_equal(table, per_row_dp_table(vals, [50, 30, 70], p=p))
+    # small blocks put block boundaries all through random instances
+    monkeypatch.setattr(dp_target, "ROW_BLOCK", 5)
+    rng = np.random.default_rng(3)
+    for trial in range(12):
+        n = int(rng.integers(2, 61))
+        targets = _random_targets(rng, n, int(rng.integers(2, min(6, n) + 1)))
+        vals = _sweep_values(rng, ["random", "tied", "duplicates"][trial % 3], n)
+        for p in NORM_ORDERS:
+            table = build_table(vals, targets, p=p).table
+            assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, p)
