@@ -158,8 +158,9 @@ def load_assignment(path):
 def build_oracle(args):
     """(oracle, features-or-None, tree-or-None) from --input/--metric.
 
-    The distance matrix is built here, so non-finite input and distances
-    that overflow fail as a CliError before any solver or audit runs.
+    Non-finite input and distances that overflow fail here as a CliError,
+    before any solver or audit runs. Points on a line check their range
+    without a matrix; other point inputs build their matrix here to check it.
     """
     metric = args.metric
     if args.standardize and metric not in POINT_METRICS:
@@ -168,7 +169,8 @@ def build_oracle(args):
         if metric in POINT_METRICS:
             pts = load_points(args.input, standardize=args.standardize)
             oracle = DistanceOracle.from_points(pts, metric)
-            oracle.matrix()
+            if pts.shape[1] > 1:
+                oracle.matrix()
             return oracle, pts, None
         if metric == "matrix":
             return DistanceOracle.from_matrix(load_matrix(args.input)), None, None

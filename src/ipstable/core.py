@@ -6,8 +6,10 @@ any other cluster. This module holds the distance abstraction shared by all
 solvers, the audit that quantifies how far a clustering is from stability,
 and a brute-force reference solver for small instances.
 
-The audit has one primitive: the n x k cluster-sums matrix S = D @ onehot
-(`_cluster_averages`). Violation factors, the within-cluster cost and the
+The audit has one primitive: the n x k cluster-sums matrix S, where S[x, i]
+is the total distance from point x to cluster i. The oracle computes it
+(`DistanceOracle.cluster_sums`), and `_cluster_averages` turns it into own
+and foreign averages. Violation factors, the within-cluster cost and the
 separation check in `separated` are all read from it. `brute_force` keeps
 its own plain loops on purpose, as the reference the exact solvers are
 tested against.
@@ -15,7 +17,8 @@ tested against.
 All averages use the convention 0/0 = 0; a point with positive own-cluster
 average and a zero foreign-cluster average has infinite violation.
 Distances must be finite and small enough that every row sum stays finite;
-oracles reject anything else when their matrix is built.
+oracles reject anything else, points on a line when they are constructed
+and every other payload when its matrix is built.
 """
 
 from __future__ import annotations
@@ -40,23 +43,49 @@ _FEATURE_METRICS = {
 }
 
 
-def _check_range(m):
-    """Reject a distance matrix whose entries or row sums are not finite.
+def _check_range(largest, n):
+    """Reject distances whose entries or row sums are not finite.
 
-    One max-reduction: if n * max is finite, so is every entry and every
-    cluster sum the audit forms. NaN propagates through max and fails too.
+    If n times the largest distance is finite, so is every entry and every
+    cluster sum the audit forms. NaN fails too.
     """
-    if not math.isfinite(float(m.max()) * len(m)):
+    if not math.isfinite(float(largest) * n):
         raise ValueError("distances are not finite or overflow the float range")
 
 
+def _line_cluster_sums(values, clustering):
+    """Cluster sums for points on a line, O(nk log n) and no n x n array.
+
+    Per cluster: sort its members and shift them and every point by the
+    cluster's minimum, so the prefix sums are on the scale of the spread
+    rather than of the values themselves. With j members at or below a
+    shifted point x and prefix sums P over m members, the sum is
+    (x*j - P[j]) + (P[m] - P[j] - x*(m - j)).
+    """
+    a = clustering.assignment
+    sums = np.empty((len(values), clustering.k))
+    for i in range(clustering.k):
+        members = np.sort(values[a == i])
+        x = values - members[0]
+        members -= members[0]
+        prefix = np.concatenate(([0.0], np.cumsum(members)))
+        j = np.searchsorted(members, x, side="right")
+        sums[:, i] = (x * j - prefix[j]) + ((prefix[-1] - prefix[j]) - x * (len(members) - j))
+    return sums
+
+
 class DistanceOracle:
-    """Uniform access to pairwise distances.
+    """Uniform access to pairwise distances and to cluster sums.
 
     Three kinds of payload: a feature matrix plus a metric name, an explicit
     n x n distance matrix, or a weighted tree (path metric). Instances are
     immutable; the full matrix is computed lazily and cached, so repeated
     audits of the same oracle are cheap.
+
+    `cluster_sums` has two backends, chosen by the payload. Points with a
+    single column (all three metrics are |x - y| there) take prefix sums on
+    the line and never build the matrix; every other payload multiplies its
+    matrix by the clustering's one-hot matrix.
     """
 
     def __init__(self, n, matrix=None, features=None, metric=None):
@@ -64,6 +93,7 @@ class DistanceOracle:
         self._matrix = matrix
         self._features = features
         self._metric = metric
+        self._line = features[:, 0] if features is not None and features.shape[1] == 1 else None
 
     @classmethod
     def from_points(cls, points, metric="euclidean"):
@@ -76,6 +106,11 @@ class DistanceOracle:
             raise ValueError("points must be a nonempty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
+        if pts.shape[1] == 1:
+            # the largest distance as cdist would compute it, without the
+            # matrix: its euclidean squares the difference first
+            spread = float(pts.max()) - float(pts.min())
+            _check_range(math.sqrt(spread * spread) if metric == "euclidean" else spread, len(pts))
         return cls(pts.shape[0], features=pts, metric=metric)
 
     @classmethod
@@ -83,7 +118,7 @@ class DistanceOracle:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("matrix must be square and nonempty")
-        _check_range(m)
+        _check_range(m.max(), len(m))
         if np.any(m < 0):
             raise ValueError("matrix entries must be nonnegative")
         if np.any(np.abs(np.diagonal(m)) > MATRIX_SYM_TOL):
@@ -102,23 +137,30 @@ class DistanceOracle:
         if point_to_node is not None:
             idx = np.asarray(point_to_node, dtype=int)
             m = m[np.ix_(idx, idx)]
-        _check_range(m)
+        _check_range(m.max(), len(m))
         return cls(m.shape[0], matrix=m)
 
     def matrix(self):
         if self._matrix is None:
             key = _FEATURE_METRICS[self._metric]
             m = cdist(self._features, self._features, key)
-            _check_range(m)
+            _check_range(m.max(), len(m))
             self._matrix = m
         return self._matrix
 
-    def d(self, x, y):
-        return float(self.matrix()[x, y])
+    def cluster_sums(self, clustering):
+        """The n x k matrix S[x, i]: total distance from point x to cluster i."""
+        if self._line is not None:
+            return _line_cluster_sums(self._line, clustering)
+        onehot = np.zeros((self.n, clustering.k))
+        onehot[np.arange(self.n), clustering.assignment] = 1.0
+        return self.matrix() @ onehot
 
     def sub_oracle(self, indices):
         """Restriction to a subset of points (new indices follow `indices` order)."""
         idx = np.asarray(indices, dtype=int)
+        if self._line is not None:
+            return DistanceOracle(len(idx), features=self._features[idx], metric=self._metric)
         m = self.matrix()[np.ix_(idx, idx)]
         return DistanceOracle(len(idx), matrix=m)
 
@@ -144,11 +186,10 @@ class Clustering:
     @classmethod
     def from_labels(cls, labels):
         """Compact arbitrary labels to 0..k-1 by first appearance."""
-        labels = np.asarray(labels)
-        _, first = np.unique(labels, return_index=True)
-        order = labels[np.sort(first)]
-        remap = {lab: i for i, lab in enumerate(order.tolist())}
-        return cls(np.array([remap[l] for l in labels.tolist()]), len(remap))
+        _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=int)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return cls(rank[inverse], len(first))
 
     @property
     def n(self):
@@ -176,20 +217,18 @@ class StabilityReport:
     obj: float | None = None   # lp-norm of cluster size deviations, if targets given
 
 
-def _cluster_averages(matrix, clustering):
-    """Per-point cluster sums and averages, all read from one n x k product.
+def _cluster_averages(oracle, clustering):
+    """Per-point cluster sums and averages, all read from the oracle's S.
 
-    S = D @ onehot holds S[x, i] = total distance from x to cluster i; it is
-    the only place the package turns a distance matrix and a clustering into
-    cluster sums. Returns (own_sum, own_avg, avg): own_sum[x] = S[x, a[x]],
-    own_avg[x] is its average over the rest of x's cluster (0 for a
-    singleton), and avg[x, i] = S[x, i] / |C_i|.
+    S[x, i] = total distance from x to cluster i (`cluster_sums`); this is
+    the only place the package turns cluster sums into averages. Returns
+    (own_sum, own_avg, avg): own_sum[x] = S[x, a[x]], own_avg[x] is its
+    average over the rest of x's cluster (0 for a singleton), and
+    avg[x, i] = S[x, i] / |C_i|.
     """
     a = clustering.assignment
     n = len(a)
-    onehot = np.zeros((n, clustering.k))
-    onehot[np.arange(n), a] = 1.0
-    sums = matrix @ onehot
+    sums = oracle.cluster_sums(clustering)
     sizes = clustering.sizes().astype(float)
 
     own_sum = sums[np.arange(n), a]
@@ -235,7 +274,7 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
     """
     if clustering.n != oracle.n:
         raise ValueError("clustering and oracle size mismatch")
-    own_sum, own_avg, avg = _cluster_averages(oracle.matrix(), clustering)
+    own_sum, own_avg, avg = _cluster_averages(oracle, clustering)
     vi = _violation_vector(own_avg, avg, clustering)
     unstable = vi > 1.0 + tol
     num_unstable = int(np.count_nonzero(unstable))

@@ -61,7 +61,7 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma, tol=STABILITY_TOL):
         return False
     if clustering.k == 1:
         return True
-    _, own_avg, avg = _cluster_averages(oracle.matrix(), clustering)
+    _, own_avg, avg = _cluster_averages(oracle, clustering)
     avg[np.arange(n), clustering.assignment] = np.inf   # the own column is not foreign
     return not np.any(avg < gamma * own_avg[:, None] * (1.0 - tol))
 

@@ -4,9 +4,10 @@ naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
 bfs_solve_tree2, naive_point_distance_matrix, full_scan_size_guard,
-full_scan_conditioned and per_row_dp_table are the plain per-call walks,
-per-edge scans and per-row fills the tree, HST, linkage and DP code replaced;
-the faster paths must reproduce them exactly.
+full_scan_conditioned, per_row_dp_table and relabel_by_first_appearance are
+the plain per-call walks, per-edge scans, per-row fills and per-point loops
+the tree, HST, linkage, DP and relabeling code replaced; the faster paths
+must reproduce them exactly.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import math
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ipstable.core import STABILITY_TOL, DistanceOracle
 from ipstable.hst import Hst
@@ -393,6 +395,19 @@ def contiguous_stable_optimum(values, targets, p, tol=TOL):
     return best
 
 
+@st.composite
+def line_values(draw, max_n=10):
+    """Hypothesis strategy: 1..max_n values on a line, drawn from a small pool.
+
+    The pool makes duplicates common and a one-value pool gives zero
+    spread; an offset up to 1e12 shifts every value.
+    """
+    n = draw(st.integers(1, max_n))
+    pool = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=n))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e9, 1e12]))
+    return offset + np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
 def random_points(rng, n, d=2, scale=5.0):
     return rng.normal(size=(n, d)) * scale
 
@@ -484,6 +499,15 @@ def planted(n, k, gamma, seed, spread=1.0):
     feats = np.asarray(rows)[perm]
     labels = np.asarray(labels)[perm]
     return feats, labels
+
+
+def relabel_by_first_appearance(labels):
+    """Clustering.from_labels' former per-point dict loop: (assignment, k)."""
+    labels = np.asarray(labels)
+    _, first = np.unique(labels, return_index=True)
+    order = labels[np.sort(first)]
+    remap = {lab: i for i, lab in enumerate(order.tolist())}
+    return np.array([remap[l] for l in labels.tolist()]), len(remap)
 
 
 def oracle_from_points(points, metric="euclidean"):

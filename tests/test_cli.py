@@ -294,6 +294,26 @@ def test_solve_1d_roundtrip(tmp_path, capsys):
     assert solved["algorithm"] == "solve-1d"
 
 
+def test_line_jobs_never_build_the_matrix(tmp_path, capsys, monkeypatch):
+    """solve-1d, solve-dp and audit on one value column stay off n x n arrays."""
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, np.random.default_rng(1).normal(size=40) * 10)
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [-1] + [i % 3 for i in range(39)])   # one excluded row
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a one-column job built an n x n matrix")
+
+    monkeypatch.setattr(cli.DistanceOracle, "matrix", no_matrix)
+    monkeypatch.setattr("ipstable.core.cdist", no_matrix)
+    common = ["--input", str(inp), "--report", str(tmp_path / "r.json")]
+    for argv in (["solve", *common, "--algo", "solve-1d", "--k", "4"],
+                 ["solve", *common, "--algo", "solve-dp", "--targets", "10,10,20"],
+                 ["audit", "--input", str(inp), "--assignment", str(assign)]):
+        assert cli.main(argv) in (0, 2), argv
+    assert "error" not in capsys.readouterr().err
+
+
 def test_solve_dp_roundtrip_and_obj(tmp_path, capsys):
     inp = tmp_path / "v.csv"
     _write_csv(inp, [0.0, 8.0, 9.0, 9.0 + 1.0 / 3.0, 17.0 + 1.0 / 3.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from ipstable.core import (
     Clustering,
@@ -24,6 +25,8 @@ from conftest import (
     naive_vi,
     random_graph_metric,
     random_points,
+    random_tree,
+    relabel_by_first_appearance,
 )
 
 
@@ -44,7 +47,7 @@ def test_point_metrics_agree_with_direct_formulas():
 
 def test_one_dimensional_input_reshapes():
     o = DistanceOracle.from_points([0.0, 2.0, 5.0])
-    assert o.d(0, 2) == pytest.approx(5.0)
+    assert o.matrix()[0, 2] == pytest.approx(5.0)
 
 
 def test_matrix_validation():
@@ -85,12 +88,116 @@ def test_sub_oracle_reorders():
     o = DistanceOracle.from_points(pts)
     s = o.sub_oracle([2, 0])
     assert s.n == 2
-    assert s.d(0, 1) == pytest.approx(5.0)
+    assert s.matrix()[0, 1] == pytest.approx(5.0)
 
 
 def test_unknown_metric_rejected():
     with pytest.raises(ValueError):
         DistanceOracle.from_points([[0.0]], metric="cosine")
+
+
+# one-column point sets whose distance range sits at the float range's edge
+EXTREME_LINES = {
+    "pm1e300": [1e300, -1e300, 0.0],
+    "1e300-offset": [1e300, 1e300, 5e299],
+    "pm1e307-tiled": np.tile([1e307, -1e307], 65),
+    "1e307-repeated": [1e307] * 130,
+    "near-1e307": [1.7e307, 1.0e307, 1.2e307],
+    "near-max": [1.79e308, 1.0e308],
+    "square-fits": [1.3e154, 0.0],
+    "square-overflows": [1.4e154, 0.0],
+    "n-times-spread-overflows": [2e306] + [0.0] * 99,
+    "n-times-spread-fits": [1.7e306] + [0.0] * 99,
+}
+SCIPY_METRIC = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": "chebyshev"}
+
+
+@pytest.mark.parametrize("metric", sorted(SCIPY_METRIC))
+def test_line_range_check_decides_like_the_matrix(metric):
+    decisions = set()
+    for name, vals in EXTREME_LINES.items():
+        pts = np.asarray(vals, dtype=float).reshape(-1, 1)
+        m = cdist(pts, pts, SCIPY_METRIC[metric])
+        want = math.isfinite(float(m.max()) * len(m))
+        try:
+            DistanceOracle.from_points(pts, metric)
+            got = True
+        except ValueError as exc:
+            assert "overflow" in str(exc)
+            got = False
+        assert got == want, name
+        decisions.add(got)
+    assert decisions == {True, False}
+
+
+# --- cluster sums: one kernel, two backends ----------------------------------
+
+
+def _random_clustering(rng, n, k):
+    """Random labels with every cluster nonempty; clusters interleave."""
+    labels = rng.integers(0, k, size=n)
+    labels[rng.permutation(n)[:k]] = np.arange(k)
+    return Clustering(labels, k)
+
+
+def test_matrix_backend_sums_are_bit_identical_to_the_product():
+    rng = np.random.default_rng(31)
+    for trial in range(8):
+        n = int(rng.integers(2, 40))
+        oracles = [
+            DistanceOracle.from_points(random_points(rng, n, 3)),
+            DistanceOracle.from_points(random_points(rng, n, 2), "manhattan"),
+            DistanceOracle.from_matrix(random_graph_metric(rng, n)),
+            random_tree(rng, n).to_oracle(),
+        ]
+        for o in oracles:
+            c = _random_clustering(rng, n, int(rng.integers(1, n + 1)))
+            onehot = np.zeros((n, c.k))
+            onehot[np.arange(n), c.assignment] = 1.0
+            assert np.array_equal(o.cluster_sums(c), o.matrix() @ onehot)
+
+
+LINE_VALUES = {
+    "random": lambda rng, n: rng.normal(size=n) * 10.0,
+    "ties": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+    "zero-spread": lambda rng, n: np.full(n, 3.25),
+    "offset-1e6": lambda rng, n: 1e6 + rng.uniform(0.0, 1.0, size=n),
+    "offset-1e9": lambda rng, n: 1e9 + rng.uniform(0.0, 1.0, size=n),
+    "offset-1e12": lambda rng, n: -1e12 - rng.uniform(0.0, 1.0, size=n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_VALUES))
+def test_line_backend_matches_matrix_backend(kind):
+    rng = np.random.default_rng(sorted(LINE_VALUES).index(kind))
+    for trial in range(12):
+        n = int(rng.integers(1, 30))
+        line = DistanceOracle.from_points(LINE_VALUES[kind](rng, n))
+        dense = DistanceOracle.from_matrix(line.matrix())
+        for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+            c = _random_clustering(rng, n, k)
+            np.testing.assert_allclose(line.cluster_sums(c), dense.cluster_sums(c),
+                                       rtol=1e-12, atol=0)
+            got, want = audit(line, c), audit(dense, c)
+            np.testing.assert_allclose(got.vi, want.vi, rtol=1e-12, atol=0)
+            assert got.num_unstable == want.num_unstable
+            assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=0)
+
+
+def test_line_oracle_and_its_sub_oracles_sum_without_a_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=25)
+    keep = rng.permutation(25)[:17]
+    c = _random_clustering(rng, 17, 4)
+    want = DistanceOracle.from_matrix(np.abs(vals[keep, None] - vals[None, keep])).cluster_sums(c)
+
+    def no_matrix(self):
+        raise AssertionError("the line backend built an n x n matrix")
+
+    monkeypatch.setattr(DistanceOracle, "matrix", no_matrix)
+    o = DistanceOracle.from_points(vals)
+    np.testing.assert_allclose(o.sub_oracle(keep).cluster_sums(c), want, rtol=1e-12, atol=0)
+    assert audit(o, _random_clustering(rng, 25, 3)).vi.shape == (25,)
 
 
 # --- clustering invariants ---------------------------------------------------
@@ -114,12 +221,30 @@ def test_from_labels_and_accessors():
     assert [set(b) for b in c.clusters()] == [{0, 2}, {1, 3}]
 
 
+def test_from_labels_matches_the_dict_loop():
+    rng = np.random.default_rng(17)
+    cases = [np.full(12, 7), np.array([0]), np.array([3.5, -1.0, 3.5, 2.25])]
+    for _ in range(10):
+        n = int(rng.integers(1, 60))
+        cases += [
+            rng.integers(0, 6, size=n),
+            rng.integers(-50, 50, size=n),
+            np.round(rng.normal(size=n), 1),
+        ]
+    for labels in cases:
+        want, k = relabel_by_first_appearance(labels)
+        got = Clustering.from_labels(labels)
+        assert got.k == k
+        assert got.assignment.dtype == want.dtype
+        assert np.array_equal(got.assignment, want), labels
+
+
 # --- single-point quantities -------------------------------------------------
 
 
 def test_cluster_averages_hand_values():
-    m = DistanceOracle.from_points([0.0, 1.0, 3.0, 7.0]).matrix()
-    own_sum, own_avg, avg = _cluster_averages(m, Clustering(np.array([0, 0, 0, 1]), 2))
+    o = DistanceOracle.from_points([0.0, 1.0, 3.0, 7.0])
+    own_sum, own_avg, avg = _cluster_averages(o, Clustering(np.array([0, 0, 0, 1]), 2))
     # point 0: distances 1 and 3 to the rest of its cluster, 7 to cluster 1
     assert own_sum[0] == pytest.approx(4.0)
     assert own_avg[0] == pytest.approx(2.0)

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstable.core import DistanceOracle, audit
 from ipstable import dp_target
 from ipstable.dp_target import build_table, reconstruct, solve_targets
 from ipstable.hardgen import fixtures
 
-from conftest import contiguous_stable_optimum, naive_num_unstable, per_row_dp_table
+from conftest import (
+    contiguous_stable_optimum,
+    line_values,
+    naive_num_unstable,
+    naive_vi,
+    per_row_dp_table,
+)
 
 NORM_ORDERS = (1.0, 1.5, 2.0, math.inf)
 
@@ -177,3 +185,36 @@ def test_layer_fill_spans_several_row_blocks(monkeypatch):
         for p in NORM_ORDERS:
             table = build_table(vals, targets, p=p).table
             assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_values(), st.data())
+def test_output_audited_on_the_line_matches_naive(values, data):
+    n = len(values)
+    k = data.draw(st.integers(1, n))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1))
+                  if k > 1 else [])
+    targets = np.diff([0, *cuts, n])
+    p = data.draw(st.sampled_from(NORM_ORDERS))
+    try:
+        c, obj = solve_targets(values, targets, p=p)
+    except RuntimeError:
+        # the known false infeasibility needs tied values (see the xfail below)
+        assert len(np.unique(values)) < n
+        return
+    rep = audit(DistanceOracle.from_points(values), c, targets=targets, p=p)
+    m = _line_matrix(values)        # |x - y| exactly; cdist's euclidean underflows
+    assert rep.num_unstable == 0 == naive_num_unstable(m, c.assignment)
+    np.testing.assert_allclose(rep.vi, naive_vi(m, c.assignment), rtol=1e-9, atol=0)
+    assert rep.obj == pytest.approx(obj)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="tied values leave prefix-sum noise in the boundary averages")
+def test_ties_do_not_hide_a_stable_contiguous_clustering():
+    # {0.3, 0.3}, {0.3}, {1.6} is stable and meets the targets exactly, but the
+    # thresholds read the zero distance between tied values as a tiny
+    # negative average and reject the boundary between the two 0.3 clusters
+    values = [0.3, 0.3, 0.3, 1.6]
+    assert contiguous_stable_optimum(values, [2, 1, 1], math.inf) == 0.0
+    assert solve_targets(values, [2, 1, 1])[1] == 0.0

@@ -8,7 +8,7 @@ from ipstable.dp_target import solve_targets
 from ipstable.hardgen import fixtures
 from ipstable.line1d import LineInstance, solve_1d, sweep
 
-from conftest import naive_num_unstable
+from conftest import line_values, naive_num_unstable, naive_vi
 
 
 def _line_matrix(values):
@@ -149,3 +149,14 @@ def test_stability_property(values, k):
         k = len(values)
     c = solve_1d(values, k)
     assert naive_num_unstable(_line_matrix(values), c.assignment) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_values(), st.data())
+def test_output_audited_on_the_line_matches_naive(values, data):
+    k = data.draw(st.integers(1, len(values)))
+    c = solve_1d(values, k)
+    rep = audit(DistanceOracle.from_points(values), c)
+    m = _line_matrix(values)        # |x - y| exactly; cdist's euclidean underflows
+    assert rep.num_unstable == 0 == naive_num_unstable(m, c.assignment)
+    np.testing.assert_allclose(rep.vi, naive_vi(m, c.assignment), rtol=1e-9, atol=0)

@@ -164,6 +164,25 @@ def test_conditioned_linkage_matches_full_scan():
     assert min(fired.values()) > 20, fired
 
 
+def test_spread_exactly_on_the_bound_does_not_merge():
+    """Criterion 2 is strict: a cross spread equal to its bound merges nothing.
+
+    At gamma = GAMMA_MIN the bound is exactly 4.0 in floating point. The
+    size criterion forms {1, 3} and {6, 8, 13}; their cross distances run
+    from 3 to 12, a spread of exactly 4, and no own edge is long enough for
+    criterion 3, so the two clusters stay apart.
+    """
+    gamma = GAMMA_MIN
+    assert ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2 == 4.0
+    o = _oracle([1.0, 3.0, 6.0, 8.0, 13.0])
+    part = linkage_conditioned(o, alpha=0.4, gamma=gamma)
+    log, clusters, cmn, cmx = full_scan_conditioned(o.matrix(), 0.4, gamma)
+    assert part.merge_log == log
+    assert part.clusters == clusters == [[0, 1], [2, 3, 4]]
+    assert part.cross_max[0, 1] / part.cross_min[0, 1] == 4.0
+    assert [crit for _, _, _, crit in log] == [1, 1, 1]
+
+
 def test_conditioned_linkage_recovers_planted():
     for seed in range(5):
         feats, labels = planted(80, 4, 4.0, seed=10 + seed)
