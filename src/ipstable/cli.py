@@ -199,8 +199,8 @@ def _parse_targets(text):
         targets = [int(t) for t in text.split(",")]
     except ValueError:
         raise CliError(f"--targets must be comma-separated integers, got {text!r}")
-    if not targets or any(t < 0 for t in targets):
-        raise CliError("--targets entries must be nonnegative")
+    if not targets or any(t < 1 for t in targets):
+        raise CliError("--targets entries must be positive: no cluster is empty")
     return targets
 
 

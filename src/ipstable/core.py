@@ -61,6 +61,10 @@ def _line_cluster_sums(values, clustering):
     rather than of the values themselves. With j members at or below a
     shifted point x and prefix sums P over m members, the sum is
     (x*j - P[j]) + (P[m] - P[j] - x*(m - j)).
+
+    This stays apart from the line model of `line1d` on purpose: it is the
+    audit that certifies the line solvers' exit 0, and sharing their
+    arithmetic would check them against themselves.
     """
     a = clustering.assignment
     sums = np.empty((len(values), clustering.k))
@@ -107,10 +111,8 @@ class DistanceOracle:
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
         if pts.shape[1] == 1:
-            # the largest distance as cdist would compute it, without the
-            # matrix: its euclidean squares the difference first
-            spread = float(pts.max()) - float(pts.min())
-            _check_range(math.sqrt(spread * spread) if metric == "euclidean" else spread, len(pts))
+            # the largest distance, without the matrix
+            _check_range(float(pts.max()) - float(pts.min()), len(pts))
         return cls(pts.shape[0], features=pts, metric=metric)
 
     @classmethod
@@ -142,8 +144,14 @@ class DistanceOracle:
 
     def matrix(self):
         if self._matrix is None:
-            key = _FEATURE_METRICS[self._metric]
-            m = cdist(self._features, self._features, key)
+            if self._line is not None:
+                # |x - y| for every metric; cdist's euclidean would square the
+                # difference, flushing tiny distances to 0 and overflowing
+                # large ones
+                m = np.subtract.outer(self._line, self._line)
+                np.abs(m, out=m)
+            else:
+                m = cdist(self._features, self._features, _FEATURE_METRICS[self._metric])
             _check_range(m.max(), len(m))
             self._matrix = m
         return self._matrix

@@ -7,19 +7,24 @@ Stability of a contiguous clustering reduces to per-separator checks of the
 two adjacent points, so the recurrence over the previous cluster size s only
 needs two average comparisons at the boundary.
 
-Both boundary conditions are monotone in s (averages over nested point sets
-on a line), so for fixed (boundary position m, right size j) the feasible s
-form an interval [s_lo[m, j], s_hi[m, j]]. The thresholds are found once by
-binary search (n - 1 rows of numpy work) and kept as two n x n small-int
-arrays. Each layer l is then filled from layer l-1 in blocks of ROW_BLOCK
-rows m: a block builds the sparse-table levels of its rows along s (range
-minima, Bender and Farach-Colton; one numpy minimum per level) and answers
-all of its (m, j) interval minima with one gather and one scatter. The fill
-keeps, per row, the first and last finite column of the previous layer and
-clips every interval and every block's table to that span, so the table
-width and the number of queries follow the finite cells. A layer costs
-O(n^2) for the threshold masks plus at most O(n^2 log n) for the levels, in
-O(n / ROW_BLOCK) Python steps, instead of the naive O(n^3) per layer.
+Every average is a distance sum of the line model, `line1d.LineInstance`,
+divided by its count. Both boundary conditions are monotone in s (averages
+over nested point sets on a line), so for fixed (boundary position m, right
+size j) the feasible s form an interval [s_lo[m, j], s_hi[m, j]]. The
+thresholds are found once by binary search over the model's array sums
+(n - 1 rows of numpy work) and kept with the table as two n x n small-int
+arrays; `reconstruct` reads the boundaries it walks from them, so it accepts
+exactly the boundaries the fill did.
+
+Each layer l is then filled from layer l-1 in blocks of ROW_BLOCK rows m: a
+block builds the sparse-table levels of its rows along s (range minima,
+Bender and Farach-Colton; one numpy minimum per level) and answers all of
+its (m, j) interval minima with one gather and one scatter. The fill keeps,
+per row, the first and last finite column of the previous layer and clips
+every interval and every block's table to that span, so the table width and
+the number of queries follow the finite cells. A layer costs O(n^2) for the
+threshold masks plus at most O(n^2 log n) for the levels, in O(n / ROW_BLOCK)
+Python steps, instead of the naive O(n^3) per layer.
 """
 
 from __future__ import annotations
@@ -50,42 +55,11 @@ class DpTable:
     p: float
     instance: LineInstance
     tol: float
+    s_lo: np.ndarray = None  # feasibility thresholds, None for k = 1
+    s_hi: np.ndarray = None
 
 
-def _prefix(values):
-    return np.concatenate(([0.0], np.cumsum(values)))
-
-
-def _avg_left(x, P, a, count):
-    """Average distance from x_a (1-indexed) to the `count` points left of it."""
-    if count <= 0:
-        return 0.0
-    return (count * x[a - 1] - (P[a - 1] - P[a - 1 - count])) / count
-
-
-def _avg_right(x, P, a, count):
-    """Average distance from x_a (1-indexed) to the `count` points right of it."""
-    if count <= 0:
-        return 0.0
-    return ((P[a + count] - P[a]) - count * x[a - 1]) / count
-
-
-def _boundary_ok(x, P, pos, left_size, right_size, tol):
-    """Both separator conditions at sorted position `pos` (1-indexed).
-
-    Left cluster = x_{pos-left_size+1..pos}, right cluster = the next
-    right_size points. 0/0 counts as 0 on the own-cluster side.
-    """
-    own = _avg_left(x, P, pos, left_size - 1)
-    other = _avg_right(x, P, pos, right_size)
-    if own > other * (1.0 + tol):
-        return False
-    own2 = _avg_right(x, P, pos + 1, right_size - 1)
-    other2 = _avg_left(x, P, pos + 1, left_size)
-    return own2 <= other2 * (1.0 + tol)
-
-
-def _feasibility_thresholds(x, P, tol):
+def _feasibility_thresholds(line, tol):
     """Feasible previous-size interval endpoints for every boundary.
 
     Returns (s_lo, s_hi), two (n, n) arrays indexed [m, j] for boundary
@@ -95,33 +69,30 @@ def _feasibility_thresholds(x, P, tol):
     s_lo > s_hi, and every unused cell (m = 0, j = 0 or j > n - m) holds an
     empty interval.
     """
-    n = len(x)
+    n = line.n
     dtype = np.int16 if n < 32000 else np.int32
     s_lo = np.full((n, n), n + 1, dtype=dtype)
     s_hi = np.zeros((n, n), dtype=dtype)
-    ar = np.arange(n + 1, dtype=float)
+    counts = np.arange(1, n, dtype=float)
+
+    def averages(a):
+        """Average distances from point a to its c nearest neighbors on the
+        left and on the right, c = 0, 1, ...; the empty average is 0."""
+        left = line.dists_left(a, a)
+        left[1:] /= counts[:a]
+        right = line.dists_right(a, n - 1 - a)
+        right[1:] /= counts[: n - 1 - a]
+        return left, right
+
+    # point m - 1 ends the left cluster and point m starts the right one; each
+    # point's averages serve as own-cluster ones at one boundary and as
+    # other-cluster ones at the next
+    left_b, right_b = averages(0)
     for m in range(1, n):
-        xm = x[m - 1]
-        xm1 = x[m]
-        before = P[m - 1 :: -1]                                  # P[m-1], ..., P[0]
-        after = P[m + 1 :]                                       # P[m+1], ..., P[n]
-        counts = ar[:m]                                          # s - 1 = 0..m-1
-        left_sums = counts * xm - (P[m - 1] - before)
-        left_avg = np.zeros(m)
-        left_avg[1:] = left_sums[1:] / counts[1:]
-
-        js = ar[1 : n - m + 1]
-        right_avg = (after - P[m] - js * xm) / js
-
-        own2_sums = after - P[m + 1] - ar[: n - m] * xm1        # ar[:n-m] = j - 1
-        own2_avg = np.zeros(n - m)
-        own2_avg[1:] = own2_sums[1:] / ar[1 : n - m]
-
-        scounts = ar[1 : m + 1]
-        left2_avg = (scounts * xm1 - (P[m] - before)) / scounts
-
-        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_avg, right_avg * (1.0 + tol), side="right")
-        s_lo[m, 1 : n - m + 1] = np.searchsorted(left2_avg * (1.0 + tol), own2_avg, side="left") + 1
+        left_a, right_a = left_b, right_b
+        left_b, right_b = averages(m)
+        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_a, right_a[1:] * (1.0 + tol), side="right")
+        s_lo[m, 1 : n - m + 1] = np.searchsorted(left_b[1:] * (1.0 + tol), right_b, side="left") + 1
     return s_lo, s_hi
 
 
@@ -203,8 +174,6 @@ def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     if float(n + 1) ** 2 * (k + 1) > MAX_TABLE_CELLS:
         raise ValueError("DP table would exceed the memory guard; reduce n or k")
 
-    x = instance.values
-    P = _prefix(x)
     T = np.full((n + 1, n + 1, k + 1), np.inf)
 
     t1 = float(targets[0])
@@ -215,14 +184,14 @@ def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     if k == 1:
         return DpTable(T, targets, p, instance, tol)
 
-    s_lo, s_hi = _feasibility_thresholds(x, P, tol)
+    s_lo, s_hi = _feasibility_thresholds(instance, tol)
     all_j = np.arange(n + 1, dtype=float)
     first = last = np.arange(n + 1)                  # layer 1 is the diagonal
     for l in range(2, k + 1):
         tl = float(targets[l - 1])
         pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
         first, last = _fill_layer(T, l, pen, s_lo, s_hi, first, last, p)
-    return DpTable(T, targets, p, instance, tol)
+    return DpTable(T, targets, p, instance, tol, s_lo, s_hi)
 
 
 def reconstruct(dp):
@@ -231,13 +200,11 @@ def reconstruct(dp):
     Returns (Clustering in input order, objective value). The objective is
     the lp-norm of the size deviations (table entries store the p-th power
     for finite p). Among ties the smallest feasible cluster size is chosen,
-    scanning boundary feasibility with O(1) prefix-sum checks.
+    reading boundary feasibility from the table's thresholds.
     """
-    T, targets, p, instance, tol = dp.table, dp.targets, dp.p, dp.instance, dp.tol
+    T, targets, p, instance = dp.table, dp.targets, dp.p, dp.instance
     n = instance.n
     k = len(targets)
-    x = instance.values
-    P = _prefix(x)
 
     final = T[n, 1 : n + 1, k]
     vstar = final.min()
@@ -265,7 +232,7 @@ def reconstruct(dp):
             else:
                 if not np.isclose(val + tail, vstar, rtol=1e-9, atol=1e-12):
                     continue
-            if _boundary_ok(x, P, remaining, h, right_size, tol):
+            if dp.s_lo[remaining, right_size] <= h <= dp.s_hi[remaining, right_size]:
                 found = h
                 break
         if found is None:

@@ -6,12 +6,21 @@ points adjacent to the separators (checked only against the neighboring
 cluster; farther clusters are automatically no closer on a line). The solver
 starts with one big cluster followed by k-1 singletons and only ever moves
 separators left, which bounds the total number of moves by k*n.
+
+`LineInstance` is the one model of the sorted line that this sweep and the
+size-targeted DP in `dp_target` share. It holds the values exactly as
+integers over a common power of two, with their exact prefix sums, and
+defines once the distance sum from a sorted point to the c points next to it
+on either side. A separator move then only changes the bounds; the sweep
+reads its sums off the prefix sums, exactly and on any scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,14 +29,23 @@ from .core import STABILITY_TOL, Clustering
 
 @dataclass(frozen=True)
 class LineInstance:
-    """Values sorted ascending plus the permutation back to input order.
+    """Values sorted ascending, the permutation back to input order, and the
+    exact prefix sums behind every boundary condition.
 
-    sort_permutation[i] is the original index of the i-th sorted value.
-    Ties keep input order (stable sort).
+    sort_permutation[i] is the original index of the i-th sorted value; ties
+    keep input order (stable sort). `from_values` sorts and validates raw
+    input. Both arrays are kept as read-only copies, so the sums derived from
+    them cannot drift from the values.
     """
 
     values: np.ndarray
     sort_permutation: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("values", float), ("sort_permutation", int)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_values(cls, raw):
@@ -46,119 +64,112 @@ class LineInstance:
     def n(self):
         return len(self.values)
 
+    # Every float is an integer multiple of a power of two, so the values are
+    # held exactly as values[0] + ints[i] / scale, with the exact prefix sums
+    # sums[i] of ints[:i]. The distance sum from sorted point a to the c
+    # points left of it is then c * ints[a] - (sums[a] - sums[a - c]), over
+    # scale, and its mirror on the right: exact, so 0 across tied values and
+    # never negative, whatever the spread and the offset. The scalar forms
+    # round it once and serve the sweep. The array forms serve the DP
+    # thresholds at numpy speed: they take the same rule on the prefix sums
+    # rounded to floats, which loses what lies below the rounding of a prefix
+    # sum, and clip the result to the range its nearest and farthest points
+    # allow (at distances g <= d): [d + (c - 1) g, g + (c - 1) d]. That keeps
+    # it exactly 0 across ties, never negative and exact for c = 1.
 
+    @cached_property
+    def _exact(self):
+        ratios = [x.as_integer_ratio() for x in self.values.tolist()]
+        scale = max(d for _, d in ratios)
+        ints = [num * (scale // d) for num, d in ratios]
+        ints = [i - ints[0] for i in ints]
+        sums = list(accumulate(ints, initial=0))
+        # below 2**1000 a sum d converts to a float and d * (1 / scale) is
+        # the same correctly rounded float as d / scale, about twice as fast
+        fast = scale < 2**1000 and len(ints) * sums[-1] < 2**1000
+        return ints, sums, (1 / scale if fast else None), scale
+
+    @cached_property
+    def _rounded(self):
+        sums, scale = self._exact[1], self._exact[3]
+        counts = np.arange(self.n + 1, dtype=float)
+        # values - values[0] rounds ints / scale to the same floats
+        return self.values - self.values[0], np.array([s / scale for s in sums]), counts, counts - 1.0
+
+    def dist_left(self, a, c):
+        """Total distance from sorted point a to the c points just left of it."""
+        ints, sums, inv, scale = self._exact
+        d = c * ints[a] - (sums[a] - sums[a - c])
+        return d * inv if inv else d / scale
+
+    def dist_right(self, a, c):
+        """Total distance from sorted point a to the c points just right of it."""
+        ints, sums, inv, scale = self._exact
+        d = (sums[a + c + 1] - sums[a + 1]) - c * ints[a]
+        return d * inv if inv else d / scale
+
+    def dists_left(self, a, c):
+        """dist_left(a, 0), ..., dist_left(a, c) in the array form above."""
+        v = self.values
+        x, p, counts, less1 = self._rounded
+        near = v[a] - v[a - 1] if a else 0.0
+        far = v[a] - v[a - c : a + 1][::-1]
+        s = counts[: c + 1] * x[a] - (p[a] - p[a - c : a + 1][::-1])
+        return _clip(s, less1[: c + 1], near, far)
+
+    def dists_right(self, a, c):
+        """dist_right(a, 0), ..., dist_right(a, c) in the array form above."""
+        v = self.values
+        x, p, counts, less1 = self._rounded
+        near = v[a + 1] - v[a] if a + 1 < len(v) else 0.0
+        far = v[a : a + c + 1] - v[a]
+        s = (p[a + 1 : a + c + 2] - p[a + 1]) - counts[: c + 1] * x[a]
+        return _clip(s, less1[: c + 1], near, far)
+
+    def last_point_stable(self, b, left, right, tol):
+        """Is the last of the `left` points before sorted position b stable
+        against the `right` points from b on?
+
+        Its average distance to its own cluster (0 for a singleton) may exceed
+        its average distance to the right cluster by the factor 1 + tol.
+        """
+        a = b - 1
+        own = self.dist_left(a, left - 1) / (left - 1) if left > 1 else 0.0
+        return own <= self.dist_right(a, right) / right * (1.0 + tol)
+
+
+def _clip(s, less1, near, far):
+    """Clip the sums s over counts c = 0, 1, ... (less1 holds c - 1) in
+    place to [far + (c - 1) near, near + (c - 1) far]; entry 0 stays 0."""
+    bound = less1 * near
+    bound += far
+    np.maximum(s, bound, out=s)
+    np.multiply(less1, far, out=bound)
+    bound += near
+    return np.minimum(s, bound, out=s)
+
+
+@dataclass
 class SeparatorState:
-    """Contiguous clustering of a line instance with O(1) boundary checks.
+    """A contiguous clustering of a line instance and the moves that made it.
 
     Cluster i (0-based, left to right) occupies sorted positions
-    [bounds[i], bounds[i+1]). Per cluster we keep the sum of distances from
-    its leftmost member to all members (left_sum) and from its rightmost
-    member (right_sum); both are enough to evaluate every boundary condition
-    and to update in O(1) when a separator moves.
+    [bounds[i], bounds[i+1]).
     """
 
-    def __init__(self, instance, bounds, tol=STABILITY_TOL):
-        self.instance = instance
-        self.x = instance.values.tolist()
-        self.bounds = list(bounds)
-        self.tol = tol
-        self.moves = 0
-        k = len(bounds) - 1
-        if bounds[0] != 0 or bounds[-1] != instance.n:
-            raise ValueError("bounds must span [0, n]")
-        if any(bounds[i] >= bounds[i + 1] for i in range(k)):
-            raise ValueError("every cluster must be nonempty")
-        self.left_sum = [0.0] * k
-        self.right_sum = [0.0] * k
-        for i in range(k):
-            lo, hi = bounds[i], bounds[i + 1]
-            seg = instance.values[lo:hi]
-            self.left_sum[i] = float(np.sum(seg - seg[0]))
-            self.right_sum[i] = float(np.sum(seg[-1] - seg))
-
-    @classmethod
-    def initial(cls, instance, k, tol=STABILITY_TOL):
-        n = instance.n
-        # one big cluster on the left, then k-1 singletons
-        bounds = [0, n - k + 1] + list(range(n - k + 2, n + 1)) if k > 1 else [0, n]
-        return cls(instance, bounds, tol=tol)
+    instance: LineInstance
+    bounds: list
+    moves: int
 
     @property
     def k(self):
         return len(self.bounds) - 1
 
-    def size(self, i):
-        return self.bounds[i + 1] - self.bounds[i]
-
-    def separators(self):
-        return list(self.bounds[1:-1])
-
-    def boundary_stable(self, sep, side):
-        """Stability of one of the two points adjacent to separator `sep`.
-
-        sep in [1, k-1] sits between cluster sep-1 and cluster sep. side
-        "left" checks the rightmost point of the left cluster against the
-        right cluster; side "right" checks the leftmost point of the right
-        cluster against the left cluster.
-        """
-        if not 1 <= sep <= self.k - 1:
-            raise ValueError("separator index out of range")
-        x = self.x
-        b = self.bounds
-        c_left, c_right = sep - 1, sep
-        m_left = b[sep] - b[c_left]
-        m_right = b[sep + 1] - b[sep]
-        u = x[b[sep] - 1]       # rightmost of left cluster
-        v = x[b[sep]]           # leftmost of right cluster
-        if side == "left":
-            own = self.right_sum[c_left] / (m_left - 1) if m_left > 1 else 0.0
-            other = (self.left_sum[c_right] + m_right * (v - u)) / m_right
-        elif side == "right":
-            own = self.left_sum[c_right] / (m_right - 1) if m_right > 1 else 0.0
-            other = (self.right_sum[c_left] + m_left * (v - u)) / m_left
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        return own <= other * (1.0 + self.tol)
-
-    def move_left(self, sep):
-        """Move separator `sep` one position left.
-
-        The rightmost point of the left cluster joins the right cluster; all
-        four bookkeeping sums update in O(1).
-        """
-        b = self.bounds
-        if not 1 <= sep <= self.k - 1:
-            raise ValueError("separator index out of range")
-        if b[sep] - b[sep - 1] < 2:
-            raise ValueError("cannot empty the left cluster")
-        x = self.x
-        cl, cr = sep - 1, sep
-        m_left = b[sep] - b[cl]
-        m_right = b[sep + 1] - b[sep]
-        s = x[b[cl]]            # leftmost of left cluster
-        u = x[b[sep] - 1]       # the moving point
-        t = x[b[sep] - 2]       # new rightmost of left cluster
-        v = x[b[sep]]           # old leftmost of right cluster
-        w = x[b[sep + 1] - 1]   # rightmost of right cluster
-
-        self.left_sum[cl] -= u - s
-        self.right_sum[cl] = self.right_sum[cl] - (m_left - 1) * (u - t)
-        # coefficient is the old right-cluster size: u itself adds distance 0
-        self.left_sum[cr] = self.left_sum[cr] + m_right * (v - u)
-        self.right_sum[cr] += w - u
-        b[sep] -= 1
-        self.moves += 1
-
     def to_clustering(self):
-        assign_sorted = np.empty(self.instance.n, dtype=int)
-        for i in range(self.k):
-            assign_sorted[self.bounds[i] : self.bounds[i + 1]] = i
+        assign_sorted = np.repeat(np.arange(self.k), np.diff(self.bounds))
         assignment = np.empty(self.instance.n, dtype=int)
-        assignment[self.sort_permutation()] = assign_sorted
+        assignment[self.instance.sort_permutation] = assign_sorted
         return Clustering(assignment, self.k)
-
-    def sort_permutation(self):
-        return self.instance.sort_permutation
 
 
 def sweep(instance, k, tol=STABILITY_TOL):
@@ -166,20 +177,25 @@ def sweep(instance, k, tol=STABILITY_TOL):
     n = instance.n
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
-    state = SeparatorState.initial(instance, k, tol=tol)
+    # one big cluster on the left, then k-1 singletons
+    b = [0] + list(range(n - k + 1, n + 1))
+    stable = instance.last_point_stable
+    moves = 0
     max_moves = k * n
     j = 1
     while j <= k - 1:
-        if state.boundary_stable(j, "left"):
+        if stable(b[j], b[j] - b[j - 1], b[j + 1] - b[j], tol):
             j += 1
             continue
-        # an unstable boundary point implies the left cluster has >= 2 points
-        state.move_left(j)
-        if state.moves > max_moves:
+        # a singleton's own average is 0, so an unstable point has a
+        # cluster mate to its left and the move leaves no cluster empty
+        b[j] -= 1
+        moves += 1
+        if moves > max_moves:
             raise RuntimeError("separator sweep exceeded the k*n move bound")
         # the move changed cluster j-1's right neighbor; recheck one step back
         j = max(1, j - 1)
-    return state
+    return SeparatorState(instance, b, moves)
 
 
 def solve_1d(values, k, tol=STABILITY_TOL):

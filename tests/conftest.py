@@ -13,6 +13,7 @@ must reproduce them exactly.
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -275,25 +276,52 @@ class _SparseMin:
         return out
 
 
-def _per_row_thresholds(x, P, tol):
-    """Lists over m = 1..n-1 of per-j (s_hi, s_lo) arrays, one row at a time."""
+def _per_row_thresholds(x, tol):
+    """Lists over m = 1..n-1 of per-j (s_hi, s_lo) arrays, one row at a time.
+
+    The distance sums follow the line model's array arithmetic: the exact
+    prefix sums of the values shifted by their minimum, each rounded once to
+    a float, and sums clipped to the range the nearest and farthest summed
+    points allow, which is exactly 0 across tied values and never negative.
+    It builds its own prefix sums, with fractions, and does not call the
+    model.
+    """
     n = len(x)
+    shifted = x - x[0]
+    exact = [Fraction(0)]
+    for y in x:
+        exact.append(exact[-1] + (Fraction(y) - Fraction(x[0])))
+    P = np.array([float(s) for s in exact])
+
+    def clipped(s, c, near, far):
+        return np.minimum(np.maximum(s, far + (c - 1) * near), near + (c - 1) * far)
+
+    def sum_left(a, c):           # c: float array of counts
+        ci = c.astype(int)
+        near = x[a] - x[a - 1] if a > 0 else 0.0
+        s = c * shifted[a] - (P[a] - P[a - ci])
+        return clipped(s, c, near, x[a] - x[a - ci])
+
+    def sum_right(a, c):
+        ci = c.astype(int)
+        near = x[a + 1] - x[a] if a + 1 < n else 0.0
+        s = (P[a + ci + 1] - P[a + 1]) - c * shifted[a]
+        return clipped(s, c, near, x[a + ci] - x[a])
+
+    def mean(sums, c):
+        return np.divide(sums, c, out=np.zeros(len(c)), where=c > 0)
+
     s_hi = [None] * n
     s_lo = [None] * n
     for m in range(1, n):
-        xm = x[m - 1]
-        xm1 = x[m]
-        counts = np.arange(m, dtype=float)
-        left_sums = counts * xm - (P[m - 1] - P[m - 1 - np.arange(m)])
-        with np.errstate(invalid="ignore"):
-            left_avg = np.divide(left_sums, counts, out=np.zeros(m), where=counts > 0)
+        a, b = m - 1, m
+        s_own = np.arange(m, dtype=float)               # s - 1 = 0..m-1
         js = np.arange(1, n - m + 1, dtype=float)
-        right_avg = (P[m + np.arange(1, n - m + 1)] - P[m] - js * xm) / js
-        own2_sums = P[m + np.arange(1, n - m + 1)] - P[m + 1] - (js - 1) * xm1
-        with np.errstate(invalid="ignore"):
-            own2_avg = np.divide(own2_sums, js - 1, out=np.zeros(n - m), where=js > 1)
-        scounts = np.arange(1, m + 1, dtype=float)
-        left2_avg = (scounts * xm1 - (P[m] - P[m - np.arange(1, m + 1)])) / scounts
+        left_avg = mean(sum_left(a, s_own), s_own)
+        right_avg = mean(sum_right(a, js), js)
+        own2_avg = mean(sum_right(b, js - 1), js - 1)
+        s_other = np.arange(1, m + 1, dtype=float)
+        left2_avg = mean(sum_left(b, s_other), s_other)
         s_hi[m] = np.searchsorted(left_avg, right_avg * (1.0 + tol), side="right")
         s_lo[m] = np.searchsorted(left2_avg * (1.0 + tol), own2_avg, side="left") + 1
     return s_hi, s_lo
@@ -308,8 +336,6 @@ def per_row_dp_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     instance = LineInstance.from_values(values)
     n = instance.n
     k = len(targets)
-    x = instance.values
-    P = np.concatenate(([0.0], np.cumsum(x)))
     T = np.full((n + 1, n + 1, k + 1), np.inf)
     t1 = float(targets[0])
     for i in range(1, n + 1):
@@ -317,7 +343,7 @@ def per_row_dp_table(values, targets, p=math.inf, tol=STABILITY_TOL):
         T[i, i, 1] = dev if p == math.inf else dev**p
     if k == 1:
         return T
-    s_hi_all, s_lo_all = _per_row_thresholds(x, P, tol)
+    s_hi_all, s_lo_all = _per_row_thresholds(instance.values, tol)
     for l in range(2, k + 1):
         tl = float(targets[l - 1])
         all_j = np.arange(n + 1, dtype=float)

@@ -421,6 +421,21 @@ def test_nan_norm_order_is_an_error(tmp_path, capsys):
         assert "error: --p must be >= 1" in capsys.readouterr().err, argv
 
 
+def test_zero_target_is_an_error(tmp_path, capsys):
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, [0.0, 1.0, 7.0, 8.0])
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [0, 0, 1, 1])
+    for argv in (
+        ["solve", "--input", str(inp), "--algo", "solve-dp", "--targets", "4,0"],
+        ["audit", "--input", str(inp), "--assignment", str(assign), "--targets", "0,4"],
+    ):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error: --targets entries must be positive" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_solve_error_paths(tmp_path, capsys):
     inp = tmp_path / "v.csv"
     _write_csv(inp, [0.0, 1.0, 7.0, 8.0])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
 from ipstable.core import (
     Clustering,
@@ -109,15 +108,15 @@ EXTREME_LINES = {
     "n-times-spread-overflows": [2e306] + [0.0] * 99,
     "n-times-spread-fits": [1.7e306] + [0.0] * 99,
 }
-SCIPY_METRIC = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": "chebyshev"}
+METRICS = ("chebyshev", "euclidean", "manhattan")
 
 
-@pytest.mark.parametrize("metric", sorted(SCIPY_METRIC))
+@pytest.mark.parametrize("metric", METRICS)
 def test_line_range_check_decides_like_the_matrix(metric):
     decisions = set()
     for name, vals in EXTREME_LINES.items():
         pts = np.asarray(vals, dtype=float).reshape(-1, 1)
-        m = cdist(pts, pts, SCIPY_METRIC[metric])
+        m = np.abs(pts - pts.T)         # the one-column matrix of every metric
         want = math.isfinite(float(m.max()) * len(m))
         try:
             DistanceOracle.from_points(pts, metric)
@@ -182,6 +181,17 @@ def test_line_backend_matches_matrix_backend(kind):
             np.testing.assert_allclose(got.vi, want.vi, rtol=1e-12, atol=0)
             assert got.num_unstable == want.num_unstable
             assert got.cost == pytest.approx(want.cost, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_line_matrix_keeps_distances_below_the_square_range(metric):
+    # squared, 1e-200 and 2e-200 flush to 0 and the points would look tied
+    line = DistanceOracle.from_points([0.0, 1e-200, 3e-200, 1.0], metric)
+    dense = DistanceOracle.from_matrix(line.matrix())
+    c = Clustering(np.array([0, 0, 1, 1]), 2)
+    got, want = audit(line, c).vi, audit(dense, c).vi
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert got[2] == pytest.approx(4e199)
 
 
 def test_line_oracle_and_its_sub_oracles_sum_without_a_matrix(monkeypatch):

@@ -34,6 +34,14 @@ def _random_targets(rng, n, k):
     return [int(s) for s in np.diff(np.concatenate(([0], cuts, [n])))]
 
 
+def _sweep_values(rng, kind, n):
+    if kind == "random":
+        return rng.normal(size=n) * 10
+    if kind == "tied":
+        return np.round(rng.normal(size=n), 1)
+    return rng.integers(0, 4, size=n).astype(float)     # duplicate-heavy
+
+
 def test_result_is_stable_and_obj_matches_audit():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -55,16 +63,29 @@ def test_result_is_stable_and_obj_matches_audit():
 
 def test_matches_exhaustive_optimum_small():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        n = int(rng.integers(3, 10))
-        k = int(rng.integers(1, min(4, n) + 1))
-        targets = _random_targets(rng, n, k)
-        vals = rng.normal(size=n) * 5
-        for p in NORM_ORDERS:
-            _, obj = solve_targets(vals, targets, p=p)
-            best = contiguous_stable_optimum(vals, targets, p)
-            assert best is not None
-            assert obj == pytest.approx(best), p
+
+    def pool(n):
+        """n draws from a pool of at most n values: duplicates are common."""
+        return rng.choice(rng.uniform(0.0, 100.0, size=int(rng.integers(1, n + 1))), size=n)
+
+    draws = {
+        "random": lambda n: rng.normal(size=n) * 5,
+        "tied": lambda n: _sweep_values(rng, "tied", n),
+        "duplicates": pool,
+        "offset-1e12": lambda n: 1e12 + pool(n),
+        "offset-1e9": lambda n: -1e9 + 0.1 * _sweep_values(rng, "duplicates", n),
+    }
+    for kind, draw in draws.items():
+        for _ in range(25):
+            n = int(rng.integers(3, 10))
+            k = int(rng.integers(1, min(4, n) + 1))
+            targets = _random_targets(rng, n, k)
+            vals = draw(n)
+            for p in NORM_ORDERS:
+                _, obj = solve_targets(vals, targets, p=p)
+                best = contiguous_stable_optimum(vals, targets, p)
+                assert best is not None
+                assert obj == pytest.approx(best), (kind, list(vals), targets, p)
 
 
 def test_cluster_order_matches_target_order():
@@ -146,14 +167,6 @@ def test_build_then_reconstruct_equals_wrapper():
     assert np.array_equal(c1.assignment, c2.assignment)
 
 
-def _sweep_values(rng, kind, n):
-    if kind == "random":
-        return rng.normal(size=n) * 10
-    if kind == "tied":
-        return np.round(rng.normal(size=n), 1)
-    return rng.integers(0, 4, size=n).astype(float)     # duplicate-heavy
-
-
 @pytest.mark.parametrize("kind", ["random", "tied", "duplicates"])
 @pytest.mark.parametrize("p", NORM_ORDERS)
 def test_layer_fill_is_bit_identical_to_per_row_fill(kind, p):
@@ -196,12 +209,7 @@ def test_output_audited_on_the_line_matches_naive(values, data):
                   if k > 1 else [])
     targets = np.diff([0, *cuts, n])
     p = data.draw(st.sampled_from(NORM_ORDERS))
-    try:
-        c, obj = solve_targets(values, targets, p=p)
-    except RuntimeError:
-        # the known false infeasibility needs tied values (see the xfail below)
-        assert len(np.unique(values)) < n
-        return
+    c, obj = solve_targets(values, targets, p=p)
     rep = audit(DistanceOracle.from_points(values), c, targets=targets, p=p)
     m = _line_matrix(values)        # |x - y| exactly; cdist's euclidean underflows
     assert rep.num_unstable == 0 == naive_num_unstable(m, c.assignment)
@@ -209,12 +217,10 @@ def test_output_audited_on_the_line_matches_naive(values, data):
     assert rep.obj == pytest.approx(obj)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="tied values leave prefix-sum noise in the boundary averages")
 def test_ties_do_not_hide_a_stable_contiguous_clustering():
-    # {0.3, 0.3}, {0.3}, {1.6} is stable and meets the targets exactly, but the
-    # thresholds read the zero distance between tied values as a tiny
-    # negative average and reject the boundary between the two 0.3 clusters
+    # {0.3, 0.3}, {0.3}, {1.6} is stable and meets the targets exactly; the
+    # zero distance between tied values must read as exactly 0, not as the
+    # tiny negative average that prefix sums of 0.3 leave
     values = [0.3, 0.3, 0.3, 1.6]
     assert contiguous_stable_optimum(values, [2, 1, 1], math.inf) == 0.0
     assert solve_targets(values, [2, 1, 1])[1] == 0.0

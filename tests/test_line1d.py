@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,72 @@ def test_instance_sorts_and_remembers_input_order():
     c = solve_1d([3.0, 1.0, 2.0], 2)
     # labels are for the original order
     assert c.assignment[1] == c.assignment[2] or c.assignment[0] == c.assignment[2]
+
+
+def _multi_scale(rng, n):
+    """A tight group at gaps of 1e-12 next to points spread over [-1, 1]."""
+    tight = 1e-12 * rng.integers(0, 6, size=n - n // 3).astype(float)
+    return np.concatenate([rng.uniform(-1.0, 1.0, size=n // 3), tight])
+
+
+MODEL_VALUES = {
+    "random": lambda rng, n: rng.normal(size=n) * 10.0,
+    "tied": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "duplicates": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+    "offset-1e12": lambda rng, n: 1e12 + rng.uniform(0.0, 100.0, size=n).round(2),
+    "multi-scale": _multi_scale,
+    # a subnormal step puts the common scale past 2**1000
+    "extreme-scale": lambda rng, n: rng.choice([0.0, 5e-324, 1e-300, 1.0, -1e300], size=n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_VALUES))
+def test_model_sums_exact_scalar_and_close_array(kind):
+    """The scalar sums are the exact sums rounded once; the array sums stay
+    within 1e-9 of them, exactly 0 across ties and equal for one point,
+    except on multi- and extreme-scale values, where only the scalar sums
+    are exact."""
+    rng = np.random.default_rng(sorted(MODEL_VALUES).index(kind))
+    for n in (1, 2, 7, 30):
+        line = LineInstance.from_values(MODEL_VALUES[kind](rng, n))
+        x = [Fraction(y) for y in line.values.tolist()]
+        for a in range(n):
+            for side, c_max, dists, dist in (
+                (-1, a, line.dists_left, line.dist_left),
+                (1, n - 1 - a, line.dists_right, line.dist_right),
+            ):
+                arr = dists(a, c_max)
+                for c in range(c_max + 1):
+                    want = float(sum(abs(x[a] - x[a + side * t]) for t in range(1, c + 1)))
+                    got = dist(a, c)
+                    assert got == want, (a, side, c)
+                    if c <= 1:
+                        assert arr[c] == got, (a, side, c)
+                    if not kind.endswith("-scale"):
+                        assert arr[c] == pytest.approx(want, rel=1e-9, abs=0), (a, side, c)
+
+
+def test_instance_is_read_only():
+    inst = LineInstance([1.0, 3.0], [1, 0])
+    assert inst.values.dtype == float and inst.n == 2
+    with pytest.raises(ValueError):
+        inst.values[0] = 2.0
+    with pytest.raises(AttributeError):
+        inst.values = np.array([0.0, 1.0])
+
+
+def test_tight_group_next_to_far_points_is_stable():
+    # prefix sums on the scale of the outlier at -1 cannot tell the gaps of
+    # 1e-53 apart; the exact sums can
+    vals = [-1.0, 0.0, 1e-53, 3e-53, 3e-53, 4e-53]
+    assert naive_num_unstable(_line_matrix(vals), solve_1d(vals, 3).assignment) == 0
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(4, 12))
+        vals = rng.permutation(_multi_scale(rng, n))
+        k = int(rng.integers(2, min(5, n) + 1))
+        c = solve_1d(vals, k)
+        assert naive_num_unstable(_line_matrix(vals), c.assignment) == 0, (list(vals), k)
 
 
 def test_two_stable_fixture_solved_and_both_splits_stable():
