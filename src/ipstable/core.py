@@ -265,6 +265,18 @@ def _violation_vector(own_avg, avg, clustering):
     return np.max(ratios, axis=1)
 
 
+def _check_targets(targets, k):
+    """Target cluster sizes as a float array: k finite whole numbers, each >= 1."""
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (k,):
+        raise ValueError("targets length must equal k")
+    if not np.all(np.isfinite(targets) & (targets == np.floor(targets))):
+        raise ValueError("targets must be finite whole numbers")
+    if not np.all(targets >= 1):
+        raise ValueError("targets must be at least 1: no cluster is empty")
+    return targets
+
+
 def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
     """Measure a clustering: per-point violations plus aggregate quality.
 
@@ -298,10 +310,7 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
 
     obj = None
     if targets is not None:
-        targets = np.asarray(targets, dtype=float)
-        if len(targets) != clustering.k:
-            raise ValueError("targets length must equal k")
-        dev = np.abs(sizes - targets)
+        dev = np.abs(sizes - _check_targets(targets, clustering.k))
         if p == math.inf:
             obj = float(dev.max())
         else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering
+from .core import STABILITY_TOL, Clustering, _check_targets
 from .line1d import LineInstance
 
 # float64 |size - target|^p overflows around p ~ 30 for realistic deviations
@@ -157,11 +157,10 @@ def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     """
     instance = values if isinstance(values, LineInstance) else LineInstance.from_values(values)
     n = instance.n
-    targets = np.asarray(targets, dtype=int)
-    if np.any(targets <= 0):
-        raise ValueError("targets must be positive integers")
-    if int(targets.sum()) != n:
+    targets = _check_targets(targets, np.size(targets))
+    if targets.sum() != n:
         raise ValueError("targets must sum to n")
+    targets = targets.astype(int)
     k = len(targets)
     if not p >= 1:                                   # also rejects NaN
         raise ValueError("p must be >= 1 or infinity")

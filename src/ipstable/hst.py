@@ -10,21 +10,31 @@ on the same fact for any mapped points: a pair's distance is a function of
 the two depths and the lca depth, and the lca depths of all m^2 pairs come
 from one m x m comparison per depth, with no Python work per pair.
 
-The embedding is a seeded random hierarchical decomposition (random center
-permutation, random radius scale beta in [1, 2), radii shrinking by powers of
-two). It guarantees dominance d <= d_T structurally; stretch is measured, not
-promised, and the caller receives it as a certificate multiplier.
+The tree layer is tree.root_pass, shared with WeightedTree: one depth-first
+pass gives preorder positions, depths and subtree sizes, so every subtree is
+one preorder slice. hst_k_clustering paints each selected node's slice with
+its label in order of increasing depth, so a leaf, read at its own position,
+carries the label of its deepest selected ancestor; restrict marks the
+ancestor closure of the kept points in one pass in reverse preorder.
+
+The embedding is the seeded random hierarchical decomposition of
+Fakcharoenphol, Rao and Talwar (random center permutation, random radius
+scale beta in [1, 2), radii shrinking by powers of two). It guarantees
+dominance d <= d_T structurally; stretch is measured, not promised, and the
+caller receives it as a certificate multiplier.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import STABILITY_TOL, Clustering, audit
+from .tree import root_pass
 
 HALVING_SLACK = 1e-12
 
@@ -34,38 +44,32 @@ ROW_CHUNK = 64
 
 
 class Hst:
-    """Rooted tree with depth-determined edge weights and a point mapping."""
+    """Rooted tree with depth-determined edge weights and a point mapping.
+
+    `parent[v]` is v's parent id, -1 at the single root; `node_point` maps
+    nodes to point ids. Construction checks the ids and roots the tree with
+    `tree.root_pass`, which records `order`, `pos`, `depth` and `size`:
+    node v's subtree is the preorder slice order[pos[v] : pos[v] + size[v]].
+    `children` lists each node's children by ascending id.
+    """
 
     def __init__(self, parent, level_weights, node_point):
-        self.parent = list(parent)
+        try:
+            self.parent = list(map(operator.index, parent))
+        except TypeError:
+            raise ValueError("Hst parent ids must be integers") from None
         self.level_weights = [float(w) for w in level_weights]
         self.node_point = dict(node_point)
         self.n_nodes = len(self.parent)
-        roots = [i for i, p in enumerate(self.parent) if p < 0]
-        if len(roots) != 1:
-            raise ValueError("Hst needs exactly one root")
-        self.root = roots[0]
+        if self.parent.count(-1) != 1 or min(self.parent) < -1 or max(self.parent) >= self.n_nodes:
+            raise ValueError("Hst parent ids must lie in [-1, n_nodes), with one root (-1)")
+        self.root = self.parent.index(-1)
         self.children = [[] for _ in range(self.n_nodes)]
         for i, p in enumerate(self.parent):
             if p >= 0:
                 self.children[p].append(i)
-        for c in self.children:
-            c.sort()
-        self.depth = self._depths()
+        self.order, self.pos, _, self.depth, self.size = root_pass(self.children, self.root)
         self.validate()
-
-    def _depths(self):
-        depth = [-1] * self.n_nodes
-        depth[self.root] = 0
-        q = deque([self.root])
-        while q:
-            u = q.popleft()
-            for c in self.children[u]:
-                depth[c] = depth[u] + 1
-                q.append(c)
-        if any(d < 0 for d in depth):
-            raise ValueError("parent pointers contain a cycle or orphan")
-        return depth
 
     def validate(self):
         used = self.max_depth()
@@ -85,10 +89,10 @@ class Hst:
                 raise ValueError("mapped node out of range")
 
     def max_depth(self):
-        return max(self.depth) if self.n_nodes else 0
+        return max(self.depth)
 
     def leaves(self):
-        return [i for i in range(self.n_nodes) if not self.children[i]]
+        return [i for i in range(self.n_nodes) if self.size[i] == 1]
 
     def points(self):
         """Mapped point ids, sorted."""
@@ -159,12 +163,8 @@ class Hst:
         return out
 
     def is_normalized(self):
-        leaves = set(self.leaves())
-        mapped = set(self.node_point.keys())
-        if leaves != mapped:
-            return False
-        depths = {self.depth[v] for v in leaves}
-        return len(depths) <= 1
+        leaves = self.leaves()
+        return set(leaves) == self.node_point.keys() and len({self.depth[v] for v in leaves}) <= 1
 
 
 def normalize_leaves(hst):
@@ -188,7 +188,7 @@ def normalize_leaves(hst):
     parent2 = list(hst.parent)
     next_id = hst.n_nodes
     for v in sorted(hst.node_point):
-        if hst.depth[v] == L and not hst.children[v]:
+        if hst.depth[v] == L and hst.size[v] == 1:
             continue
         spliced[v] = next_id
         parent2.append(-2)  # placeholder, fixed below
@@ -223,8 +223,8 @@ def hst_k_clustering(hst, k, tol=STABILITY_TOL):
 
     Finds the deepest depth with at most k nodes, then expands nodes of that
     antichain one by one until exactly k subtree roots are selected; every
-    leaf joins its deepest selected ancestor. Selection is deterministic
-    (ascending node ids).
+    leaf joins its deepest selected ancestor, painted over preorder slices
+    shallowest first. Selection is deterministic (ascending node ids).
     """
     if not hst.is_normalized():
         raise ValueError("hst_k_clustering needs a normalized Hst")
@@ -267,15 +267,13 @@ def hst_k_clustering(hst, k, tol=STABILITY_TOL):
         raise RuntimeError("selected subtree count does not match k")
 
     mark = {v: i for i, v in enumerate(sorted(selected))}
+    label_at = np.full(hst.n_nodes, -1)
+    for v in sorted(selected, key=hst.depth.__getitem__):
+        label_at[hst.pos[v] : hst.pos[v] + hst.size[v]] = mark[v]
     node_of = hst.point_node()
-    assignment = np.empty(n, dtype=int)
-    for i, p in enumerate(pts):
-        v = node_of[p]
-        while v not in mark:
-            v = hst.parent[v]
-            if v < 0:
-                raise RuntimeError("leaf without a selected ancestor")
-        assignment[i] = mark[v]
+    assignment = label_at[[hst.pos[node_of[p]] for p in pts]]
+    if np.any(assignment < 0):
+        raise RuntimeError("leaf without a selected ancestor")
     return Clustering(assignment, k)
 
 
@@ -340,13 +338,14 @@ def restrict(hst, keep_points):
     """Sub-HST spanned by the given points (ancestor closure, depths kept)."""
     keep_points = set(int(p) for p in keep_points)
     node_of = hst.point_node()
-    marked = set()
+    if not keep_points <= node_of.keys():
+        raise ValueError("restrict: every kept point must be mapped in the Hst")
+    keep = [False] * hst.n_nodes
     for p in keep_points:
-        v = node_of[p]
-        while v >= 0 and v not in marked:
-            marked.add(v)
-            v = hst.parent[v]
-    old_ids = sorted(marked)
+        keep[node_of[p]] = True
+    for v in reversed(hst.order[1:]):
+        keep[hst.parent[v]] |= keep[v]
+    old_ids = [v for v in range(hst.n_nodes) if keep[v]]
     remap = {old: new for new, old in enumerate(old_ids)}
     parent = [
         -1 if hst.parent[old] < 0 else remap[hst.parent[old]] for old in old_ids

@@ -27,14 +27,40 @@ import numpy as np
 from .core import STABILITY_TOL, Clustering, DistanceOracle
 
 
+def root_pass(neighbors, root):
+    """Root a tree, given as neighbor id lists, by one depth-first pass.
+
+    Returns (order, pos, parent, depth, size): preorder and its inverse,
+    parents (-1 at the root), hop depths and subtree sizes; v's subtree is
+    the slice order[pos[v] : pos[v] + size[v]]. Seen neighbors are skipped,
+    so an undirected adjacency and child lists both work. Raises ValueError
+    when a node is unreachable, which with n - 1 edges also rules out a cycle.
+    """
+    n = len(neighbors)
+    parent, depth, pos = [-1] * n, [-1] * n, [0] * n
+    depth[root] = 0
+    order, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        pos[u] = len(order)
+        order.append(u)
+        for v in neighbors[u]:
+            if depth[v] < 0:
+                parent[v], depth[v] = u, depth[u] + 1
+                stack.append(v)
+    if len(order) != n:
+        raise ValueError("edges do not form a connected tree")
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return order, pos, parent, depth, size
+
+
 class WeightedTree:
     """Tree on nodes 0..n-1 with positive, finite edge weights.
 
-    Construction roots the tree at `root` with one depth-first pass that
-    records the preorder `order` (and its inverse `pos`), each node's
-    `parent` (-1 at the root), `parent_weight`, hop `depth` and subtree
-    `size`. In preorder every subtree is one contiguous slice,
-    order[pos[v] : pos[v] + size[v]].
+    Rooted at `root` by `root_pass` (`order`, `pos`, `parent`, `depth`,
+    `size`), plus each node's `parent_weight`, the weight of its parent edge.
     """
 
     def __init__(self, n, edges, root=0):
@@ -60,35 +86,13 @@ class WeightedTree:
         # every path is at most the total weight, so this bounds all distances
         if not math.isfinite(sum(w for _, _, w in self.edges)):
             raise ValueError("edge weights overflow the float range")
-        self._root_pass()
+        self.order, self.pos, self.parent, self.depth, self.size = root_pass(
+            [[v for v, _ in nbrs] for nbrs in self.adj], self.root
+        )
+        self.parent_weight = [0.0] * self.n
+        for u, v, w in self.edges:
+            self.parent_weight[v if self.parent[v] == u else u] = w
         self._sums = None
-
-    def _root_pass(self):
-        n = self.n
-        parent, weight, depth = [-1] * n, [0.0] * n, [0] * n
-        seen = [False] * n
-        seen[self.root] = True
-        order = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, w in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v], weight[v], depth[v] = u, w, depth[u] + 1
-                    stack.append(v)
-        # connectivity check doubles as a cycle check given the edge count
-        if len(order) != n:
-            raise ValueError("edges do not form a connected tree")
-        size = [1] * n
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        self.order, self.pos, self.size = order, pos, size
-        self.parent, self.parent_weight, self.depth = parent, weight, depth
 
     def distance_sums(self):
         """(down, total): per node, distance sums to its subtree and to all nodes.

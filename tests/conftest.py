@@ -3,11 +3,12 @@
 naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
-bfs_solve_tree2, naive_point_distance_matrix, full_scan_size_guard,
-full_scan_conditioned, per_row_dp_table and relabel_by_first_appearance are
-the plain per-call walks, per-edge scans, per-row fills and per-point loops
-the tree, HST, linkage, DP and relabeling code replaced; the faster paths
-must reproduce them exactly.
+bfs_solve_tree2, naive_point_distance_matrix, walk_hst_k_clustering,
+walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
+per_row_dp_table and relabel_by_first_appearance are the plain per-call
+walks, per-point ancestor walks, per-edge scans, per-row fills and per-point
+loops the tree, HST, linkage, DP and relabeling code replaced; the faster
+paths must reproduce them exactly.
 """
 
 import itertools
@@ -160,6 +161,95 @@ def naive_point_distance_matrix(hst):
         for j in range(i + 1, len(pts)):
             out[i, j] = out[j, i] = hst.node_dist(nodes[pts[i]], nodes[pts[j]])
     return out
+
+
+def walk_hst_k_clustering(hst, k):
+    """hst_k_clustering's assignment by a per-point ancestor walk.
+
+    The same antichain selection, then every point climbs from its node to
+    the first selected ancestor it meets, which is its deepest one.
+    """
+    L = hst.max_depth()
+    counts = np.bincount(hst.depth, minlength=L + 1)
+    ell = max(d for d in range(L + 1) if counts[d] <= k)
+    frontier = deque(sorted(i for i in range(hst.n_nodes) if hst.depth[i] == ell))
+    if len(frontier) == k or ell == L:
+        selected = list(frontier)
+    else:
+        selected = []
+        while frontier:
+            v = frontier.popleft()
+            kids = hst.children[v]
+            grown = len(selected) + len(kids) + len(frontier)
+            if grown < k:
+                selected.extend(kids)
+            elif grown == k:
+                selected.extend(kids)
+                selected.extend(frontier)
+                break
+            else:
+                m = k - len(selected) - len(frontier) - 1
+                selected.append(v)
+                selected.extend(kids[:m])
+                selected.extend(frontier)
+                break
+    mark = {v: i for i, v in enumerate(sorted(selected))}
+    node_of = hst.point_node()
+    assignment = np.empty(len(node_of), dtype=int)
+    for i, p in enumerate(hst.points()):
+        v = node_of[p]
+        while v not in mark:
+            v = hst.parent[v]
+        assignment[i] = mark[v]
+    return assignment
+
+
+def walk_restrict(hst, keep_points):
+    """restrict's per-point ancestor walk: (parent, level_weights, node_point).
+
+    Each kept point climbs from its node until it meets a node already marked.
+    """
+    keep_points = set(int(p) for p in keep_points)
+    node_of = hst.point_node()
+    marked = set()
+    for p in keep_points:
+        v = node_of[p]
+        while v >= 0 and v not in marked:
+            marked.add(v)
+            v = hst.parent[v]
+    old_ids = sorted(marked)
+    remap = {old: new for new, old in enumerate(old_ids)}
+    parent = [-1 if hst.parent[old] < 0 else remap[hst.parent[old]] for old in old_ids]
+    node_point = {remap[v]: p for v, p in hst.node_point.items() if p in keep_points}
+    return parent, hst.level_weights, node_point
+
+
+def dfs_root_fields(tree):
+    """WeightedTree's former depth-first root pass over `adj`.
+
+    Returns (order, pos, parent, parent_weight, depth, size).
+    """
+    n = tree.n
+    parent, weight, depth = [-1] * n, [0.0] * n, [0] * n
+    seen = [False] * n
+    seen[tree.root] = True
+    order = []
+    stack = [tree.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v, w in tree.adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v], weight[v], depth[v] = u, w, depth[u] + 1
+                stack.append(v)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, pos, parent, weight, depth, size
 
 
 def full_scan_size_guard(matrix, alpha):

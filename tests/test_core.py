@@ -385,6 +385,15 @@ def test_obj_norms():
         audit(o, c, targets=[2, 2, 2])
 
 
+@pytest.mark.parametrize("targets", [[0, 4], [-1, 2.5], [math.nan, 2], [2.5, 1.5], [math.inf, 2]])
+def test_obj_rejects_targets_that_are_not_positive_whole_numbers(targets):
+    o = DistanceOracle.from_points([0.0, 1.0, 7.0, 8.0])
+    c = Clustering(np.array([0, 0, 1, 1]), 2)
+    with pytest.raises(ValueError):
+        audit(o, c, targets=targets)
+    assert audit(o, c, targets=[1.0, 3]).obj == 1.0   # whole floats are sizes too
+
+
 @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
 def test_obj_rejects_norm_orders_below_one_and_nan(p):
     o = DistanceOracle.from_points([0.0, 1.0, 2.0, 3.0])

@@ -145,6 +145,18 @@ def test_large_p_warns():
         solve_targets(vals, [3, 3], p=40.0)
 
 
+@pytest.mark.parametrize("values, targets, message", [
+    ([0.0, 1.0, 5.0, 6.0], [2.5, 2.5], "whole numbers"),     # was truncated to [2, 2]
+    ([0.0, 1.0, 5.0, 6.0, 7.0], [2.9, 1.9, 0.2], "whole numbers"),
+    ([0.0, 1.0, 5.0, 6.0], [math.nan, 4], "whole numbers"),
+    ([0.0, 1.0, 5.0, 6.0], [0, 4], "at least 1"),
+    ([0.0, 1.0, 5.0, 6.0], [[2, 2]], "length"),
+])
+def test_targets_must_be_positive_whole_numbers(values, targets, message):
+    with pytest.raises(ValueError, match=message):
+        solve_targets(values, targets)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         solve_targets(np.arange(3.0), [1, 1, 1, 1], p=1)  # k > n

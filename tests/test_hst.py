@@ -19,6 +19,8 @@ from conftest import (
     random_graph_metric,
     random_hst,
     random_points,
+    walk_hst_k_clustering,
+    walk_restrict,
 )
 
 
@@ -59,6 +61,19 @@ def test_validate_rejects_non_halving_used_weights():
         Hst(parent=[-1, 0, 1], level_weights=[4.0, 3.0], node_point={2: 0})
     # a non-halving weight beyond the deepest edge is never used: fine
     Hst(parent=[-1, 0], level_weights=[4.0, 3.9], node_point={1: 0})
+
+
+@pytest.mark.parametrize("parent", [
+    [-1, 5],        # a parent id past the last node
+    [-1, 0.5],      # not an integer
+    [-2, 0],        # -2 is not a root marker
+    [-1, -1],       # two roots
+    [1, 0],         # no root
+    [-1, 2, 1],     # a cycle away from the root
+])
+def test_hst_rejects_bad_parent_ids(parent):
+    with pytest.raises(ValueError):
+        Hst(parent, [1.0, 0.5], {len(parent) - 1: 0})
 
 
 def test_validate_rejects_duplicate_points():
@@ -220,3 +235,38 @@ def test_cluster_via_embedding_zero_epsilon_keeps_everything():
     res = cluster_via_embedding(o, 3, epsilon=0.0, seed=2)
     assert res.excluded == []
     assert len(res.retained) == 15
+
+
+def test_restrict_rejects_a_point_outside_the_hst():
+    with pytest.raises(ValueError):
+        restrict(_tiny_hst(), [0, 5])
+
+
+def _walk_family(rng):
+    """random_hst, its normalize_leaves form, and embed_hst of points with duplicates."""
+    for trial in range(40):
+        h = random_hst(rng, max_depth=int(rng.integers(1, 6)))
+        yield h
+        yield normalize_leaves(h)
+        base = np.round(random_points(rng, int(rng.integers(1, 25)), 2))
+        pts = base[rng.integers(0, len(base), size=len(base) + int(rng.integers(0, 8)))]
+        yield embed_hst(DistanceOracle.from_points(pts), seed=trial)
+
+
+def test_k_clustering_matches_the_ancestor_walk():
+    for h in _walk_family(np.random.default_rng(61)):
+        h = normalize_leaves(h)
+        for k in range(1, len(h.points()) + 1):
+            assert np.array_equal(hst_k_clustering(h, k).assignment, walk_hst_k_clustering(h, k))
+
+
+def test_restrict_matches_the_ancestor_walk():
+    rng = np.random.default_rng(67)
+    for h in _walk_family(rng):
+        pts = h.points()
+        keeps = [pts[:1], pts[-1:], pts]
+        keeps += [rng.choice(pts, size=int(rng.integers(1, len(pts) + 1)), replace=False)
+                  for _ in range(3)]
+        for keep in keeps:
+            r = restrict(h, keep)
+            assert (r.parent, r.level_weights, r.node_point) == walk_restrict(h, keep)

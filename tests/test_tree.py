@@ -14,7 +14,7 @@ from ipstable.tree import (
     solve_tree2,
 )
 
-from conftest import bfs_solve_tree2, naive_num_unstable, random_tree
+from conftest import bfs_solve_tree2, dfs_root_fields, naive_num_unstable, random_tree
 
 
 def _audit_tree(tree, clustering):
@@ -206,6 +206,12 @@ def _shaped_trees(rng):
         edges = [(int(label[u]), int(label[v + 1]), float(rng.uniform(0.1, 3.0)))
                  for v, u in enumerate(parents)]
         yield WeightedTree(n, edges, root=int(rng.integers(0, n)))
+
+
+def test_root_pass_matches_the_depth_first_reference():
+    for t in _shaped_trees(np.random.default_rng(37)):
+        fields = (t.order, t.pos, t.parent, t.parent_weight, t.depth, t.size)
+        assert fields == dfs_root_fields(t)
 
 
 def test_distance_matrix_is_bitwise_the_bfs_rows():
