@@ -7,9 +7,6 @@ something to break. All are deterministic given their seed/start arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy.cluster import hierarchy
 from scipy.spatial.distance import cdist, squareform
@@ -118,111 +115,101 @@ def kcenter_greedy(oracle, k, first):
     return Clustering(assign, k)
 
 
-@dataclass
-class DendrogramNode:
-    """Binary merge-tree node; leaves carry the original point index."""
-
-    id: int
-    height: float
-    point: Optional[int] = None
-    left: Optional["DendrogramNode"] = None
-    right: Optional["DendrogramNode"] = None
-
-    def is_leaf(self):
-        return self.point is not None
-
-    def leaves(self):
-        """Point indices under this node (iterative; dendrograms can be deep)."""
-        out = []
-        stack = [self]
-        while stack:
-            v = stack.pop()
-            if v.is_leaf():
-                out.append(v.point)
-            else:
-                stack.append(v.right)
-                stack.append(v.left)
-        return out
-
-
 def linkage(oracle, variant="single"):
-    """Agglomerative dendrogram (single, average, or complete linkage)."""
+    """scipy's linkage matrix Z for single, average, or complete linkage.
+
+    Z has n-1 rows: row r merges nodes Z[r, 0] and Z[r, 1] into node n + r
+    at height Z[r, 2]; nodes 0..n-1 are the points. A one-point oracle gives
+    an empty (0, 4) array.
+    """
     if variant not in ("single", "average", "complete"):
         raise ValueError("variant must be single, average, or complete")
-    n = oracle.n
-    if n == 1:
-        return DendrogramNode(id=0, height=0.0, point=0)
+    if oracle.n == 1:
+        return np.empty((0, 4))
     m = oracle.matrix()
     m = (m + m.T) / 2.0  # exact symmetry for squareform
-    z = hierarchy.linkage(squareform(m, checks=False), method=variant)
-    nodes = [DendrogramNode(id=i, height=0.0, point=i) for i in range(n)]
-    for row_i, (a, b, h, _cnt) in enumerate(z):
-        nodes.append(
-            DendrogramNode(
-                id=n + row_i,
-                height=float(h),
-                left=nodes[int(a)],
-                right=nodes[int(b)],
-            )
-        )
-    return nodes[-1]
+    return hierarchy.linkage(squareform(m, checks=False), method=variant)
 
 
-def cut_dendrogram(root, k):
-    """The k clusters left after undoing the k-1 highest merges.
+def _leaf_slices(z):
+    """(order, children, start, size) of linkage matrix z.
 
-    Ties between equal-height merges break toward the larger node id
-    (the later merge).
+    order is scipy's leaf order, children[r] the two nodes row r merges,
+    and node v's points are order[start[v] : start[v] + size[v]].
     """
-    frontier = [root]
-    n_leaves = len(root.leaves())
-    if not 1 <= k <= n_leaves:
-        raise ValueError("need 1 <= k <= number of leaves")
-    while len(frontier) < k:
-        internal = [v for v in frontier if not v.is_leaf()]
-        v = max(internal, key=lambda w: (w.height, w.id))
-        frontier.remove(v)
-        frontier.extend([v.left, v.right])
-    return _frontier_clustering(frontier, n_leaves)
+    n = len(z) + 1
+    children = z[:, :2].astype(int)
+    order = hierarchy.leaves_list(z) if n > 1 else np.zeros(1, dtype=int)
+    size = np.ones(2 * n - 1, dtype=int)
+    size[n:] = z[:, 3]
+    start = np.empty(2 * n - 1, dtype=int)
+    start[order] = np.arange(n)
+    # leaves_list puts a node's left child first, so both slices start together
+    for r, left in enumerate(children[:, 0].tolist()):
+        start[n + r] = start[left]
+    return order, children, start, size
 
 
-def _frontier_clustering(frontier, n):
-    labels = np.empty(n, dtype=int)
-    for i, v in enumerate(frontier):
-        labels[v.leaves()] = i
+def _slices_clustering(order, start, size, nodes):
+    """The clustering whose clusters are the given nodes' leaf slices."""
+    nodes = np.asarray(nodes)
+    nodes = nodes[np.argsort(start[nodes])]
+    labels = np.empty(len(order), dtype=int)
+    labels[order] = np.repeat(np.arange(len(nodes)), size[nodes])
     return Clustering.from_labels(labels)
 
 
-def greedy_prune(root, oracle, k, measure="num-unstable"):
-    """Greedy top-down dendrogram pruning toward k stable-ish clusters.
+def cut_dendrogram(z, k):
+    """The k clusters of linkage matrix z left after undoing its k-1 last merges.
+
+    These are the k-1 highest merges, ties going to the later merge: scipy
+    sorts Z's rows by nondecreasing height and numbers every parent above
+    its children, so the last rows are the highest (height, node id) pairs.
+    """
+    n = len(z) + 1
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= number of leaves")
+    order, children, start, size = _leaf_slices(z)
+    # the undone merges are nodes >= 2n-k; the root alone is left at k = 1
+    kids = np.append(children[n - k :], 2 * n - 2)
+    frontier = kids[kids < 2 * n - k]
+    return _slices_clustering(order, start, size, frontier)
+
+
+def greedy_prune(z, oracle, k, measure="num-unstable"):
+    """Greedy top-down pruning of linkage matrix z toward k stable-ish clusters.
 
     Starts from the root's two children and, for k-2 rounds, splits the
     frontier node whose split gives the best audited score: fewest
     unstable points or smallest max violation. Ties go to the smallest
-    node id. Only non-singleton nodes can split.
+    node id. Only non-singleton nodes can split. z must be over the
+    oracle's n points.
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
-    if root.is_leaf():
+    if len(z) == 0:
         raise ValueError("cannot prune a single-leaf dendrogram")
     n = oracle.n
+    if len(z) + 1 != n:
+        raise ValueError("dendrogram and oracle size mismatch")
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
-    frontier = [root.left, root.right]
+    order, children, start, size = _leaf_slices(z)
+    frontier = children[-1].tolist()
     for _ in range(k - 2):
         best = None
         for v in frontier:
-            if v.is_leaf():
+            if v < n:
                 continue
-            cand = [w for w in frontier if w is not v] + [v.left, v.right]
-            rep = audit(oracle, _frontier_clustering(cand, n))
+            cand = [w for w in frontier if w != v] + children[v - n].tolist()
+            rep = audit(oracle, _slices_clustering(order, start, size, cand))
             score = rep.num_unstable if measure == "num-unstable" else rep.max_violation
-            if best is None or (score, v.id) < (best[0], best[1]):
-                best = (score, v.id, v, cand)
+            if best is None or (score, v) < (best[0], best[1]):
+                best = (score, v, cand)
         if best is None:
             raise RuntimeError("no splittable frontier node before reaching k")
-        frontier = best[3]
-    return _frontier_clustering(frontier, n)
+        frontier = best[2]
+    return _slices_clustering(order, start, size, frontier)
 
 
 def random_clustering(n, k, seed=0):

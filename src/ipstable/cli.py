@@ -426,12 +426,12 @@ def _bench_runner(token, oracle, features, args):
     cache = {}
 
     def run(k, seed):
-        if "root" not in cache:
-            cache["root"] = baselines.linkage(oracle, variant)
-        root = cache["root"]
+        if "z" not in cache:
+            cache["z"] = baselines.linkage(oracle, variant)
+        z = cache["z"]
         if prune:
-            return baselines.greedy_prune(root, oracle, k, measure=args.measure)
-        return baselines.cut_dendrogram(root, k)
+            return baselines.greedy_prune(z, oracle, k, measure=args.measure)
+        return baselines.cut_dendrogram(z, k)
 
     return run
 

@@ -316,7 +316,9 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
         else:
             if not p >= 1:                       # also rejects NaN
                 raise ValueError("p must be >= 1")
-            obj = float(np.sum(dev**p) ** (1.0 / p))
+            # scaled by the largest deviation so dev**p cannot overflow
+            top = dev.max()
+            obj = 0.0 if top == 0 else float(top * np.sum((dev / top) ** p) ** (1.0 / p))
     return StabilityReport(vi, num_unstable, max_violation, mean_violation, cost, obj)
 
 

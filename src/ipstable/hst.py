@@ -43,6 +43,17 @@ HALVING_SLACK = 1e-12
 ROW_CHUNK = 64
 
 
+def _integer_ids(ids, message):
+    """ids as ints by operator.index, which neither truncates 0.5 nor parses "1"."""
+    ids = list(ids)
+    if any(isinstance(i, bool) for i in ids):
+        raise ValueError(message)
+    try:
+        return list(map(operator.index, ids))
+    except TypeError:
+        raise ValueError(message) from None
+
+
 class Hst:
     """Rooted tree with depth-determined edge weights and a point mapping.
 
@@ -54,10 +65,7 @@ class Hst:
     """
 
     def __init__(self, parent, level_weights, node_point):
-        try:
-            self.parent = list(map(operator.index, parent))
-        except TypeError:
-            raise ValueError("Hst parent ids must be integers") from None
+        self.parent = _integer_ids(parent, "Hst parent ids must be integers")
         self.level_weights = [float(w) for w in level_weights]
         self.node_point = dict(node_point)
         self.n_nodes = len(self.parent)
@@ -336,7 +344,7 @@ def embed_hst(oracle, seed):
 
 def restrict(hst, keep_points):
     """Sub-HST spanned by the given points (ancestor closure, depths kept)."""
-    keep_points = set(int(p) for p in keep_points)
+    keep_points = set(_integer_ids(keep_points, "restrict: point ids must be integers"))
     node_of = hst.point_node()
     if not keep_points <= node_of.keys():
         raise ValueError("restrict: every kept point must be mapped in the Hst")

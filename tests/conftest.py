@@ -5,10 +5,11 @@ plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
 bfs_solve_tree2, naive_point_distance_matrix, walk_hst_k_clustering,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
-per_row_dp_table and relabel_by_first_appearance are the plain per-call
-walks, per-point ancestor walks, per-edge scans, per-row fills and per-point
-loops the tree, HST, linkage, DP and relabeling code replaced; the faster
-paths must reproduce them exactly.
+max_pick_cut, reaudit_prune, per_row_dp_table and relabel_by_first_appearance
+are the plain per-call walks, per-point ancestor walks, per-edge scans,
+frontier loops, per-row fills and per-point loops the tree, HST, linkage,
+dendrogram, DP and relabeling code replaced; the faster paths must reproduce
+them exactly.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ipstable.core import STABILITY_TOL, DistanceOracle
+from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit
 from ipstable.hst import Hst
 from ipstable.line1d import LineInstance
 from ipstable.tree import WeightedTree
@@ -334,6 +335,73 @@ def full_scan_conditioned(matrix, alpha, gamma):
             cross_min[a, b] = cross_min[b, a] = mn[roots[a]][roots[b]]
             cross_max[a, b] = cross_max[b, a] = mx[roots[a]][roots[b]]
     return log, [sorted(members[r]) for r in roots], cross_min, cross_max
+
+
+def dendrogram_leaves(z, v):
+    """Points under node v of linkage matrix z, by a stack walk over its rows."""
+    n = len(z) + 1
+    out, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        if u < n:
+            out.append(u)
+        else:
+            stack.append(int(z[u - n, 1]))
+            stack.append(int(z[u - n, 0]))
+    return out
+
+
+def _frontier_labels(z, frontier):
+    labels = np.empty(len(z) + 1, dtype=int)
+    for i, v in enumerate(frontier):
+        labels[dendrogram_leaves(z, v)] = i
+    return relabel_by_first_appearance(labels)
+
+
+def max_pick_cut(z, k):
+    """cut_dendrogram's former loop: (assignment, k) after k-1 frontier splits.
+
+    Each split undoes the frontier merge with the largest (height, node id).
+    """
+    n = len(z) + 1
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= number of leaves")
+    frontier = [2 * n - 2]
+    while len(frontier) < k:
+        v = max((w for w in frontier if w >= n), key=lambda w: (z[w - n, 2], w))
+        frontier.remove(v)
+        frontier.extend(int(c) for c in z[v - n, :2])
+    return _frontier_labels(z, frontier)
+
+
+def reaudit_prune(z, oracle, k, measure="num-unstable"):
+    """greedy_prune's former loop: (assignment, k), re-auditing every split.
+
+    Each round audits every splittable frontier node's split with the
+    package's audit and keeps the smallest (score, node id).
+    """
+    if measure not in ("num-unstable", "max-violation"):
+        raise ValueError("measure must be num-unstable or max-violation")
+    n = len(z) + 1
+    if n == 1:
+        raise ValueError("cannot prune a single-leaf dendrogram")
+    if not 2 <= k <= oracle.n:
+        raise ValueError("need 2 <= k <= n")
+    frontier = [int(z[-1, 0]), int(z[-1, 1])]
+    for _ in range(k - 2):
+        best = None
+        for v in frontier:
+            if v < n:
+                continue
+            cand = [w for w in frontier if w != v] + [int(c) for c in z[v - n, :2]]
+            rep = audit(oracle, Clustering(*_frontier_labels(z, cand)))
+            score = rep.num_unstable if measure == "num-unstable" else rep.max_violation
+            if best is None or (score, v) < (best[0], best[1]):
+                best = (score, v, cand)
+        if best is None:
+            raise RuntimeError("no splittable frontier node before reaching k")
+        frontier = best[2]
+    return _frontier_labels(z, frontier)
 
 
 class _SparseMin:

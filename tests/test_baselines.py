@@ -3,6 +3,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import leaves_list
 
 from ipstable.core import Clustering, DistanceOracle, audit
 from ipstable.baselines import (
@@ -15,7 +16,13 @@ from ipstable.baselines import (
     random_clustering,
 )
 
-from conftest import planted, random_points
+from conftest import (
+    dendrogram_leaves,
+    max_pick_cut,
+    planted,
+    random_points,
+    reaudit_prune,
+)
 
 
 def test_lloyd_monotone_inertia_without_repairs():
@@ -83,14 +90,8 @@ def test_single_linkage_merge_heights_match_mst():
     rng = np.random.default_rng(2)
     x = random_points(rng, 24, 2)
     o = DistanceOracle.from_points(x)
-    root = linkage(o, "single")
-    heights = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.left is not None:
-            heights.append(node.height)
-            stack.extend([node.left, node.right])
+    z = linkage(o, "single")
+    heights = z[:, 2]
     m = o.matrix()
     g = nx.Graph()
     for i in range(24):
@@ -104,19 +105,13 @@ def test_cut_dendrogram_equals_threshold_components():
     rng = np.random.default_rng(3)
     x = random_points(rng, 30, 2)
     o = DistanceOracle.from_points(x)
-    root = linkage(o, "single")
+    z = linkage(o, "single")
     for k in (2, 4, 7):
-        c = cut_dendrogram(root, k)
+        c = cut_dendrogram(z, k)
         assert c.k == k
         # single-linkage k clusters = components of the graph on edges
         # strictly below the k-th largest merge height
-        heights = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.left is not None:
-                heights.append(node.height)
-                stack.extend([node.left, node.right])
+        heights = z[:, 2].tolist()
         cutoff = sorted(heights, reverse=True)[k - 2]
         m = o.matrix()
         g = nx.Graph()
@@ -135,9 +130,9 @@ def test_linkage_variants_differ_and_validate():
     x = random_points(rng, 20, 2)
     o = DistanceOracle.from_points(x)
     for variant in ("single", "average", "complete"):
-        root = linkage(o, variant)
-        assert sorted(root.leaves()) == list(range(20))
-        c = cut_dendrogram(root, 4)
+        z = linkage(o, variant)
+        assert sorted(leaves_list(z)) == list(range(20))
+        c = cut_dendrogram(z, 4)
         assert c.k == 4
     with pytest.raises(ValueError):
         linkage(o, "ward2000")
@@ -147,8 +142,8 @@ def test_deep_chain_dendrogram_leaves_iterative():
     # a long 1-D run gives a maximally unbalanced single-linkage tree
     vals = np.arange(3000, dtype=float).reshape(-1, 1) ** 1.001
     o = DistanceOracle.from_points(vals)
-    root = linkage(o, "single")
-    assert len(root.leaves()) == 3000  # must not hit the recursion limit
+    z = linkage(o, "single")
+    assert len(leaves_list(z)) == 3000  # must not hit the recursion limit
 
 
 def test_greedy_prune_matches_exhaustive_candidates():
@@ -157,23 +152,24 @@ def test_greedy_prune_matches_exhaustive_candidates():
         for trial in range(6):
             x = random_points(rng, 14, 2)
             o = DistanceOracle.from_points(x)
-            root = linkage(o, "average")
-            got = greedy_prune(root, o, 3, measure=measure)
+            z = linkage(o, "average")
+            got = greedy_prune(z, o, 3, measure=measure)
             # one round from the root pair: try every splittable frontier node
-            frontier = [root.left, root.right]
+            frontier = [int(z[-1, 0]), int(z[-1, 1])]
             best = None
             for idx, node in enumerate(frontier):
-                if node.left is None:
+                if node < 14:
                     continue
-                cand = frontier[:idx] + [node.left, node.right] + frontier[idx + 1 :]
+                kids = [int(c) for c in z[node - 14, :2]]
+                cand = frontier[:idx] + kids + frontier[idx + 1 :]
                 labels = np.empty(14, dtype=int)
                 for ci, nd in enumerate(cand):
-                    labels[nd.leaves()] = ci
+                    labels[dendrogram_leaves(z, nd)] = ci
                 rep = audit(o, Clustering(labels, 3))
                 score = (
                     rep.num_unstable if measure == "num-unstable" else rep.max_violation
                 )
-                key = (score, node.id)
+                key = (score, node)
                 if best is None or key < best[0]:
                     best = (key, labels)
             want = {
@@ -185,10 +181,53 @@ def test_greedy_prune_matches_exhaustive_candidates():
 
 def test_greedy_prune_guards():
     o = DistanceOracle.from_points(np.arange(5.0).reshape(-1, 1))
-    root = linkage(o, "single")
+    z = linkage(o, "single")
     with pytest.raises(ValueError):
-        greedy_prune(root, o, 3, measure="entropy")
-    assert greedy_prune(root, o, 2).k == 2
+        greedy_prune(z, o, 3, measure="entropy")
+    assert greedy_prune(z, o, 2).k == 2
+
+
+@pytest.mark.parametrize("tree_n, oracle_n", [(5, 10), (10, 5)])
+def test_greedy_prune_rejects_a_dendrogram_of_another_size(tree_n, oracle_n):
+    # a 5-leaf tree against 10 points used to leave labels unset, not raise
+    z = linkage(DistanceOracle.from_points(np.arange(float(tree_n)).reshape(-1, 1)))
+    o = DistanceOracle.from_points(np.arange(float(oracle_n)).reshape(-1, 1))
+    with pytest.raises(ValueError, match="size mismatch"):
+        greedy_prune(z, o, 3)
+
+
+def _dendrogram_instances():
+    """Random, rounded (tied), duplicate-heavy and 1-D integer points."""
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 4, 6, 9, 13, 19):
+        yield n, rng.normal(size=(n, 2))
+        yield n, np.round(rng.normal(size=(n, 2)), 1)
+        yield n, rng.integers(0, 3, size=(n, 2)).astype(float)
+        yield n, rng.integers(0, 6, size=(n, 1)).astype(float)
+
+
+def _outcome(fn, *args, **kwargs):
+    """(assignment, k) of a call, or the type and message of what it raised."""
+    try:
+        got = fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Clustering):
+        got = (got.assignment, got.k)
+    return got[0].tolist(), got[1]
+
+
+@pytest.mark.parametrize("variant", ["single", "average", "complete"])
+def test_cut_and_prune_match_the_frontier_loops(variant):
+    for n, x in _dendrogram_instances():
+        o = DistanceOracle.from_points(x)
+        z = linkage(o, variant)
+        for k in range(n + 2):
+            assert _outcome(cut_dendrogram, z, k) == _outcome(max_pick_cut, z, k), (n, x, k)
+        for measure in ("num-unstable", "max-violation"):
+            for k in range(min(8, n + 1) + 1):
+                want = _outcome(reaudit_prune, z, o, k, measure=measure)
+                assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
 
 
 def test_random_clustering_valid_and_seeded():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -383,6 +384,40 @@ def test_obj_norms():
     assert audit(o, c).obj is None
     with pytest.raises(ValueError):
         audit(o, c, targets=[2, 2, 2])
+
+
+def _exact_lp(devs, p):
+    """(sum of d**p over whole devs) ** (1/p), in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(Decimal(d) ** Decimal(p) for d in devs)
+        return float(total ** (1 / Decimal(p))) if total else 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.data(),
+)
+def test_obj_matches_an_exact_lp_norm(sizes, data):
+    k = len(sizes)
+    targets = data.draw(st.lists(
+        st.one_of(st.integers(1, 12), st.integers(1, 10**200)), min_size=k, max_size=k))
+    p = data.draw(st.one_of(st.sampled_from([1, 2, 3, 2000]), st.floats(1.0, 64.0)))
+    labels = np.repeat(np.arange(k), sizes)
+    o = DistanceOracle.from_points(np.arange(float(len(labels))))
+    obj = audit(o, Clustering(labels, k), targets=targets, p=p).obj
+    want = _exact_lp([abs(s - t) for s, t in zip(sizes, targets)], p)
+    assert obj == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("targets, p", [([10**200, 2], 2), ([4, 1], 2000)])
+def test_obj_does_not_overflow_on_large_deviations_or_orders(targets, p):
+    # dev**p alone overflows for both: (1e200)**2 and 2**2000
+    o = DistanceOracle.from_points([0.0, 1.0, 7.0, 8.0])
+    obj = audit(o, Clustering(np.array([0, 0, 1, 1]), 2), targets=targets, p=p).obj
+    assert math.isfinite(obj)
+    assert obj == pytest.approx(_exact_lp([abs(2 - t) for t in targets], p), rel=1e-12)
 
 
 @pytest.mark.parametrize("targets", [[0, 4], [-1, 2.5], [math.nan, 2], [2.5, 1.5], [math.inf, 2]])

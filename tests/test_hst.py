@@ -66,6 +66,7 @@ def test_validate_rejects_non_halving_used_weights():
 @pytest.mark.parametrize("parent", [
     [-1, 5],        # a parent id past the last node
     [-1, 0.5],      # not an integer
+    [-1, False],    # a bool, not a node id
     [-2, 0],        # -2 is not a root marker
     [-1, -1],       # two roots
     [1, 0],         # no root
@@ -240,6 +241,16 @@ def test_cluster_via_embedding_zero_epsilon_keeps_everything():
 def test_restrict_rejects_a_point_outside_the_hst():
     with pytest.raises(ValueError):
         restrict(_tiny_hst(), [0, 5])
+
+
+@pytest.mark.parametrize("keep", [
+    [0.5, 1.7],     # int() would truncate these to points 0 and 1
+    ["1"],          # int() would parse this as point 1
+    [True],         # a bool would count as point 1
+])
+def test_restrict_rejects_point_ids_that_are_not_integers(keep):
+    with pytest.raises(ValueError, match="integers"):
+        restrict(_tiny_hst(), keep)
 
 
 def _walk_family(rng):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstable import tree as tree_mod
-from ipstable.core import DistanceOracle, audit
+from ipstable.core import STABILITY_TOL, DistanceOracle, audit, brute_force
 from ipstable.tree import (
     BoundaryEdge,
     WeightedTree,
@@ -14,7 +16,13 @@ from ipstable.tree import (
     solve_tree2,
 )
 
-from conftest import bfs_solve_tree2, dfs_root_fields, naive_num_unstable, random_tree
+from conftest import (
+    bfs_solve_tree2,
+    dfs_root_fields,
+    naive_num_unstable,
+    naive_vi,
+    random_tree,
+)
 
 
 def _audit_tree(tree, clustering):
@@ -162,6 +170,31 @@ def test_small_trees_exhaustive_split_check():
         assert stable_cuts, "every tree admits a stable 2-cut"
         got = solve_tree2(t)
         assert naive_num_unstable(m, got.assignment) == 0
+
+
+@st.composite
+def _small_trees(draw):
+    """Trees on 2..10 nodes with shuffled labels and a random root.
+
+    Weights are either small integers, so branch averages tie often, or floats.
+    """
+    n = draw(st.integers(2, 10))
+    label = draw(st.permutations(range(n)))
+    weight = draw(st.sampled_from([
+        st.integers(1, 3).map(float),
+        st.floats(0.1, 5.0),
+    ]))
+    edges = [(label[draw(st.integers(0, v - 1))], label[v], draw(weight)) for v in range(1, n)]
+    return WeightedTree(n, edges, root=draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_trees())
+def test_solve_tree2_is_stable_where_brute_force_finds_a_stable_split(t):
+    got = solve_tree2(t)
+    assert max(naive_vi(t.distance_matrix(), got.assignment)) <= 1.0 + STABILITY_TOL
+    found, _ = brute_force(t.to_oracle(), 2)
+    assert found is not None
 
 
 def _edge_cut_labels(tree, v):
