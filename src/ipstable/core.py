@@ -16,6 +16,12 @@ tested against.
 
 All averages use the convention 0/0 = 0; a point with positive own-cluster
 average and a zero foreign-cluster average has infinite violation.
+
+One stability rule and one count rule hold for every caller, with no
+per-call knob: a point is stable when own_avg <= foreign_avg * (1 +
+STABILITY_TOL), a relative slack on the foreign side, and "at least frac * n
+points" means `min_count(frac, n)`, the smallest whole count >= frac * n.
+
 Distances must be finite and small enough that every row sum stays finite;
 oracles reject anything else, points on a line when they are constructed
 and every other payload when its matrix is built.
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-# A point counts as stable against another cluster when
+# The one stability rule: a point is stable against another cluster when
 #   own_avg <= other_avg * (1 + STABILITY_TOL)
 STABILITY_TOL = 1e-9
 
@@ -51,6 +57,13 @@ def _check_range(largest, n):
     """
     if not math.isfinite(float(largest) * n):
         raise ValueError("distances are not finite or overflow the float range")
+
+
+def min_count(frac, n):
+    """The smallest whole count >= frac * n, read with a relative slack of a
+    few ulps so that a product rounded just above a whole number counts as
+    it (0.28 * 25 is 7.000000000000001 in floats, and asks for 7)."""
+    return math.ceil(frac * n * (1.0 - 1e-15))
 
 
 def _line_cluster_sums(values, clustering):
@@ -130,15 +143,9 @@ class DistanceOracle:
         return cls(m.shape[0], matrix=m.copy())
 
     @classmethod
-    def from_tree(cls, tree, point_to_node=None):
-        """Path-metric oracle over a weighted tree.
-
-        point_to_node maps point index -> node id; identity by default.
-        """
+    def from_tree(cls, tree):
+        """Path-metric oracle over a weighted tree, one point per node."""
         m = tree.distance_matrix()
-        if point_to_node is not None:
-            idx = np.asarray(point_to_node, dtype=int)
-            m = m[np.ix_(idx, idx)]
         _check_range(m.max(), len(m))
         return cls(m.shape[0], matrix=m)
 
@@ -218,7 +225,7 @@ class StabilityReport:
     """Result of auditing one clustering against one oracle."""
 
     vi: np.ndarray             # per-point violation factor
-    num_unstable: int          # points with vi > 1 + tol
+    num_unstable: int          # points with vi > 1 + STABILITY_TOL
     max_violation: float       # max vi (the smallest t making the clustering t-stable)
     mean_violation: float      # mean vi over unstable points, 0 if none
     cost: float                # sum over clusters of avg within-cluster distance
@@ -277,7 +284,7 @@ def _check_targets(targets, k):
     return targets
 
 
-def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
+def audit(oracle, clustering, targets=None, p=math.inf):
     """Measure a clustering: per-point violations plus aggregate quality.
 
     Args:
@@ -285,7 +292,6 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
         clustering: Clustering to score.
         targets: optional per-cluster target sizes (length k); enables `obj`.
         p: norm order for `obj` (real >= 1 or math.inf).
-        tol: relative stability slack.
 
     Returns:
         StabilityReport. `cost` is the sum over clusters of the average
@@ -296,7 +302,7 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
         raise ValueError("clustering and oracle size mismatch")
     own_sum, own_avg, avg = _cluster_averages(oracle, clustering)
     vi = _violation_vector(own_avg, avg, clustering)
-    unstable = vi > 1.0 + tol
+    unstable = vi > 1.0 + STABILITY_TOL
     num_unstable = int(np.count_nonzero(unstable))
     max_violation = float(np.max(vi)) if len(vi) else 0.0
     mean_violation = float(np.mean(vi[unstable])) if num_unstable else 0.0
@@ -322,12 +328,11 @@ def audit(oracle, clustering, targets=None, p=math.inf, tol=STABILITY_TOL):
     return StabilityReport(vi, num_unstable, max_violation, mean_violation, cost, obj)
 
 
-def is_t_stable(oracle, clustering, t, tol=STABILITY_TOL):
+def is_t_stable(oracle, clustering, t):
     """True when every point's violation factor is at most t (with slack)."""
     if not (t >= 1.0):
         raise ValueError("t must be at least 1")
-    rep = audit(oracle, clustering, tol=tol)
-    return bool(rep.max_violation <= t * (1.0 + tol))
+    return bool(audit(oracle, clustering).max_violation <= t * (1.0 + STABILITY_TOL))
 
 
 def _partitions_into_k(n, k):
@@ -353,7 +358,7 @@ def _partitions_into_k(n, k):
     yield from rec(1, 1)
 
 
-def brute_force(oracle, k, mode="find-stable", tol=STABILITY_TOL):
+def brute_force(oracle, k, mode="find-stable"):
     """Reference solver by set-partition enumeration, guarded to n <= 14.
 
     mode "find-stable" returns (clustering, its max violation) for the first
@@ -392,7 +397,7 @@ def brute_force(oracle, k, mode="find-stable", tol=STABILITY_TOL):
                     continue
                 other = sums[c] / sizes[c]
                 if mode == "find-stable":
-                    if own > other * (1.0 + tol):
+                    if own > other * (1.0 + STABILITY_TOL):
                         ok = False
                         break
                 else:
@@ -404,7 +409,7 @@ def brute_force(oracle, k, mode="find-stable", tol=STABILITY_TOL):
         if mode == "find-stable":
             if ok:
                 cl = Clustering(np.array(a), k)
-                return cl, audit(oracle, cl, tol=tol).max_violation
+                return cl, audit(oracle, cl).max_violation
         else:
             if best_assign is None or worst < best_vi:
                 best_vi = worst

@@ -54,12 +54,11 @@ class DpTable:
     targets: np.ndarray
     p: float
     instance: LineInstance
-    tol: float
     s_lo: np.ndarray = None  # feasibility thresholds, None for k = 1
     s_hi: np.ndarray = None
 
 
-def _feasibility_thresholds(line, tol):
+def _feasibility_thresholds(line):
     """Feasible previous-size interval endpoints for every boundary.
 
     Returns (s_lo, s_hi), two (n, n) arrays indexed [m, j] for boundary
@@ -74,6 +73,7 @@ def _feasibility_thresholds(line, tol):
     s_lo = np.full((n, n), n + 1, dtype=dtype)
     s_hi = np.zeros((n, n), dtype=dtype)
     counts = np.arange(1, n, dtype=float)
+    slack = 1.0 + STABILITY_TOL
 
     def averages(a):
         """Average distances from point a to its c nearest neighbors on the
@@ -91,8 +91,8 @@ def _feasibility_thresholds(line, tol):
     for m in range(1, n):
         left_a, right_a = left_b, right_b
         left_b, right_b = averages(m)
-        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_a, right_a[1:] * (1.0 + tol), side="right")
-        s_lo[m, 1 : n - m + 1] = np.searchsorted(left_b[1:] * (1.0 + tol), right_b, side="left") + 1
+        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_a, right_a[1:] * slack, side="right")
+        s_lo[m, 1 : n - m + 1] = np.searchsorted(left_b[1:] * slack, right_b, side="left") + 1
     return s_lo, s_hi
 
 
@@ -146,14 +146,13 @@ def _fill_layer(T, l, pen, s_lo, s_hi, first, last, p):
     return new_first, new_last
 
 
-def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
+def build_table(values, targets, p=math.inf):
     """Fill the full DP table for the given target sizes and norm order.
 
     Args:
         values: raw values or a LineInstance.
         targets: positive integer sizes summing to n, ordered left to right.
         p: norm order, real >= 1 or math.inf.
-        tol: relative stability slack used in the boundary conditions.
     """
     instance = values if isinstance(values, LineInstance) else LineInstance.from_values(values)
     n = instance.n
@@ -181,16 +180,16 @@ def build_table(values, targets, p=math.inf, tol=STABILITY_TOL):
         T[i, i, 1] = dev if p == math.inf else dev**p
 
     if k == 1:
-        return DpTable(T, targets, p, instance, tol)
+        return DpTable(T, targets, p, instance)
 
-    s_lo, s_hi = _feasibility_thresholds(instance, tol)
+    s_lo, s_hi = _feasibility_thresholds(instance)
     all_j = np.arange(n + 1, dtype=float)
     first = last = np.arange(n + 1)                  # layer 1 is the diagonal
     for l in range(2, k + 1):
         tl = float(targets[l - 1])
         pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
         first, last = _fill_layer(T, l, pen, s_lo, s_hi, first, last, p)
-    return DpTable(T, targets, p, instance, tol, s_lo, s_hi)
+    return DpTable(T, targets, p, instance, s_lo, s_hi)
 
 
 def reconstruct(dp):
@@ -213,9 +212,7 @@ def reconstruct(dp):
 
     sizes = [0] * (k + 1)  # 1-indexed cluster sizes
     sizes[k] = j0
-    tail = 0.0 if p != math.inf else None
-    if p != math.inf:
-        tail = abs(j0 - float(targets[k - 1])) ** p
+    tail = abs(j0 - float(targets[k - 1])) ** p if p != math.inf else None
 
     remaining = n - j0
     right_size = j0
@@ -226,9 +223,12 @@ def reconstruct(dp):
             if not np.isfinite(val):
                 continue
             if p == math.inf:
-                if val > vstar * (1.0 + 1e-12) + 1e-12:
+                # entries are whole deviations here, so the match is exact
+                if val > vstar:
                     continue
             else:
+                # the tail is summed in a different order than the fill, so
+                # the two p-th power sums may differ in their last bits
                 if not np.isclose(val + tail, vstar, rtol=1e-9, atol=1e-12):
                     continue
             if dp.s_lo[remaining, right_size] <= h <= dp.s_hi[remaining, right_size]:
@@ -259,6 +259,6 @@ def reconstruct(dp):
     return clustering, obj
 
 
-def solve_targets(values, targets, p=math.inf, tol=STABILITY_TOL):
+def solve_targets(values, targets, p=math.inf):
     """Convenience wrapper: build the table and reconstruct in one call."""
-    return reconstruct(build_table(values, targets, p=p, tol=tol))
+    return reconstruct(build_table(values, targets, p=p))

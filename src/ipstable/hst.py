@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, audit
+from .core import STABILITY_TOL, Clustering, audit, min_count
 from .tree import root_pass
 
 HALVING_SLACK = 1e-12
@@ -226,7 +226,7 @@ def normalize_leaves(hst):
     return Hst(parent2, hst.level_weights, hst.node_point)
 
 
-def hst_k_clustering(hst, k, tol=STABILITY_TOL):
+def hst_k_clustering(hst, k):
     """Stable k-clustering of a normalized 2-HST's leaves under the tree metric.
 
     Finds the deepest depth with at most k nodes, then expands nodes of that
@@ -372,13 +372,13 @@ class EmbedClusterResult(NamedTuple):
     report: object              # StabilityReport against the original metric
 
 
-def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0, tol=STABILITY_TOL):
+def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     """Embed, drop the worst-stretched points, and cluster the tree's leaves.
 
-    Drops exactly ceil(epsilon * n) points with the largest realized stretch
-    (ties broken by point id). The returned stretch s certifies the result:
-    the audited max violation against the original metric is at most
-    s * (1 + tol). Raises if exclusion leaves fewer than k points.
+    Drops exactly min_count(epsilon, n) points with the largest realized
+    stretch (ties broken by point id). The returned stretch s certifies the
+    result: the audited max violation against the original metric is at most
+    s * (1 + STABILITY_TOL). Raises if exclusion leaves fewer than k points.
     """
     if not 0.0 <= epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in [0, 1/3)")
@@ -386,27 +386,23 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0, tol=STABILITY_TOL):
     hst = embed_hst(oracle, seed)
     d = oracle.matrix()
 
-    if epsilon > 0.0:
-        t = hst.point_distance_matrix()
-        ratios = _stretch_ratios(t, d)
-        per_point = ratios.max(axis=1)
-        drop = math.ceil(epsilon * n)
-        order = sorted(range(n), key=lambda i: (-per_point[i], i))
-        excluded = sorted(order[:drop])
-    else:
-        excluded = []
+    excluded = []
+    drop = min_count(epsilon, n)
+    if drop:
+        per_point = _stretch_ratios(hst.point_distance_matrix(), d).max(axis=1)
+        excluded = sorted(sorted(range(n), key=lambda i: (-per_point[i], i))[:drop])
     retained = sorted(set(range(n)) - set(excluded))
     if len(retained) < k:
         raise ValueError("exclusion left fewer than k points")
 
     sub = normalize_leaves(restrict(hst, retained))
-    clustering = hst_k_clustering(sub, k, tol=tol)
+    clustering = hst_k_clustering(sub, k)
 
     t_final = sub.point_distance_matrix()
     d_final = d[np.ix_(retained, retained)]
     stretch = float(_stretch_ratios(t_final, d_final).max()) if len(retained) > 1 else 1.0
-    report = audit(oracle.sub_oracle(retained), clustering, tol=tol)
-    if not report.max_violation <= stretch * (1.0 + tol) + 1e-12:
+    report = audit(oracle.sub_oracle(retained), clustering)
+    if not report.max_violation <= stretch * (1.0 + STABILITY_TOL):
         raise RuntimeError("stretch certificate violated; embedding is broken")
     return EmbedClusterResult(clustering, retained, list(excluded), stretch, report)
 

@@ -126,16 +126,16 @@ class LineInstance:
         s = (p[a + 1 : a + c + 2] - p[a + 1]) - counts[: c + 1] * x[a]
         return _clip(s, less1[: c + 1], near, far)
 
-    def last_point_stable(self, b, left, right, tol):
+    def last_point_stable(self, b, left, right):
         """Is the last of the `left` points before sorted position b stable
         against the `right` points from b on?
 
         Its average distance to its own cluster (0 for a singleton) may exceed
-        its average distance to the right cluster by the factor 1 + tol.
+        its average distance to the right cluster by 1 + STABILITY_TOL.
         """
         a = b - 1
         own = self.dist_left(a, left - 1) / (left - 1) if left > 1 else 0.0
-        return own <= self.dist_right(a, right) / right * (1.0 + tol)
+        return own <= self.dist_right(a, right) / right * (1.0 + STABILITY_TOL)
 
 
 def _clip(s, less1, near, far):
@@ -172,7 +172,7 @@ class SeparatorState:
         return Clustering(assignment, self.k)
 
 
-def sweep(instance, k, tol=STABILITY_TOL):
+def sweep(instance, k):
     """Run the leftward separator sweep to a fully stable state."""
     n = instance.n
     if not 1 <= k <= n:
@@ -184,7 +184,7 @@ def sweep(instance, k, tol=STABILITY_TOL):
     max_moves = k * n
     j = 1
     while j <= k - 1:
-        if stable(b[j], b[j] - b[j - 1], b[j + 1] - b[j], tol):
+        if stable(b[j], b[j] - b[j - 1], b[j + 1] - b[j]):
             j += 1
             continue
         # a singleton's own average is 0, so an unstable point has a
@@ -198,11 +198,11 @@ def sweep(instance, k, tol=STABILITY_TOL):
     return SeparatorState(instance, b, moves)
 
 
-def solve_1d(values, k, tol=STABILITY_TOL):
+def solve_1d(values, k):
     """IP-stable k-clustering of real values, returned in input order.
 
     Accepts raw values or a LineInstance. Runs in O(k*n) separator moves on
     top of an O(n log n) sort.
     """
     instance = values if isinstance(values, LineInstance) else LineInstance.from_values(values)
-    return sweep(instance, k, tol=tol).to_clustering()
+    return sweep(instance, k).to_clustering()

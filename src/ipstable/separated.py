@@ -37,6 +37,7 @@ from .core import (
     _cluster_averages,
     _partitions_into_k,
     audit,
+    min_count,
 )
 from .hst import embed_hst, hst_k_clustering, normalize_leaves
 
@@ -45,25 +46,26 @@ ENUM_GUARD = 1e7
 _FIRST_BATCH = 32    # edges in a linkage scan's first batch after a merge
 
 
-def check_alpha_gamma(oracle, clustering, alpha, gamma, tol=STABILITY_TOL):
+def check_alpha_gamma(oracle, clustering, alpha, gamma):
     """True iff the clustering is (alpha, gamma)-separated.
 
-    Size condition: every cluster has at least alpha*n points. Separation:
-    for each point, the average distance to every foreign cluster is at
-    least gamma times the average to the rest of its own cluster. Own
+    Size condition: every cluster has at least min_count(alpha, n) points.
+    Separation: for each point, the average distance to every foreign
+    cluster is at least gamma times the average to the rest of its own
+    cluster. Own
     averages exclude the point itself (matching the stability audit), which
     is the stricter reading, so a pass here implies the guarantee
     downstream algorithms rely on; a singleton's own average is 0. Both
     averages come from the audit's cluster-sums kernel.
     """
     n = oracle.n
-    if np.any(clustering.sizes() + tol < alpha * n):
+    if np.any(clustering.sizes() < min_count(alpha, n)):
         return False
     if clustering.k == 1:
         return True
     _, own_avg, avg = _cluster_averages(oracle, clustering)
     avg[np.arange(n), clustering.assignment] = np.inf   # the own column is not foreign
-    return not np.any(avg < gamma * own_avg[:, None] * (1.0 - tol))
+    return not np.any(avg < gamma * own_avg[:, None] * (1.0 - STABILITY_TOL))
 
 
 @dataclass
@@ -92,9 +94,7 @@ class SuperclusterPartition:
 
     def sizes_ok(self):
         """All supercluster sizes reached alpha*n (a lone cluster counts)."""
-        if self.ell == 1:
-            return True
-        return all(len(c) >= self.alpha * self.n - 1e-9 for c in self.clusters)
+        return self.ell == 1 or min(map(len, self.clusters)) >= min_count(self.alpha, self.n)
 
     def uniformity(self):
         """Max over supercluster pairs of (max cross / min cross)."""
@@ -220,7 +220,7 @@ def linkage_size_guard(oracle, alpha):
     merge plus O(n) per merge (at most n-1 merges).
     """
     st = _MergeState(oracle.matrix())
-    thresh = alpha * oracle.n
+    thresh = min_count(alpha, oracle.n)
 
     def fires(ri, rj, i, j, d):
         return (st.size[ri] < thresh) | (st.size[rj] < thresh)
@@ -253,7 +253,7 @@ def linkage_conditioned(oracle, alpha, gamma):
     spread_bound = ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2
     own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
     st = _MergeState(oracle.matrix())
-    thresh = alpha * oracle.n
+    thresh = min_count(alpha, oracle.n)
 
     def fires(ri, rj, i, j, d):
         small = (st.size[ri] < thresh) | (st.size[rj] < thresh)
@@ -271,7 +271,7 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
-def exact_enumerate(oracle, k, alpha, tol=STABILITY_TOL):
+def exact_enumerate(oracle, k, alpha):
     """Exactly stable k-clustering of a size-alpha separated instance.
 
     Runs the size-guarded linkage, then tries every grouping of the
@@ -295,8 +295,7 @@ def exact_enumerate(oracle, k, alpha, tol=STABILITY_TOL):
         for sc, g in enumerate(grouping):
             assignment[part.clusters[sc]] = g
         cand = Clustering(assignment.copy(), k)
-        rep = audit(oracle, cand, tol=tol)
-        if rep.num_unstable == 0:
+        if audit(oracle, cand).num_unstable == 0:
             return cand
     raise RuntimeError(
         "no stable grouping of the superclusters exists; "
@@ -317,7 +316,7 @@ class PipelineResult:
         return self.stretch * self.uniformity ** 2
 
 
-def pipeline(oracle, k, alpha, gamma, seed=0, tol=STABILITY_TOL):
+def pipeline(oracle, k, alpha, gamma, seed=0):
     """Approximately stable k-clustering for separated instances.
 
     Conditioned linkage shrinks the instance to <= ceil(1/alpha)
@@ -335,7 +334,7 @@ def pipeline(oracle, k, alpha, gamma, seed=0, tol=STABILITY_TOL):
     reps = part.representatives
     rep_oracle = oracle.sub_oracle(reps)
     hst = normalize_leaves(embed_hst(rep_oracle, seed))
-    rep_clusters = hst_k_clustering(hst, k, tol=tol)
+    rep_clusters = hst_k_clustering(hst, k)
     t = hst.point_distance_matrix()
     d = rep_oracle.matrix()
     mask = d > 0
@@ -345,5 +344,5 @@ def pipeline(oracle, k, alpha, gamma, seed=0, tol=STABILITY_TOL):
     for sc in range(part.ell):
         assignment[part.clusters[sc]] = rep_clusters.assignment[sc]
     clustering = Clustering(assignment, k)
-    report = audit(oracle, clustering, tol=tol)
+    report = audit(oracle, clustering)
     return PipelineResult(clustering, report, part, stretch, part.uniformity())

@@ -236,7 +236,7 @@ def boundary_clustering(tree, boundary):
     return Clustering(assignment, 2)
 
 
-def endpoint_stable(tree, boundary, endpoint, tol=STABILITY_TOL):
+def endpoint_stable(tree, boundary, endpoint):
     """Eq-style stability of one boundary endpoint against the other side."""
     other = boundary.v if endpoint == boundary.u else boundary.u
     if endpoint not in boundary.nodes():
@@ -245,10 +245,10 @@ def endpoint_stable(tree, boundary, endpoint, tol=STABILITY_TOL):
     own_count = tree.n - foreign_count - 1      # the endpoint itself excluded
     _, total = tree.distance_sums()
     own = (total[endpoint] - foreign_sum) / own_count if own_count else 0.0
-    return own <= foreign_sum / foreign_count * (1.0 + tol)
+    return own <= foreign_sum / foreign_count * (1.0 + STABILITY_TOL)
 
 
-def solve_tree2(tree, tol=STABILITY_TOL):
+def solve_tree2(tree):
     """IP-stable 2-clustering of a weighted tree via boundary rotation."""
     if tree.n < 2:
         raise ValueError("need at least 2 nodes for a 2-clustering")
@@ -262,9 +262,7 @@ def solve_tree2(tree, tol=STABILITY_TOL):
 
     last_depth = min(depths[prev], depths[cur])
     for _ in range(tree.n):
-        if endpoint_stable(tree, boundary, cur, tol=tol) and endpoint_stable(
-            tree, boundary, prev, tol=tol
-        ):
+        if endpoint_stable(tree, boundary, cur) and endpoint_stable(tree, boundary, prev):
             return boundary_clustering(tree, boundary)
         nxt = rotate(tree, boundary, cur)
         if nxt.v == prev:

@@ -253,6 +253,15 @@ def dfs_root_fields(tree):
     return order, pos, parent, weight, depth, size
 
 
+def whole_min_size(alpha, n):
+    """The smallest whole cluster size >= alpha * n, exactly.
+
+    alpha is read as the decimal it prints as, so 0.28 * 25 is 7, where the
+    float product 7.000000000000001 would ask for 8.
+    """
+    return math.ceil(Fraction(repr(float(alpha))) * n)
+
+
 def full_scan_size_guard(matrix, alpha):
     """Size-guarded single linkage over every edge, with no early stop.
 
@@ -261,12 +270,13 @@ def full_scan_size_guard(matrix, alpha):
     """
     m = np.asarray(matrix, dtype=float)
     n = len(m)
+    thresh = whole_min_size(alpha, n)
     edges = sorted((m[i, j], i, j) for i in range(n) for j in range(i + 1, n))
     cluster = {i: [i] for i in range(n)}
     log = []
     for d, i, j in edges:
         a, b = cluster[i], cluster[j]
-        if a is b or (len(a) >= alpha * n and len(b) >= alpha * n):
+        if a is b or (len(a) >= thresh and len(b) >= thresh):
             continue
         merged = a + b
         for x in merged:
@@ -287,7 +297,7 @@ def full_scan_conditioned(matrix, alpha, gamma):
     """
     m = np.asarray(matrix, dtype=float).tolist()
     n = len(m)
-    thresh = alpha * n
+    thresh = whole_min_size(alpha, n)
     spread_bound = ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2
     own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
     edges = sorted((m[i][j], i, j) for i in range(n) for j in range(i + 1, n))
