@@ -85,15 +85,16 @@ def naive_cost(matrix, labels):
 def naive_alpha_gamma(matrix, labels, alpha, gamma, tol=TOL):
     """(alpha, gamma)-separation by per-point, per-cluster loops.
 
-    Every cluster needs at least alpha*n points; every point's average to each
-    foreign cluster must be at least gamma times its average to the rest of
-    its own cluster (0 for a singleton).
+    Every cluster needs at least whole_min_size(alpha, n) points, an exact
+    count; every point's average to each foreign cluster must be at least
+    gamma times its average to the rest of its own cluster (0 for a
+    singleton), with tol a relative slack on that comparison only.
     """
     m = np.asarray(matrix, dtype=float)
     labels = list(labels)
     n = len(labels)
     clusters = {c: [y for y in range(n) if labels[y] == c] for c in set(labels)}
-    if any(len(members) + tol < alpha * n for members in clusters.values()):
+    if any(len(members) < whole_min_size(alpha, n) for members in clusters.values()):
         return False
     for x in range(n):
         own = clusters[labels[x]]
@@ -256,34 +257,43 @@ def dfs_root_fields(tree):
 def whole_min_size(alpha, n):
     """The smallest whole cluster size >= alpha * n, exactly.
 
-    alpha is read as the decimal it prints as, so 0.28 * 25 is 7, where the
-    float product 7.000000000000001 would ask for 8.
+    alpha is read as the fraction c/n when it is that fraction's float (2/11
+    at n = 11 asks for 2 points, although its decimal 0.18181818181818182
+    times 11 is above 2), and otherwise as the decimal it prints as, so
+    0.28 * 25 is 7, where the float product 7.000000000000001 would ask
+    for 8.
     """
+    c = round(alpha * n)
+    if c / n == alpha:
+        return c
     return math.ceil(Fraction(repr(float(alpha))) * n)
 
 
 def full_scan_size_guard(matrix, alpha):
     """Size-guarded single linkage over every edge, with no early stop.
 
-    Returns (merge log, clusters as sorted id lists ordered by smallest id)
-    in linkage_size_guard's formats.
+    Union by size (on a size tie the root of the edge's first endpoint
+    stays). Returns (merge log, clusters as sorted id lists ordered by
+    root) in linkage_size_guard's formats.
     """
     m = np.asarray(matrix, dtype=float)
     n = len(m)
     thresh = whole_min_size(alpha, n)
     edges = sorted((m[i, j], i, j) for i in range(n) for j in range(i + 1, n))
-    cluster = {i: [i] for i in range(n)}
+    root = list(range(n))
+    members = {i: [i] for i in range(n)}
     log = []
     for d, i, j in edges:
-        a, b = cluster[i], cluster[j]
-        if a is b or (len(a) >= thresh and len(b) >= thresh):
+        ra, rb = root[i], root[j]
+        if ra == rb or (len(members[ra]) >= thresh and len(members[rb]) >= thresh):
             continue
-        merged = a + b
-        for x in merged:
-            cluster[x] = merged
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        members[ra] += members.pop(rb)
+        for x in members[ra]:
+            root[x] = ra
         log.append((float(d), i, j, 1))
-    blocks = {id(c): sorted(c) for c in cluster.values()}
-    return log, sorted(blocks.values())
+    return log, [sorted(members[r]) for r in sorted(members)]
 
 
 def full_scan_conditioned(matrix, alpha, gamma):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipstable.core import Clustering, DistanceOracle, audit
+from ipstable import separated
+from ipstable.core import Clustering, DistanceOracle, audit, brute_force
 from ipstable.separated import (
     GAMMA_MIN,
     check_alpha_gamma,
@@ -20,6 +23,7 @@ from conftest import (
     naive_num_unstable,
     planted,
     random_points,
+    whole_min_size,
 )
 
 
@@ -109,6 +113,53 @@ def test_size_guard_reaches_alpha_sizes_and_refines_planted():
         assert part.ell == 3
 
 
+def _upper_block_extremes(m, clusters):
+    """Cross minima and maxima per pair of clusters, pair by pair over d(i, j), i < j."""
+    ell = len(clusters)
+    lo, hi = np.zeros((ell, ell)), np.zeros((ell, ell))
+    for a in range(ell):
+        for b in range(ell):
+            if a != b:
+                cross = [m[min(x, y), max(x, y)] for x in clusters[a] for y in clusters[b]]
+                lo[a, b], hi[a, b] = min(cross), max(cross)
+    return lo, hi
+
+
+def _assert_size_guard_matches(o, alpha, where):
+    part = linkage_size_guard(o, alpha)
+    m = o.matrix()
+    log, clusters = full_scan_size_guard(m, alpha)
+    assert part.merge_log == log, where
+    assert part.clusters == clusters, where
+    assert part.representatives == [c[0] for c in part.clusters], where
+    cmn, cmx = _upper_block_extremes(m, part.clusters)
+    assert np.array_equal(part.cross_min, cmn), where
+    assert np.array_equal(part.cross_max, cmx), where
+
+
+def _size_guard_edge_cases(rng):
+    """(oracle, alpha) pairs at the edges of the size guard.
+
+    One point, two points, all points identical (every edge 0), alpha 1,
+    duplicate-heavy and rounded (tied) inputs up to n = 150, and matrices
+    within from_matrix's asymmetry tolerance.
+    """
+    alphas = (0.01, 0.1, 0.25, 0.5, 1.0)
+    for alpha in alphas:
+        yield _oracle([[0.0, 0.0]]), alpha
+        yield _oracle([[0.0, 0.0], [3.0, 4.0]]), alpha
+        yield _oracle(np.zeros((9, 2))), alpha
+    for _ in range(8):
+        n = int(rng.integers(20, 151))
+        feats = random_points(rng, n, 2)
+        alpha = float(rng.choice(alphas))
+        yield _oracle(feats[rng.integers(0, max(1, n // 4), size=n)]), alpha
+        yield _oracle(np.round(feats / 3.0)), alpha
+        yield _oracle(np.round(feats[:, :1])), alpha
+    for _ in range(8):
+        yield _linkage_oracle(rng, "asymmetric"), float(rng.choice(alphas))
+
+
 def test_size_guard_early_stop_matches_full_scan():
     rng = np.random.default_rng(19)
     for trial in range(30):
@@ -120,10 +171,9 @@ def test_size_guard_early_stop_matches_full_scan():
         alpha = float(rng.choice([0.01, 0.1, 0.25, 0.5, 1.0]))
         # rounded coordinates tie many edge lengths, which the id order breaks
         for o in (_oracle(feats), _oracle(np.round(feats))):
-            part = linkage_size_guard(o, alpha)
-            log, clusters = full_scan_size_guard(o.matrix(), alpha)
-            assert part.merge_log == log, trial
-            assert sorted(part.clusters) == clusters, trial
+            _assert_size_guard_matches(o, alpha, trial)
+    for case, (o, alpha) in enumerate(_size_guard_edge_cases(np.random.default_rng(29))):
+        _assert_size_guard_matches(o, alpha, ("edge case", case))
 
 
 def _linkage_oracle(rng, kind):
@@ -144,6 +194,17 @@ def _linkage_oracle(rng, kind):
     return _oracle(feats)
 
 
+def _assert_conditioned_matches(o, alpha, gamma, where):
+    """The linkage equals the per-edge full scan; returns the full scan's log."""
+    part = linkage_conditioned(o, alpha, gamma)
+    log, clusters, cmn, cmx = full_scan_conditioned(o.matrix(), alpha, gamma)
+    assert part.merge_log == log, where
+    assert part.clusters == clusters, where
+    assert np.array_equal(part.cross_min, cmn), where
+    assert np.array_equal(part.cross_max, cmx), where
+    return log
+
+
 def test_conditioned_linkage_matches_full_scan():
     rng = np.random.default_rng(23)
     fired = {1: 0, 2: 0, 3: 0}
@@ -152,16 +213,77 @@ def test_conditioned_linkage_matches_full_scan():
             o = _linkage_oracle(rng, kind)
             for alpha in (0.05, 0.1, 0.25, 0.5, 1.0):
                 for gamma in (GAMMA_MIN, 4.0, 10.0):
-                    part = linkage_conditioned(o, alpha, gamma)
-                    log, clusters, cmn, cmx = full_scan_conditioned(o.matrix(), alpha, gamma)
-                    where = (kind, trial, alpha, gamma)
-                    assert part.merge_log == log, where
-                    assert part.clusters == clusters, where
-                    assert np.array_equal(part.cross_min, cmn), where
-                    assert np.array_equal(part.cross_max, cmx), where
+                    log = _assert_conditioned_matches(o, alpha, gamma, (kind, trial, alpha, gamma))
                     for entry in log:
                         fired[entry[3]] += 1
     assert min(fired.values()) > 20, fired
+
+
+@pytest.mark.parametrize(
+    "points, alpha, gamma, crits",
+    [
+        # Criterion 1 forms {5, 6} and {12, 13}, then {12, 13, 34}. From the
+        # edge (6, 34) of length 28 on every cluster is big enough and
+        # maxd.max() = 22 <= 28 * 8/9, but {5, 6} against {12, 13, 34}
+        # spreads from 6 to 29, above the bound (17/9)^2, and its cross edge
+        # (6, 34) is still unscanned: the scan may not stop, and (6, 34)
+        # merges by criterion 2.
+        ([5, 6, 12, 13, 34], 0.4, 4.0, [1, 1, 1, 2]),
+        # At gamma = GAMMA_MIN own_bound is exactly 1. After the merge at
+        # (0, 19), maxd.max() = d(0, 24) = 24, no pair spreads beyond 4, and
+        # the next edge after (19, 39) is (0, 24) of length 24: maxd.max()
+        # equals own_bound * d there, and the scan may stop.
+        ([0, 19, 24, 35, 39], 0.34, GAMMA_MIN, [1, 1, 1]),
+        # Criterion 1 forms {1, 9} and {30, 32}; both are big enough, and
+        # the cross edge (9, 30) of length 21 then merges by criterion 3
+        # (maxd[9] = 8 > 21 * 20/81).
+        ([1, 9, 30, 32], 0.34, 10.0, [1, 1, 3]),
+        # Criterion 1 forms {0, 1000, 2000} and {3999, 4999, 5999}; the
+        # cross edge (2000, 3999) of length 1999 then merges by criterion 3,
+        # as maxd[2000] = 2000 exceeds own_bound * 1999 = 1999 by 0.05%.
+        ([0, 1000, 2000, 3999, 4999, 5999], 0.5, GAMMA_MIN, [1, 1, 1, 1, 3]),
+    ],
+    ids=[
+        "spread-blocks-the-stop",
+        "long-own-edge-on-the-bound",
+        "last-merge-by-criterion-3",
+        "criterion-3-just-above-the-bound",
+    ],
+)
+def test_conditioned_stop_rule_boundaries(points, alpha, gamma, crits):
+    """Boundary cases of the conditioned scan's stop rule, against the full scan."""
+    assert 2.0 * GAMMA_MIN / (GAMMA_MIN - 1.0) ** 2 == 1.0
+    log = _assert_conditioned_matches(_oracle(np.array(points, dtype=float)), alpha, gamma, points)
+    assert [crit for _, _, _, crit in log] == crits
+
+
+def test_linkages_scan_short_of_the_full_edge_list(monkeypatch):
+    """The size guard never lists the edges; the conditioned scan stops early.
+
+    On a planted instance the conditioned linkage stops once no later edge
+    can fire, well before the last of the n(n-1)/2 edges, and still equals
+    the full scan; at alpha = 1 it stops at the merge that leaves one
+    cluster.
+    """
+    yielded = []
+    chunks = separated._edge_chunks
+
+    def counted(m):
+        for chunk in chunks(m):
+            yielded.append(len(chunk[2]))
+            yield chunk
+
+    monkeypatch.setattr(separated, "_edge_chunks", counted)
+    monkeypatch.setattr(separated, "_FIRST_CHUNK", 16)
+    feats, _ = planted(120, 4, 4.0, seed=12)
+    o = _oracle(feats)
+    linkage_size_guard(o, 0.2)
+    assert yielded == []
+    _assert_conditioned_matches(o, 0.2, 4.0, "planted")
+    assert 0 < sum(yielded) < 120 * 119 // 2 // 2
+    yielded.clear()
+    assert _assert_conditioned_matches(o, 1.0, 4.0, "one cluster")[-1][3] == 1
+    assert 0 < sum(yielded) < 120 * 119 // 2
 
 
 def test_spread_exactly_on_the_bound_does_not_merge():
@@ -232,7 +354,7 @@ def test_merge_log_replay():
         assert cx != cy
         assert m[x, y] == pytest.approx(d)
         if crit == 1:
-            assert len(cx) + 1e-9 < alpha * n or len(cy) + 1e-9 < alpha * n
+            assert min(len(cx), len(cy)) < whole_min_size(alpha, n)
         elif crit == 2:
             cross = [m[a, b] for a in cx for b in cy]
             assert max(cross) / min(cross) > spread_bound
@@ -279,6 +401,30 @@ def test_exact_enumerate_guards():
     # alpha so large the guard merges below k superclusters
     with pytest.raises(RuntimeError):
         exact_enumerate(o, 4, alpha=0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.floats(0.1, 0.5), st.sampled_from([1.0, 3.0, 50.0]), st.data())
+def test_exact_enumerate_matches_brute_force(k, alpha, spacing, data):
+    """exact_enumerate's answers are stable, and it answers on separated input.
+
+    Points sit on a line around label * spacing, so some draws are
+    (alpha, GAMMA_MIN)-separated by their labels and some overlap.
+    """
+    n = data.draw(st.integers(k, 10), label="n")
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="labels")
+    jitter = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="jitter")
+    o = _oracle(np.array(labels) * spacing + np.array(jitter))
+    m = o.matrix()
+    separated_input = len(set(labels)) == k and naive_alpha_gamma(m, labels, alpha, GAMMA_MIN)
+    try:
+        c = exact_enumerate(o, k, alpha)
+    except RuntimeError:
+        assert not separated_input
+        return
+    assert naive_num_unstable(m, c.assignment) == 0
+    found, _ = brute_force(o, k)
+    assert found is not None
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])

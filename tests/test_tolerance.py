@@ -33,7 +33,7 @@ from ipstable.separated import (
 )
 from ipstable.tree import WeightedTree, solve_tree2
 
-from conftest import full_scan_conditioned, full_scan_size_guard, random_points
+from conftest import full_scan_conditioned, full_scan_size_guard, naive_alpha_gamma, random_points
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ipstable"
 
@@ -100,7 +100,7 @@ def test_separated_solvers_count_seven_of_25_at_alpha_028(alpha):
     # both linkages stop at the three groups, as their per-edge references do
     part = linkage_size_guard(o, alpha)
     log, clusters = full_scan_size_guard(o.matrix(), alpha)
-    assert part.merge_log == log and sorted(part.clusters) == clusters
+    assert part.merge_log == log and part.clusters == clusters
     assert part.ell == 3 and part.sizes_ok()
     part = linkage_conditioned(o, alpha, 4.0)
     log, clusters, _, _ = full_scan_conditioned(o.matrix(), alpha, 4.0)
@@ -114,6 +114,10 @@ def test_check_alpha_gamma_counts_whole_points():
     assert check_alpha_gamma(o, c, 7 / 25, 4.0)
     # 7.0000000005 points need 8: the stability slack is no absolute count
     assert not check_alpha_gamma(o, c, (7 + 5e-10) / 25, 4.0)
+    # the loop reference counts the same way
+    m = o.matrix()
+    assert naive_alpha_gamma(m, truth, 7 / 25, 4.0)
+    assert not naive_alpha_gamma(m, truth, (7 + 5e-10) / 25, 4.0)
 
 
 def test_embedding_drops_ceil_epsilon_n_points():
