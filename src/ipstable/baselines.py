@@ -11,14 +11,16 @@ import numpy as np
 from scipy.cluster import hierarchy
 from scipy.spatial.distance import cdist, squareform
 
-from .core import Clustering, audit
+from .core import Clustering, _check_k, audit
+
+LLOYD_MAX_ITERS = 100    # Lloyd stops here if no assignment fixpoint came first
 
 
-def lloyd(features, center_coords, max_iters=100):
+def lloyd(features, center_coords):
     """Lloyd iterations from explicit starting centers.
 
     Returns (assignment, centers, inertia_history, n_repairs). Iterates to
-    an assignment fixpoint or max_iters. An emptied cluster is repaired by
+    an assignment fixpoint or LLOYD_MAX_ITERS. An emptied cluster is repaired by
     reassigning the point farthest from that cluster's last center (among
     points whose cluster keeps at least 2 members); repairs can bump the
     objective, so inertia_history is only guaranteed nonincreasing while
@@ -30,7 +32,7 @@ def lloyd(features, center_coords, max_iters=100):
     assign = None
     inertias = []
     n_repairs = 0
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         d2 = cdist(x, centers, metric="sqeuclidean")
         new_assign = d2.argmin(axis=1)
         inertias.append(float(d2[np.arange(len(x)), new_assign].sum()))
@@ -52,7 +54,7 @@ def lloyd(features, center_coords, max_iters=100):
     return assign, centers, inertias, n_repairs
 
 
-def kmeans_pp(features, k, seed=0, max_iters=100, init_centers=None):
+def kmeans_pp(features, k, seed=0, init_centers=None):
     """k-means++ seeding followed by Lloyd, in Euclidean feature space.
 
     Seeding picks the first center uniformly, then each next center with
@@ -62,8 +64,7 @@ def kmeans_pp(features, k, seed=0, max_iters=100, init_centers=None):
     """
     x = np.asarray(features, dtype=float)
     n = len(x)
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    _check_k(k, n)
     rng = np.random.default_rng(seed)
     if init_centers is not None:
         idx = list(init_centers)
@@ -81,7 +82,7 @@ def kmeans_pp(features, k, seed=0, max_iters=100, init_centers=None):
                 nxt = free[int(rng.integers(len(free)))]
             idx.append(nxt)
             d2 = np.minimum(d2, cdist(x, x[nxt : nxt + 1], metric="sqeuclidean")[:, 0])
-    assign, _, _, _ = lloyd(x, x[idx], max_iters=max_iters)
+    assign, _, _, _ = lloyd(x, x[idx])
     return Clustering(assign, k)
 
 
@@ -94,8 +95,7 @@ def kcenter_greedy(oracle, k, first):
     cluster so all k clusters stay nonempty even among duplicates.
     """
     n = oracle.n
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    _check_k(k, n)
     if not 0 <= first < n:
         raise ValueError("first out of range")
     m = oracle.matrix()
@@ -167,8 +167,7 @@ def cut_dendrogram(z, k):
     its children, so the last rows are the highest (height, node id) pairs.
     """
     n = len(z) + 1
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= number of leaves")
+    _check_k(k, n)
     order, children, start, size = _leaf_slices(z)
     # the undone merges are nodes >= 2n-k; the root alone is left at k = 1
     kids = np.append(children[n - k :], 2 * n - 2)
@@ -192,8 +191,7 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
     n = oracle.n
     if len(z) + 1 != n:
         raise ValueError("dendrogram and oracle size mismatch")
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n")
+    _check_k(k, n, least=2)
     order, children, start, size = _leaf_slices(z)
     frontier = children[-1].tolist()
     for _ in range(k - 2):
@@ -214,8 +212,7 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
 
 def random_clustering(n, k, seed=0):
     """Uniform random assignment, repaired so every cluster is nonempty."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    _check_k(k, n)
     rng = np.random.default_rng(seed)
     assign = rng.integers(k, size=n)
     missing = [j for j in range(k) if not (assign == j).any()]

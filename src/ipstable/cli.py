@@ -14,6 +14,13 @@ File formats, all plain text:
   assignment      one cluster index per line; negative marks an excluded row
   report          JSON with keys num_unstable, max_violation,
                   mean_violation, cost, obj
+
+Every subcommand turns --input/--metric into an instance in build_oracle.
+solve-1d and solve-dp need one value column under a point metric and never
+build the distance matrix; solve-tree2 needs --metric tree and takes no
+--standardize. Input files are read only by _records and output files
+written only by _write_text, so an unreadable input or an unwritable output
+is exit 1 with a message, like every other error.
 """
 
 import argparse
@@ -58,32 +65,34 @@ class CliError(Exception):
 # parsing and file I/O
 
 
-def _split_fields(line):
-    if "," in line:
-        return [t.strip() for t in line.split(",")]
-    return line.split()
+def _records(path):
+    """(line number, fields) for each nonblank line of an input file.
+
+    Fields split on commas when the line has one, else on blanks. This is
+    the only place an input file is opened; an unreadable one is a CliError.
+    """
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, ([t.strip() for t in line.split(",")] if "," in line
+                                   else line.split())
+    except OSError as exc:
+        raise CliError(str(exc))
 
 
 def _load_rows(path):
     """Numeric rows from a CSV-ish file; a single leading header row is ok."""
     rows = []
     saw_header = False
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise CliError(str(exc))
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _split_fields(line.strip())
-            if not parts or parts == [""]:
-                continue
-            try:
-                rows.append([float(t) for t in parts])
-            except ValueError:
-                if not rows and not saw_header:
-                    saw_header = True
-                    continue
+    for lineno, fields in _records(path):
+        try:
+            rows.append([float(t) for t in fields])
+        except ValueError:
+            if rows or saw_header:
                 raise CliError(f"{path}:{lineno}: non-numeric row")
+            saw_header = True
     if not rows:
         raise CliError(f"{path}: no data rows")
     width = len(rows[0])
@@ -112,24 +121,13 @@ def load_matrix(path):
 
 def load_tree(path):
     edges = []
-    max_id = -1
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise CliError(str(exc))
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _split_fields(line.strip())
-            if not parts or parts == [""]:
-                continue
-            if len(parts) != 3:
-                raise CliError(f"{path}:{lineno}: expected 'u v weight'")
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: expected 'u v weight'")
-            edges.append((u, v, w))
-            max_id = max(max_id, u, v)
+    for lineno, fields in _records(path):
+        try:
+            u, v, w = fields
+            edges.append((int(u), int(v), float(w)))
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: expected 'u v weight'")
+    max_id = max((max(u, v) for u, v, _ in edges), default=-1)
     if max_id < 0:
         raise CliError(f"{path}: no edges")
     return WeightedTree(max_id + 1, edges)
@@ -137,19 +135,12 @@ def load_tree(path):
 
 def load_assignment(path):
     labels = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise CliError(str(exc))
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s:
-                continue
-            try:
-                labels.append(int(s))
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: expected one integer per line")
+    for lineno, fields in _records(path):
+        try:
+            (label,) = fields
+            labels.append(int(label))
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: expected one integer per line")
     if not labels:
         raise CliError(f"{path}: empty assignment")
     return np.asarray(labels, dtype=int)
@@ -194,33 +185,21 @@ def _parse_p(text):
     return p
 
 
-def _parse_targets(text):
+def _require(args, name, flags):
+    """Fail unless every flag in flags is set: "separated-exact needs --k and --alpha"."""
+    if any(getattr(args, f) is None for f in flags):
+        raise CliError(f"{name} needs " + " and ".join(f"--{f}" for f in flags))
+
+
+def _parse_ints(text, flag):
+    """Comma-separated positive integers: --targets sizes or bench's --k values."""
     try:
-        targets = [int(t) for t in text.split(",")]
+        values = [int(t) for t in text.split(",")]
     except ValueError:
-        raise CliError(f"--targets must be comma-separated integers, got {text!r}")
-    if not targets or any(t < 1 for t in targets):
-        raise CliError("--targets entries must be positive: no cluster is empty")
-    return targets
-
-
-def _parse_k_list(text):
-    try:
-        ks = [int(t) for t in text.split(",")]
-    except ValueError:
-        raise CliError(f"--k must be comma-separated integers, got {text!r}")
-    if any(k < 1 for k in ks):
-        raise CliError("--k values must be >= 1")
-    return ks
-
-
-def _values_column(args):
-    pts = load_points(args.input, standardize=args.standardize)
-    if pts.shape[1] != 1:
-        raise CliError(
-            f"{args.input}: this solver needs a single value column, got {pts.shape[1]}"
-        )
-    return pts[:, 0]
+        raise CliError(f"{flag} must be comma-separated integers, got {text!r}")
+    if any(v < 1 for v in values):
+        raise CliError(f"{flag} entries must be positive, got {text!r}")
+    return values
 
 
 def report_dict(report, with_vi=False):
@@ -236,34 +215,34 @@ def report_dict(report, with_vi=False):
     return out
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+def _json(payload):
+    """payload as indented JSON text with sorted keys.
+
+    json calls default only on what it cannot write itself, here numpy
+    arrays and numpy scalars, which tolist() turns into plain values.
+    """
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist()) + "\n"
 
 
 def _write_text(path, text):
+    """Write text to path, or to stdout when path is None.
+
+    This is the only place an output file is opened; an unwritable path is
+    a CliError.
+    """
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(str(exc))
 
 
 def _write_report(path, payload, fmt):
-    payload = _jsonable(payload)
     if fmt == "json":
-        _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(path, _json(payload))
         return
     # csv: one header row and one value row of the scalar fields
     keys = [k for k in ("num_unstable", "max_violation", "mean_violation", "cost", "obj")
@@ -307,7 +286,7 @@ def cmd_audit(args):
     _, dense = np.unique(labels, return_inverse=True)
     clustering = Clustering(dense, int(dense.max()) + 1)
 
-    targets = _parse_targets(args.targets) if args.targets else None
+    targets = _parse_ints(args.targets, "--targets") if args.targets else None
     if targets is not None and len(targets) != clustering.k:
         raise CliError(
             f"--targets lists {len(targets)} clusters but the assignment has {clustering.k}"
@@ -317,88 +296,72 @@ def cmd_audit(args):
     return EXIT_OK if report.num_unstable == 0 else EXIT_NO_GUARANTEE
 
 
+# the flags each solver needs; its --algo choices in this order
+SOLVER_FLAGS = {
+    "solve-1d": ("k",),
+    "solve-dp": ("targets",),
+    "solve-tree2": (),
+    "embed": ("k",),
+    "separated-exact": ("k", "alpha"),
+    "separated-pipeline": ("k", "alpha"),
+}
+
+
 def _solve_dispatch(args):
-    """Returns (full assignment labels, oracle, report, extras dict)."""
+    """Returns (full assignment labels, report, extras dict).
+
+    The instance comes from build_oracle for every solver. The line solvers
+    take its one value column, and every solver but embed and the pipeline,
+    which audit their own output, is audited here.
+    """
     algo = args.algo
-    if algo == "solve-1d":
-        values = _values_column(args)
-        if args.k is None:
-            raise CliError("solve-1d needs --k")
-        clustering = solve_1d(values, args.k)
-        oracle = DistanceOracle.from_points(values.reshape(-1, 1))
-        report = audit(oracle, clustering)
-        return clustering.assignment, oracle, report, {"algorithm": algo}
-
-    if algo == "solve-dp":
-        values = _values_column(args)
-        if not args.targets:
-            raise CliError("solve-dp needs --targets")
-        targets = _parse_targets(args.targets)
-        p = _parse_p(args.p)
-        clustering, obj = solve_targets(values, targets, p=p)
-        oracle = DistanceOracle.from_points(values.reshape(-1, 1))
-        report = audit(oracle, clustering, targets=targets, p=p)
-        return clustering.assignment, oracle, report, {"algorithm": algo, "dp_obj": float(obj)}
-
+    _require(args, algo, SOLVER_FLAGS[algo])
     if algo == "solve-tree2":
         if args.metric != "tree":
             raise CliError("solve-tree2 needs --metric tree and a tree input file")
         if args.k not in (None, 2):
             raise CliError("solve-tree2 only produces k=2")
-        t = load_tree(args.input)
-        clustering = solve_tree2(t)
-        oracle = t.to_oracle()
-        report = audit(oracle, clustering)
-        return clustering.assignment, oracle, report, {"algorithm": algo}
+    oracle, pts, tree = build_oracle(args)
+    if algo in ("solve-1d", "solve-dp") and (pts is None or pts.shape[1] != 1):
+        got = f"--metric {args.metric}" if pts is None else pts.shape[1]
+        raise CliError(f"{args.input}: this solver needs a single value column, got {got}")
 
-    if algo == "embed":
-        oracle, _, _ = build_oracle(args)
-        if args.k is None:
-            raise CliError("embed needs --k")
+    extras = {"algorithm": algo}
+    targets, p = None, math.inf
+    if algo == "solve-1d":
+        clustering = solve_1d(pts[:, 0], args.k)
+    elif algo == "solve-dp":
+        targets, p = _parse_ints(args.targets, "--targets"), _parse_p(args.p)
+        clustering, obj = solve_targets(pts[:, 0], targets, p=p)
+        extras["dp_obj"] = float(obj)
+    elif algo == "solve-tree2":
+        clustering = solve_tree2(tree)
+    elif algo == "separated-exact":
+        clustering = exact_enumerate(oracle, args.k, args.alpha)
+    elif algo == "embed":
         res = cluster_via_embedding(oracle, args.k, epsilon=args.epsilon, seed=args.seed)
         labels = np.full(oracle.n, -1, dtype=int)
         labels[np.asarray(res.retained, dtype=int)] = res.clustering.assignment
-        extras = {
-            "algorithm": algo,
-            "certificate": float(res.stretch),
-            "stretch": float(res.stretch),
-            "excluded": [int(i) for i in res.excluded],
-        }
-        return labels, oracle, res.report, extras
-
-    if algo == "separated-exact":
-        oracle, _, _ = build_oracle(args)
-        if args.k is None or args.alpha is None:
-            raise CliError("separated-exact needs --k and --alpha")
-        clustering = exact_enumerate(oracle, args.k, args.alpha)
-        report = audit(oracle, clustering)
-        return clustering.assignment, oracle, report, {"algorithm": algo}
-
-    if algo == "separated-pipeline":
-        oracle, _, _ = build_oracle(args)
-        if args.k is None or args.alpha is None:
-            raise CliError("separated-pipeline needs --k and --alpha")
+        extras.update(certificate=float(res.stretch), stretch=float(res.stretch),
+                      excluded=[int(i) for i in res.excluded])
+        return labels, res.report, extras
+    else:
         res = pipeline(oracle, args.k, args.alpha, args.gamma, seed=args.seed)
-        extras = {
-            "algorithm": algo,
-            "certificate": float(res.certificate()),
-            "stretch": float(res.stretch),
-            "uniformity": float(res.uniformity),
-        }
-        return res.clustering.assignment, oracle, res.report, extras
-
-    raise CliError(f"unknown solver {algo!r}")
+        extras.update(certificate=float(res.certificate()), stretch=float(res.stretch),
+                      uniformity=float(res.uniformity))
+        return res.clustering.assignment, res.report, extras
+    return clustering.assignment, audit(oracle, clustering, targets=targets, p=p), extras
 
 
 def cmd_solve(args):
-    labels, _, report, extras = _solve_dispatch(args)
+    labels, report, extras = _solve_dispatch(args)
     payload = report_dict(report, with_vi=args.vi)
     payload.update(extras)
     _write_assignment(args.out, labels)
     report_path = args.report
     if report_path is None and args.out is not None:
         report_path = args.out + ".report.json"
-    _write_report(report_path, payload, "json")
+    _write_text(report_path, _json(payload))
     return EXIT_OK if report.num_unstable == 0 else EXIT_NO_GUARANTEE
 
 
@@ -438,19 +401,20 @@ def _bench_runner(token, oracle, features, args):
 
 def cmd_bench(args):
     oracle, features, _ = build_oracle(args)
-    ks = _parse_k_list(args.k)
+    ks = _parse_ints(args.k, "--k")
+    for k in ks:
+        if k > oracle.n:
+            raise CliError(f"k={k} exceeds the {oracle.n}-point instance")
+    if args.repeat < 1:
+        raise CliError("--repeat must be >= 1")
     tokens = [t.strip() for t in args.algo.split(",") if t.strip()]
     if not tokens:
         raise CliError("--algo must list at least one algorithm")
     runners = [(t, _bench_runner(t, oracle, features, args)) for t in tokens]
-    if args.repeat < 1:
-        raise CliError("--repeat must be >= 1")
 
     lines = ["algorithm,k,num_unstable,max_violation,mean_violation,cost,wall_time_s"]
     for token, run in runners:
         for k in ks:
-            if k > oracle.n:
-                raise CliError(f"k={k} exceeds the {oracle.n}-point instance")
             uns, maxvi, meanvi, cost, wall = [], [], [], [], []
             for rep in range(args.repeat):
                 t0 = time.perf_counter()
@@ -475,25 +439,30 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+# the flags each family needs; its --family choices in this order
+FAMILY_FLAGS = {
+    "kmeanspp-blocks": ("alpha",),
+    "kcenter-balls": ("n", "epsilon"),
+    "single-linkage-path": ("n", "epsilon"),
+    "fig1-no-stable": (),
+    "fig2-two-stable": (),
+}
+
+
 def cmd_gen(args):
     prefix = args.out if args.out else args.family
     fam = args.family
+    _require(args, fam, FAMILY_FLAGS[fam])
 
     if fam == "kmeanspp-blocks":
-        if args.alpha is None:
-            raise CliError("kmeanspp-blocks needs --alpha")
         features, meta = hardgen.gen_kmeanspp_hard(
             args.alpha, args.n_blocks, r=args.r, spacing=args.spacing
         )
     elif fam == "kcenter-balls":
-        if args.n is None or args.epsilon is None:
-            raise CliError("kcenter-balls needs --n and --epsilon")
         features, meta = hardgen.gen_kcenter_hard(args.n, args.epsilon)
     elif fam == "single-linkage-path":
-        if args.n is None or args.epsilon is None:
-            raise CliError("single-linkage-path needs --n and --epsilon")
         features, meta = hardgen.gen_single_linkage_hard(args.n, args.epsilon)
-    elif fam in ("fig1-no-stable", "fig2-two-stable"):
+    else:
         fx = hardgen.fixtures()[fam]
         if fx["kind"] == "matrix":
             features = fx["matrix"]
@@ -501,15 +470,11 @@ def cmd_gen(args):
         else:
             features = fx["values"]
             meta = {"family": fam, "kind": "line", "k": 2}
-    else:
-        raise CliError(f"unknown family {args.family!r}")
 
     points_path = f"{prefix}.csv"
     meta_path = f"{prefix}-meta.json"
     _write_points_csv(points_path, features)
-    with open(meta_path, "w") as fh:
-        json.dump(_jsonable(meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(meta_path, _json(meta))
     written = [points_path, meta_path]
     if "clustering" in meta:
         assign_path = f"{prefix}-assignment.txt"
@@ -563,14 +528,7 @@ def build_parser():
     p_solve.add_argument(
         "--algo",
         required=True,
-        choices=(
-            "solve-1d",
-            "solve-dp",
-            "solve-tree2",
-            "embed",
-            "separated-exact",
-            "separated-pipeline",
-        ),
+        choices=tuple(SOLVER_FLAGS),
     )
     p_solve.add_argument("--k", type=int)
     p_solve.add_argument("--targets", help="comma-separated target sizes (solve-dp)")
@@ -603,13 +561,7 @@ def build_parser():
     p_gen.add_argument(
         "--family",
         required=True,
-        choices=(
-            "kmeanspp-blocks",
-            "kcenter-balls",
-            "single-linkage-path",
-            "fig1-no-stable",
-            "fig2-two-stable",
-        ),
+        choices=tuple(FAMILY_FLAGS),
     )
     p_gen.add_argument("--alpha", type=float, help="violation factor (kmeanspp-blocks)")
     p_gen.add_argument("--n-blocks", type=int, default=1, dest="n_blocks")

@@ -59,6 +59,12 @@ def _check_range(largest, n):
         raise ValueError("distances are not finite or overflow the float range")
 
 
+def _check_k(k, n, least=1):
+    """The one rule for a cluster count: least <= k <= n."""
+    if not least <= k <= n:
+        raise ValueError(f"need {least} <= k <= n, got k={k}, n={n}")
+
+
 def min_count(frac, n):
     """The smallest whole count >= frac * n, read with a relative slack of a
     few ulps so that a product rounded just above a whole number counts as
@@ -369,8 +375,7 @@ def brute_force(oracle, k, mode="find-stable"):
     n = oracle.n
     if n > 14:
         raise ValueError("brute force is limited to n <= 14 points")
-    if not 1 <= k <= n:
-        raise ValueError("k must be in [1, n]")
+    _check_k(k, n)
     if mode not in ("find-stable", "min-maxvi"):
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -17,6 +17,9 @@ from .core import Clustering, DistanceOracle, audit
 
 VERIFY_TOL = 1e-6
 
+# ratio of consecutive micro-gaps along the single-linkage path
+PATH_GAP_GROWTH = 1.01
+
 
 def _self_check(features, assignment, k):
     oracle = DistanceOracle.from_points(np.asarray(features, dtype=float))
@@ -148,12 +151,12 @@ def gen_kcenter_hard(n, epsilon):
     return features, metadata
 
 
-def gen_single_linkage_hard(n, epsilon, growth=1.01):
+def gen_single_linkage_hard(n, epsilon):
     """A line where single linkage's 2-cut isolates one point badly.
 
     v1 sits at 0, v2 at 1, and v3..vn follow at strictly increasing
-    micro-gaps c*growth^j. Single linkage therefore merges the whole tail
-    v2..vn before ever touching the unit gap, and the k=2 cut is
+    micro-gaps c*PATH_GAP_GROWTH^j. Single linkage therefore merges the
+    whole tail v2..vn before ever touching the unit gap, and the k=2 cut is
     {v1} vs {v2..vn}. The scale c is calibrated so v2's average distance
     into its own cluster is exactly epsilon*(n-1)/2 while its distance to
     the singleton is 1, making Vi(v2) = epsilon*(n-1)/2 on the nose
@@ -165,10 +168,10 @@ def gen_single_linkage_hard(n, epsilon, growth=1.01):
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     ms = np.arange(2, n)                       # micro-gap slots g_2..g_{n-1}
-    weights = (n - ms) * growth ** ms          # sum_j d(v2, vj) = c * sum of these
+    weights = (n - ms) * PATH_GAP_GROWTH ** ms   # sum_j d(v2, vj) = c * sum of these
     target_avg = epsilon * (n - 1) / 2.0
     c = target_avg * (n - 2) / weights.sum()
-    gaps = np.concatenate([[1.0], c * growth ** ms])
+    gaps = np.concatenate([[1.0], c * PATH_GAP_GROWTH ** ms])
     if gaps[1:].max() >= 1.0:
         raise ValueError("micro-gaps reached the isolating gap; reduce epsilon or n")
     values = np.concatenate([[0.0], np.cumsum(gaps)])
@@ -187,7 +190,7 @@ def gen_single_linkage_hard(n, epsilon, growth=1.01):
         "family": "single-linkage-path",
         "n": n,
         "epsilon": epsilon,
-        "growth": growth,
+        "growth": PATH_GAP_GROWTH,
         "clustering": assignment.tolist(),
         "v2": 1,
         "claimed_vi_v2": claimed,

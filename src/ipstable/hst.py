@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, audit, min_count
+from .core import STABILITY_TOL, Clustering, _check_k, audit, min_count
 from .tree import root_pass
 
 HALVING_SLACK = 1e-12
@@ -116,33 +116,15 @@ class Hst:
             c.append(c[-1] + w)
         return c
 
-    def node_dist(self, a, b):
-        """Path distance between two nodes."""
-        cum = self._cum()
-        da, db = self.depth[a], self.depth[b]
-        total = cum[da] + cum[db]
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return total - 2.0 * cum[self.depth[a]]
-
-    def point_dist(self, p, q):
-        nodes = self.point_node()
-        return self.node_dist(nodes[p], nodes[q])
-
     def point_distance_matrix(self):
         """Tree distances between all mapped points, ordered like points().
 
         Entry (a, b) is cum[depth a] + cum[depth b] - 2 cum[depth lca(a, b)],
-        node_dist's own formula, so the matrix is bit-identical to it. A
-        pair's lca depth is the number of depths >= 1 at which the two points
-        share an ancestor: one m x m comparison per depth fills a small-int
-        matrix, and the float arithmetic runs in row chunks, so the output is
-        the only m x m float array.
+        the formula of the pairwise walk in tests/conftest.py, so the matrix
+        is bit-identical to it. A pair's lca depth is the number of depths
+        >= 1 at which the two points share an ancestor: one m x m comparison
+        per depth fills a small-int matrix, and the float arithmetic runs in
+        row chunks, so the output is the only m x m float array.
         """
         pts = self.points()
         m = len(pts)
@@ -238,8 +220,7 @@ def hst_k_clustering(hst, k):
         raise ValueError("hst_k_clustering needs a normalized Hst")
     pts = hst.points()
     n = len(pts)
-    if not 1 <= k <= n:
-        raise ValueError("k must be in [1, n_points]")
+    _check_k(k, n)
 
     L = hst.max_depth()
     counts = np.bincount(hst.depth, minlength=L + 1)
@@ -383,6 +364,7 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     if not 0.0 <= epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in [0, 1/3)")
     n = oracle.n
+    _check_k(k, n)
     hst = embed_hst(oracle, seed)
     d = oracle.matrix()
 

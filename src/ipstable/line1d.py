@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering
+from .core import STABILITY_TOL, Clustering, _check_k
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,7 @@ class SeparatorState:
 def sweep(instance, k):
     """Run the leftward separator sweep to a fully stable state."""
     n = instance.n
-    if not 1 <= k <= n:
-        raise ValueError("k must be in [1, n]")
+    _check_k(k, n)
     # one big cluster on the left, then k-1 singletons
     b = [0] + list(range(n - k + 1, n + 1))
     stable = instance.last_point_stable

@@ -49,6 +49,7 @@ import numpy as np
 from .core import (
     STABILITY_TOL,
     Clustering,
+    _check_k,
     _cluster_averages,
     _partitions_into_k,
     audit,
@@ -89,12 +90,12 @@ class SuperclusterPartition:
     """Outcome of a guarded linkage phase over n points.
 
     clusters hold sorted point ids; cross_min/cross_max are ell x ell
-    matrices of extreme inter-supercluster distances (diagonal 0). On a
-    from_matrix input with a tiny asymmetry, the size guard reads them from
-    the upper triangle d(i, j), i < j, as it reads the edge lengths; the
-    conditioned linkage's running row and column updates mix both triangles.
-    representatives pick the smallest id per cluster. merge_log records
-    (distance, endpoint_a, endpoint_b, criterion) per executed merge, where
+    matrices of extreme inter-supercluster distances (diagonal 0). Both
+    linkages read them from the upper triangle d(i, j), i < j, as they read
+    the edge lengths, so a from_matrix input with a tiny asymmetry gets the
+    same values from either. representatives pick the smallest id per
+    cluster. merge_log records (distance, endpoint_a, endpoint_b, criterion)
+    per executed merge, where
     criterion is 1 (size), 2 (cross spread), or 3 (long own edge);
     the plain size-guarded variant only ever logs criterion 1.
     """
@@ -256,23 +257,6 @@ class _MergeState:
                 reach, wide = self.reach(), None
         return log
 
-    def partition(self, alpha, merge_log):
-        roots = np.flatnonzero(self.root == np.arange(self.n))
-        clusters = [np.flatnonzero(self.root == r).tolist() for r in roots]
-        grid = np.ix_(roots, roots)
-        # the upper triangle, mirrored: from_matrix tolerates a tiny asymmetry
-        cmn = np.triu(self.mn[grid], 1)
-        cmx = np.triu(self.mx[grid], 1)
-        return SuperclusterPartition(
-            clusters=clusters,
-            cross_min=cmn + cmn.T,
-            cross_max=cmx + cmx.T,
-            representatives=[c[0] for c in clusters],
-            merge_log=merge_log,
-            alpha=alpha,
-            n=self.n,
-        )
-
 
 def _edge_chunks(m):
     """All pairs i < j as (i, j, d) arrays in (d, i, j) order, a chunk at a time.
@@ -372,6 +356,24 @@ def _cross_extremes(m, clusters):
     return out
 
 
+def _partition(edges, clusters, merge_log, alpha):
+    """The SuperclusterPartition of clusters, listed by root.
+
+    edges is the matrix of edge lengths, as _upper_mirrored returns it, so
+    the cross extremes read the upper triangle.
+    """
+    cross_min, cross_max = _cross_extremes(edges, clusters)
+    return SuperclusterPartition(
+        clusters=clusters,
+        cross_min=cross_min,
+        cross_max=cross_max,
+        representatives=[c[0] for c in clusters],
+        merge_log=merge_log,
+        alpha=alpha,
+        n=len(edges),
+    )
+
+
 def linkage_size_guard(oracle, alpha):
     """Single linkage that merges only while a side is still undersized.
 
@@ -388,6 +390,7 @@ def linkage_size_guard(oracle, alpha):
     O(n log n) Python steps; the n(n-1)/2 edges are never listed or sorted.
     cross_min and cross_max read d(i, j) at i < j, as the edge lengths do.
     """
+    _check_alpha(alpha)
     m = _upper_mirrored(oracle.matrix())
     n = len(m)
     thresh = min_count(alpha, n)
@@ -404,17 +407,7 @@ def linkage_size_guard(oracle, alpha):
             root[x] = ra
         members[ra] += members[rb]
         log.append((d, i, j, 1))
-    clusters = [sorted(members[r]) for r in range(n) if root[r] == r]
-    cross_min, cross_max = _cross_extremes(m, clusters)
-    return SuperclusterPartition(
-        clusters=clusters,
-        cross_min=cross_min,
-        cross_max=cross_max,
-        representatives=[c[0] for c in clusters],
-        merge_log=log,
-        alpha=alpha,
-        n=n,
-    )
+    return _partition(m, [sorted(members[r]) for r in range(n) if root[r] == r], log, alpha)
 
 
 def linkage_conditioned(oracle, alpha, gamma):
@@ -434,6 +427,7 @@ def linkage_conditioned(oracle, alpha, gamma):
     later edge can fire (_MergeState.scan): numpy batches over the
     scanned edges and O(n) per merge (at most n-1 merges).
     """
+    _check_alpha(alpha)
     if not (gamma >= GAMMA_MIN and math.isfinite(gamma * gamma)):
         # NaN fails the comparison; above ~1.3e154 the merge bounds overflow
         raise ValueError(f"gamma must be at least 2 + sqrt(3) and below ~1.3e154, got {gamma}")
@@ -441,11 +435,16 @@ def linkage_conditioned(oracle, alpha, gamma):
     own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
     m = oracle.matrix()
     st = _MergeState(m, min_count(alpha, oracle.n), spread_bound, own_bound)
-    return st.partition(alpha, st.scan(_edge_chunks(m)))
+    log = st.scan(_edge_chunks(m))
+    root = st.root
+    del st                     # frees its two n x n cross copies before _partition
+    roots = np.flatnonzero(root == np.arange(len(m)))
+    clusters = [np.flatnonzero(root == r).tolist() for r in roots]
+    return _partition(_upper_mirrored(m), clusters, log, alpha)
 
 
 def _check_alpha(alpha):
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < alpha <= 1.0:                       # also rejects NaN
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
@@ -458,6 +457,7 @@ def exact_enumerate(oracle, k, alpha):
     raises when no grouping is stable, which means the input had no
     sufficiently separated underlying clustering.
     """
+    _check_k(k, oracle.n)
     _check_alpha(alpha)
     if (1.0 / alpha) ** k > ENUM_GUARD:
         raise ValueError("enumeration too large: (1/alpha)**k exceeds the guard")
@@ -505,7 +505,7 @@ def pipeline(oracle, k, alpha, gamma, seed=0):
     combination stretch * uniformity**2 bounds the violation whenever the
     separation promise actually held.
     """
-    _check_alpha(alpha)
+    _check_k(k, oracle.n)
     part = linkage_conditioned(oracle, alpha, gamma)
     if part.ell < k:
         raise ValueError("fewer superclusters than k; lower alpha or k")

@@ -3,7 +3,7 @@
 naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
-bfs_solve_tree2, naive_point_distance_matrix, walk_hst_k_clustering,
+bfs_solve_tree2, node_dist, naive_point_distance_matrix, walk_hst_k_clustering,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
 max_pick_cut, reaudit_prune, per_row_dp_table and relabel_by_first_appearance
 are the plain per-call walks, per-point ancestor walks, per-edge scans,
@@ -154,14 +154,34 @@ def bfs_solve_tree2(tree, tol=TOL):
     return labels if labels[r] == 0 else 1 - labels
 
 
+def node_dist(hst, a, b):
+    """Path distance between two Hst nodes, by walking both up to their lca."""
+    cum = hst._cum()
+    total = cum[hst.depth[a]] + cum[hst.depth[b]]
+    while hst.depth[a] > hst.depth[b]:
+        a = hst.parent[a]
+    while hst.depth[b] > hst.depth[a]:
+        b = hst.parent[b]
+    while a != b:
+        a = hst.parent[a]
+        b = hst.parent[b]
+    return total - 2.0 * cum[hst.depth[a]]
+
+
+def point_dist(hst, p, q):
+    """node_dist between the nodes that points p and q map to."""
+    nodes = hst.point_node()
+    return node_dist(hst, nodes[p], nodes[q])
+
+
 def naive_point_distance_matrix(hst):
-    """Hst.node_dist over every pair of mapped points, ordered like points()."""
+    """node_dist over every pair of mapped points, ordered like points()."""
     pts = hst.points()
     nodes = hst.point_node()
     out = np.zeros((len(pts), len(pts)))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            out[i, j] = out[j, i] = hst.node_dist(nodes[pts[i]], nodes[pts[j]])
+            out[i, j] = out[j, i] = node_dist(hst, nodes[pts[i]], nodes[pts[j]])
     return out
 
 
@@ -385,7 +405,7 @@ def max_pick_cut(z, k):
     """
     n = len(z) + 1
     if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= number of leaves")
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     frontier = [2 * n - 2]
     while len(frontier) < k:
         v = max((w for w in frontier if w >= n), key=lambda w: (z[w - n, 2], w))
@@ -406,7 +426,7 @@ def reaudit_prune(z, oracle, k, measure="num-unstable"):
     if n == 1:
         raise ValueError("cannot prune a single-leaf dendrogram")
     if not 2 <= k <= oracle.n:
-        raise ValueError("need 2 <= k <= n")
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={oracle.n}")
     frontier = [int(z[-1, 0]), int(z[-1, 1])]
     for _ in range(k - 2):
         best = None

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,3 +582,96 @@ def test_gen_error_paths(tmp_path, capsys):
     assert cli.main(["gen", "--family", "kcenter-balls", "--n", "16",
                      "--epsilon", "0.5", "--out", str(tmp_path / "y")]) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the file and instance boundary
+
+
+def _argv_with_out(tmp_path, command, out):
+    """One valid argv per subcommand, writing its output to out."""
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, [0.0, 1.0, 7.0, 8.0])
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [0, 0, 1, 1])
+    return {
+        "audit": ["audit", "--input", str(inp), "--assignment", str(assign), "--out", out],
+        "solve": ["solve", "--input", str(inp), "--algo", "solve-1d", "--k", "2", "--out", out],
+        "bench": ["bench", "--input", str(inp), "--algo", "random", "--k", "2", "--out", out],
+        "gen": ["gen", "--family", "fig2-two-stable", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["audit", "solve", "bench", "gen"])
+def test_output_in_a_missing_directory_is_an_error(tmp_path, capsys, command):
+    out = str(tmp_path / "no-such-dir" / "out")
+    assert cli.main(_argv_with_out(tmp_path, command, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_solve_tree2_rejects_standardize(tmp_path, capsys):
+    tree = tmp_path / "t.txt"
+    _write_tree(tree, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
+    rc = cli.main(["solve", "--input", str(tree), "--metric", "tree",
+                   "--algo", "solve-tree2", "--standardize"])
+    assert rc == 1
+    assert "error: --standardize only applies to point inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["matrix", "tree"])
+@pytest.mark.parametrize("algo", ["solve-1d", "solve-dp"])
+def test_line_solvers_need_a_point_metric(tmp_path, capsys, algo, metric):
+    inp = tmp_path / "in.txt"
+    # a valid one-point matrix, or a valid two-node tree
+    _write_lines(inp, ["0"] if metric == "matrix" else ["0 1 1.0"])
+    flags = ["--k", "1"] if algo == "solve-1d" else ["--targets", "1"]
+    assert cli.main(["solve", "--input", str(inp), "--metric", metric, "--algo", algo,
+                     *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, metric, message", [
+    (["0 1"], "tree", "expected 'u v weight'"),
+    (["0 1 1.0 2"], "tree", "expected 'u v weight'"),
+    (["1 2"], None, "expected one integer per line"),
+])
+def test_malformed_lines_are_an_error(tmp_path, capsys, lines, metric, message):
+    bad = tmp_path / "bad.txt"
+    _write_lines(bad, lines)
+    if metric == "tree":
+        argv = ["solve", "--input", str(bad), "--metric", "tree", "--algo", "solve-tree2"]
+    else:
+        inp = tmp_path / "v.csv"
+        _write_csv(inp, [0.0])
+        argv = ["audit", "--input", str(inp), "--assignment", str(bad)]
+    assert cli.main(argv) == 1
+    assert f"error: {bad}:1: {message}" in capsys.readouterr().err
+
+
+def test_bench_checks_every_k_before_running(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "p.csv"
+    _write_csv(inp, np.arange(8.0))
+    calls = []
+    runner = cli.baselines.random_clustering
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return runner(*args, **kwargs)
+
+    monkeypatch.setattr(cli.baselines, "random_clustering", counted)
+    assert cli.main(["bench", "--input", str(inp), "--algo", "random", "--k", "2,99"]) == 1
+    assert "error: k=99 exceeds the 8-point instance" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_files_are_opened_only_by_the_reader_and_the_writer():
+    """Every open() in cli.py sits in _records or _write_text."""
+    def opens(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call) and (
+            getattr(call.func, "id", None) == "open" or getattr(call.func, "attr", None) == "open")]
+
+    module = ast.parse(Path(cli.__file__).read_text())
+    openers = [f.name for f in module.body if isinstance(f, ast.FunctionDef) for _ in opens(f)]
+    assert sorted(openers) == ["_records", "_write_text"]
+    assert len(opens(module)) == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipstable import baselines
 from ipstable.core import (
     Clustering,
     DistanceOracle,
@@ -17,6 +18,9 @@ from ipstable.core import (
     is_t_stable,
 )
 from ipstable.hardgen import fixtures
+from ipstable.hst import cluster_via_embedding, embed_hst, hst_k_clustering, normalize_leaves
+from ipstable.line1d import solve_1d
+from ipstable.separated import exact_enumerate, pipeline
 
 from conftest import (
     all_label_partitions,
@@ -493,3 +497,30 @@ def test_brute_force_guards():
         brute_force(small, 3)
     with pytest.raises(ValueError):
         brute_force(small, 1, mode="nope")
+
+
+# --- the one cluster-count rule ----------------------------------------------
+
+
+# every public solver that takes k, as fn(oracle, points, k)
+K_SOLVERS = {
+    "brute_force": lambda o, x, k: brute_force(o, k),
+    "solve_1d": lambda o, x, k: solve_1d(x[:, 0], k),
+    "hst_k_clustering": lambda o, x, k: hst_k_clustering(normalize_leaves(embed_hst(o, 0)), k),
+    "cluster_via_embedding": lambda o, x, k: cluster_via_embedding(o, k),
+    "exact_enumerate": lambda o, x, k: exact_enumerate(o, k, 0.3),
+    "pipeline": lambda o, x, k: pipeline(o, k, 0.3, 4.0),
+    "kmeans_pp": lambda o, x, k: baselines.kmeans_pp(x, k),
+    "kcenter_greedy": lambda o, x, k: baselines.kcenter_greedy(o, k, 0),
+    "random_clustering": lambda o, x, k: baselines.random_clustering(o.n, k),
+    "cut_dendrogram": lambda o, x, k: baselines.cut_dendrogram(baselines.linkage(o), k),
+    "greedy_prune": lambda o, x, k: baselines.greedy_prune(baselines.linkage(o), o, k),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1, 7])
+@pytest.mark.parametrize("solver", sorted(K_SOLVERS))
+def test_every_solver_rejects_k_outside_one_to_n(solver, k):
+    x = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.4], [9.0, 9.0], [9.5, 9.1], [9.2, 9.4]])
+    with pytest.raises(ValueError, match=rf"need [12] <= k <= n, got k={k}, n=6"):
+        K_SOLVERS[solver](DistanceOracle.from_points(x), x, k)

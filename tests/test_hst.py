@@ -16,6 +16,8 @@ from ipstable.hst import (
 from conftest import (
     naive_num_unstable,
     naive_point_distance_matrix,
+    node_dist,
+    point_dist,
     random_graph_metric,
     random_hst,
     random_points,
@@ -37,11 +39,11 @@ def _tiny_hst():
 def test_node_dist_hand_values():
     h = _tiny_hst()
     # siblings 3, 4 meet at node 1: 2 + 2
-    assert h.node_dist(3, 4) == pytest.approx(4.0)
+    assert node_dist(h, 3, 4) == pytest.approx(4.0)
     # 3 to 2 goes through the root: (2 + 4) + 4
-    assert h.node_dist(3, 2) == pytest.approx(10.0)
-    assert h.node_dist(1, 1) == 0.0
-    assert h.point_dist(1, 2) == pytest.approx(4.0)
+    assert node_dist(h, 3, 2) == pytest.approx(10.0)
+    assert node_dist(h, 1, 1) == 0.0
+    assert point_dist(h, 1, 2) == pytest.approx(4.0)
 
 
 def test_point_distance_matrix_is_bitwise_the_node_dist_loop():

@@ -195,11 +195,13 @@ def _linkage_oracle(rng, kind):
 
 
 def _assert_conditioned_matches(o, alpha, gamma, where):
-    """The linkage equals the per-edge full scan; returns the full scan's log."""
+    """The linkage equals the per-edge full scan, with upper-triangle cross
+    extremes; returns the full scan's log."""
     part = linkage_conditioned(o, alpha, gamma)
-    log, clusters, cmn, cmx = full_scan_conditioned(o.matrix(), alpha, gamma)
+    log, clusters, _, _ = full_scan_conditioned(o.matrix(), alpha, gamma)
     assert part.merge_log == log, where
     assert part.clusters == clusters, where
+    cmn, cmx = _upper_block_extremes(o.matrix(), part.clusters)
     assert np.array_equal(part.cross_min, cmn), where
     assert np.array_equal(part.cross_max, cmx), where
     return log
@@ -461,3 +463,14 @@ def test_pipeline_deterministic_per_seed():
     b = pipeline(o, 3, alpha=0.25, gamma=4.0, seed=11)
     assert np.array_equal(a.clustering.assignment, b.clustering.assignment)
     assert a.stretch == b.stretch
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, 1.5])
+@pytest.mark.parametrize("linkage", ["size-guard", "conditioned"])
+def test_linkages_reject_alpha_outside_the_unit_interval(linkage, alpha):
+    o = _oracle(random_points(np.random.default_rng(3), 8, 2))
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        if linkage == "size-guard":
+            linkage_size_guard(o, alpha)
+        else:
+            linkage_conditioned(o, alpha, 4.0)
