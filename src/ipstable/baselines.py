@@ -54,34 +54,27 @@ def lloyd(features, center_coords):
     return assign, centers, inertias, n_repairs
 
 
-def kmeans_pp(features, k, seed=0, init_centers=None):
+def kmeans_pp(features, k, seed=0):
     """k-means++ seeding followed by Lloyd, in Euclidean feature space.
 
     Seeding picks the first center uniformly, then each next center with
     probability proportional to squared distance from the chosen set.
-    init_centers (point indices) overrides seeding entirely, which lets
-    callers study Lloyd from an adversarial start.
     """
     x = np.asarray(features, dtype=float)
     n = len(x)
     _check_k(k, n)
     rng = np.random.default_rng(seed)
-    if init_centers is not None:
-        idx = list(init_centers)
-        if len(idx) != k:
-            raise ValueError("init_centers must supply exactly k points")
-    else:
-        idx = [int(rng.integers(n))]
-        d2 = cdist(x, x[idx[-1:]], metric="sqeuclidean")[:, 0]
-        while len(idx) < k:
-            total = d2.sum()
-            if total > 0:
-                nxt = int(rng.choice(n, p=d2 / total))
-            else:
-                free = sorted(set(range(n)) - set(idx))
-                nxt = free[int(rng.integers(len(free)))]
-            idx.append(nxt)
-            d2 = np.minimum(d2, cdist(x, x[nxt : nxt + 1], metric="sqeuclidean")[:, 0])
+    idx = [int(rng.integers(n))]
+    d2 = cdist(x, x[idx[-1:]], metric="sqeuclidean")[:, 0]
+    while len(idx) < k:
+        total = d2.sum()
+        if total > 0:
+            nxt = int(rng.choice(n, p=d2 / total))
+        else:
+            free = sorted(set(range(n)) - set(idx))
+            nxt = free[int(rng.integers(len(free)))]
+        idx.append(nxt)
+        d2 = np.minimum(d2, cdist(x, x[nxt : nxt + 1], metric="sqeuclidean")[:, 0])
     assign, _, _, _ = lloyd(x, x[idx])
     return Clustering(assign, k)
 

@@ -152,13 +152,22 @@ def build_oracle(args):
     Non-finite input and distances that overflow fail here as a CliError,
     before any solver or audit runs. Points on a line check their range
     without a matrix; other point inputs build their matrix here to check it.
+    solve-1d and solve-dp take one value column, so any other input fails
+    for them before a matrix is built.
     """
     metric = args.metric
     if args.standardize and metric not in POINT_METRICS:
         raise CliError("--standardize only applies to point inputs")
+    line_solver = args.command == "solve" and args.algo in ("solve-1d", "solve-dp")
+    if line_solver and metric not in POINT_METRICS:
+        raise CliError(
+            f"{args.input}: this solver needs a single value column, got --metric {metric}")
     try:
         if metric in POINT_METRICS:
             pts = load_points(args.input, standardize=args.standardize)
+            if line_solver and pts.shape[1] != 1:
+                raise CliError(
+                    f"{args.input}: this solver needs a single value column, got {pts.shape[1]}")
             oracle = DistanceOracle.from_points(pts, metric)
             if pts.shape[1] > 1:
                 oracle.matrix()
@@ -245,10 +254,7 @@ def _write_report(path, payload, fmt):
         _write_text(path, _json(payload))
         return
     # csv: one header row and one value row of the scalar fields
-    keys = [k for k in ("num_unstable", "max_violation", "mean_violation", "cost", "obj")
-            if k in payload]
-    extra = sorted(k for k in payload if k not in keys and not isinstance(payload[k], (list, dict)))
-    keys += extra
+    keys = ("num_unstable", "max_violation", "mean_violation", "cost", "obj")
     vals = ["" if payload[k] is None else f"{payload[k]:.10g}" if isinstance(payload[k], float)
             else str(payload[k]) for k in keys]
     _write_text(path, ",".join(keys) + "\n" + ",".join(vals) + "\n")
@@ -310,9 +316,9 @@ SOLVER_FLAGS = {
 def _solve_dispatch(args):
     """Returns (full assignment labels, report, extras dict).
 
-    The instance comes from build_oracle for every solver. The line solvers
-    take its one value column, and every solver but embed and the pipeline,
-    which audit their own output, is audited here.
+    The instance comes from build_oracle for every solver, which has checked
+    that the line solvers get one value column. Every solver but embed and
+    the pipeline, which audit their own output, is audited here.
     """
     algo = args.algo
     _require(args, algo, SOLVER_FLAGS[algo])
@@ -322,9 +328,6 @@ def _solve_dispatch(args):
         if args.k not in (None, 2):
             raise CliError("solve-tree2 only produces k=2")
     oracle, pts, tree = build_oracle(args)
-    if algo in ("solve-1d", "solve-dp") and (pts is None or pts.shape[1] != 1):
-        got = f"--metric {args.metric}" if pts is None else pts.shape[1]
-        raise CliError(f"{args.input}: this solver needs a single value column, got {got}")
 
     extras = {"algorithm": algo}
     targets, p = None, math.inf

@@ -25,6 +25,13 @@ every interval and every block's table to that span, so the table width and
 the number of queries follow the finite cells. A layer costs O(n^2) for the
 threshold masks plus at most O(n^2 log n) for the levels, in O(n / ROW_BLOCK)
 Python steps, instead of the naive O(n^3) per layer.
+
+`reconstruct` walks back one layer per numpy step and needs no tolerance.
+Every cell is pen[j] (+ or max) a minimum of the previous layer, and a
+minimum is one of the floats it was taken over, so the walk can pick that
+very entry: for finite p the smallest size at the exact row minimum, and for
+p = infinity the smallest size whose entry is at most the optimum. Ties go
+to the smallest size, and the path found reproduces the optimum bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, _check_targets
+from .core import STABILITY_TOL, _check_targets
 from .line1d import LineInstance
 
 # float64 |size - target|^p overflows around p ~ 30 for realistic deviations
@@ -197,66 +204,36 @@ def reconstruct(dp):
 
     Returns (Clustering in input order, objective value). The objective is
     the lp-norm of the size deviations (table entries store the p-th power
-    for finite p). Among ties the smallest feasible cluster size is chosen,
-    reading boundary feasibility from the table's thresholds.
+    for finite p). The last cluster takes the smallest size at the minimum
+    of T[n, :, k]. Walking left, each boundary reads the previous layer over
+    the sizes the fill took its minimum from and takes, for finite p, the
+    smallest size at that exact minimum, and for p = infinity the smallest
+    size whose entry is at most the optimum. The sizes found fold, in the
+    fill's order, to the optimum bit for bit.
     """
     T, targets, p, instance = dp.table, dp.targets, dp.p, dp.instance
     n = instance.n
     k = len(targets)
 
-    final = T[n, 1 : n + 1, k]
-    vstar = final.min()
+    final = T[n, 1:, k]
+    right = int(np.argmin(final)) + 1
+    vstar = final[right - 1]
     if not np.isfinite(vstar):
         raise RuntimeError("table holds no stable contiguous clustering")
-    j0 = int(np.argmin(final)) + 1  # smallest optimal size for the last cluster
 
-    sizes = [0] * (k + 1)  # 1-indexed cluster sizes
-    sizes[k] = j0
-    tail = abs(j0 - float(targets[k - 1])) ** p if p != math.inf else None
-
-    remaining = n - j0
-    right_size = j0
-    for l in range(k - 1, 1, -1):
-        found = None
-        for h in range(1, remaining - (l - 1) + 1):
-            val = T[remaining, h, l]
-            if not np.isfinite(val):
-                continue
-            if p == math.inf:
-                # entries are whole deviations here, so the match is exact
-                if val > vstar:
-                    continue
-            else:
-                # the tail is summed in a different order than the fill, so
-                # the two p-th power sums may differ in their last bits
-                if not np.isclose(val + tail, vstar, rtol=1e-9, atol=1e-12):
-                    continue
-            if dp.s_lo[remaining, right_size] <= h <= dp.s_hi[remaining, right_size]:
-                found = h
-                break
-        if found is None:
-            raise RuntimeError("reconstruction failed: no consistent boundary")
-        sizes[l] = found
-        if p != math.inf:
-            tail += abs(found - float(targets[l - 1])) ** p
-        remaining -= found
-        right_size = found
-    if k >= 2:
-        sizes[1] = remaining
-        if sizes[1] < 1:
-            raise RuntimeError("reconstruction failed: empty leading cluster")
-
-    assign_sorted = np.empty(n, dtype=int)
-    pos = 0
-    for c in range(1, k + 1):
-        assign_sorted[pos : pos + sizes[c]] = c - 1
-        pos += sizes[c]
-    assignment = np.empty(n, dtype=int)
-    assignment[instance.sort_permutation] = assign_sorted
-    clustering = Clustering(assignment, k)
+    sizes = [right]                  # right to left
+    rem = n - right
+    for l in range(k - 1, 0, -1):
+        # the fill's interval for cell T[rem + right, right, l + 1]
+        lo = max(1, int(dp.s_lo[rem, right]))
+        hi = min(rem - l + 1, int(dp.s_hi[rem, right]))
+        row = T[rem, lo : hi + 1, l]
+        right = lo + int(np.argmax(row <= vstar) if p == math.inf else np.argmin(row))
+        sizes.append(right)
+        rem -= right
 
     obj = float(vstar) if p == math.inf else float(vstar) ** (1.0 / p)
-    return clustering, obj
+    return instance.clustering(sizes[::-1]), obj
 
 
 def solve_targets(values, targets, p=math.inf):

@@ -36,8 +36,6 @@ import numpy as np
 from .core import STABILITY_TOL, Clustering, _check_k, audit, min_count
 from .tree import root_pass
 
-HALVING_SLACK = 1e-12
-
 # rows per float block in Hst.point_distance_matrix; bounds its float
 # temporaries to ROW_CHUNK x m
 ROW_CHUNK = 64
@@ -87,7 +85,7 @@ class Hst:
             if not self.level_weights[d] > 0:
                 raise ValueError("level weights must be positive")
         for d in range(used - 1):
-            if self.level_weights[d + 1] > self.level_weights[d] / 2.0 * (1 + HALVING_SLACK):
+            if self.level_weights[d + 1] > self.level_weights[d] / 2.0:
                 raise ValueError("level weights must at least halve per level")
         pts = list(self.node_point.values())
         if len(set(pts)) != len(pts):

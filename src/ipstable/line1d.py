@@ -137,6 +137,13 @@ class LineInstance:
         own = self.dist_left(a, left - 1) / (left - 1) if left > 1 else 0.0
         return own <= self.dist_right(a, right) / right * (1.0 + STABILITY_TOL)
 
+    def clustering(self, sizes):
+        """The contiguous clustering whose clusters, left to right in sorted
+        order, hold sizes[0], sizes[1], ... points, in input order."""
+        assignment = np.empty(self.n, dtype=int)
+        assignment[self.sort_permutation] = np.repeat(np.arange(len(sizes)), sizes)
+        return Clustering(assignment, len(sizes))
+
 
 def _clip(s, less1, near, far):
     """Clip the sums s over counts c = 0, 1, ... (less1 holds c - 1) in
@@ -166,10 +173,7 @@ class SeparatorState:
         return len(self.bounds) - 1
 
     def to_clustering(self):
-        assign_sorted = np.repeat(np.arange(self.k), np.diff(self.bounds))
-        assignment = np.empty(self.instance.n, dtype=int)
-        assignment[self.instance.sort_permutation] = assign_sorted
-        return Clustering(assignment, self.k)
+        return self.instance.clustering(np.diff(self.bounds))
 
 
 def sweep(instance, k):

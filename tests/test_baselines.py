@@ -62,8 +62,8 @@ def test_kmeans_pp_determinism_and_validity():
 def test_kmeans_pp_init_override_is_lloyd_fixed_point_aware():
     # centers placed exactly on two tight blobs stay there
     x = np.vstack([np.zeros((3, 2)), np.ones((3, 2)) * 9])
-    c = kmeans_pp(x, 2, init_centers=[0, 3])
-    blocks = sorted(sorted(int(i) for i in b) for b in c.clusters())
+    assign, _, _, _ = lloyd(x, x[[0, 3]])
+    blocks = sorted(sorted(int(i) for i in b) for b in Clustering(assign, 2).clusters())
     assert blocks == [[0, 1, 2], [3, 4, 5]]
 
 

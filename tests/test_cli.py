@@ -316,6 +316,28 @@ def test_line_jobs_never_build_the_matrix(tmp_path, capsys, monkeypatch):
     assert "error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["solve-1d", "solve-dp"])
+def test_line_solvers_reject_several_columns_before_any_matrix(tmp_path, capsys, monkeypatch,
+                                                                algo):
+    wide = tmp_path / "wide.csv"
+    _write_csv(wide, [[0.0, 0.0], [1.0, 1.0], [1e300, -1e300], [-1e300, 1e300]])
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a rejected input built an n x n matrix")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.DistanceOracle, "matrix", no_matrix)
+        m.setattr("ipstable.core.cdist", no_matrix)
+        flags = ["--k", "2"] if algo == "solve-1d" else ["--targets", "2,2"]
+        assert cli.main(["solve", "--input", str(wide), "--algo", algo, *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{wide}: this solver needs a single value column, got 2" in err
+    # every other solver still range-checks the matrix, naming the input
+    assert cli.main(["solve", "--input", str(wide), "--algo", "embed", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {wide}: " in err and "overflow" in err
+
+
 def test_solve_dp_roundtrip_and_obj(tmp_path, capsys):
     inp = tmp_path / "v.csv"
     _write_csv(inp, [0.0, 8.0, 9.0, 9.0 + 1.0 / 3.0, 17.0 + 1.0 / 3.0])

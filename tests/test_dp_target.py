@@ -229,6 +229,44 @@ def test_output_audited_on_the_line_matches_naive(values, data):
     assert rep.obj == pytest.approx(obj)
 
 
+def _fill_order_fold(sizes, targets, p):
+    """The deviations of sizes folded as build_table folds them: layer 1 with
+    Python's **, each later layer by + or max with a numpy penalty row."""
+    all_j = np.arange(sum(sizes) + 1, dtype=float)
+    dev = abs(sizes[0] - float(targets[0]))
+    acc = dev if p == math.inf else dev**p
+    for size, t in zip(sizes[1:], targets[1:]):
+        pen = np.abs(all_j - float(t)) if p == math.inf else np.abs(all_j - float(t)) ** p
+        acc = np.maximum(pen[size], acc) if p == math.inf else pen[size] + acc
+    return acc
+
+
+# a p = 1.5 near-tie: sizes (1, 1, 2, 2, 3, 6) and (1, 3, 2, 1, 2, 6) have the
+# same deviations, but their p-th powers fold in the fill's order to floats
+# a last bit apart, and only the first is the table's optimum
+NEAR_TIE = ([0.2, 0.6, 0.3, 0.1, -0.5, -0.3, -1.0, -0.1, 0.8, 0.7, 0.8, 0.0, 1.5, -0.4, 0.8],
+            [3, 1, 3, 1, 1, 6])
+
+
+@pytest.mark.parametrize("p", NORM_ORDERS)
+def test_returned_sizes_fold_to_the_optimum_exactly(p):
+    rng = np.random.default_rng(5)
+    cases = [NEAR_TIE]
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        targets = _random_targets(rng, n, int(rng.integers(1, min(8, n) + 1)))
+        cases.append((_sweep_values(rng, ["random", "tied", "duplicates"][trial % 3], n), targets))
+    for vals, targets in cases:
+        dp = build_table(vals, targets, p=p)
+        clustering, obj = reconstruct(dp)
+        labels = clustering.assignment[dp.instance.sort_permutation]
+        assert np.all(np.diff(labels) >= 0)                 # contiguous, left to right
+        sizes = clustering.sizes().tolist()
+        vstar = dp.table[len(vals), 1:, len(targets)].min()
+        assert _fill_order_fold(sizes, targets, p) == vstar, (list(vals), targets, sizes)
+        assert obj == (vstar if p == math.inf else vstar ** (1.0 / p))
+
+
 def test_ties_do_not_hide_a_stable_contiguous_clustering():
     # {0.3, 0.3}, {0.3}, {1.6} is stable and meets the targets exactly; the
     # zero distance between tied values must read as exactly 0, not as the

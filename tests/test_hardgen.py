@@ -5,7 +5,7 @@ import pytest
 import scipy.cluster.hierarchy as sch
 
 from ipstable.core import Clustering, DistanceOracle, audit
-from ipstable.baselines import kcenter_greedy, kmeans_pp
+from ipstable.baselines import kcenter_greedy, lloyd
 from ipstable.hardgen import (
     fixtures,
     gen_kcenter_hard,
@@ -48,8 +48,8 @@ def test_kmeanspp_is_lloyd_fixed_point():
     pts, meta = gen_kmeanspp_hard(2.0, n_blocks=5)
     # seed the centers at (v, u) of block 0 and let Lloyd iterate on the block
     sub = pts[:4]  # rows (z, z', v, u)
-    c = kmeans_pp(sub, 2, init_centers=[2, 3])
-    groups = {frozenset(int(i) for i in b) for b in c.clusters()}
+    assign, _, _, _ = lloyd(sub, sub[[2, 3]])
+    groups = {frozenset(int(i) for i in b) for b in Clustering(assign, 2).clusters()}
     assert groups == {frozenset({0, 1, 2}), frozenset({3})}
 
 

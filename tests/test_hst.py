@@ -65,6 +65,13 @@ def test_validate_rejects_non_halving_used_weights():
     Hst(parent=[-1, 0], level_weights=[4.0, 3.9], node_point={1: 0})
 
 
+def test_halving_is_checked_exactly():
+    # halving a float is exact, so the check needs no slack
+    Hst(parent=[-1, 0, 1], level_weights=[1.0, 0.5], node_point={2: 0})
+    with pytest.raises(ValueError, match="halve"):
+        Hst(parent=[-1, 0, 1], level_weights=[1.0, np.nextafter(0.5, 1)], node_point={2: 0})
+
+
 @pytest.mark.parametrize("parent", [
     [-1, 5],        # a parent id past the last node
     [-1, 0.5],      # not an integer

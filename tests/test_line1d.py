@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstable.core import Clustering, DistanceOracle, STABILITY_TOL, audit
+from ipstable.core import Clustering, DistanceOracle, STABILITY_TOL, audit, brute_force
 from ipstable.dp_target import solve_targets
 from ipstable.hardgen import fixtures
 from ipstable.line1d import LineInstance, solve_1d, sweep
@@ -228,3 +228,15 @@ def test_output_audited_on_the_line_matches_naive(values, data):
     m = _line_matrix(values)        # |x - y| exactly; cdist's euclidean underflows
     assert rep.num_unstable == 0 == naive_num_unstable(m, c.assignment)
     np.testing.assert_allclose(rep.vi, naive_vi(m, c.assignment), rtol=1e-9, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_values(), st.data())
+def test_sweep_and_brute_force_agree_on_tied_values(values, data):
+    """A stable k-clustering of points on a line exists for every k: the
+    sweep returns one, and the search over all set partitions finds one."""
+    k = data.draw(st.integers(1, len(values)))
+    o = DistanceOracle.from_points(values)
+    found, found_vi = brute_force(o, k)
+    assert found is not None and found_vi <= 1.0 + STABILITY_TOL
+    assert audit(o, solve_1d(values, k)).num_unstable == 0

@@ -129,12 +129,17 @@ def test_embedding_drops_ceil_epsilon_n_points():
 
 
 def test_no_function_takes_a_tol_parameter():
-    """Stability has one slack, STABILITY_TOL; no call can pass its own."""
+    """Stability has one slack, STABILITY_TOL; no call can pass its own, and
+    no code matches floats within an isclose tolerance."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.arguments):
                 args = node.posonlyargs + node.args + node.kwonlyargs + [node.vararg, node.kwarg]
                 found += [f"{path.name}: {a.arg}" for a in args if a is not None and a.arg == "tol"]
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "isclose":
+                    found.append(f"{path.name}:{node.lineno}: isclose")
     assert not found, found
     assert "tol" not in {f.name for f in fields(DpTable)}
