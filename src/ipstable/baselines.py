@@ -119,9 +119,7 @@ def linkage(oracle, variant="single"):
         raise ValueError("variant must be single, average, or complete")
     if oracle.n == 1:
         return np.empty((0, 4))
-    m = oracle.matrix()
-    m = (m + m.T) / 2.0  # exact symmetry for squareform
-    return hierarchy.linkage(squareform(m, checks=False), method=variant)
+    return hierarchy.linkage(squareform(oracle.matrix(), checks=False), method=variant)
 
 
 def _leaf_slices(z):

@@ -9,7 +9,8 @@ instance, violated precondition).
 
 File formats, all plain text:
   points CSV      one row per point, numeric columns, optional header row
-  matrix CSV      n rows by n columns, symmetric, zero diagonal
+  matrix CSV      n rows by n columns, symmetric, zero diagonal; the upper
+                  triangle is used
   tree file       lines "u v weight" with node ids 0..n-1
   assignment      one cluster index per line; negative marks an excluded row
   report          JSON with keys num_unstable, max_violation,

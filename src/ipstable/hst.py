@@ -27,29 +27,17 @@ caller receives it as a certificate multiplier.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import STABILITY_TOL, Clustering, _check_k, audit, min_count
-from .tree import root_pass
+from .tree import _integer_ids, root_pass
 
 # rows per float block in Hst.point_distance_matrix; bounds its float
 # temporaries to ROW_CHUNK x m
 ROW_CHUNK = 64
-
-
-def _integer_ids(ids, message):
-    """ids as ints by operator.index, which neither truncates 0.5 nor parses "1"."""
-    ids = list(ids)
-    if any(isinstance(i, bool) for i in ids):
-        raise ValueError(message)
-    try:
-        return list(map(operator.index, ids))
-    except TypeError:
-        raise ValueError(message) from None
 
 
 class Hst:
@@ -364,12 +352,11 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     n = oracle.n
     _check_k(k, n)
     hst = embed_hst(oracle, seed)
-    d = oracle.matrix()
 
     excluded = []
     drop = min_count(epsilon, n)
     if drop:
-        per_point = _stretch_ratios(hst.point_distance_matrix(), d).max(axis=1)
+        per_point = _stretch_ratios(hst.point_distance_matrix(), oracle.matrix()).max(axis=1)
         excluded = sorted(sorted(range(n), key=lambda i: (-per_point[i], i))[:drop])
     retained = sorted(set(range(n)) - set(excluded))
     if len(retained) < k:
@@ -378,10 +365,10 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     sub = normalize_leaves(restrict(hst, retained))
     clustering = hst_k_clustering(sub, k)
 
+    kept = oracle.sub_oracle(retained)
     t_final = sub.point_distance_matrix()
-    d_final = d[np.ix_(retained, retained)]
-    stretch = float(_stretch_ratios(t_final, d_final).max()) if len(retained) > 1 else 1.0
-    report = audit(oracle.sub_oracle(retained), clustering)
+    stretch = float(_stretch_ratios(t_final, kept.matrix()).max()) if len(retained) > 1 else 1.0
+    report = audit(kept, clustering)
     if not report.max_violation <= stretch * (1.0 + STABILITY_TOL):
         raise RuntimeError("stretch certificate violated; embedding is broken")
     return EmbedClusterResult(clustering, retained, list(excluded), stretch, report)

@@ -17,14 +17,13 @@ reads its sums off the prefix sums, exactly and on any scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, _check_k
+from .core import STABILITY_TOL, Clustering, _check_k, _check_range
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,9 @@ class LineInstance:
             raise ValueError("need at least one value")
         if not np.all(np.isfinite(raw)):
             raise ValueError("values must be finite")
-        # every prefix sum and every sum of n distances is at most 2 n max|x|
-        if not math.isfinite(2.0 * len(raw) * float(np.abs(raw).max())):
-            raise ValueError("value sums overflow the float range")
+        # every sum is formed over values shifted by the minimum, so every
+        # prefix sum and every sum of n distances is at most n (max - min)
+        _check_range(float(raw.max()) - float(raw.min()), len(raw))
         perm = np.argsort(raw, kind="stable")
         return cls(raw[perm], perm)
 

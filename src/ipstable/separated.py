@@ -17,16 +17,15 @@ the hidden clusters. Two consumers build on that:
   the caller gets a concrete per-run quality certificate instead of an
   asymptotic constant.
 
-Both linkages take the edges (i, j), i < j, in the strict order (d, i, j),
-with d read from the upper triangle. The size guard merges only on edges of
-the minimum spanning tree of that order. When an edge e = (i, j) comes up,
-every earlier edge was either merged or skipped with both sides at least
-min_count(alpha, n) points, and sizes only grow. If e is off the tree, a
-path of earlier edges joins i and j, and an undersized side holds every
-point of that path, j included, so e joins nothing. Single linkage is the
-minimum spanning tree (Gower & Ross 1969), so linkage_size_guard runs
-Prim's O(n^2) algorithm in n numpy steps and replays the n-1 tree edges;
-it never lists the n(n-1)/2 edges.
+Both linkages take the edges (i, j), i < j, in the strict order (d, i, j).
+The size guard merges only on edges of the minimum spanning tree of that
+order. When an edge e = (i, j) comes up, every earlier edge was either
+merged or skipped with both sides at least min_count(alpha, n) points, and
+sizes only grow. If e is off the tree, a path of earlier edges joins i and
+j, and an undersized side holds every point of that path, j included, so e
+joins nothing. Single linkage is the minimum spanning tree (Gower & Ross
+1969), so linkage_size_guard runs Prim's O(n^2) algorithm in n numpy steps
+and replays the n-1 tree edges; it never lists the n(n-1)/2 edges.
 
 Criteria 2 and 3 of the conditioned linkage read a cluster pair's cross
 spread and a point's furthest own partner, which grow as clusters merge, so
@@ -90,12 +89,9 @@ class SuperclusterPartition:
     """Outcome of a guarded linkage phase over n points.
 
     clusters hold sorted point ids; cross_min/cross_max are ell x ell
-    matrices of extreme inter-supercluster distances (diagonal 0). Both
-    linkages read them from the upper triangle d(i, j), i < j, as they read
-    the edge lengths, so a from_matrix input with a tiny asymmetry gets the
-    same values from either. representatives pick the smallest id per
-    cluster. merge_log records (distance, endpoint_a, endpoint_b, criterion)
-    per executed merge, where
+    matrices of extreme inter-supercluster distances (diagonal 0).
+    representatives pick the smallest id per cluster. merge_log records
+    (distance, endpoint_a, endpoint_b, criterion) per executed merge, where
     criterion is 1 (size), 2 (cross spread), or 3 (long own edge);
     the plain size-guarded variant only ever logs criterion 1.
     """
@@ -288,17 +284,6 @@ def _edge_chunks(m):
         below = tau
 
 
-def _upper_mirrored(m):
-    """m with every d(i, j), i > j, read as d(j, i): the edge lengths.
-
-    from_matrix tolerates a tiny asymmetry; a symmetric m is returned as is.
-    """
-    if np.array_equal(m, m.T):
-        return m
-    u = np.triu(m, 1)
-    return u + u.T
-
-
 def _mst_edges(m):
     """Minimum spanning tree of symmetric m under the strict edge order (d, lo, hi).
 
@@ -356,13 +341,8 @@ def _cross_extremes(m, clusters):
     return out
 
 
-def _partition(edges, clusters, merge_log, alpha):
-    """The SuperclusterPartition of clusters, listed by root.
-
-    edges is the matrix of edge lengths, as _upper_mirrored returns it, so
-    the cross extremes read the upper triangle.
-    """
-    cross_min, cross_max = _cross_extremes(edges, clusters)
+def _partition(clusters, cross_min, cross_max, merge_log, alpha):
+    """The SuperclusterPartition of clusters, listed by root."""
     return SuperclusterPartition(
         clusters=clusters,
         cross_min=cross_min,
@@ -370,7 +350,7 @@ def _partition(edges, clusters, merge_log, alpha):
         representatives=[c[0] for c in clusters],
         merge_log=merge_log,
         alpha=alpha,
-        n=len(edges),
+        n=sum(map(len, clusters)),
     )
 
 
@@ -388,10 +368,9 @@ def linkage_size_guard(oracle, alpha):
     tree edges in order, with union by size (a size tie keeps the root of
     the edge's first endpoint). Cost: O(n^2) numpy work in n steps, then
     O(n log n) Python steps; the n(n-1)/2 edges are never listed or sorted.
-    cross_min and cross_max read d(i, j) at i < j, as the edge lengths do.
     """
     _check_alpha(alpha)
-    m = _upper_mirrored(oracle.matrix())
+    m = oracle.matrix()
     n = len(m)
     thresh = min_count(alpha, n)
     root = list(range(n))
@@ -407,7 +386,8 @@ def linkage_size_guard(oracle, alpha):
             root[x] = ra
         members[ra] += members[rb]
         log.append((d, i, j, 1))
-    return _partition(m, [sorted(members[r]) for r in range(n) if root[r] == r], log, alpha)
+    clusters = [sorted(members[r]) for r in range(n) if root[r] == r]
+    return _partition(clusters, *_cross_extremes(m, clusters), log, alpha)
 
 
 def linkage_conditioned(oracle, alpha, gamma):
@@ -425,7 +405,9 @@ def linkage_conditioned(oracle, alpha, gamma):
     Criteria 2 and 3 can fire on edges off the minimum spanning tree, so
     the edges are scanned in order, sorted a chunk at a time, until no
     later edge can fire (_MergeState.scan): numpy batches over the
-    scanned edges and O(n) per merge (at most n-1 merges).
+    scanned edges and O(n) per merge (at most n-1 merges). The state's
+    cross extremes at the final roots are the partition's, as min and max
+    are exact.
     """
     _check_alpha(alpha)
     if not (gamma >= GAMMA_MIN and math.isfinite(gamma * gamma)):
@@ -436,11 +418,10 @@ def linkage_conditioned(oracle, alpha, gamma):
     m = oracle.matrix()
     st = _MergeState(m, min_count(alpha, oracle.n), spread_bound, own_bound)
     log = st.scan(_edge_chunks(m))
-    root = st.root
-    del st                     # frees its two n x n cross copies before _partition
-    roots = np.flatnonzero(root == np.arange(len(m)))
-    clusters = [np.flatnonzero(root == r).tolist() for r in roots]
-    return _partition(_upper_mirrored(m), clusters, log, alpha)
+    roots = np.flatnonzero(st.root == np.arange(len(m)))
+    clusters = [np.flatnonzero(st.root == r).tolist() for r in roots]
+    at = np.ix_(roots, roots)
+    return _partition(clusters, st.mn[at], st.mx[at], log, alpha)
 
 
 def _check_alpha(alpha):
@@ -468,11 +449,9 @@ def exact_enumerate(oracle, k, alpha):
             "guarded linkage left fewer superclusters than k; "
             "no separated clustering at this alpha"
         )
-    assignment = np.empty(oracle.n, dtype=int)
+    labels = part.to_clustering().assignment
     for grouping in _partitions_into_k(ell, k):
-        for sc, g in enumerate(grouping):
-            assignment[part.clusters[sc]] = g
-        cand = Clustering(assignment.copy(), k)
+        cand = Clustering(np.asarray(grouping)[labels], k)
         if audit(oracle, cand).num_unstable == 0:
             return cand
     raise RuntimeError(
@@ -518,9 +497,6 @@ def pipeline(oracle, k, alpha, gamma, seed=0):
     mask = d > 0
     stretch = float((t[mask] / d[mask]).max()) if mask.any() else 1.0
 
-    assignment = np.empty(oracle.n, dtype=int)
-    for sc in range(part.ell):
-        assignment[part.clusters[sc]] = rep_clusters.assignment[sc]
-    clustering = Clustering(assignment, k)
+    clustering = Clustering(rep_clusters.assignment[part.to_clustering().assignment], k)
     report = audit(oracle, clustering)
     return PipelineResult(clustering, report, part, stretch, part.uniformity())

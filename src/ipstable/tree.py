@@ -19,12 +19,24 @@ passes over the preorder: O(n^2) writes from O(n) numpy calls.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import STABILITY_TOL, Clustering, DistanceOracle
+
+
+def _integer_ids(ids, message):
+    """ids as ints by operator.index, which neither truncates 0.5 nor parses "1"."""
+    ids = list(ids)
+    if any(isinstance(i, bool) for i in ids):
+        raise ValueError(message)
+    try:
+        return list(map(operator.index, ids))
+    except TypeError:
+        raise ValueError(message) from None
 
 
 def root_pass(neighbors, root):
@@ -64,18 +76,18 @@ class WeightedTree:
     """
 
     def __init__(self, n, edges, root=0):
-        self.n = int(n)
+        self.n, self.root = _integer_ids((n, root), "tree size and root must be integers")
         if self.n < 1:
             raise ValueError("tree needs at least one node")
         if len(edges) != self.n - 1:
             raise ValueError("a tree on n nodes has exactly n-1 edges")
-        self.root = int(root)
         if not 0 <= self.root < self.n:
             raise ValueError("root must be a node of the tree")
+        ends = _integer_ids([x for u, v, _ in edges for x in (u, v)], "tree node ids must be integers")
         self.adj = [[] for _ in range(self.n)]
         self.edges = []
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
+        for u, v, (_, _, w) in zip(ends[::2], ends[1::2], edges):
+            w = float(w)
             if not 0 <= u < self.n or not 0 <= v < self.n or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
             if not 0 < w < math.inf:

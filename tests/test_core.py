@@ -134,6 +134,42 @@ def test_line_range_check_decides_like_the_matrix(metric):
     assert decisions == {True, False}
 
 
+SYMMETRY_PAYLOADS = ("line", *METRICS, "matrix", "tree", "sub-oracle")
+
+
+def _symmetry_payload(name):
+    rng = np.random.default_rng(31)
+    pts = random_points(rng, 60, 3)
+    if name == "line":
+        return DistanceOracle.from_points(pts[:, 0])
+    if name in METRICS:
+        return DistanceOracle.from_points(pts, name)
+    if name == "matrix":
+        # within from_matrix's tolerances on both triangles and the diagonal
+        noise = rng.uniform(0.0, 5e-13, (60, 60))
+        np.fill_diagonal(noise, 0.0)
+        m = DistanceOracle.from_points(pts).matrix() + noise + 5e-13 * np.eye(60)
+        return DistanceOracle.from_matrix(m)
+    tree = random_tree(rng, 80).to_oracle()
+    return tree if name == "tree" else tree.sub_oracle(rng.permutation(80)[:50])
+
+
+@pytest.mark.parametrize("name", SYMMETRY_PAYLOADS)
+def test_every_matrix_is_exactly_symmetric(name):
+    """d(j, i) is d(i, j) bit for bit, and every d(i, i) is 0."""
+    m = _symmetry_payload(name).matrix()
+    assert np.array_equal(m, m.T)
+    assert not np.diagonal(m).any()
+
+
+def test_from_matrix_and_from_tree_keep_the_upper_triangle():
+    m = np.array([[0.0, 1.0, 2.0], [1.0 + 4e-13, 0.0, 3.0], [2.0, 3.0 - 4e-13, 0.0]])
+    assert DistanceOracle.from_matrix(m).matrix().tolist() == [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    tree = random_tree(np.random.default_rng(5), 40)
+    upper = np.triu(tree.distance_matrix(), 1)
+    assert np.array_equal(tree.to_oracle().matrix(), upper + upper.T)
+
+
 # --- cluster sums: one kernel, two backends ----------------------------------
 
 

@@ -182,13 +182,24 @@ def test_values_whose_sums_overflow_are_rejected():
     with pytest.raises(ValueError, match="overflow"):
         solve_targets(big, [65, 65], p=1)
     # n max|x| is finite here, but 129 distances of 2e306 from the last point
-    # sum past the float range: the bound is 2 n max|x|
+    # sum past the float range: the bound is n (max - min)
     lopsided = np.array([-1e306] * 129 + [1e306])
     with pytest.raises(ValueError, match="overflow"):
         solve_targets(lopsided, [65, 65], p=1)
     ok = np.tile([4e305, -4e305], 65)
     assert solve_1d(ok, 2).k == 2
     assert solve_targets(ok, [65, 65], p=1)[0].k == 2
+
+
+def test_large_values_with_a_small_spread_are_solved():
+    """The sums are over values shifted by the minimum, so only the spread
+    bounds them: 2 n max|x| overflows here, n (max - min) does not."""
+    values = 1e307 + np.arange(100) * 1e292
+    oracle = DistanceOracle.from_points(values)
+    assert audit(oracle, solve_1d(values, 2)).num_unstable == 0
+    for p in (np.inf, 2):
+        clustering = solve_targets(values, [50, 50], p=p)[0]
+        assert audit(oracle, clustering).num_unstable == 0
 
 
 def test_input_order_irrelevant_to_cluster_contents():

@@ -23,6 +23,7 @@ from conftest import (
     naive_num_unstable,
     planted,
     random_points,
+    random_tree,
     whole_min_size,
 )
 
@@ -141,8 +142,8 @@ def _size_guard_edge_cases(rng):
     """(oracle, alpha) pairs at the edges of the size guard.
 
     One point, two points, all points identical (every edge 0), alpha 1,
-    duplicate-heavy and rounded (tied) inputs up to n = 150, and matrices
-    within from_matrix's asymmetry tolerance.
+    duplicate-heavy and rounded (tied) inputs up to n = 150, matrices
+    within from_matrix's asymmetry tolerance, and tree path sums.
     """
     alphas = (0.01, 0.1, 0.25, 0.5, 1.0)
     for alpha in alphas:
@@ -158,6 +159,7 @@ def _size_guard_edge_cases(rng):
         yield _oracle(np.round(feats[:, :1])), alpha
     for _ in range(8):
         yield _linkage_oracle(rng, "asymmetric"), float(rng.choice(alphas))
+        yield _linkage_oracle(rng, "tree"), float(rng.choice(alphas))
 
 
 def test_size_guard_early_stop_matches_full_scan():
@@ -182,13 +184,17 @@ def _linkage_oracle(rng, kind):
         # split planted clusters, so the spread and long-edge criteria fire
         feats, _ = planted(n, int(rng.integers(1, 4)), 4.0, seed=int(rng.integers(1000)))
         return _oracle(feats + rng.choice([-3.0, 3.0], size=(n, 1)))
+    if kind == "tree":
+        # path sums, whose two triangles differ in the last bits before
+        # the oracle mirrors them
+        return random_tree(rng, n).to_oracle()
     feats = random_points(rng, n, 2)
     if kind == "rounded":
         return _oracle(np.round(feats))
     if kind == "duplicated":
         return _oracle(feats[rng.integers(0, max(1, n // 3), size=n)])
     if kind == "asymmetric":
-        # within from_matrix's symmetry tolerance: the upper triangle is reported
+        # within from_matrix's symmetry tolerance: the oracle keeps the upper triangle
         m = _oracle(feats).matrix()
         return DistanceOracle.from_matrix(m + np.triu(rng.uniform(0, 5e-13, m.shape), 1))
     return _oracle(feats)
@@ -210,7 +216,7 @@ def _assert_conditioned_matches(o, alpha, gamma, where):
 def test_conditioned_linkage_matches_full_scan():
     rng = np.random.default_rng(23)
     fired = {1: 0, 2: 0, 3: 0}
-    for kind in ("random", "rounded", "duplicated", "planted", "asymmetric"):
+    for kind in ("random", "rounded", "duplicated", "planted", "asymmetric", "tree"):
         for trial in range(3):
             o = _linkage_oracle(rng, kind)
             for alpha in (0.05, 0.1, 0.25, 0.5, 1.0):

@@ -53,6 +53,25 @@ def test_tree_validation():
         WeightedTree(2, [(0, 1, 1.0)], root=2)  # root outside the tree
 
 
+@pytest.mark.parametrize(
+    "n, edges, root",
+    [
+        (3, [(0, 1.7, 1.0), (1, 2, 2.0)], 0),
+        (3, [(0, True, 1.0), (1, 2, 2.0)], 0),
+        (3, [(0, "1", 1.0), (1, 2, 2.0)], 0),
+        (3.0, [(0, 1, 1.0), (1, 2, 2.0)], 0),
+        (3, [(0, 1, 1.0), (1, 2, 2.0)], 1.5),
+        (3, [(0, 1, 1.0), (1, 2, 2.0)], True),
+    ],
+    ids=["float-end", "bool-end", "str-end", "float-n", "float-root", "bool-root"],
+)
+def test_tree_ids_must_be_integers(n, edges, root):
+    """Node ids follow Hst's rule: no truncation of 1.7, no True as 1."""
+    with pytest.raises(ValueError, match="integers"):
+        WeightedTree(n, edges, root=root)
+    assert WeightedTree(np.int64(3), [(np.int64(0), 1, 1.0), (1, 2, 2.0)]).edges[0][:2] == (0, 1)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_tree_weights_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):
