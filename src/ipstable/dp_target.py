@@ -11,10 +11,12 @@ Every average is a distance sum of the line model, `line1d.LineInstance`,
 divided by its count. Both boundary conditions are monotone in s (averages
 over nested point sets on a line), so for fixed (boundary position m, right
 size j) the feasible s form an interval [s_lo[m, j], s_hi[m, j]]. The
-thresholds are found once by binary search over the model's array sums
-(n - 1 rows of numpy work) and kept with the table as two n x n small-int
-arrays; `reconstruct` reads the boundaries it walks from them, so it accepts
-exactly the boundaries the fill did.
+thresholds are found once by binary search over the model's array sums,
+running float sums of a point's distances, nearest first, which are 0 across
+ties and close to the exact sums on any scale (n - 1 rows of numpy work).
+They are kept with the table as two n x n small-int arrays; `reconstruct`
+reads the boundaries it walks from them, so it accepts exactly the
+boundaries the fill did.
 
 Each layer l is then filled from layer l-1 in blocks of ROW_BLOCK rows m: a
 block builds the sparse-table levels of its rows along s (range minima,

@@ -27,6 +27,7 @@ caller receives it as a certificate multiplier.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from typing import NamedTuple
 
@@ -260,6 +261,8 @@ def embed_hst(oracle, seed):
     cluster's points go to the first center within the radius. Clusters that
     reach a single point become leaves; exact duplicates (zero diameter)
     split into singleton leaves one level down. Same seed, same tree.
+    Every tree distance is below 2**(i_top + 2), with 2**i_top the top level
+    weight; a diameter that puts that bound past the float range is an error.
     """
     n = oracle.n
     if n == 1:
@@ -272,6 +275,8 @@ def embed_hst(oracle, seed):
         return Hst(parent, [1.0], {i + 1: i for i in range(n)})
 
     i_top = math.ceil(math.log2(diam)) + 1
+    if i_top + 2 >= sys.float_info.max_exp:           # 2.0 ** max_exp is not a float
+        raise ValueError(f"diameter {diam:g} is too large to embed: tree distances would overflow")
     beta = float(rng.uniform(1.0, 2.0))
     order = rng.permutation(n)
 

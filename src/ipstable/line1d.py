@@ -12,7 +12,8 @@ size-targeted DP in `dp_target` share. It holds the values exactly as
 integers over a common power of two, with their exact prefix sums, and
 defines once the distance sum from a sorted point to the c points next to it
 on either side. A separator move then only changes the bounds; the sweep
-reads its sums off the prefix sums, exactly and on any scale.
+reads its sums off the prefix sums, exactly and on any scale. The DP reads
+all the sums from one point at once, as running float sums of its distances.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ class LineInstance:
     # scale, and its mirror on the right: exact, so 0 across tied values and
     # never negative, whatever the spread and the offset. The scalar forms
     # round it once and serve the sweep. The array forms serve the DP
-    # thresholds at numpy speed: they take the same rule on the prefix sums
-    # rounded to floats, which loses what lies below the rounding of a prefix
-    # sum, and clip the result to the range its nearest and farthest points
-    # allow (at distances g <= d): [d + (c - 1) g, g + (c - 1) d]. That keeps
-    # it exactly 0 across ties, never negative and exact for c = 1.
+    # thresholds at numpy speed: running sums of the distances, nearest
+    # first. Each distance is a correctly rounded nonnegative difference, so
+    # a sum is exactly 0 across ties, never negative, exact for c <= 1 and
+    # within c ulps (relative) of the exact sum, whatever the offset.
 
     @cached_property
     def _exact(self):
@@ -87,13 +87,6 @@ class LineInstance:
         # the same correctly rounded float as d / scale, about twice as fast
         fast = scale < 2**1000 and len(ints) * sums[-1] < 2**1000
         return ints, sums, (1 / scale if fast else None), scale
-
-    @cached_property
-    def _rounded(self):
-        sums, scale = self._exact[1], self._exact[3]
-        counts = np.arange(self.n + 1, dtype=float)
-        # values - values[0] rounds ints / scale to the same floats
-        return self.values - self.values[0], np.array([s / scale for s in sums]), counts, counts - 1.0
 
     def dist_left(self, a, c):
         """Total distance from sorted point a to the c points just left of it."""
@@ -108,22 +101,18 @@ class LineInstance:
         return d * inv if inv else d / scale
 
     def dists_left(self, a, c):
-        """dist_left(a, 0), ..., dist_left(a, c) in the array form above."""
+        """dist_left(a, 0), ..., dist_left(a, c) as running float sums."""
         v = self.values
-        x, p, counts, less1 = self._rounded
-        near = v[a] - v[a - 1] if a else 0.0
-        far = v[a] - v[a - c : a + 1][::-1]
-        s = counts[: c + 1] * x[a] - (p[a] - p[a - c : a + 1][::-1])
-        return _clip(s, less1[: c + 1], near, far)
+        out = np.zeros(c + 1)
+        np.cumsum(v[a] - v[a - c : a][::-1], out=out[1:])
+        return out
 
     def dists_right(self, a, c):
-        """dist_right(a, 0), ..., dist_right(a, c) in the array form above."""
+        """dist_right(a, 0), ..., dist_right(a, c) as running float sums."""
         v = self.values
-        x, p, counts, less1 = self._rounded
-        near = v[a + 1] - v[a] if a + 1 < len(v) else 0.0
-        far = v[a : a + c + 1] - v[a]
-        s = (p[a + 1 : a + c + 2] - p[a + 1]) - counts[: c + 1] * x[a]
-        return _clip(s, less1[: c + 1], near, far)
+        out = np.zeros(c + 1)
+        np.cumsum(v[a + 1 : a + c + 1] - v[a], out=out[1:])
+        return out
 
     def last_point_stable(self, b, left, right):
         """Is the last of the `left` points before sorted position b stable
@@ -142,17 +131,6 @@ class LineInstance:
         assignment = np.empty(self.n, dtype=int)
         assignment[self.sort_permutation] = np.repeat(np.arange(len(sizes)), sizes)
         return Clustering(assignment, len(sizes))
-
-
-def _clip(s, less1, near, far):
-    """Clip the sums s over counts c = 0, 1, ... (less1 holds c - 1) in
-    place to [far + (c - 1) near, near + (c - 1) far]; entry 0 stays 0."""
-    bound = less1 * near
-    bound += far
-    np.maximum(s, bound, out=s)
-    np.multiply(less1, far, out=bound)
-    bound += near
-    return np.minimum(s, bound, out=s)
 
 
 @dataclass

@@ -54,7 +54,7 @@ from .core import (
     audit,
     min_count,
 )
-from .hst import embed_hst, hst_k_clustering, normalize_leaves
+from .hst import cluster_via_embedding
 
 GAMMA_MIN = 2.0 + math.sqrt(3.0)
 ENUM_GUARD = 1e7
@@ -89,24 +89,31 @@ class SuperclusterPartition:
     """Outcome of a guarded linkage phase over n points.
 
     clusters hold sorted point ids; cross_min/cross_max are ell x ell
-    matrices of extreme inter-supercluster distances (diagonal 0).
-    representatives pick the smallest id per cluster. merge_log records
-    (distance, endpoint_a, endpoint_b, criterion) per executed merge, where
-    criterion is 1 (size), 2 (cross spread), or 3 (long own edge);
-    the plain size-guarded variant only ever logs criterion 1.
+    matrices of extreme inter-supercluster distances (diagonal 0). n and
+    representatives, the smallest id per cluster, follow from clusters.
+    merge_log records (distance, endpoint_a, endpoint_b, criterion) per
+    executed merge, where criterion is 1 (size), 2 (cross spread), or 3
+    (long own edge); the plain size-guarded variant only ever logs
+    criterion 1.
     """
 
     clusters: list
     cross_min: np.ndarray
     cross_max: np.ndarray
-    representatives: list
     merge_log: list = field(default_factory=list)
     alpha: float = 0.0
-    n: int = 0
 
     @property
     def ell(self):
         return len(self.clusters)
+
+    @property
+    def n(self):
+        return sum(map(len, self.clusters))
+
+    @property
+    def representatives(self):
+        return [c[0] for c in self.clusters]
 
     def sizes_ok(self):
         """All supercluster sizes reached alpha*n (a lone cluster counts)."""
@@ -341,19 +348,6 @@ def _cross_extremes(m, clusters):
     return out
 
 
-def _partition(clusters, cross_min, cross_max, merge_log, alpha):
-    """The SuperclusterPartition of clusters, listed by root."""
-    return SuperclusterPartition(
-        clusters=clusters,
-        cross_min=cross_min,
-        cross_max=cross_max,
-        representatives=[c[0] for c in clusters],
-        merge_log=merge_log,
-        alpha=alpha,
-        n=sum(map(len, clusters)),
-    )
-
-
 def linkage_size_guard(oracle, alpha):
     """Single linkage that merges only while a side is still undersized.
 
@@ -387,7 +381,7 @@ def linkage_size_guard(oracle, alpha):
         members[ra] += members[rb]
         log.append((d, i, j, 1))
     clusters = [sorted(members[r]) for r in range(n) if root[r] == r]
-    return _partition(clusters, *_cross_extremes(m, clusters), log, alpha)
+    return SuperclusterPartition(clusters, *_cross_extremes(m, clusters), log, alpha)
 
 
 def linkage_conditioned(oracle, alpha, gamma):
@@ -421,7 +415,7 @@ def linkage_conditioned(oracle, alpha, gamma):
     roots = np.flatnonzero(st.root == np.arange(len(m)))
     clusters = [np.flatnonzero(st.root == r).tolist() for r in roots]
     at = np.ix_(roots, roots)
-    return _partition(clusters, st.mn[at], st.mx[at], log, alpha)
+    return SuperclusterPartition(clusters, st.mn[at], st.mx[at], log, alpha)
 
 
 def _check_alpha(alpha):
@@ -478,25 +472,18 @@ def pipeline(oracle, k, alpha, gamma, seed=0):
 
     Conditioned linkage shrinks the instance to <= ceil(1/alpha)
     superclusters, the smallest point id of each becomes its
-    representative, the representatives are tree-embedded and k-clustered,
-    and each supercluster follows its representative. The result carries
-    the measured embedding stretch and cross-distance uniformity; their
-    combination stretch * uniformity**2 bounds the violation whenever the
-    separation promise actually held.
+    representative, the representatives are tree-embedded and k-clustered
+    by hst.cluster_via_embedding, and each supercluster follows its
+    representative. The result carries the measured embedding stretch
+    (inf when two representatives are at distance 0, as for embed) and the
+    cross-distance uniformity; their combination stretch * uniformity**2
+    bounds the violation whenever the separation promise actually held.
     """
     _check_k(k, oracle.n)
     part = linkage_conditioned(oracle, alpha, gamma)
     if part.ell < k:
         raise ValueError("fewer superclusters than k; lower alpha or k")
-    reps = part.representatives
-    rep_oracle = oracle.sub_oracle(reps)
-    hst = normalize_leaves(embed_hst(rep_oracle, seed))
-    rep_clusters = hst_k_clustering(hst, k)
-    t = hst.point_distance_matrix()
-    d = rep_oracle.matrix()
-    mask = d > 0
-    stretch = float((t[mask] / d[mask]).max()) if mask.any() else 1.0
-
-    clustering = Clustering(rep_clusters.assignment[part.to_clustering().assignment], k)
+    reps = cluster_via_embedding(oracle.sub_oracle(part.representatives), k, seed=seed)
+    clustering = Clustering(reps.clustering.assignment[part.to_clustering().assignment], k)
     report = audit(oracle, clustering)
-    return PipelineResult(clustering, report, part, stretch, part.uniformity())
+    return PipelineResult(clustering, report, part, reps.stretch, part.uniformity())

@@ -477,34 +477,27 @@ class _SparseMin:
 def _per_row_thresholds(x, tol):
     """Lists over m = 1..n-1 of per-j (s_hi, s_lo) arrays, one row at a time.
 
-    The distance sums follow the line model's array arithmetic: the exact
-    prefix sums of the values shifted by their minimum, each rounded once to
-    a float, and sums clipped to the range the nearest and farthest summed
-    points allow, which is exactly 0 across tied values and never negative.
-    It builds its own prefix sums, with fractions, and does not call the
-    model.
+    The distance sums follow the line model's array arithmetic: plain Python
+    float running sums of the distances, nearest first, which are exactly 0
+    across tied values and never negative. It does not call the model.
     """
+    x = x.tolist()
     n = len(x)
-    shifted = x - x[0]
-    exact = [Fraction(0)]
-    for y in x:
-        exact.append(exact[-1] + (Fraction(y) - Fraction(x[0])))
-    P = np.array([float(s) for s in exact])
 
-    def clipped(s, c, near, far):
-        return np.minimum(np.maximum(s, far + (c - 1) * near), near + (c - 1) * far)
+    def running(dists):
+        out, total = [0.0], 0.0
+        for d in dists:
+            total += d
+            out.append(total)
+        return out
 
     def sum_left(a, c):           # c: float array of counts
-        ci = c.astype(int)
-        near = x[a] - x[a - 1] if a > 0 else 0.0
-        s = c * shifted[a] - (P[a] - P[a - ci])
-        return clipped(s, c, near, x[a] - x[a - ci])
+        sums = running([x[a] - x[a - t] for t in range(1, a + 1)])
+        return np.array([sums[int(i)] for i in c])
 
     def sum_right(a, c):
-        ci = c.astype(int)
-        near = x[a + 1] - x[a] if a + 1 < n else 0.0
-        s = (P[a + ci + 1] - P[a + 1]) - c * shifted[a]
-        return clipped(s, c, near, x[a + ci] - x[a])
+        sums = running([x[a + t] - x[a] for t in range(1, n - a)])
+        return np.array([sums[int(i)] for i in c])
 
     def mean(sums, c):
         return np.divide(sums, c, out=np.zeros(len(c)), where=c > 0)
@@ -619,16 +612,26 @@ def contiguous_stable_optimum(values, targets, p, tol=TOL):
     return best
 
 
+MULTI_SCALE_FAR = [-1.0, -3.5, -1e6]
+MULTI_SCALE_POOL = [0.0, 1e-300, -1e-300, 1e-53, 2e-53, 3e-53]
+
+
 @st.composite
 def line_values(draw, max_n=10):
     """Hypothesis strategy: 1..max_n values on a line, drawn from a small pool.
 
     The pool makes duplicates common and a one-value pool gives zero
-    spread; an offset up to 1e12 shifts every value.
+    spread; an offset up to 1e12 shifts every value. The multi-scale pool
+    holds one far value and values near 0 at gaps of 1e-300 and 1e-53,
+    which float prefix sums on the far value's scale cannot tell apart.
     """
     n = draw(st.integers(1, max_n))
-    pool = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=n))
-    offset = draw(st.sampled_from([0.0, 1e6, -1e9, 1e12]))
+    if draw(st.booleans()):
+        pool = [draw(st.sampled_from(MULTI_SCALE_FAR)), *MULTI_SCALE_POOL]
+        offset = 0.0
+    else:
+        pool = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=n))
+        offset = draw(st.sampled_from([0.0, 1e6, -1e9, 1e12]))
     return offset + np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
 
 

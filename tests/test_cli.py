@@ -212,6 +212,14 @@ def test_line_values_whose_sums_overflow_are_an_error(tmp_path, capsys, algo):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_embed_of_a_diameter_past_the_float_range_is_an_error(tmp_path, capsys):
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, [0.0, 5e307])
+    assert cli.main(["solve", "--input", str(inp), "--algo", "embed", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "diameter 5e+307" in err
+
+
 @pytest.mark.parametrize("algo", ["separated-exact", "separated-pipeline"])
 @pytest.mark.parametrize("alpha", ["0", "-0.5"])
 def test_alpha_outside_unit_interval_is_an_error(tmp_path, capsys, algo, alpha):
@@ -386,7 +394,7 @@ def test_solve_embed_roundtrip_with_exclusion(tmp_path, capsys):
     assert solved["num_unstable"] == 0
     assert len(solved["excluded"]) == 5  # ceil(0.1 * 50)
     assert solved["certificate"] == solved["stretch"] >= 1.0
-    labels = [int(s) for s in open(out).read().split()]
+    labels = [int(s) for s in Path(out).read_text().split()]
     assert sorted(i for i, l in enumerate(labels) if l < 0) == sorted(solved["excluded"])
 
 

@@ -11,6 +11,8 @@ from ipstable.dp_target import build_table, reconstruct, solve_targets
 from ipstable.hardgen import fixtures
 
 from conftest import (
+    MULTI_SCALE_FAR,
+    MULTI_SCALE_POOL,
     contiguous_stable_optimum,
     line_values,
     naive_num_unstable,
@@ -39,6 +41,8 @@ def _sweep_values(rng, kind, n):
         return rng.normal(size=n) * 10
     if kind == "tied":
         return np.round(rng.normal(size=n), 1)
+    if kind == "multi-scale":
+        return np.array([rng.choice(MULTI_SCALE_FAR), *rng.choice(MULTI_SCALE_POOL, size=n - 1)])
     return rng.integers(0, 4, size=n).astype(float)     # duplicate-heavy
 
 
@@ -179,10 +183,13 @@ def test_build_then_reconstruct_equals_wrapper():
     assert np.array_equal(c1.assignment, c2.assignment)
 
 
-@pytest.mark.parametrize("kind", ["random", "tied", "duplicates"])
+FILL_KINDS = ["random", "tied", "duplicates", "multi-scale"]
+
+
+@pytest.mark.parametrize("kind", FILL_KINDS)
 @pytest.mark.parametrize("p", NORM_ORDERS)
 def test_layer_fill_is_bit_identical_to_per_row_fill(kind, p):
-    rng = np.random.default_rng(["random", "tied", "duplicates"].index(kind))
+    rng = np.random.default_rng(FILL_KINDS.index(kind))
     for trial in range(16):
         n = int(rng.integers(1, 61))
         k = [1, min(2, n), int(rng.integers(1, n + 1)), n][trial % 4]
@@ -274,3 +281,21 @@ def test_ties_do_not_hide_a_stable_contiguous_clustering():
     values = [0.3, 0.3, 0.3, 1.6]
     assert contiguous_stable_optimum(values, [2, 1, 1], math.inf) == 0.0
     assert solve_targets(values, [2, 1, 1])[1] == 0.0
+
+
+# a far value next to gaps of 1e-300 and 1e-53: float prefix sums on the far
+# value's scale cannot tell the small gaps apart
+MULTI_SCALE_CASES = [
+    ([-3.570995443793253, -1e-300, 0, 0, 1e-300, 1e-300, 1e-53, 1e-53, 2e-53, 2e-53, 3e-53, 3e-53],
+     [8, 2, 1, 1], 7.0),
+    ([-205799.6932601067, -1e-300, -1e-300, -1e-300, 0, 1e-300, 1e-53, 1e-53, 2e-53, 2e-53, 2e-53, 3e-53],
+     [2, 8, 2], 2.0),
+]
+
+
+@pytest.mark.parametrize("values, targets, objective", MULTI_SCALE_CASES)
+def test_small_gaps_next_to_a_far_value_stay_stable(values, targets, objective):
+    c, obj = solve_targets(values, targets)
+    rep = audit(DistanceOracle.from_points(values), c, targets=targets)
+    assert rep.num_unstable == 0 == naive_num_unstable(_line_matrix(values), c.assignment)
+    assert obj == objective == rep.obj

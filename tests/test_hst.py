@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +194,21 @@ def test_embedding_handles_duplicates_and_tiny_inputs():
     # inflate to two root edges, which still dominates
     expected = 2.0 * hd.level_weights[0] * (1.0 - np.eye(3))
     assert np.array_equal(hd.point_distance_matrix(), expected)
+
+
+@pytest.mark.parametrize("far", [3e307, 5e307])
+def test_embedding_rejects_a_diameter_whose_tree_distances_overflow(far):
+    o = DistanceOracle.from_points(np.array([0.0, far]))
+    with pytest.raises(ValueError, match=re.escape(f"diameter {far:g}")):
+        embed_hst(o, seed=0)
+
+
+def test_embedding_of_a_large_but_safe_diameter_stays_finite():
+    o = DistanceOracle.from_points(np.array([0.0, 1e307]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cluster_via_embedding(o, 2)
+    assert 1.0 <= res.stretch < math.inf
 
 
 def test_level_weights_halve_exactly_in_embedding():

@@ -53,9 +53,8 @@ MODEL_VALUES = {
 @pytest.mark.parametrize("kind", sorted(MODEL_VALUES))
 def test_model_sums_exact_scalar_and_close_array(kind):
     """The scalar sums are the exact sums rounded once; the array sums stay
-    within 1e-9 of them, exactly 0 across ties and equal for one point,
-    except on multi- and extreme-scale values, where only the scalar sums
-    are exact."""
+    within 1e-12 of them on every kind, multi- and extreme-scale included,
+    exactly 0 across ties and equal for one point."""
     rng = np.random.default_rng(sorted(MODEL_VALUES).index(kind))
     for n in (1, 2, 7, 30):
         line = LineInstance.from_values(MODEL_VALUES[kind](rng, n))
@@ -72,8 +71,7 @@ def test_model_sums_exact_scalar_and_close_array(kind):
                     assert got == want, (a, side, c)
                     if c <= 1:
                         assert arr[c] == got, (a, side, c)
-                    if not kind.endswith("-scale"):
-                        assert arr[c] == pytest.approx(want, rel=1e-9, abs=0), (a, side, c)
+                    assert arr[c] == pytest.approx(want, rel=1e-12, abs=0), (a, side, c)
 
 
 def test_instance_is_read_only():

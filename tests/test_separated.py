@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ipstable import separated
 from ipstable.core import Clustering, DistanceOracle, audit, brute_force
+from ipstable.hst import embed_hst, hst_k_clustering, normalize_leaves
 from ipstable.separated import (
     GAMMA_MIN,
     check_alpha_gamma,
@@ -132,7 +133,7 @@ def _assert_size_guard_matches(o, alpha, where):
     log, clusters = full_scan_size_guard(m, alpha)
     assert part.merge_log == log, where
     assert part.clusters == clusters, where
-    assert part.representatives == [c[0] for c in part.clusters], where
+    assert part.n == o.n and part.representatives == [min(c) for c in clusters], where
     cmn, cmx = _upper_block_extremes(m, part.clusters)
     assert np.array_equal(part.cross_min, cmn), where
     assert np.array_equal(part.cross_max, cmx), where
@@ -469,6 +470,39 @@ def test_pipeline_deterministic_per_seed():
     b = pipeline(o, 3, alpha=0.25, gamma=4.0, seed=11)
     assert np.array_equal(a.clustering.assignment, b.clustering.assignment)
     assert a.stretch == b.stretch
+
+
+def test_pipeline_clusters_the_representatives_like_embed():
+    # the representatives' leaf clustering and stretch are the embedding's,
+    # here where no two representatives coincide: the stretch over all pairs
+    # planted blobs merge into k superclusters; at a tiny alpha random
+    # points stay n singletons, all of them representatives
+    rng = np.random.default_rng(4)
+    for trial in range(16):
+        if trial % 2:
+            k, alpha = 2 + trial % 3, 0.05
+            o = _oracle(planted(12 * k, k, 4.0, seed=trial, spread=3.0)[0])
+        else:
+            n = int(rng.integers(4, 30))
+            k, alpha = int(rng.integers(2, min(6, n) + 1)), 0.01
+            o = _oracle(random_points(rng, n, 2))
+        res = pipeline(o, k, alpha=alpha, gamma=4.0, seed=trial)
+        reps = o.sub_oracle(res.partition.representatives)
+        hst = normalize_leaves(embed_hst(reps, trial))
+        want = hst_k_clustering(hst, k).assignment
+        labels = res.partition.to_clustering().assignment
+        assert np.array_equal(res.clustering.assignment, want[labels]), trial
+        d = reps.matrix()
+        off = ~np.eye(len(d), dtype=bool)
+        assert res.stretch == (hst.point_distance_matrix()[off] / d[off]).max(), trial
+
+
+def test_pipeline_stretch_is_inf_for_coincident_representatives():
+    # 0 and 0 stay two superclusters; as for embed, a pair at distance 0 has
+    # no finite stretch
+    res = pipeline(_oracle(np.array([0.0, 0.0, 5.0, 5.1])), 2, alpha=0.01, gamma=4.0)
+    assert res.partition.ell == 4
+    assert res.stretch == math.inf == res.certificate()
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, 1.5])
