@@ -8,10 +8,8 @@ something to break. All are deterministic given their seed/start arguments.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import cdist, squareform
 
-from .core import Clustering, _check_k, audit
+from .core import Clustering, _check_k, audit, cdist
 
 LLOYD_MAX_ITERS = 100    # Lloyd stops here if no assignment fixpoint came first
 
@@ -119,25 +117,32 @@ def linkage(oracle, variant="single"):
         raise ValueError("variant must be single, average, or complete")
     if oracle.n == 1:
         return np.empty((0, 4))
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import squareform
+
     return hierarchy.linkage(squareform(oracle.matrix(), checks=False), method=variant)
 
 
 def _leaf_slices(z):
     """(order, children, start, size) of linkage matrix z.
 
-    order is scipy's leaf order, children[r] the two nodes row r merges,
-    and node v's points are order[start[v] : start[v] + size[v]].
+    order is scipy's leaf order (`leaves_list`, left child first),
+    children[r] the two nodes row r merges, and node v's points are
+    order[start[v] : start[v] + size[v]].
     """
     n = len(z) + 1
     children = z[:, :2].astype(int)
-    order = hierarchy.leaves_list(z) if n > 1 else np.zeros(1, dtype=int)
     size = np.ones(2 * n - 1, dtype=int)
     size[n:] = z[:, 3]
-    start = np.empty(2 * n - 1, dtype=int)
-    start[order] = np.arange(n)
-    # leaves_list puts a node's left child first, so both slices start together
-    for r, left in enumerate(children[:, 0].tolist()):
-        start[n + r] = start[left]
+    # a parent's id is above its children's, so reversed rows go top-down
+    kids, sizes, start = children.tolist(), size.tolist(), [0] * (2 * n - 1)
+    for r in range(n - 2, -1, -1):
+        left, right = kids[r]
+        start[left] = start[n + r]
+        start[right] = start[left] + sizes[left]
+    start = np.array(start)
+    order = np.empty(n, dtype=int)
+    order[start[:n]] = np.arange(n)
     return order, children, start, size
 
 

@@ -25,6 +25,9 @@ points" means `min_count(frac, n)`, the smallest whole count >= frac * n.
 Distances must be finite and small enough that every row sum stays finite;
 oracles reject anything else, points on a line when they are constructed
 and every other payload when its matrix is built.
+
+scipy is loaded on first use, only by multi-column point matrices, k-means
+and the linkage baselines; the line, DP and tree solvers never import it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # The one stability rule: a point is stable against another cluster when
 #   own_avg <= other_avg * (1 + STABILITY_TOL)
@@ -47,6 +49,13 @@ _FEATURE_METRICS = {
     "manhattan": "cityblock",
     "chebyshev": "chebyshev",
 }
+
+
+def cdist(xa, xb, metric):
+    """scipy's cdist, imported on the first call so importing ipstable skips scipy."""
+    from scipy.spatial.distance import cdist as scipy_cdist
+
+    return scipy_cdist(xa, xb, metric)
 
 
 def _check_range(largest, n):

@@ -115,10 +115,6 @@ class SuperclusterPartition:
     def representatives(self):
         return [c[0] for c in self.clusters]
 
-    def sizes_ok(self):
-        """All supercluster sizes reached alpha*n (a lone cluster counts)."""
-        return self.ell == 1 or min(map(len, self.clusters)) >= min_count(self.alpha, self.n)
-
     def uniformity(self):
         """Max over supercluster pairs of (max cross / min cross)."""
         if self.ell < 2:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit
+from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit, min_count
 from ipstable.hst import Hst
 from ipstable.line1d import LineInstance
 from ipstable.tree import WeightedTree
@@ -287,6 +287,12 @@ def whole_min_size(alpha, n):
     if c / n == alpha:
         return c
     return math.ceil(Fraction(repr(float(alpha))) * n)
+
+
+def sizes_ok(partition):
+    """Every supercluster of a linkage partition reached alpha * n points (a lone one counts)."""
+    sizes = [len(c) for c in partition.clusters]
+    return len(sizes) == 1 or min(sizes) >= min_count(partition.alpha, sum(sizes))
 
 
 def full_scan_size_guard(matrix, alpha):

@@ -7,6 +7,7 @@ from scipy.cluster.hierarchy import leaves_list
 
 from ipstable.core import Clustering, DistanceOracle, audit
 from ipstable.baselines import (
+    _leaf_slices,
     cut_dendrogram,
     greedy_prune,
     kcenter_greedy,
@@ -144,6 +145,7 @@ def test_deep_chain_dendrogram_leaves_iterative():
     o = DistanceOracle.from_points(vals)
     z = linkage(o, "single")
     assert len(leaves_list(z)) == 3000  # must not hit the recursion limit
+    assert _leaf_slices(z)[0].tolist() == leaves_list(z).tolist()
 
 
 def test_greedy_prune_matches_exhaustive_candidates():
@@ -228,6 +230,19 @@ def test_cut_and_prune_match_the_frontier_loops(variant):
             for k in range(min(8, n + 1) + 1):
                 want = _outcome(reaudit_prune, z, o, k, measure=measure)
                 assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
+
+
+@pytest.mark.parametrize("variant", ["single", "average", "complete"])
+def test_leaf_slices_order_is_scipys_leaves_list(variant):
+    rng = np.random.default_rng(12)
+    larger = [(n, rng.integers(0, 4, size=(n, 2)).astype(float)) for n in (31, 47, 59)]
+    for n, x in [*_dendrogram_instances(), *larger]:
+        z = linkage(DistanceOracle.from_points(x), variant)
+        order, _, start, size = _leaf_slices(z)
+        assert order.tolist() == (leaves_list(z).tolist() if n > 1 else [0]), (n, x)
+        for v in range(2 * n - 1):
+            got = order[start[v] : start[v] + size[v]].tolist()
+            assert got == dendrogram_leaves(z, v), (n, x, v)
 
 
 def test_random_clustering_valid_and_seeded():

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +325,48 @@ def test_line_jobs_never_build_the_matrix(tmp_path, capsys, monkeypatch):
                  ["audit", "--input", str(inp), "--assignment", str(assign)]):
         assert cli.main(argv) in (0, 2), argv
     assert "error" not in capsys.readouterr().err
+
+
+_SCIPY_PROBE = """
+import json, sys
+from ipstable import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) in (0, 2), argv
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+with open(sys.argv[2], "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def test_line_and_tree_jobs_never_import_scipy(tmp_path):
+    """A fresh interpreter runs the exact line and tree jobs with no scipy module loaded."""
+    line = tmp_path / "v.csv"
+    _write_csv(line, [0.0, 1.0, 1.5, 7.0, 8.0, 8.5])
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [0, 0, 0, 1, 1, 1])
+    tree = tmp_path / "t.txt"
+    _write_lines(tree, ["0 1 1.0", "1 2 1.0", "2 3 5.0", "3 4 1.0", "4 5 1.0"])
+    wide = tmp_path / "w.csv"
+    _write_csv(wide, [[0.0, 0.0], [0.0, 1.0], [9.0, 9.0], [9.0, 10.0]])
+    report = ["--report", str(tmp_path / "r.json")]
+    jobs = [
+        ["solve", "--input", str(line), "--algo", "solve-1d", "--k", "2", *report],
+        ["solve", "--input", str(line), "--algo", "solve-dp", "--targets", "3,3", *report],
+        ["solve", "--input", str(tree), "--metric", "tree", "--algo", "solve-tree2", *report],
+        ["audit", "--input", str(line), "--assignment", str(assign)],
+        # the control: a point matrix does load scipy, so the probe can see it
+        ["solve", "--input", str(wide), "--algo", "embed", "--k", "2", *report],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    loaded = tmp_path / "loaded.json"
+    subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(jobs), str(loaded)],
+                   env=env, capture_output=True, check=True)
+    *exact, control = _read_json(loaded)
+    assert exact == [[]] * 4
+    assert "scipy.spatial" in control
 
 
 @pytest.mark.parametrize("algo", ["solve-1d", "solve-dp"])

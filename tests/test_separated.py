@@ -25,6 +25,7 @@ from conftest import (
     planted,
     random_points,
     random_tree,
+    sizes_ok,
     whole_min_size,
 )
 
@@ -107,7 +108,7 @@ def test_size_guard_reaches_alpha_sizes_and_refines_planted():
     for seed in range(5):
         feats, labels = planted(60, 3, 4.0, seed=seed)
         part = linkage_size_guard(_oracle(feats), alpha=0.25)
-        assert part.sizes_ok()
+        assert sizes_ok(part)
         # every supercluster sits inside one planted cluster
         for block in part.clusters:
             assert len({labels[i] for i in block}) == 1
@@ -318,7 +319,7 @@ def test_conditioned_linkage_recovers_planted():
     for seed in range(5):
         feats, labels = planted(80, 4, 4.0, seed=10 + seed)
         part = linkage_conditioned(_oracle(feats), alpha=0.2, gamma=4.0)
-        assert part.sizes_ok()
+        assert sizes_ok(part)
         for block in part.clusters:
             assert len({labels[i] for i in block}) == 1
         assert part.ell == 4
@@ -344,7 +345,7 @@ def test_gamma_must_be_finite_with_finite_bounds(gamma):
 def test_huge_gamma_below_the_overflow_still_runs():
     feats, _ = planted(20, 2, 4.0, seed=3)
     part = linkage_conditioned(_oracle(feats), alpha=0.3, gamma=1e150)
-    assert part.sizes_ok()
+    assert sizes_ok(part)
 
 
 def test_merge_log_replay():
@@ -452,7 +453,7 @@ def test_pipeline_certificate_and_shape():
         o = _oracle(feats)
         res = pipeline(o, 4, alpha=0.2, gamma=4.0, seed=seed)
         assert res.clustering.k == 4
-        assert res.partition.sizes_ok()
+        assert sizes_ok(res.partition)
         assert res.uniformity >= 1.0
         cert = res.certificate()
         assert cert == pytest.approx(res.stretch * res.uniformity ** 2)

@@ -33,7 +33,13 @@ from ipstable.separated import (
 )
 from ipstable.tree import WeightedTree, solve_tree2
 
-from conftest import full_scan_conditioned, full_scan_size_guard, naive_alpha_gamma, random_points
+from conftest import (
+    full_scan_conditioned,
+    full_scan_size_guard,
+    naive_alpha_gamma,
+    random_points,
+    sizes_ok,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ipstable"
 
@@ -101,11 +107,11 @@ def test_separated_solvers_count_seven_of_25_at_alpha_028(alpha):
     part = linkage_size_guard(o, alpha)
     log, clusters = full_scan_size_guard(o.matrix(), alpha)
     assert part.merge_log == log and part.clusters == clusters
-    assert part.ell == 3 and part.sizes_ok()
+    assert part.ell == 3 and sizes_ok(part)
     part = linkage_conditioned(o, alpha, 4.0)
     log, clusters, _, _ = full_scan_conditioned(o.matrix(), alpha, 4.0)
     assert part.merge_log == log and part.clusters == clusters
-    assert part.ell == 3 and part.sizes_ok()
+    assert part.ell == 3 and sizes_ok(part)
 
 
 def test_check_alpha_gamma_counts_whole_points():
