@@ -14,7 +14,8 @@ File formats, all plain text:
   tree file       lines "u v weight" with node ids 0..n-1
   assignment      one cluster index per line; negative marks an excluded row
   report          JSON with keys num_unstable, max_violation,
-                  mean_violation, cost, obj
+                  mean_violation, cost, obj; strict JSON, with an infinite
+                  value (e.g. a certificate) written as the string "inf"
 
 Every subcommand turns --input/--metric into an instance in build_oracle.
 solve-1d and solve-dp need one value column under a point metric and never
@@ -226,12 +227,20 @@ def report_dict(report, with_vi=False):
 
 
 def _json(payload):
-    """payload as indented JSON text with sorted keys.
+    """payload as indented, strict JSON text with sorted keys.
 
-    json calls default only on what it cannot write itself, here numpy
-    arrays and numpy scalars, which tolist() turns into plain values.
+    +inf, such as the stretch of an embedding that sets two coincident
+    points apart, is written as the string "inf", since null already means
+    "not applicable"; any other non-finite float is an error.
     """
-    return json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist()) + "\n"
+    def strict(x):
+        if isinstance(x, dict):
+            return {key: strict(v) for key, v in x.items()}
+        if isinstance(x, list):
+            return [strict(v) for v in x]
+        return "inf" if x == math.inf else x
+
+    return json.dumps(strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path, text):

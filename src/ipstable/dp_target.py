@@ -2,7 +2,10 @@
 
 T[i, j, l] is the best lp-deviation (raised to the p-th power for finite p,
 plain maximum for p = infinity) over stable contiguous l-clusterings of the
-first i sorted points whose rightmost cluster holds exactly j points.
+first i sorted points whose rightmost cluster holds exactly j points. A p-th
+power or sum past the float range is stored as inf; every term is
+nonnegative, so a finite optimum is unchanged by it, and an infinite one at
+finite p is reported as an overflow of the objective.
 Stability of a contiguous clustering reduces to per-separator checks of the
 two adjacent points, so the recurrence over the previous cluster size s only
 needs two average comparisons at the boundary.
@@ -39,16 +42,12 @@ to the smallest size, and the path found reproduces the optimum bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import STABILITY_TOL, _check_targets
 from .line1d import LineInstance
-
-# float64 |size - target|^p overflows around p ~ 30 for realistic deviations
-P_OVERFLOW_WARN = 30
 
 MAX_TABLE_CELLS = 2.5e8
 
@@ -172,12 +171,6 @@ def build_table(values, targets, p=math.inf):
     k = len(targets)
     if not p >= 1:                                   # also rejects NaN
         raise ValueError("p must be >= 1 or infinity")
-    if P_OVERFLOW_WARN <= p < math.inf:
-        warnings.warn(
-            f"p={p} risks float overflow in |size-target|^p; consider p=inf",
-            UserWarning,
-            stacklevel=2,
-        )
     if float(n + 1) ** 2 * (k + 1) > MAX_TABLE_CELLS:
         raise ValueError("DP table would exceed the memory guard; reduce n or k")
 
@@ -186,7 +179,10 @@ def build_table(values, targets, p=math.inf):
     t1 = float(targets[0])
     for i in range(1, n + 1):
         dev = abs(i - t1)
-        T[i, i, 1] = dev if p == math.inf else dev**p
+        try:
+            T[i, i, 1] = dev if p == math.inf else dev**p
+        except OverflowError:
+            T[i, i, 1] = math.inf
 
     if k == 1:
         return DpTable(T, targets, p, instance)
@@ -194,10 +190,11 @@ def build_table(values, targets, p=math.inf):
     s_lo, s_hi = _feasibility_thresholds(instance)
     all_j = np.arange(n + 1, dtype=float)
     first = last = np.arange(n + 1)                  # layer 1 is the diagonal
-    for l in range(2, k + 1):
-        tl = float(targets[l - 1])
-        pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
-        first, last = _fill_layer(T, l, pen, s_lo, s_hi, first, last, p)
+    with np.errstate(over="ignore"):                 # an overflowed cell is inf
+        for l in range(2, k + 1):
+            tl = float(targets[l - 1])
+            pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
+            first, last = _fill_layer(T, l, pen, s_lo, s_hi, first, last, p)
     return DpTable(T, targets, p, instance, s_lo, s_hi)
 
 
@@ -221,6 +218,11 @@ def reconstruct(dp):
     right = int(np.argmin(final)) + 1
     vstar = final[right - 1]
     if not np.isfinite(vstar):
+        # the line always has a stable contiguous k-clustering, so at finite
+        # p an infinite optimum is a p-th power past the float range
+        if p < math.inf:
+            raise ValueError(f"size deviations to the power p={p} overflow the float range; "
+                             "use p=inf")
         raise RuntimeError("table holds no stable contiguous clustering")
 
     sizes = [right]                  # right to left

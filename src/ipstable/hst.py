@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -198,10 +197,14 @@ def normalize_leaves(hst):
 def hst_k_clustering(hst, k):
     """Stable k-clustering of a normalized 2-HST's leaves under the tree metric.
 
-    Finds the deepest depth with at most k nodes, then expands nodes of that
-    antichain one by one until exactly k subtree roots are selected; every
+    Takes the depth-ell nodes, ell the deepest depth with at most k nodes, in
+    ascending id order; if there are exactly k of them they are the answer.
+    Otherwise one pass replaces each node by its children while the rest of
+    the nodes still fit: at the first node v with at least need = k -
+    |selected| - |rest| children, it takes all of them if there are exactly
+    need, or else v plus its first need - 1, then the rest, and stops. Every
     leaf joins its deepest selected ancestor, painted over preorder slices
-    shallowest first. Selection is deterministic (ascending node ids).
+    shallowest first.
     """
     if not hst.is_normalized():
         raise ValueError("hst_k_clustering needs a normalized Hst")
@@ -212,33 +215,21 @@ def hst_k_clustering(hst, k):
     L = hst.max_depth()
     counts = np.bincount(hst.depth, minlength=L + 1)
     ell = max(d for d in range(L + 1) if counts[d] <= k)
-    frontier = deque(sorted(i for i in range(hst.n_nodes) if hst.depth[i] == ell))
+    level = [v for v in range(hst.n_nodes) if hst.depth[v] == ell]
 
-    if len(frontier) == k or ell == L:
-        selected = list(frontier)
+    if len(level) == k:
+        selected = level
     else:
         selected = []
-        done = False
-        while frontier:
-            v = frontier.popleft()
+        for i, v in enumerate(level):
+            rest = level[i + 1 :]
+            need = k - len(selected) - len(rest)
             kids = hst.children[v]
-            grown = len(selected) + len(kids) + len(frontier)
-            if grown < k:
-                selected.extend(kids)
-            elif grown == k:
-                selected.extend(kids)
-                selected.extend(frontier)
-                done = True
+            if len(kids) >= need:
+                selected += kids if len(kids) == need else [v] + kids[: need - 1]
+                selected += rest
                 break
-            else:
-                m = k - len(selected) - len(frontier) - 1
-                selected.append(v)
-                selected.extend(kids[:m])
-                selected.extend(frontier)
-                done = True
-                break
-        if not done:
-            raise RuntimeError("antichain expansion never reached k subtrees")
+            selected += kids
     if len(selected) != k:
         raise RuntimeError("selected subtree count does not match k")
 

@@ -1,12 +1,14 @@
 """Exact IP-stable 2-clustering on weighted tree metrics.
 
-The two clusters are the components left by deleting one boundary edge. A
-rotate step moves the boundary from (u, v) to (u, u^f) where u^f is u's
-neighbor whose branch is on average furthest from u; after the move u is
-stable (its own-cluster average is a mixture of branch averages, each at
-most the u^f branch's). Rotating the unstable endpoint walks the boundary
-monotonically away from the root, so the loop ends within n steps, and
-stability of the two boundary endpoints implies stability of every node.
+The two clusters are the components left by deleting one boundary edge
+(prev, cur), held as two node ids. rotate(tree, u) is u's furthest neighbor
+u^f, the one whose branch is on average furthest from u; with the boundary
+at (u, u^f), u is stable (its own-cluster average is a mixture of branch
+averages, each at most the u^f branch's). The walk starts at (root,
+root^f). While an endpoint is unstable, the head cur rotates: the boundary
+moves to (cur, cur^f), and the walk stops when cur^f is prev. The boundary
+moves monotonically away from the root, so the loop ends within n steps,
+and stability of the two boundary endpoints implies stability of every node.
 
 Cost: construction roots the tree with one depth-first pass, and the first
 solve adds one pass for each node's distance sum over its subtree and, by
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,17 +179,6 @@ class WeightedTree:
         raise ValueError(f"({keep}, {drop}) is not a tree edge")
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
-    """One tree edge whose removal defines a contiguous 2-clustering."""
-
-    u: int
-    v: int
-
-    def nodes(self):
-        return {self.u, self.v}
-
-
 def _branch_sum(tree, u, v):
     """(sum of distances from u, node count) over the branch behind neighbor v.
 
@@ -203,87 +193,51 @@ def _branch_sum(tree, u, v):
     raise ValueError(f"({u}, {v}) is not a tree edge")
 
 
-def _branch_averages(tree, u):
-    """Average distance from u to each neighbor branch, keyed by neighbor."""
-    out = {}
-    for v, _ in tree.adj[u]:
-        s, count = _branch_sum(tree, u, v)
-        out[v] = s / count
-    return out
-
-
-def furthest_neighbor(tree, u):
-    """Neighbor of u whose branch has the largest average distance from u.
+def rotate(tree, pivot):
+    """pivot's furthest neighbor: the one whose branch is on average furthest.
 
     Ties go to the smallest neighbor id.
     """
-    if not tree.adj[u]:
-        raise ValueError("node has no neighbors")
-    avgs = _branch_averages(tree, u)
-    return max(sorted(avgs), key=lambda w: (avgs[w], -w))
+    def key(v):
+        s, count = _branch_sum(tree, pivot, v)
+        return s / count, -v
+
+    return max((v for v, _ in tree.adj[pivot]), key=key)
 
 
-def rotate(tree, boundary, pivot):
-    """Move the boundary edge to (pivot, pivot^f).
-
-    Returns the new BoundaryEdge; if pivot^f is already the other endpoint
-    the same boundary comes back (the caller reads that as a no-op).
-    """
-    if pivot not in boundary.nodes():
-        raise ValueError("pivot must be an endpoint of the boundary edge")
-    f = furthest_neighbor(tree, pivot)
-    return BoundaryEdge(pivot, f)
-
-
-def boundary_clustering(tree, boundary):
-    """Clustering induced by deleting the boundary edge.
-
-    Cluster 0 is the side containing the root.
-    """
-    side_u = tree.component(boundary.u, boundary.v)
-    assignment = np.ones(tree.n, dtype=int)
-    assignment[side_u] = 0
-    if assignment[tree.root] == 1:
-        assignment = 1 - assignment
-    return Clustering(assignment, 2)
-
-
-def endpoint_stable(tree, boundary, endpoint):
-    """Eq-style stability of one boundary endpoint against the other side."""
-    other = boundary.v if endpoint == boundary.u else boundary.u
-    if endpoint not in boundary.nodes():
-        raise ValueError("endpoint must belong to the boundary edge")
-    foreign_sum, foreign_count = _branch_sum(tree, endpoint, other)
-    own_count = tree.n - foreign_count - 1      # the endpoint itself excluded
+def _stable(tree, u, v):
+    """Whether u is stable when edge (u, v) splits the tree into two clusters."""
+    foreign_sum, foreign_count = _branch_sum(tree, u, v)
+    own_count = tree.n - foreign_count - 1      # u itself excluded
     _, total = tree.distance_sums()
-    own = (total[endpoint] - foreign_sum) / own_count if own_count else 0.0
+    own = (total[u] - foreign_sum) / own_count if own_count else 0.0
     return own <= foreign_sum / foreign_count * (1.0 + STABILITY_TOL)
 
 
 def solve_tree2(tree):
-    """IP-stable 2-clustering of a weighted tree via boundary rotation."""
+    """IP-stable 2-clustering of a weighted tree via boundary rotation.
+
+    The boundary is the edge (prev, cur), first (root, root^f); cluster 0 is
+    the root's side.
+    """
     if tree.n < 2:
         raise ValueError("need at least 2 nodes for a 2-clustering")
-    r = tree.root
-    depths = tree.depth
-
-    # initial edge: smallest-id neighbor of the root, then one setup rotate
-    v0 = min(w for w, _ in tree.adj[r])
-    boundary = rotate(tree, BoundaryEdge(r, v0), r)
-    prev, cur = r, boundary.v
-
-    last_depth = min(depths[prev], depths[cur])
+    r, depth = tree.root, tree.depth
+    prev, cur = r, rotate(tree, r)
     for _ in range(tree.n):
-        if endpoint_stable(tree, boundary, cur) and endpoint_stable(tree, boundary, prev):
-            return boundary_clustering(tree, boundary)
-        nxt = rotate(tree, boundary, cur)
-        if nxt.v == prev:
+        if _stable(tree, cur, prev) and _stable(tree, prev, cur):
+            break
+        nxt = rotate(tree, cur)
+        if nxt == prev:
             # moving back would undo a stable-for-cur step; we are done
-            return boundary_clustering(tree, boundary)
-        boundary = nxt
-        prev, cur = cur, nxt.v
-        new_depth = min(depths[prev], depths[cur])
-        if new_depth < last_depth:
+            break
+        if min(depth[cur], depth[nxt]) < min(depth[prev], depth[cur]):
             raise RuntimeError("boundary moved toward the root; rotation broke monotonicity")
-        last_depth = new_depth
-    raise RuntimeError("rotation did not settle within n steps")
+        prev, cur = cur, nxt
+    else:
+        raise RuntimeError("rotation did not settle within n steps")
+    assignment = np.ones(tree.n, dtype=int)
+    assignment[tree.component(prev, cur)] = 0
+    if assignment[r] == 1:
+        assignment = 1 - assignment
+    return Clustering(assignment, 2)

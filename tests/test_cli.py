@@ -470,6 +470,38 @@ def test_solve_separated_exact_and_pipeline(tmp_path, capsys):
     assert solved["uniformity"] >= 1.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("algo", [
+    ["separated-pipeline", "--alpha", "0.01", "--gamma", "4"],
+    ["embed"],
+])
+def test_infinite_certificate_is_strict_json(tmp_path, algo):
+    # the coincident pair has distance 0 and a positive tree distance
+    inp, out = tmp_path / "v.csv", tmp_path / "a.txt"
+    _write_csv(inp, [0.0, 0.0, 5.0, 5.1])
+    assert cli.main(["solve", "--input", str(inp), "--algo", *algo, "--k", "2",
+                     "--out", str(out)]) == 0
+    text = Path(str(out) + ".report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["certificate"] == report["stretch"] == "inf"
+
+
+def test_solve_dp_at_large_p(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    inp = tmp_path / "v.csv"
+    _write_csv(inp, np.concatenate([rng.uniform(0, 1, 20), rng.uniform(100, 101, 20)]))
+    rep = tmp_path / "r.json"
+    argv = ["solve", "--input", str(inp), "--algo", "solve-dp", "--targets", "20,20"]
+    assert cli.main([*argv, "--p", "240", "--report", str(rep)]) == 0
+    assert _read_json(rep)["dp_obj"] == 0.0
+    _write_csv(inp, np.append(rng.uniform(0, 1, 39), 100.0))
+    assert cli.main([*argv, "--p", "260"]) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_solve_writes_default_report_next_to_out(tmp_path):
     inp = tmp_path / "v.csv"
     _write_csv(inp, [0.0, 1.0, 7.0, 8.0])

@@ -143,10 +143,26 @@ def test_unsorted_input_is_handled_in_input_order():
     assert clustering.assignment[0] == clustering.assignment[2]
 
 
-def test_large_p_warns():
-    vals = np.arange(6.0)
-    with pytest.warns(UserWarning):
-        solve_targets(vals, [3, 3], p=40.0)
+def test_large_p_overflowing_cells_are_infinite():
+    # a size 40 deviates by 20 and 20**240 overflows, yet the optimum is exact
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([rng.uniform(0, 1, 20), rng.uniform(100, 101, 20)])
+    clustering, obj = solve_targets(vals, [20, 20], p=240.0)
+    assert obj == 0.0
+    assert list(clustering.sizes()) == [20, 20]
+    # the only stable split is 39 | 1, and 2 * 19**240 is still finite
+    vals = np.append(rng.uniform(0, 1, 39), 100.0)
+    _, obj = solve_targets(vals, [20, 20], p=240.0)
+    assert obj == pytest.approx(19 * 2 ** (1 / 240))
+
+
+def test_large_p_objective_overflow_is_an_error():
+    # 19**260 is past the float range: no finite objective exists at this p
+    vals = np.append(np.random.default_rng(5).uniform(0, 1, 39), 100.0)
+    with pytest.raises(ValueError, match="overflow"):
+        solve_targets(vals, [20, 20], p=260.0)
+    _, obj = solve_targets(vals, [20, 20], p=math.inf)
+    assert obj == 19.0
 
 
 @pytest.mark.parametrize("values, targets, message", [

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from ipstable import tree as tree_mod
 from ipstable.core import STABILITY_TOL, DistanceOracle, audit, brute_force
-from ipstable.tree import (
-    BoundaryEdge,
-    WeightedTree,
-    boundary_clustering,
-    furthest_neighbor,
-    rotate,
-    solve_tree2,
-)
+from ipstable.tree import WeightedTree, rotate, solve_tree2
 
 from conftest import (
     bfs_solve_tree2,
@@ -94,27 +87,29 @@ def test_tree_distances_that_overflow_are_rejected():
 def test_furthest_neighbor_ties_to_smallest_id():
     # node 1 sees both branch sums equal: 0 side and 2 side symmetric
     t = WeightedTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    assert furthest_neighbor(t, 1) == 0
+    assert rotate(t, 1) == 0
 
 
 def test_furthest_neighbor_weighs_average_branch_distance():
-    # branch through 2 carries two nodes far away; branch to 0 is close
-    t = WeightedTree(4, [(0, 1, 1.0), (1, 2, 5.0), (2, 3, 1.0)])
-    assert furthest_neighbor(t, 1) == 2
-
-
-def test_boundary_clustering_partitions():
-    t = random_tree(np.random.default_rng(0), 12)
-    b = BoundaryEdge(0, sorted(w for w, _ in t.adj[0])[0])
-    c = boundary_clustering(t, b)
-    assert c.k == 2
-    assert sum(c.sizes()) == 12
+    # the branch through 0 has the larger sum (three nodes at 2 each), the
+    # branch through 4 the larger average (one node at 5)
+    t = WeightedTree(5, [(0, 1, 2.0), (0, 2, 0.5), (0, 3, 0.5), (1, 4, 5.0)], root=1)
+    assert rotate(t, 1) == 4
 
 
 def test_rotate_moves_one_step():
+    # from an endpoint, rotate names one of its own neighbors
     t = WeightedTree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    b = rotate(t, BoundaryEdge(1, 2), 2)
-    assert (b.u, b.v) in {(2, 1), (2, 3)}
+    assert rotate(t, 2) in {1, 3}
+
+
+def test_boundary_clustering_partitions():
+    # the boundary (0, 0^f) splits the nodes into two nonempty sides
+    t = random_tree(np.random.default_rng(0), 12)
+    f = rotate(t, 0)
+    side, other = t.component(0, f), t.component(f, 0)
+    assert sorted(side + other) == list(range(12))
+    assert side and other
 
 
 def test_two_node_tree():
@@ -307,6 +302,28 @@ def test_solver_matches_bfs_reference_on_tied_integer_trees():
         label = rng.permutation(n)
         edges = [(int(label[u]), int(label[v]), w) for u, v, w in edges]
         t = WeightedTree(n, edges, root=int(label[0]) if trial % 2 else 0)
-        hub = sorted(tree_mod._branch_averages(t, int(label[0])).values())
+        hub_id = int(label[0])
+        hub = sorted(s / c for s, c in (tree_mod._branch_sum(t, hub_id, v) for v, _ in t.adj[hub_id]))
         assert hub[-1] == hub[-2]
         assert np.array_equal(solve_tree2(t).assignment, bfs_solve_tree2(t)), trial
+
+
+@pytest.mark.parametrize("n, edges, rotations", [
+    (21, [(i, i + 1, 1.0) for i in range(20)], 10),
+    (6, [(0, i, 1.0) for i in range(1, 6)], 1),
+], ids=["unit-path", "star"])
+def test_rotate_and_component_call_counts(monkeypatch, n, edges, rotations):
+    """The tracer's tree.rotations and tree.bfs_calls count these two calls:
+    one rotate per boundary position and one component per solve."""
+    calls = {"rotate": 0, "component": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tree_mod, "rotate", counted("rotate", tree_mod.rotate))
+    monkeypatch.setattr(WeightedTree, "component", counted("component", WeightedTree.component))
+    solve_tree2(WeightedTree(n, edges, root=0))
+    assert calls == {"rotate": rotations, "component": 1}
