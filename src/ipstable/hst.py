@@ -19,9 +19,11 @@ ancestor closure of the kept points in one pass in reverse preorder.
 
 The embedding is the seeded random hierarchical decomposition of
 Fakcharoenphol, Rao and Talwar (random center permutation, random radius
-scale beta in [1, 2), radii shrinking by powers of two). It guarantees
-dominance d <= d_T structurally; stretch is measured, not promised, and the
-caller receives it as a certificate multiplier.
+scale beta in [1, 2), radii shrinking by powers of two), split one whole
+level at a time. Points at distance 0 must agree on every other distance,
+as in any pseudo-metric. It guarantees dominance d <= d_T structurally;
+stretch is measured, not promised, and the caller receives it as a
+certificate multiplier.
 """
 
 from __future__ import annotations
@@ -160,38 +162,20 @@ def normalize_leaves(hst):
         if leaf not in hst.node_point:
             raise ValueError("unmapped leaf cannot be normalized away")
 
-    spliced = {}  # old node -> replacement structural node
-    parent2 = list(hst.parent)
-    next_id = hst.n_nodes
-    for v in sorted(hst.node_point):
-        if hst.depth[v] == L and hst.size[v] == 1:
-            continue
-        spliced[v] = next_id
-        parent2.append(-2)  # placeholder, fixed below
-        next_id += 1
-
-    if not spliced:
-        return Hst(hst.parent, hst.level_weights, hst.node_point)
-
-    def struct(w):
-        return spliced.get(w, w)
-
-    # rewire the original structure through the replacement nodes
-    for w in range(hst.n_nodes):
-        p = hst.parent[w]
-        if w in spliced:
-            parent2[spliced[w]] = -1 if p < 0 else struct(p)
-        else:
-            parent2[w] = -1 if p < 0 else struct(p)
-    # hang each spliced node below its replacement via a chain to depth L
-    for v, v2 in spliced.items():
-        prev = v2
+    spliced = [v for v in sorted(hst.node_point) if hst.depth[v] < L or hst.size[v] > 1]
+    stand_in = {v: hst.n_nodes + i for i, v in enumerate(spliced)}
+    # every edge into a spliced node now enters its stand-in, which takes
+    # over the spliced node's own parent
+    parent = [stand_in.get(p, p) for p in hst.parent]
+    parent += [parent[v] for v in spliced]
+    # hang each spliced node below its stand-in via a chain to depth L
+    for v in spliced:
+        prev = stand_in[v]
         for _ in range(hst.depth[v] + 1, L):
-            parent2.append(prev)
-            prev = next_id
-            next_id += 1
-        parent2[v] = prev
-    return Hst(parent2, hst.level_weights, hst.node_point)
+            parent.append(prev)
+            prev = len(parent) - 1
+        parent[v] = prev
+    return Hst(parent, hst.level_weights, hst.node_point)
 
 
 def hst_k_clustering(hst, k):
@@ -249,9 +233,13 @@ def embed_hst(oracle, seed):
 
     Classic hierarchical decomposition: a random permutation fixes center
     priority, a random beta in [1, 2) scales radii that halve per level; a
-    cluster's points go to the first center within the radius. Clusters that
-    reach a single point become leaves; exact duplicates (zero diameter)
-    split into singleton leaves one level down. Same seed, same tree.
+    cluster's points go to the first center within the radius. Each level
+    splits every open cluster at once: one gather gives each point's first
+    covering center, and the children come out in (parent id, center
+    priority) order. Clusters that reach a single point become leaves. Points
+    at distance 0 are twins, and a cluster of twins (zero diameter) splits
+    into singleton leaves one level down. Twins that differ in another
+    distance could never be split, so they are an error. Same seed, same tree.
     Every tree distance is below 2**(i_top + 2), with 2**i_top the top level
     weight; a diameter that puts that bound past the float range is an error.
     """
@@ -259,13 +247,17 @@ def embed_hst(oracle, seed):
     if n == 1:
         return Hst([-1], [], {0: 0})
     m = oracle.matrix()
+    # a point's twin is the first point at distance 0 from it; once every
+    # point's row equals its twin's, distance 0 is an equivalence relation
+    # and the twin names the class
+    twin = np.argmax(m == 0.0, axis=1)
+    dup = np.flatnonzero(twin != np.arange(n))
+    if np.any(m[dup] != m[twin[dup]]):
+        raise ValueError("two points at distance 0 differ in another distance; "
+                         "the tree embedding cannot separate them")
     diam = float(m.max())
     rng = np.random.default_rng(seed)
-    if diam == 0.0:
-        parent = [-1] + [0] * n
-        return Hst(parent, [1.0], {i + 1: i for i in range(n)})
-
-    i_top = math.ceil(math.log2(diam)) + 1
+    i_top = math.ceil(math.log2(diam)) + 1 if diam > 0.0 else 0
     if i_top + 2 >= sys.float_info.max_exp:           # 2.0 ** max_exp is not a float
         raise ValueError(f"diameter {diam:g} is too large to embed: tree distances would overflow")
     beta = float(rng.uniform(1.0, 2.0))
@@ -273,34 +265,33 @@ def embed_hst(oracle, seed):
 
     parent = [-1]
     node_point = {}
-    frontier = [(0, np.arange(n))]
+    # points of the unfinished clusters, grouped by cluster id (ascending),
+    # point ids ascending within a cluster
+    pts = np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
     depth = 0
     level = i_top
-    while frontier:
+    while len(pts):
         depth += 1
         level -= 1
         radius = beta * 2.0 ** (level - 1)
-        nxt = []
-        for node, pts in frontier:
-            sub = m[np.ix_(pts, pts)]
-            if sub.max() == 0.0:
-                for p in pts:
-                    parent.append(node)
-                    node_point[len(parent) - 1] = int(p)
-                continue
-            # first center (in permutation order) within radius; every point
-            # covers itself, so argmax always finds a True
-            covered = m[np.ix_(pts, order)] <= radius
-            first = np.argmax(covered, axis=1)
-            for cidx in np.unique(first):
-                bucket = pts[first == cidx]
-                parent.append(node)
-                child = len(parent) - 1
-                if len(bucket) == 1:
-                    node_point[child] = int(bucket[0])
-                else:
-                    nxt.append((child, bucket))
-        frontier = nxt
+        # first center (in permutation order) within radius; every point
+        # covers itself, so argmax always finds a True
+        first = np.argmax(m[np.ix_(pts, order)] <= radius, axis=1)
+        # a cluster of twins alone splits by point id, any other by first center
+        head = np.r_[True, node[1:] != node[:-1]]
+        starts = np.flatnonzero(head)
+        tw = twin[pts]
+        twins = np.minimum.reduceat(tw, starts) == np.maximum.reduceat(tw, starts)
+        key = np.where(twins[np.cumsum(head) - 1], pts, first)
+        cells, cell, size = np.unique(node * n + key, return_inverse=True, return_counts=True)
+        child = len(parent) + cell
+        parent += (cells // n).tolist()
+        leaf = size[cell] == 1
+        node_point.update(zip(child[leaf].tolist(), pts[leaf].tolist()))
+        pts, node = pts[~leaf], child[~leaf]
+        regroup = np.lexsort((pts, node))
+        pts, node = pts[regroup], node[regroup]
     level_weights = [2.0 ** (i_top - d) for d in range(depth)]
     return Hst(parent, level_weights, node_point)
 

@@ -430,7 +430,11 @@ def exact_enumerate(oracle, k, alpha):
     """
     _check_k(k, oracle.n)
     _check_alpha(alpha)
-    if (1.0 / alpha) ** k > ENUM_GUARD:
+    try:
+        too_large = (1.0 / alpha) ** k > ENUM_GUARD
+    except OverflowError:                            # a power past the float range
+        too_large = True
+    if too_large:
         raise ValueError("enumeration too large: (1/alpha)**k exceeds the guard")
     part = linkage_size_guard(oracle, alpha)
     ell = part.ell

@@ -4,10 +4,11 @@ naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
 bfs_solve_tree2, node_dist, naive_point_distance_matrix, walk_hst_k_clustering,
-walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
-max_pick_cut, reaudit_prune, per_row_dp_table and relabel_by_first_appearance
-are the plain per-call walks, per-point ancestor walks, per-edge scans,
-frontier loops, per-row fills and per-point loops the tree, HST, linkage,
+frontier_embed_hst, two_pass_normalize_leaves, walk_restrict, dfs_root_fields,
+full_scan_size_guard, full_scan_conditioned, max_pick_cut, reaudit_prune,
+per_row_dp_table and relabel_by_first_appearance are the plain per-call
+walks, per-point ancestor walks, per-node frontier loops, two-pass splices,
+per-edge scans, per-row fills and per-point loops the tree, HST, linkage,
 dendrogram, DP and relabeling code replaced; the faster paths must reproduce
 them exactly.
 """
@@ -224,6 +225,88 @@ def walk_hst_k_clustering(hst, k):
             v = hst.parent[v]
         assignment[i] = mark[v]
     return assignment
+
+
+def frontier_embed_hst(oracle, seed):
+    """embed_hst's former per-node frontier loop (consistent twins only).
+
+    Each frontier node gathers its own diameter block and its own
+    first-center block; a zero-diameter node (and a zero-diameter instance)
+    splits into singleton leaves at once. It never returns when two points at
+    distance 0 differ in another distance.
+    """
+    n = oracle.n
+    if n == 1:
+        return Hst([-1], [], {0: 0})
+    m = oracle.matrix()
+    diam = float(m.max())
+    rng = np.random.default_rng(seed)
+    if diam == 0.0:
+        return Hst([-1] + [0] * n, [1.0], {i + 1: i for i in range(n)})
+    i_top = math.ceil(math.log2(diam)) + 1
+    beta = float(rng.uniform(1.0, 2.0))
+    order = rng.permutation(n)
+    parent = [-1]
+    node_point = {}
+    frontier = [(0, np.arange(n))]
+    depth = 0
+    level = i_top
+    while frontier:
+        depth += 1
+        level -= 1
+        radius = beta * 2.0 ** (level - 1)
+        nxt = []
+        for node, pts in frontier:
+            if m[np.ix_(pts, pts)].max() == 0.0:
+                for p in pts:
+                    parent.append(node)
+                    node_point[len(parent) - 1] = int(p)
+                continue
+            first = np.argmax(m[np.ix_(pts, order)] <= radius, axis=1)
+            for cidx in np.unique(first):
+                bucket = pts[first == cidx]
+                parent.append(node)
+                if len(bucket) == 1:
+                    node_point[len(parent) - 1] = int(bucket[0])
+                else:
+                    nxt.append((len(parent) - 1, bucket))
+        frontier = nxt
+    return Hst(parent, [2.0 ** (i_top - d) for d in range(depth)], node_point)
+
+
+def two_pass_normalize_leaves(hst):
+    """normalize_leaves' former two-pass splice through placeholder parents.
+
+    The first pass rewires every node's parent through the stand-ins of the
+    spliced nodes; the second hangs each spliced node below its stand-in.
+    """
+    L = hst.max_depth()
+    for leaf in hst.leaves():
+        if leaf not in hst.node_point:
+            raise ValueError("unmapped leaf cannot be normalized away")
+    spliced = {}
+    parent2 = list(hst.parent)
+    next_id = hst.n_nodes
+    for v in sorted(hst.node_point):
+        if hst.depth[v] == L and hst.size[v] == 1:
+            continue
+        spliced[v] = next_id
+        parent2.append(-2)
+        next_id += 1
+    if not spliced:
+        return Hst(hst.parent, hst.level_weights, hst.node_point)
+    for w in range(hst.n_nodes):
+        p = hst.parent[w]
+        p2 = -1 if p < 0 else spliced.get(p, p)
+        parent2[spliced.get(w, w)] = p2
+    for v, v2 in spliced.items():
+        prev = v2
+        for _ in range(hst.depth[v] + 1, L):
+            parent2.append(prev)
+            prev = next_id
+            next_id += 1
+        parent2[v] = prev
+    return Hst(parent2, hst.level_weights, hst.node_point)
 
 
 def walk_restrict(hst, keep_points):

@@ -234,6 +234,51 @@ def test_alpha_outside_unit_interval_is_an_error(tmp_path, capsys, algo, alpha):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_separated_exact_with_a_tiny_alpha_is_the_guard_error(tmp_path, capsys):
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, [[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
+    rc = cli.main(["solve", "--input", str(inp), "--algo", "separated-exact", "--k", "2",
+                   "--alpha", "1e-300"])
+    assert rc == 1
+    assert "enumeration too large" in capsys.readouterr().err
+
+
+_EXIT_PROBE = """
+import json, sys
+from ipstable import cli
+json.dump([cli.main(argv) for argv in json.loads(sys.argv[1])], sys.stdout)
+"""
+
+
+def test_embed_of_twins_that_differ_elsewhere_exits_one_without_hanging(tmp_path):
+    """Points at distance 0 with different distances to a third point.
+
+    No radius splits such twins from the third point, so a regression would
+    loop forever: the jobs run in a child process under a timeout and fail
+    here instead of hanging the suite.
+    """
+    matrix = tmp_path / "m.csv"
+    _write_lines(matrix, ["0,0,0", "0,0,1", "0,1,0"])
+    tiny = tmp_path / "tiny.csv"        # euclidean cdist flushes two of the tiny distances to 0
+    _write_lines(tiny, ["0,0", "1e-163,0", "1.6e-162,0", "5,5"])
+    out = ["--out", str(tmp_path / "a.txt")]
+    jobs = [["solve", "--input", str(matrix), "--metric", "matrix", "--algo", "embed",
+             "--k", "2", "--seed", str(seed), *out] for seed in range(8)]
+    jobs += [["solve", "--input", str(tiny), "--algo", "embed", "--k", "2",
+              "--seed", str(seed), *out] for seed in range(8)]
+    jobs += [["solve", "--input", str(tiny), "--algo", "separated-pipeline", "--k", "2",
+              "--alpha", "0.01", "--gamma", "4", "--seed", str(seed), *out] for seed in range(8)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _EXIT_PROBE, json.dumps(jobs)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == [1] * len(jobs)
+    errors = done.stderr.splitlines()
+    assert len(errors) == len(jobs)
+    assert all(e.startswith("error:") and "distance 0" in e for e in errors)
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "1e200"])
 def test_gamma_must_be_finite_with_finite_bounds(tmp_path, capsys, gamma):
     inp = tmp_path / "pts.csv"

@@ -16,6 +16,7 @@ from ipstable.hst import (
 )
 
 from conftest import (
+    frontier_embed_hst,
     naive_num_unstable,
     naive_point_distance_matrix,
     node_dist,
@@ -23,6 +24,7 @@ from conftest import (
     random_graph_metric,
     random_hst,
     random_points,
+    two_pass_normalize_leaves,
     walk_hst_k_clustering,
     walk_restrict,
 )
@@ -194,6 +196,61 @@ def test_embedding_handles_duplicates_and_tiny_inputs():
     # inflate to two root edges, which still dominates
     expected = 2.0 * hd.level_weights[0] * (1.0 - np.eye(3))
     assert np.array_equal(hd.point_distance_matrix(), expected)
+
+
+def test_embedding_of_a_matrix_with_identical_rows_makes_them_sibling_leaves():
+    m = np.array([[0, 0, 3, 4], [0, 0, 3, 4], [3, 3, 0, 5], [4, 4, 5, 0]], dtype=float)
+    for seed in range(8):
+        h = embed_hst(DistanceOracle.from_matrix(m), seed)
+        node_of = h.point_node()
+        a, b = node_of[0], node_of[1]
+        assert h.parent[a] == h.parent[b]
+        assert h.size[a] == h.size[b] == 1
+        assert np.all(h.point_distance_matrix() >= m)
+
+
+def _embed_family(rng):
+    """Random, tied and duplicate-heavy points under every metric, graph
+    metrics, a zero diameter and a single point."""
+    for metric in ("euclidean", "manhattan", "chebyshev"):
+        for _ in range(15):
+            n = int(rng.integers(1, 30))
+            x = random_points(rng, n, int(rng.integers(1, 4)))
+            yield DistanceOracle.from_points(x, metric)
+            yield DistanceOracle.from_points(np.round(x), metric)
+            yield DistanceOracle.from_points(np.round(x[rng.integers(0, n // 3 + 1, size=n)]), metric)
+    for _ in range(15):
+        yield DistanceOracle.from_matrix(random_graph_metric(rng, int(rng.integers(2, 30))))
+    yield DistanceOracle.from_points(np.zeros((5, 2)))
+    yield DistanceOracle.from_points([[3.0]])
+
+
+def test_embed_matches_the_frontier_loop():
+    for case, o in enumerate(_embed_family(np.random.default_rng(71))):
+        for seed in (0, case):
+            h, ref = embed_hst(o, seed), frontier_embed_hst(o, seed)
+            assert h.parent == ref.parent, case
+            assert h.level_weights == ref.level_weights, case
+            assert h.node_point == ref.node_point, case
+
+
+def _outcome(normalize, h):
+    try:
+        out = normalize(h)
+    except ValueError as exc:
+        return "error", str(exc)
+    return out.parent, out.level_weights, out.node_point
+
+
+def test_normalize_matches_the_two_pass_splice():
+    rng = np.random.default_rng(73)
+    for trial in range(300):
+        h = random_hst(rng, max_depth=int(rng.integers(1, 7)),
+                       p_internal_point=float(rng.choice([0.0, 0.15, 0.5])))
+        if trial % 5 == 0:    # drop a leaf's point: an unmapped leaf is an error
+            leaf = int(rng.choice(h.leaves()))
+            h = Hst(h.parent, h.level_weights, {v: p for v, p in h.node_point.items() if v != leaf})
+        assert _outcome(normalize_leaves, h) == _outcome(two_pass_normalize_leaves, h), trial
 
 
 @pytest.mark.parametrize("far", [3e307, 5e307])

@@ -408,6 +408,10 @@ def test_exact_enumerate_guards():
     o = _oracle(feats)
     with pytest.raises(ValueError):
         exact_enumerate(o, 6, alpha=0.05)  # 20**6 > 1e7
+    with pytest.raises(ValueError, match="enumeration too large"):
+        exact_enumerate(o, 2, alpha=1e-300)  # (1/alpha)**2 is past the float range
+    # 10**7 is exactly the guard, which is allowed
+    assert exact_enumerate(_oracle(np.arange(7.0).reshape(-1, 1)), 7, alpha=0.1).k == 7
     # alpha so large the guard merges below k superclusters
     with pytest.raises(RuntimeError):
         exact_enumerate(o, 4, alpha=0.5)
