@@ -7,9 +7,19 @@ something to break. All are deterministic given their seed/start arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import Clustering, _check_k, audit, cdist
+from .core import (
+    STABILITY_TOL,
+    Clustering,
+    _check_k,
+    _cluster_averages,
+    _violation_vector,
+    audit,
+    cdist,
+)
 
 LLOYD_MAX_ITERS = 100    # Lloyd stops here if no assignment fixpoint came first
 
@@ -34,21 +44,26 @@ def lloyd(features, center_coords):
         d2 = cdist(x, centers, metric="sqeuclidean")
         new_assign = d2.argmin(axis=1)
         inertias.append(float(d2[np.arange(len(x)), new_assign].sum()))
-        for j in range(k):
-            if (new_assign == j).any():
-                continue
-            sizes = np.bincount(new_assign, minlength=k)
+        sizes = np.bincount(new_assign, minlength=k)
+        # a repair moves a point out of a cluster of >= 2 into an empty one,
+        # so the clusters empty now are all that need one
+        for j in np.flatnonzero(sizes == 0):
             movable = sizes[new_assign] >= 2
             if not movable.any():
                 raise RuntimeError("cannot repair empty cluster")
-            cand = np.where(movable, d2[:, j], -np.inf)
-            new_assign[int(cand.argmax())] = j
+            i = int(np.where(movable, d2[:, j], -np.inf).argmax())
+            sizes[new_assign[i]] -= 1
+            sizes[j] += 1
+            new_assign[i] = j
             n_repairs += 1
         if assign is not None and (new_assign == assign).all():
             break
         assign = new_assign
+        # each cluster's rows in id order, as x[assign == j] gives them
+        xs = x[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(sizes)
         for j in range(k):
-            centers[j] = x[assign == j].mean(axis=0)
+            centers[j] = xs[ends[j] - sizes[j] : ends[j]].mean(axis=0)
     return assign, centers, inertias, n_repairs
 
 
@@ -171,6 +186,55 @@ def cut_dendrogram(z, k):
     return _slices_clustering(order, start, size, frontier)
 
 
+def _prune_slack(oracle):
+    """Relative slack eta between a cached-column violation factor and the audit's.
+
+    On the line a node's column is the audit's column for that cluster bit
+    for bit (`DistanceOracle._sums_to`), so both give the same factors and
+    eta is 0. A matrix column m @ mask sums the same n nonnegative terms as
+    the audit's one-hot product in another order. Any order of such a sum
+    is within gamma = (n-1)u/(1-(n-1)u) of the exact sum (u = 2^-53), so
+    the two sums differ by at most about 2n u, a ratio of two averages by
+    4n u, and the roundings of the two averages and their ratio add 3u per
+    side: eta = 8n u bounds it with room to spare.
+
+    That holds while every positive average and factor is a normal float.
+    With d_lo and d_hi the smallest positive and the largest distance, the
+    averages lie in [d_lo / n, d_hi] and the factors in [d_lo / (n d_hi),
+    n d_hi / d_lo], which are normal when d_lo >= n 2^-1022 and
+    n d_hi <= 2^1022 d_lo. Otherwise eta is None and every split is audited.
+    """
+    if oracle._line is not None:
+        return 0.0
+    m = oracle.matrix()
+    n = oracle.n
+    d_lo = float(np.min(m, where=m > 0, initial=np.inf))
+    if d_lo < n * 2.0**-1022 or n * float(m.max()) > d_lo * 2.0**1022:
+        return None
+    return 8 * n * 2.0**-53
+
+
+def _score_bounds(vi, measure, eta):
+    """(low, high) around the audited score of a split whose factors are vi.
+
+    vi comes from cached columns and each factor is within 1 +- eta of the
+    audit's, so a count brackets the threshold by 1 +- eta and a max
+    violation is scaled by it. A max of 0 or inf is exact: a factor is 0 or
+    inf only when a sum is exactly 0, and a sum of nonnegative terms is 0
+    in every order or in none. eta None leaves the score unbounded.
+    """
+    if eta is None:
+        return -math.inf, math.inf
+    if measure == "num-unstable":
+        t = 1.0 + STABILITY_TOL
+        return (int(np.count_nonzero(vi > t * (1.0 + eta))),
+                int(np.count_nonzero(vi > t * (1.0 - eta))))
+    mv = float(np.max(vi))
+    if mv == 0.0 or mv == math.inf:
+        return mv, mv
+    return mv * (1.0 - eta), mv * (1.0 + eta)
+
+
 def greedy_prune(z, oracle, k, measure="num-unstable"):
     """Greedy top-down pruning of linkage matrix z toward k stable-ish clusters.
 
@@ -179,6 +243,14 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
     unstable points or smallest max violation. Ties go to the smallest
     node id. Only non-singleton nodes can split. z must be over the
     oracle's n points.
+
+    A split is scored without an audit, from cached per-node columns of
+    the cluster sums (one `_sums_to` per node, the first time it or its
+    parent is a candidate), giving a (low, high) interval on its audited
+    score (`_prune_slack`). Only the splits whose low end reaches the
+    smallest high end and whose interval is not a single value are audited
+    exactly, with the clustering labelled as `_slices_clustering` labels
+    it; (score, node id) then picks among them.
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
@@ -189,19 +261,47 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
         raise ValueError("dendrogram and oracle size mismatch")
     _check_k(k, n, least=2)
     order, children, start, size = _leaf_slices(z)
+    eta = _prune_slack(oracle)
+    # one row per node whose column is needed: the frontier's and the
+    # children of each node tried, at most 4k and 2n - 1 of them. One block
+    # rather than one array per node keeps the heap from fragmenting
+    store = np.empty((min(4 * k, 2 * n - 1), n))
+    row = {}
+
+    def column(v):
+        if v not in row:
+            mask = np.zeros(n, dtype=bool)
+            mask[order[start[v] : start[v] + size[v]]] = True
+            row[v] = len(row)
+            store[row[v]] = oracle._sums_to(mask)
+        return store[row[v]]
+
     frontier = children[-1].tolist()
     for _ in range(k - 2):
-        best = None
+        scored = []
         for v in frontier:
             if v < n:
                 continue
             cand = [w for w in frontier if w != v] + children[v - n].tolist()
-            rep = audit(oracle, _slices_clustering(order, start, size, cand))
-            score = rep.num_unstable if measure == "num-unstable" else rep.max_violation
-            if best is None or (score, v) < (best[0], best[1]):
-                best = (score, v, cand)
-        if best is None:
+            clustering = _slices_clustering(order, start, size, cand)
+            sums = np.empty((n, len(cand)))
+            for w in cand:
+                sums[:, clustering.assignment[order[start[w]]]] = column(w)
+            _, own_avg, avg = _cluster_averages(sums, clustering)
+            vi = _violation_vector(own_avg, avg, clustering)
+            scored.append((*_score_bounds(vi, measure, eta), v, cand))
+        if not scored:
             raise RuntimeError("no splittable frontier node before reaching k")
+        top = min(high for _, high, _, _ in scored)
+        best = None
+        for low, high, v, cand in scored:
+            if low > top:
+                continue
+            if low != high:
+                rep = audit(oracle, _slices_clustering(order, start, size, cand))
+                low = rep.num_unstable if measure == "num-unstable" else rep.max_violation
+            if best is None or (low, v) < (best[0], best[1]):
+                best = (low, v, cand)
         frontier = best[2]
     return _slices_clustering(order, start, size, frontier)
 

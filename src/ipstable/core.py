@@ -8,11 +8,12 @@ and a brute-force reference solver for small instances.
 
 The audit has one primitive: the n x k cluster-sums matrix S, where S[x, i]
 is the total distance from point x to cluster i. The oracle computes it
-(`DistanceOracle.cluster_sums`), and `_cluster_averages` turns it into own
-and foreign averages. Violation factors, the within-cluster cost and the
-separation check in `separated` are all read from it. `brute_force` keeps
-its own plain loops on purpose, as the reference the exact solvers are
-tested against.
+(`DistanceOracle.cluster_sums`, or one column at a time with `_sums_to`,
+which greedy pruning caches per dendrogram node), and `_cluster_averages`
+turns any S into own and foreign averages; it is the only code that does.
+Violation factors, the within-cluster cost and the separation check in
+`separated` are all read from it. `brute_force` keeps its own plain
+loops on purpose, as the reference the exact solvers are tested against.
 
 All averages use the convention 0/0 = 0; a point with positive own-cluster
 average and a zero foreign-cluster average has infinite violation.
@@ -92,29 +93,27 @@ def _mirror_upper(m):
     return m
 
 
-def _line_cluster_sums(values, clustering):
-    """Cluster sums for points on a line, O(nk log n) and no n x n array.
+def _line_sums_to(values, mask):
+    """Total distance from every point on a line to the points in mask.
 
-    Per cluster: sort its members and shift them and every point by the
-    cluster's minimum, so the prefix sums are on the scale of the spread
-    rather than of the values themselves. With j members at or below a
-    shifted point x and prefix sums P over m members, the sum is
-    (x*j - P[j]) + (P[m] - P[j] - x*(m - j)).
+    O(n log n) and no n x n array: sort the members and shift them and
+    every point by their minimum, so the prefix sums are on the scale of
+    the spread rather than of the values themselves. With j members at or
+    below a shifted point x and prefix sums P over m members, the sum is
+    (x*j - P[j]) + (P[m] - P[j] - x*(m - j)). The result depends only on
+    the member set, so a cluster's column is the same bit for bit whatever
+    the other clusters are.
 
     This stays apart from the line model of `line1d` on purpose: it is the
     audit that certifies the line solvers' exit 0, and sharing their
     arithmetic would check them against themselves.
     """
-    a = clustering.assignment
-    sums = np.empty((len(values), clustering.k))
-    for i in range(clustering.k):
-        members = np.sort(values[a == i])
-        x = values - members[0]
-        members -= members[0]
-        prefix = np.concatenate(([0.0], np.cumsum(members)))
-        j = np.searchsorted(members, x, side="right")
-        sums[:, i] = (x * j - prefix[j]) + ((prefix[-1] - prefix[j]) - x * (len(members) - j))
-    return sums
+    members = np.sort(values[mask])
+    x = values - members[0]
+    members -= members[0]
+    prefix = np.concatenate(([0.0], np.cumsum(members)))
+    j = np.searchsorted(members, x, side="right")
+    return (x * j - prefix[j]) + ((prefix[-1] - prefix[j]) - x * (len(members) - j))
 
 
 class DistanceOracle:
@@ -202,11 +201,27 @@ class DistanceOracle:
 
     def cluster_sums(self, clustering):
         """The n x k matrix S[x, i]: total distance from point x to cluster i."""
+        a = clustering.assignment
         if self._line is not None:
-            return _line_cluster_sums(self._line, clustering)
+            sums = np.empty((self.n, clustering.k))
+            for i in range(clustering.k):
+                sums[:, i] = _line_sums_to(self._line, a == i)
+            return sums
         onehot = np.zeros((self.n, clustering.k))
-        onehot[np.arange(self.n), clustering.assignment] = 1.0
+        onehot[np.arange(self.n), a] = 1.0
         return self.matrix() @ onehot
+
+    def _sums_to(self, mask):
+        """One column of `cluster_sums`: total distance from every point to mask's points.
+
+        On the line it is the column `cluster_sums` gives that cluster, bit
+        for bit. Otherwise it is one matrix-vector product, m @ mask: the
+        same n nonnegative terms as the one-hot product's column, summed in
+        another order, so its last bits may differ.
+        """
+        if self._line is not None:
+            return _line_sums_to(self._line, mask)
+        return self.matrix() @ mask.astype(float)
 
     def sub_oracle(self, indices):
         """Restriction to a subset of points (new indices follow `indices` order)."""
@@ -269,18 +284,17 @@ class StabilityReport:
     obj: float | None = None   # lp-norm of cluster size deviations, if targets given
 
 
-def _cluster_averages(oracle, clustering):
-    """Per-point cluster sums and averages, all read from the oracle's S.
+def _cluster_averages(sums, clustering):
+    """Per-point cluster sums and averages, all read from the n x k sums S.
 
-    S[x, i] = total distance from x to cluster i (`cluster_sums`); this is
-    the only place the package turns cluster sums into averages. Returns
-    (own_sum, own_avg, avg): own_sum[x] = S[x, a[x]], own_avg[x] is its
-    average over the rest of x's cluster (0 for a singleton), and
-    avg[x, i] = S[x, i] / |C_i|.
+    S[x, i] = total distance from x to cluster i (`cluster_sums`, or
+    greedy pruning's cached node columns); this is the only place the
+    package turns cluster sums into averages. Returns (own_sum, own_avg,
+    avg): own_sum[x] = S[x, a[x]], own_avg[x] is its average over the rest
+    of x's cluster (0 for a singleton), and avg[x, i] = S[x, i] / |C_i|.
     """
     a = clustering.assignment
     n = len(a)
-    sums = oracle.cluster_sums(clustering)
     sizes = clustering.sizes().astype(float)
 
     own_sum = sums[np.arange(n), a]
@@ -337,7 +351,7 @@ def audit(oracle, clustering, targets=None, p=math.inf):
     """
     if clustering.n != oracle.n:
         raise ValueError("clustering and oracle size mismatch")
-    own_sum, own_avg, avg = _cluster_averages(oracle, clustering)
+    own_sum, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
     vi = _violation_vector(own_avg, avg, clustering)
     unstable = vi > 1.0 + STABILITY_TOL
     num_unstable = int(np.count_nonzero(unstable))

@@ -79,7 +79,7 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma):
         return False
     if clustering.k == 1:
         return True
-    _, own_avg, avg = _cluster_averages(oracle, clustering)
+    _, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
     avg[np.arange(n), clustering.assignment] = np.inf   # the own column is not foreign
     return not np.any(avg < gamma * own_avg[:, None] * (1.0 - STABILITY_TOL))
 

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import leaves_list
 
-from ipstable.core import Clustering, DistanceOracle, audit
+from ipstable import baselines
+from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit
 from ipstable.baselines import (
     _leaf_slices,
+    _prune_slack,
+    _slices_clustering,
     cut_dendrogram,
     greedy_prune,
     kcenter_greedy,
@@ -230,6 +233,87 @@ def test_cut_and_prune_match_the_frontier_loops(variant):
             for k in range(min(8, n + 1) + 1):
                 want = _outcome(reaudit_prune, z, o, k, measure=measure)
                 assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
+
+
+def _larger_dendrogram_instances():
+    """Random, rounded (tied), duplicate-heavy and one-column points, n 30-80."""
+    rng = np.random.default_rng(19)
+    for n in (30, 57, 80):
+        yield n, rng.normal(size=(n, 2))
+        yield n, np.round(rng.normal(size=(n, 2)), 1)
+        yield n, rng.integers(0, 3, size=(n, 2)).astype(float)
+        yield n, rng.integers(0, 9, size=(n, 1)).astype(float)
+
+
+@pytest.mark.parametrize("variant", ["single", "average", "complete"])
+def test_prune_matches_the_reaudit_loop_at_scale(variant):
+    for n, x in _larger_dendrogram_instances():
+        o = DistanceOracle.from_points(x)
+        z = linkage(o, variant)
+        for measure in ("num-unstable", "max-violation"):
+            for k in (2, 3, 5, 8, 12):
+                want = _outcome(reaudit_prune, z, o, k, measure=measure)
+                assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that calls are counted; returns the count list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_prune_audits_a_split_whose_factor_is_within_the_slack(monkeypatch):
+    # point 5 sits (found by bisection) where splitting node 10 leaves one
+    # point with an audited factor 2e-16 from 1 + STABILITY_TOL: its cached
+    # score is an interval, not a count, and the other split's exact 0 does
+    # not settle it, so that split is audited
+    v = np.array([0.0, 1.0, 2.5, 10.0, 11.0, 17.450000006275, 30.0, 31.5])
+    o = DistanceOracle.from_points(np.column_stack([v, np.zeros(8)]))
+    z = linkage(o, "average")
+    order, children, start, size = _leaf_slices(z)
+    split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
+    vi = audit(o, _slices_clustering(order, start, size, split)).vi
+    assert np.min(np.abs(vi / (1.0 + STABILITY_TOL) - 1.0)) <= _prune_slack(o)
+    audits = _counting(monkeypatch, baselines, "audit")
+    got = greedy_prune(z, o, 3)
+    assert len(audits) == 1
+    assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 3)
+
+
+def test_prune_scores_most_splits_without_an_audit(monkeypatch):
+    feats, _ = planted(200, 10, 4.0, seed=21)
+    o = DistanceOracle.from_points(feats)
+    z = linkage(o, "average")
+    audits = _counting(monkeypatch, baselines, "audit")
+    candidates = _counting(monkeypatch, baselines, "_score_bounds")
+    got = greedy_prune(z, o, 10)
+    assert len(candidates) >= 8
+    assert len(audits) < len(candidates)
+    monkeypatch.undo()
+    assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 10)
+
+
+def test_prune_audits_every_split_where_the_slack_is_unproven(monkeypatch):
+    # subnormal distances: averages lose relative precision, so no slack holds
+    rng = np.random.default_rng(23)
+    pts = rng.normal(size=(16, 2))
+    o = DistanceOracle.from_matrix(np.linalg.norm(pts[:, None] - pts[None], axis=2) * 1e-310)
+    assert _prune_slack(o) is None
+    z = linkage(o, "average")
+    for measure in ("num-unstable", "max-violation"):
+        audits = _counting(monkeypatch, baselines, "audit")
+        candidates = _counting(monkeypatch, baselines, "_score_bounds")
+        got = greedy_prune(z, o, 6, measure=measure)
+        assert len(audits) == len(candidates) > 0
+        monkeypatch.undo()
+        assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 6, measure=measure)
 
 
 @pytest.mark.parametrize("variant", ["single", "average", "complete"])

@@ -641,6 +641,47 @@ def test_bench_rows_and_determinism(tmp_path):
     assert [strip(l) for l in lines1] == [strip(l) for l in lines2]
 
 
+def test_bench_audits_a_repeated_assignment_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    inp = tmp_path / "p.csv"
+    _write_csv(inp, rng.normal(size=(40, 2)))
+    argv = ["bench", "--input", str(inp), "--algo", "kcenter,kmeans++,average-linkage",
+            "--k", "2,3", "--repeat", "3"]
+
+    # the algorithm each audit serves
+    current, audited = [None], []
+    real_runner, real_audit = cli._bench_runner, cli.audit
+
+    def runner(token, *args):
+        run = real_runner(token, *args)
+
+        def tagged(k, seed):
+            current[0] = token
+            return run(k, seed)
+
+        return tagged
+
+    def counted_audit(oracle, clustering):
+        audited.append(current[0])
+        return real_audit(oracle, clustering)
+
+    monkeypatch.setattr(cli, "_bench_runner", runner)
+    monkeypatch.setattr(cli, "audit", counted_audit)
+    reused = tmp_path / "reused.csv"
+    assert cli.main(argv + ["--out", str(reused)]) == 0
+    assert [audited.count(t) for t in ("kcenter", "kmeans++", "average-linkage")] == [2, 6, 2]
+
+    monkeypatch.setattr(cli, "_audit_unless_repeated",
+                        lambda oracle, clustering, last: (clustering, cli.audit(oracle, clustering)))
+    del audited[:]
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(argv + ["--out", str(fresh)]) == 0
+    assert len(audited) == 3 * 2 * 3
+    strip = lambda path: [line.split(",")[:-1] for line in path.read_text().splitlines()]
+    assert strip(reused) == strip(fresh)
+    assert len(strip(fresh)) == 1 + 3 * 2
+
+
 def test_bench_works_on_matrix_input(tmp_path):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(12, 2))

@@ -295,7 +295,8 @@ def test_from_labels_matches_the_dict_loop():
 
 def test_cluster_averages_hand_values():
     o = DistanceOracle.from_points([0.0, 1.0, 3.0, 7.0])
-    own_sum, own_avg, avg = _cluster_averages(o, Clustering(np.array([0, 0, 0, 1]), 2))
+    c = Clustering(np.array([0, 0, 0, 1]), 2)
+    own_sum, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
     # point 0: distances 1 and 3 to the rest of its cluster, 7 to cluster 1
     assert own_sum[0] == pytest.approx(4.0)
     assert own_avg[0] == pytest.approx(2.0)
