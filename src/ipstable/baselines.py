@@ -186,34 +186,6 @@ def cut_dendrogram(z, k):
     return _slices_clustering(order, start, size, frontier)
 
 
-def _prune_slack(oracle):
-    """Relative slack eta between a cached-column violation factor and the audit's.
-
-    On the line a node's column is the audit's column for that cluster bit
-    for bit (`DistanceOracle._sums_to`), so both give the same factors and
-    eta is 0. A matrix column m @ mask sums the same n nonnegative terms as
-    the audit's one-hot product in another order. Any order of such a sum
-    is within gamma = (n-1)u/(1-(n-1)u) of the exact sum (u = 2^-53), so
-    the two sums differ by at most about 2n u, a ratio of two averages by
-    4n u, and the roundings of the two averages and their ratio add 3u per
-    side: eta = 8n u bounds it with room to spare.
-
-    That holds while every positive average and factor is a normal float.
-    With d_lo and d_hi the smallest positive and the largest distance, the
-    averages lie in [d_lo / n, d_hi] and the factors in [d_lo / (n d_hi),
-    n d_hi / d_lo], which are normal when d_lo >= n 2^-1022 and
-    n d_hi <= 2^1022 d_lo. Otherwise eta is None and every split is audited.
-    """
-    if oracle._line is not None:
-        return 0.0
-    m = oracle.matrix()
-    n = oracle.n
-    d_lo = float(np.min(m, where=m > 0, initial=np.inf))
-    if d_lo < n * 2.0**-1022 or n * float(m.max()) > d_lo * 2.0**1022:
-        return None
-    return 8 * n * 2.0**-53
-
-
 def _score_bounds(vi, measure, eta):
     """(low, high) around the audited score of a split whose factors are vi.
 
@@ -247,10 +219,10 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
     A split is scored without an audit, from cached per-node columns of
     the cluster sums (one `_sums_to` per node, the first time it or its
     parent is a candidate), giving a (low, high) interval on its audited
-    score (`_prune_slack`). Only the splits whose low end reaches the
-    smallest high end and whose interval is not a single value are audited
-    exactly, with the clustering labelled as `_slices_clustering` labels
-    it; (score, node id) then picks among them.
+    score (`DistanceOracle._sums_slack`). Only the splits whose low end
+    reaches the smallest high end and whose interval is not a single value
+    are audited exactly, with the clustering labelled as
+    `_slices_clustering` labels it; (score, node id) then picks among them.
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
@@ -261,7 +233,7 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
         raise ValueError("dendrogram and oracle size mismatch")
     _check_k(k, n, least=2)
     order, children, start, size = _leaf_slices(z)
-    eta = _prune_slack(oracle)
+    eta = oracle._sums_slack()
     # one row per node whose column is needed: the frontier's and the
     # children of each node tried, at most 4k and 2n - 1 of them. One block
     # rather than one array per node keeps the heap from fragmenting

@@ -205,7 +205,7 @@ class DistanceOracle:
         if self._line is not None:
             sums = np.empty((self.n, clustering.k))
             for i in range(clustering.k):
-                sums[:, i] = _line_sums_to(self._line, a == i)
+                sums[:, i] = self._sums_to(a == i)
             return sums
         onehot = np.zeros((self.n, clustering.k))
         onehot[np.arange(self.n), a] = 1.0
@@ -217,11 +217,38 @@ class DistanceOracle:
         On the line it is the column `cluster_sums` gives that cluster, bit
         for bit. Otherwise it is one matrix-vector product, m @ mask: the
         same n nonnegative terms as the one-hot product's column, summed in
-        another order, so its last bits may differ.
+        another order, so its last bits may differ (`_sums_slack` bounds it).
         """
         if self._line is not None:
             return _line_sums_to(self._line, mask)
         return self.matrix() @ mask.astype(float)
+
+    def _sums_slack(self):
+        """Relative slack eta of a factor read from `_sums_to` columns, not `cluster_sums`.
+
+        On the line the columns are the same bit for bit, so both give the
+        same factors and eta is 0. A matrix column m @ mask sums the same n
+        nonnegative terms as the one-hot product's column in another order.
+        Any order of such a sum is within gamma = (n-1)u/(1-(n-1)u) of the
+        exact sum (u = 2^-53), so the two sums differ by at most about 2n u,
+        a ratio of two averages by 4n u, and the roundings of the two
+        averages and their ratio add 3u per side: eta = 8n u bounds it with
+        room to spare.
+
+        That holds while every positive average and factor is a normal
+        float. With d_lo and d_hi the smallest positive and the largest
+        distance, the averages lie in [d_lo / n, d_hi] and the factors in
+        [d_lo / (n d_hi), n d_hi / d_lo], which are normal when
+        d_lo >= n 2^-1022 and n d_hi <= 2^1022 d_lo. Otherwise eta is None:
+        no bound is claimed.
+        """
+        if self._line is not None:
+            return 0.0
+        m = self.matrix()
+        d_lo = float(np.min(m, where=m > 0, initial=np.inf))
+        if d_lo < self.n * 2.0**-1022 or self.n * float(m.max()) > d_lo * 2.0**1022:
+            return None
+        return 8 * self.n * 2.0**-53
 
     def sub_oracle(self, indices):
         """Restriction to a subset of points (new indices follow `indices` order)."""

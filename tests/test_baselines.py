@@ -9,7 +9,6 @@ from ipstable import baselines
 from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit
 from ipstable.baselines import (
     _leaf_slices,
-    _prune_slack,
     _slices_clustering,
     cut_dendrogram,
     greedy_prune,
@@ -280,7 +279,7 @@ def test_prune_audits_a_split_whose_factor_is_within_the_slack(monkeypatch):
     order, children, start, size = _leaf_slices(z)
     split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
     vi = audit(o, _slices_clustering(order, start, size, split)).vi
-    assert np.min(np.abs(vi / (1.0 + STABILITY_TOL) - 1.0)) <= _prune_slack(o)
+    assert np.min(np.abs(vi / (1.0 + STABILITY_TOL) - 1.0)) <= o._sums_slack()
     audits = _counting(monkeypatch, baselines, "audit")
     got = greedy_prune(z, o, 3)
     assert len(audits) == 1
@@ -305,7 +304,7 @@ def test_prune_audits_every_split_where_the_slack_is_unproven(monkeypatch):
     rng = np.random.default_rng(23)
     pts = rng.normal(size=(16, 2))
     o = DistanceOracle.from_matrix(np.linalg.norm(pts[:, None] - pts[None], axis=2) * 1e-310)
-    assert _prune_slack(o) is None
+    assert o._sums_slack() is None
     z = linkage(o, "average")
     for measure in ("num-unstable", "max-violation"):
         audits = _counting(monkeypatch, baselines, "audit")
