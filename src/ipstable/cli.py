@@ -361,7 +361,7 @@ def _solve_dispatch(args):
     else:
         res = pipeline(oracle, args.k, args.alpha, args.gamma, seed=args.seed)
         extras.update(certificate=float(res.certificate()), stretch=float(res.stretch),
-                      uniformity=float(res.uniformity))
+                      uniformity=float(res.partition.uniformity))
         return res.clustering.assignment, res.report, extras
     return clustering.assignment, audit(oracle, clustering, targets=targets, p=p), extras
 

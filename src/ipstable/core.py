@@ -75,6 +75,12 @@ def _check_k(k, n, least=1):
         raise ValueError(f"need {least} <= k <= n, got k={k}, n={n}")
 
 
+def _check_p(p):
+    """The one rule for a norm order: a real p >= 1 or math.inf."""
+    if not p >= 1:                                   # also rejects NaN
+        raise ValueError(f"p must be >= 1 or infinity, got {p}")
+
+
 def min_count(frac, n):
     """The smallest whole count >= frac * n, read with a relative slack of a
     few ulps so that a product rounded just above a whole number counts as
@@ -395,11 +401,10 @@ def audit(oracle, clustering, targets=None, p=math.inf):
     obj = None
     if targets is not None:
         dev = np.abs(sizes - _check_targets(targets, clustering.k))
+        _check_p(p)
         if p == math.inf:
             obj = float(dev.max())
         else:
-            if not p >= 1:                       # also rejects NaN
-                raise ValueError("p must be >= 1")
             # scaled by the largest deviation so dev**p cannot overflow
             top = dev.max()
             obj = 0.0 if top == 0 else float(top * np.sum((dev / top) ** p) ** (1.0 / p))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STABILITY_TOL, _check_targets
+from .core import STABILITY_TOL, _check_p, _check_targets
 from .line1d import LineInstance
 
 MAX_TABLE_CELLS = 2.5e8
@@ -77,9 +77,10 @@ def _feasibility_thresholds(line):
     empty interval.
     """
     n = line.n
-    dtype = np.int16 if n < 32000 else np.int32
-    s_lo = np.full((n, n), n + 1, dtype=dtype)
-    s_hi = np.zeros((n, n), dtype=dtype)
+    # n + 1 fits int16: thresholds are built only for k >= 2, where
+    # MAX_TABLE_CELLS ((n+1)^2 (k+1) <= 2.5e8) caps n + 1 at 9128
+    s_lo = np.full((n, n), n + 1, dtype=np.int16)
+    s_hi = np.zeros((n, n), dtype=np.int16)
     counts = np.arange(1, n, dtype=float)
     slack = 1.0 + STABILITY_TOL
 
@@ -169,8 +170,7 @@ def build_table(values, targets, p=math.inf):
         raise ValueError("targets must sum to n")
     targets = targets.astype(int)
     k = len(targets)
-    if not p >= 1:                                   # also rejects NaN
-        raise ValueError("p must be >= 1 or infinity")
+    _check_p(p)
     if float(n + 1) ** 2 * (k + 1) > MAX_TABLE_CELLS:
         raise ValueError("DP table would exceed the memory guard; reduce n or k")
 

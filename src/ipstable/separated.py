@@ -17,6 +17,11 @@ the hidden clusters. Two consumers build on that:
   the caller gets a concrete per-run quality certificate instead of an
   asymptotic constant.
 
+Only the pipeline's uniformity reads cross-supercluster distances. The
+conditioned linkage tracks their extremes exactly for its criterion 2 and
+measures the uniformity from them; the size guard, which serves the
+enumeration, tracks none.
+
 Both linkages take the edges (i, j), i < j, in the strict order (d, i, j).
 The size guard merges only on edges of the minimum spanning tree of that
 order. When an edge e = (i, j) comes up, every earlier edge was either
@@ -88,20 +93,21 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma):
 class SuperclusterPartition:
     """Outcome of a guarded linkage phase over n points.
 
-    clusters hold sorted point ids; cross_min/cross_max are ell x ell
-    matrices of extreme inter-supercluster distances (diagonal 0). n and
-    representatives, the smallest id per cluster, follow from clusters.
-    merge_log records (distance, endpoint_a, endpoint_b, criterion) per
-    executed merge, where criterion is 1 (size), 2 (cross spread), or 3
-    (long own edge); the plain size-guarded variant only ever logs
-    criterion 1.
+    clusters hold sorted point ids; n and representatives, the smallest id
+    per cluster, follow from them. merge_log records (distance,
+    endpoint_a, endpoint_b, criterion) per executed merge, where criterion
+    is 1 (size), 2 (cross spread), or 3 (long own edge); the plain
+    size-guarded variant only ever logs criterion 1. uniformity is the
+    largest cross spread over supercluster pairs, max cross distance over
+    min cross distance (inf when the min is 0 and the max is not, 1.0 with
+    fewer than two superclusters). The conditioned linkage sets it from the
+    extremes it tracks; the size-guarded one tracks none and leaves it None.
     """
 
     clusters: list
-    cross_min: np.ndarray
-    cross_max: np.ndarray
     merge_log: list = field(default_factory=list)
     alpha: float = 0.0
+    uniformity: float | None = None
 
     @property
     def ell(self):
@@ -114,17 +120,6 @@ class SuperclusterPartition:
     @property
     def representatives(self):
         return [c[0] for c in self.clusters]
-
-    def uniformity(self):
-        """Max over supercluster pairs of (max cross / min cross)."""
-        if self.ell < 2:
-            return 1.0
-        iu = np.triu_indices(self.ell, k=1)
-        mn = self.cross_min[iu]
-        mx = self.cross_max[iu]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(mn > 0, mx / mn, np.where(mx > 0, np.inf, 1.0))
-        return float(r.max())
 
     def to_clustering(self):
         assignment = np.empty(self.n, dtype=int)
@@ -328,22 +323,6 @@ def _mst_edges(m):
     return lo[order], hi[order], d[order]
 
 
-def _cross_extremes(m, clusters):
-    """ell x ell minima and maxima of m over each pair of clusters, diagonal 0.
-
-    Grouped reductions over the cluster-sorted matrix: rows, then columns.
-    """
-    perm = np.concatenate(clusters)
-    starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
-    rows = m[perm]
-    out = []
-    for extreme in (np.minimum, np.maximum):
-        block = extreme.reduceat(extreme.reduceat(rows, starts, axis=0)[:, perm], starts, axis=1)
-        np.fill_diagonal(block, 0.0)
-        out.append(block)
-    return out
-
-
 def linkage_size_guard(oracle, alpha):
     """Single linkage that merges only while a side is still undersized.
 
@@ -377,7 +356,7 @@ def linkage_size_guard(oracle, alpha):
         members[ra] += members[rb]
         log.append((d, i, j, 1))
     clusters = [sorted(members[r]) for r in range(n) if root[r] == r]
-    return SuperclusterPartition(clusters, *_cross_extremes(m, clusters), log, alpha)
+    return SuperclusterPartition(clusters, log, alpha)
 
 
 def linkage_conditioned(oracle, alpha, gamma):
@@ -396,8 +375,8 @@ def linkage_conditioned(oracle, alpha, gamma):
     the edges are scanned in order, sorted a chunk at a time, until no
     later edge can fire (_MergeState.scan): numpy batches over the
     scanned edges and O(n) per merge (at most n-1 merges). The state's
-    cross extremes at the final roots are the partition's, as min and max
-    are exact.
+    cross extremes at the final roots give the partition's uniformity, as
+    min and max are exact.
     """
     _check_alpha(alpha)
     if not (gamma >= GAMMA_MIN and math.isfinite(gamma * gamma)):
@@ -410,8 +389,12 @@ def linkage_conditioned(oracle, alpha, gamma):
     log = st.scan(_edge_chunks(m))
     roots = np.flatnonzero(st.root == np.arange(len(m)))
     clusters = [np.flatnonzero(st.root == r).tolist() for r in roots]
-    at = np.ix_(roots, roots)
-    return SuperclusterPartition(clusters, st.mn[at], st.mx[at], log, alpha)
+    a, b = (roots[t] for t in np.triu_indices(len(roots), 1))
+    mn, mx = st.mn[a, b], st.mx[a, b]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.where(mn > 0, mx / mn, np.where(mx > 0, np.inf, 1.0))
+    # every spread is >= 1.0, so the initial value only answers ell < 2
+    return SuperclusterPartition(clusters, log, alpha, float(spread.max(initial=1.0)))
 
 
 def _check_alpha(alpha):
@@ -460,11 +443,10 @@ class PipelineResult:
     report: object                 # StabilityReport on the full instance
     partition: SuperclusterPartition
     stretch: float                 # representative tree-embedding stretch
-    uniformity: float              # max cross-distance spread across superclusters
 
     def certificate(self):
         """Per-run quality bound implied by the logged factors."""
-        return self.stretch * self.uniformity ** 2
+        return self.stretch * self.partition.uniformity ** 2
 
 
 def pipeline(oracle, k, alpha, gamma, seed=0):
@@ -475,8 +457,8 @@ def pipeline(oracle, k, alpha, gamma, seed=0):
     representative, the representatives are tree-embedded and k-clustered
     by hst.cluster_via_embedding, and each supercluster follows its
     representative. The result carries the measured embedding stretch
-    (inf when two representatives are at distance 0, as for embed) and the
-    cross-distance uniformity; their combination stretch * uniformity**2
+    (inf when two representatives are at distance 0, as for embed), and its
+    partition the cross-distance uniformity; stretch * uniformity**2
     bounds the violation whenever the separation promise actually held.
     """
     _check_k(k, oracle.n)
@@ -486,4 +468,4 @@ def pipeline(oracle, k, alpha, gamma, seed=0):
     reps = cluster_via_embedding(oracle.sub_oracle(part.representatives), k, seed=seed)
     clustering = Clustering(reps.clustering.assignment[part.to_clustering().assignment], k)
     report = audit(oracle, clustering)
-    return PipelineResult(clustering, report, part, reps.stretch, part.uniformity())
+    return PipelineResult(clustering, report, part, reps.stretch)

@@ -411,8 +411,7 @@ def full_scan_conditioned(matrix, alpha, gamma):
     Python lists throughout: union by size (on a size tie the root of the
     edge's first endpoint stays), cross minima and maxima per pair of
     roots, and each point's furthest own-cluster partner. Returns (merge
-    log, clusters ordered by root, cross_min, cross_max) in
-    SuperclusterPartition's formats.
+    log, clusters ordered by root) in SuperclusterPartition's formats.
     """
     m = np.asarray(matrix, dtype=float).tolist()
     n = len(m)
@@ -455,15 +454,7 @@ def full_scan_conditioned(matrix, alpha, gamma):
         for x in members[ra]:
             root[x] = ra
         log.append((d, i, j, crit))
-    roots = sorted(members)
-    ell = len(roots)
-    cross_min = np.zeros((ell, ell))
-    cross_max = np.zeros((ell, ell))
-    for a in range(ell):
-        for b in range(a + 1, ell):
-            cross_min[a, b] = cross_min[b, a] = mn[roots[a]][roots[b]]
-            cross_max[a, b] = cross_max[b, a] = mx[roots[a]][roots[b]]
-    return log, [sorted(members[r]) for r in roots], cross_min, cross_max
+    return log, [sorted(members[r]) for r in sorted(members)]
 
 
 def dendrogram_leaves(z, v):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipstable import cli
+from ipstable import baselines, cli
+from ipstable.core import DistanceOracle, audit
 
 from conftest import planted
 
@@ -680,6 +681,28 @@ def test_bench_audits_a_repeated_assignment_once(tmp_path, monkeypatch):
     strip = lambda path: [line.split(",")[:-1] for line in path.read_text().splitlines()]
     assert strip(reused) == strip(fresh)
     assert len(strip(fresh)) == 1 + 3 * 2
+
+
+def test_bench_measure_max_violation_prunes_by_it(tmp_path):
+    """--measure max-violation reaches greedy_prune: every row is the audit
+    of its pruning, formatted as bench formats it, and on this instance
+    that pruning differs from the default num-unstable one at every k."""
+    pts = np.random.default_rng(0).normal(size=(30, 2))
+    inp, out = tmp_path / "p.csv", tmp_path / "b.csv"
+    _write_csv(inp, pts)
+    argv = ["bench", "--input", str(inp), "--algo", "average-linkage-prune",
+            "--k", "3,4,5", "--measure", "max-violation", "--out", str(out)]
+    assert cli.main(argv) == 0
+    oracle = DistanceOracle.from_points(pts)
+    z = baselines.linkage(oracle, "average")
+    expected = []
+    for k in (3, 4, 5):
+        c = baselines.greedy_prune(z, oracle, k, measure="max-violation")
+        assert not np.array_equal(c.assignment, baselines.greedy_prune(z, oracle, k).assignment)
+        r = audit(oracle, c)
+        stats = (r.num_unstable, r.max_violation, r.mean_violation, r.cost)
+        expected.append(["average-linkage-prune", str(k), *(f"{np.mean([x]):.10g}" for x in stats)])
+    assert [line.split(",")[:-1] for line in out.read_text().splitlines()[1:]] == expected
 
 
 def test_bench_works_on_matrix_input(tmp_path):

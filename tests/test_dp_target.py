@@ -235,14 +235,19 @@ def test_layer_fill_spans_several_row_blocks(monkeypatch):
             assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, p)
 
 
+def _draw_targets(data, n):
+    """Target sizes for n points: a drawn positive composition of n."""
+    k = data.draw(st.integers(1, n))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1))
+                  if k > 1 else [])
+    return np.diff([0, *cuts, n])
+
+
 @settings(max_examples=80, deadline=None)
 @given(line_values(), st.data())
 def test_output_audited_on_the_line_matches_naive(values, data):
     n = len(values)
-    k = data.draw(st.integers(1, n))
-    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1))
-                  if k > 1 else [])
-    targets = np.diff([0, *cuts, n])
+    targets = _draw_targets(data, n)
     p = data.draw(st.sampled_from(NORM_ORDERS))
     c, obj = solve_targets(values, targets, p=p)
     rep = audit(DistanceOracle.from_points(values), c, targets=targets, p=p)
@@ -250,6 +255,19 @@ def test_output_audited_on_the_line_matches_naive(values, data):
     assert rep.num_unstable == 0 == naive_num_unstable(m, c.assignment)
     np.testing.assert_allclose(rep.vi, naive_vi(m, c.assignment), rtol=1e-9, atol=0)
     assert rep.obj == pytest.approx(obj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_values(), st.data())
+def test_objective_matches_exhaustive_optimum(values, data):
+    """The objective is the best over every stable contiguous clustering,
+    on tied, zero-spread, offset and multi-scale lines, at every norm order."""
+    targets = _draw_targets(data, len(values))
+    for p in NORM_ORDERS:
+        _, obj = solve_targets(values, targets, p=p)
+        best = contiguous_stable_optimum(values, targets, p)
+        assert best is not None, (list(values), list(targets), p)
+        assert obj == pytest.approx(best), (list(values), list(targets), p)
 
 
 def _fill_order_fold(sizes, targets, p):

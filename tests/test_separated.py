@@ -117,15 +117,18 @@ def test_size_guard_reaches_alpha_sizes_and_refines_planted():
 
 
 def _upper_block_extremes(m, clusters):
-    """Cross minima and maxima per pair of clusters, pair by pair over d(i, j), i < j."""
-    ell = len(clusters)
-    lo, hi = np.zeros((ell, ell)), np.zeros((ell, ell))
-    for a in range(ell):
-        for b in range(ell):
-            if a != b:
-                cross = [m[min(x, y), max(x, y)] for x in clusters[a] for y in clusters[b]]
-                lo[a, b], hi[a, b] = min(cross), max(cross)
-    return lo, hi
+    """Cross (min, max) per pair of clusters a < b, over d(i, j), i < j."""
+    for a, ca in enumerate(clusters):
+        for cb in clusters[a + 1:]:
+            cross = [m[min(x, y), max(x, y)] for x in ca for y in cb]
+            yield min(cross), max(cross)
+
+
+def _uniformity(m, clusters):
+    """The largest cross spread over cluster pairs, pair by pair in Python floats."""
+    spreads = [hi / lo if lo > 0 else math.inf if hi > 0 else 1.0
+               for lo, hi in _upper_block_extremes(m, clusters)]
+    return max(spreads, default=1.0)
 
 
 def _assert_size_guard_matches(o, alpha, where):
@@ -135,9 +138,7 @@ def _assert_size_guard_matches(o, alpha, where):
     assert part.merge_log == log, where
     assert part.clusters == clusters, where
     assert part.n == o.n and part.representatives == [min(c) for c in clusters], where
-    cmn, cmx = _upper_block_extremes(m, part.clusters)
-    assert np.array_equal(part.cross_min, cmn), where
-    assert np.array_equal(part.cross_max, cmx), where
+    assert part.uniformity is None, where
 
 
 def _size_guard_edge_cases(rng):
@@ -203,15 +204,14 @@ def _linkage_oracle(rng, kind):
 
 
 def _assert_conditioned_matches(o, alpha, gamma, where):
-    """The linkage equals the per-edge full scan, with upper-triangle cross
-    extremes; returns the full scan's log."""
+    """The linkage equals the per-edge full scan, and its uniformity the
+    spread of the upper-triangle cross extremes bit for bit; returns the
+    full scan's log."""
     part = linkage_conditioned(o, alpha, gamma)
-    log, clusters, _, _ = full_scan_conditioned(o.matrix(), alpha, gamma)
+    log, clusters = full_scan_conditioned(o.matrix(), alpha, gamma)
     assert part.merge_log == log, where
     assert part.clusters == clusters, where
-    cmn, cmx = _upper_block_extremes(o.matrix(), part.clusters)
-    assert np.array_equal(part.cross_min, cmn), where
-    assert np.array_equal(part.cross_max, cmx), where
+    assert part.uniformity == _uniformity(o.matrix(), part.clusters), where
     return log
 
 
@@ -308,11 +308,26 @@ def test_spread_exactly_on_the_bound_does_not_merge():
     assert ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2 == 4.0
     o = _oracle([1.0, 3.0, 6.0, 8.0, 13.0])
     part = linkage_conditioned(o, alpha=0.4, gamma=gamma)
-    log, clusters, cmn, cmx = full_scan_conditioned(o.matrix(), 0.4, gamma)
+    log, clusters = full_scan_conditioned(o.matrix(), 0.4, gamma)
     assert part.merge_log == log
     assert part.clusters == clusters == [[0, 1], [2, 3, 4]]
-    assert part.cross_max[0, 1] / part.cross_min[0, 1] == 4.0
+    assert part.uniformity == 4.0
     assert [crit for _, _, _, crit in log] == [1, 1, 1]
+
+
+def test_a_zero_cross_distance_makes_the_uniformity_infinite():
+    """The size criterion forms {0, 3} and {1, 2}, which meet at distance 0
+    (d(1, 3)) and at 5 elsewhere. A cross minimum of 0 blocks criterion 2
+    and no own edge is long, so they stay apart with spread 5 / 0, read as
+    inf. The matrix is no metric: d(0, 1) = 5 > d(0, 3) + d(3, 1) = 0.
+    """
+    m = np.full((4, 4), 5.0)
+    np.fill_diagonal(m, 0.0)
+    for i, j in ((0, 3), (1, 2), (1, 3)):
+        m[i, j] = m[j, i] = 0.0
+    o = DistanceOracle.from_matrix(m)
+    assert _assert_conditioned_matches(o, 0.5, 4.0, "zero cross") == [(0.0, 0, 3, 1), (0.0, 1, 2, 1)]
+    assert linkage_conditioned(o, 0.5, 4.0).uniformity == math.inf
 
 
 def test_conditioned_linkage_recovers_planted():
@@ -390,7 +405,6 @@ def test_partition_to_clustering_roundtrip():
     assert c.k == part.ell
     for i, block in enumerate(part.clusters):
         assert all(c.assignment[j] == i for j in block)
-    assert part.uniformity() >= 1.0
 
 
 def test_exact_enumerate_stable_on_planted():
@@ -458,9 +472,9 @@ def test_pipeline_certificate_and_shape():
         res = pipeline(o, 4, alpha=0.2, gamma=4.0, seed=seed)
         assert res.clustering.k == 4
         assert sizes_ok(res.partition)
-        assert res.uniformity >= 1.0
+        assert res.partition.uniformity >= 1.0
         cert = res.certificate()
-        assert cert == pytest.approx(res.stretch * res.uniformity ** 2)
+        assert cert == res.stretch * res.partition.uniformity ** 2
         assert res.report.max_violation <= cert * (1 + 1e-9) + 1e-12
         # report agrees with an independent audit of the same labels
         assert res.report.num_unstable == naive_num_unstable(

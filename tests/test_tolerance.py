@@ -109,7 +109,7 @@ def test_separated_solvers_count_seven_of_25_at_alpha_028(alpha):
     assert part.merge_log == log and part.clusters == clusters
     assert part.ell == 3 and sizes_ok(part)
     part = linkage_conditioned(o, alpha, 4.0)
-    log, clusters, _, _ = full_scan_conditioned(o.matrix(), alpha, 4.0)
+    log, clusters = full_scan_conditioned(o.matrix(), alpha, 4.0)
     assert part.merge_log == log and part.clusters == clusters
     assert part.ell == 3 and sizes_ok(part)
 
