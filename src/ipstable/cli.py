@@ -612,6 +612,12 @@ def main(argv=None):
     except (CliError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        # numpy names the size it asked for: "Unable to allocate 275. MiB for
+        # an array with shape (6000, 6000) and data type float64"
+        print(f"error: out of memory in {args.command}: {exc or 'no size reported'}",
+              file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -22,25 +22,35 @@ conditioned linkage tracks their extremes exactly for its criterion 2 and
 measures the uniformity from them; the size guard, which serves the
 enumeration, tracks none.
 
-Both linkages take the edges (i, j), i < j, in the strict order (d, i, j).
-The size guard merges only on edges of the minimum spanning tree of that
-order. When an edge e = (i, j) comes up, every earlier edge was either
-merged or skipped with both sides at least min_count(alpha, n) points, and
-sizes only grow. If e is off the tree, a path of earlier edges joins i and
-j, and an undersized side holds every point of that path, j included, so e
-joins nothing. Single linkage is the minimum spanning tree (Gower & Ross
-1969), so linkage_size_guard runs Prim's O(n^2) algorithm in n numpy steps
-and replays the n-1 tree edges; it never lists the n(n-1)/2 edges.
+Both linkages take the edges (i, j), i < j, in the strict order (d, i, j),
+and both start with one replay of the minimum spanning tree of that order
+(_replay): Prim's O(n^2) algorithm in n numpy steps, then the n-1 tree edges
+in order with union by size. Single linkage is the minimum spanning tree
+(Gower & Ross 1969), and neither linkage lists the n(n-1)/2 edges for it.
 
-Criteria 2 and 3 of the conditioned linkage read a cluster pair's cross
-spread and a point's furthest own partner, which grow as clusters merge, so
-they can fire on an edge off the tree, for instance the first cross edge
-scanned after a pair's spread passed its bound. That linkage scans the
-edges, sorted a chunk at a time, in numpy batches; its state only changes
-at a merge, so only the merges (at most n-1, O(n) each) run as Python
-steps. The scan stops once no later edge can fire: every cluster is big
-enough, no cluster pair spreads beyond the bound, and no point's furthest
-own partner exceeds own_bound times the next edge's length.
+The size guard merges only on tree edges. When an edge e = (i, j) comes up,
+every earlier edge was either merged or skipped with both sides at least
+min_count(alpha, n) points, and sizes only grow. If e is off the tree, a
+path of earlier edges joins i and j, and an undersized side holds every
+point of that path, j included, so e joins nothing. So linkage_size_guard
+is the replay with every tree edge between two big enough sides skipped.
+
+The conditioned linkage's criterion 1 fires on every edge with an
+undersized side, so up to the first tree edge e whose two sides are both
+big enough its scan is Kruskal's algorithm (Kruskal 1956) and merges exactly
+the replayed tree edges; the replay stops at e. Every earlier edge, tree or
+not, then joins two points already in one cluster. Criteria 2 and 3 read a
+cluster pair's cross spread and a point's furthest own partner, which grow
+as clusters merge, so from e on they can fire on an edge off the tree, for
+instance the first cross edge scanned after a pair's spread passed its
+bound. The replay's c clusters seed the merge state once (c x c cross
+extremes), and the scan resumes over the cross edges, which all come at or
+after e: gathered and bucketed by length once, each chunk sorted when the
+scan reaches it, and tested in numpy batches. The state only changes at a
+merge, so only the merges (O(n) each) run as Python steps. The scan stops
+once no later edge can fire: every cluster is big enough, no cluster pair
+spreads beyond the bound, and no point's furthest own partner exceeds
+own_bound times the next edge's length.
 """
 
 from __future__ import annotations
@@ -65,6 +75,8 @@ GAMMA_MIN = 2.0 + math.sqrt(3.0)
 ENUM_GUARD = 1e7
 _FIRST_BATCH = 32    # edges in a linkage scan's first batch after a merge
 _FIRST_CHUNK = 4096  # edges in the conditioned scan's first sorted chunk
+_SAMPLE = 1 << 13      # lengths sampled for the conditioned scan's chunk bounds
+_BLOCK_CELLS = 1 << 16  # matrix cells per block of rows the conditioned linkage gathers
 
 
 def check_alpha_gamma(oracle, clustering, alpha, gamma):
@@ -129,27 +141,51 @@ class SuperclusterPartition:
 
 
 class _MergeState:
-    """Conditioned linkage state: cluster labels plus the incremental
-    distance bookkeeping its three criteria read.
+    """Conditioned linkage state over the clusters the MST replay left:
+    cluster labels plus the incremental distance bookkeeping the three
+    criteria read.
 
-    Clusters are named by a root point: root[x] is the root of x's cluster,
-    and size and the mn/mx rows and columns are read at roots only.
+    label[x] is the label of x's cluster. The labels 0..c-1 follow the
+    clusters' root order, and a merge keeps the label of the cluster whose
+    root union by size keeps, so the final clusters in label order are in
+    root order. size and the mn/mx rows and columns are read at live labels
+    only; a merged-away label has size 0.
     """
 
-    def __init__(self, m, thresh, spread_bound, own_bound):
+    def __init__(self, m, clusters, thresh, spread_bound, own_bound):
         self.m = m
-        self.n = len(m)
+        self.n = n = len(m)
         self.thresh = thresh
         self.spread_bound = spread_bound
         self.own_bound = own_bound
-        self.root = np.arange(self.n)
-        self.size = np.ones(self.n, dtype=np.int64)
-        self.small = self.n if thresh > 1 else 0   # clusters below thresh
-        # extreme cross distances between current clusters, indexed by roots
-        self.mn = m.copy()
-        self.mx = m.copy()
-        # per point: max distance into its own current cluster
-        self.maxd = np.zeros(self.n)
+        self.size = np.array([len(c) for c in clusters], dtype=np.int64)
+        c = len(clusters)
+        order = np.concatenate(clusters)            # the points in label order
+        self.label = np.empty(n, dtype=np.int64)
+        self.label[order] = np.repeat(np.arange(c), self.size)
+        self.small = int(np.count_nonzero(self.size < thresh))   # clusters below thresh
+        # extreme cross distances between the clusters, and per point the
+        # max distance into its own cluster, by grouped reductions over
+        # blocks of rows in label order; each block's columns are gathered
+        # in label order, so every cluster is one run of columns
+        self.mn = np.full((c, c), np.inf)
+        self.mx = np.zeros((c, c))                  # distances are nonnegative
+        self.maxd = np.empty(n)
+        starts = np.cumsum(self.size) - self.size
+        rows = max(1, _BLOCK_CELLS // n)
+        for r0 in range(0, n, rows):
+            pts = order[r0:r0 + rows]
+            block = m.take(pts, axis=0).take(order, axis=1)
+            lo = np.minimum.reduceat(block, starts, axis=1)
+            hi = np.maximum.reduceat(block, starts, axis=1)
+            lab = self.label[pts]
+            self.maxd[pts] = hi[np.arange(len(pts)), lab]
+            runs = np.flatnonzero(np.diff(lab, prepend=-1))
+            ids = lab[runs]
+            self.mn[ids] = np.minimum(self.mn[ids], np.minimum.reduceat(lo, runs))
+            self.mx[ids] = np.maximum(self.mx[ids], np.maximum.reduceat(hi, runs))
+        np.fill_diagonal(self.mn, 0.0)
+        np.fill_diagonal(self.mx, 0.0)
 
     def fires(self, ri, rj, i, j, d):
         """The criterion (1-3) each edge (i, j) of length d between clusters
@@ -170,7 +206,7 @@ class _MergeState:
         """
         if self.small:
             return np.inf
-        if self.size[self.root[0]] == self.n:
+        if self.size[self.label[0]] == self.n:
             return -np.inf
         return self.maxd.max()
 
@@ -180,11 +216,15 @@ class _MergeState:
         Such a pair may still have unscanned cross edges, and the first of
         them merges it by criterion 2.
         """
-        roots = np.flatnonzero(self.root == np.arange(self.n))
-        return bool(self._wide(*np.ix_(roots, roots)).any())
+        live = np.flatnonzero(self.size)
+        return bool(self._wide(*np.ix_(live, live)).any())
+
+    def idle(self, d):
+        """Whether no edge of length d or more can fire (see reach)."""
+        return d * self.own_bound >= self.reach() and not self.wide_pair()
 
     def _wide(self, ri, rj):
-        """Criterion 2 per pair of roots: cross spread above the bound."""
+        """Criterion 2 per pair of labels: cross spread above the bound."""
         mn, mx = self.mn[ri, rj], self.mx[ri, rj]
         return np.divide(mx, mn, out=np.zeros_like(mx), where=mn > 0) > self.spread_bound
 
@@ -193,19 +233,19 @@ class _MergeState:
             ra, rb = rb, ra
         sa, sb = int(self.size[ra]), int(self.size[rb])
         self.small -= (sa < self.thresh) + (sb < self.thresh) - (sa + sb < self.thresh)
-        a_pts = np.flatnonzero(self.root == ra)
-        b_pts = np.flatnonzero(self.root == rb)
+        a_pts = np.flatnonzero(self.label == ra)
+        b_pts = np.flatnonzero(self.label == rb)
         cross = self.m[a_pts[:, None], b_pts]
         self.maxd[a_pts] = np.maximum(self.maxd[a_pts], cross.max(axis=1))
         self.maxd[b_pts] = np.maximum(self.maxd[b_pts], cross.max(axis=0))
-        self.root[b_pts] = ra
+        self.label[b_pts] = ra
         self.size[ra] += self.size[rb]
+        self.size[rb] = 0
         self.mn[ra, :] = np.minimum(self.mn[ra, :], self.mn[rb, :])
         self.mn[:, ra] = self.mn[ra, :]
         self.mx[ra, :] = np.maximum(self.mx[ra, :], self.mx[rb, :])
         self.mx[:, ra] = self.mx[ra, :]
         self.mn[ra, ra] = self.mx[ra, ra] = 0.0
-        return ra
 
     def scan(self, chunks):
         """Merge at every sorted edge whose criterion fires; returns the merge log.
@@ -236,7 +276,7 @@ class _MergeState:
                     # d * own_bound is nondecreasing along the sorted edges
                     cut = np.searchsorted(d * self.own_bound, reach)
                     i, j, d = i[:cut], j[:cut], d[:cut]
-                ri, rj = self.root[i], self.root[j]
+                ri, rj = self.label[i], self.label[j]
                 crit = self.fires(ri, rj, i, j, d)
                 hit = np.flatnonzero((crit != 0) & (ri != rj))
                 if len(hit) == 0:
@@ -251,35 +291,61 @@ class _MergeState:
                 reach, wide = self.reach(), None
         return log
 
+    def clusters(self):
+        """The current clusters as sorted id lists, in label order."""
+        order = np.argsort(self.label, kind="stable")
+        runs = np.flatnonzero(np.diff(self.label[order])) + 1
+        return [c.tolist() for c in np.split(order, runs)]
 
-def _edge_chunks(m):
-    """All pairs i < j as (i, j, d) arrays in (d, i, j) order, a chunk at a time.
+    def uniformity(self):
+        """The largest cross spread over pairs of current clusters (see
+        SuperclusterPartition), from the exact extremes."""
+        live = np.flatnonzero(self.size)
+        a, b = (live[t] for t in np.triu_indices(len(live), 1))
+        mn, mx = self.mn[a, b], self.mx[a, b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = np.where(mn > 0, mx / mn, np.where(mx > 0, np.inf, 1.0))
+        # every spread is >= 1.0, so the initial value only answers ell < 2
+        return float(spread.max(initial=1.0))
 
-    A chunk holds every edge with tau_prev < d <= tau, ties at tau included,
-    where tau is the length at the next rank of _FIRST_CHUNK, 3, 7, 15, ...
-    times _FIRST_CHUNK. A stable sort of the chunk's lengths from the triu
-    order, which is already the (i, j) order, gives the (d, i, j) order.
-    Only the chunks a scan reaches are ranked and sorted.
+
+def _cross_edges(m, label):
+    """The pairs i < j with label[i] != label[j] as (i, j, d) arrays in
+    (d, i, j) order, a chunk at a time.
+
+    The pairs are gathered once, in (i, j) order, a block of rows at a time,
+    and bucketed once by length: chunk b holds the lengths in (tau_(b-1),
+    tau_b], so tied lengths share a chunk. tau_b is read off a sorted
+    sample of the lengths near rank (2^(b+1) - 1) * _FIRST_CHUNK. A chunk is
+    sorted only when the scan reaches it: by length, and by (i, j) among
+    tied lengths.
     """
     n = len(m)
-    du = m[np.triu(np.ones((n, n), dtype=bool), 1)]
-    rows = np.arange(n)
-    first = rows * (2 * n - rows - 1) // 2     # triu position of (i, i + 1)
-    ranked = du.copy()                        # ranked[:done]: the done shortest lengths
-    done, size, below = 0, _FIRST_CHUNK, -np.inf
-    while done < len(du):
-        rank = min(len(du), done + size)
-        ranked[done:].partition(rank - 1 - done)
-        tau = ranked[rank - 1]
-        done, size = rank, size * 2
-        if tau == below:                      # these ties came with the last chunk
+    rows = max(1, _BLOCK_CELLS // n)
+    pos, dist = [], []
+    for r0 in range(0, n, rows):
+        r = np.arange(r0, min(n, r0 + rows))
+        p = np.flatnonzero((label[r, None] != label) & (np.arange(n) > r[:, None]))
+        pos.append(p + r0 * n)
+        dist.append(m[r0:r0 + rows].ravel()[p])
+    pos, dist = np.concatenate(pos), np.concatenate(dist)
+    step = max(1, len(dist) // _SAMPLE)
+    sample = np.sort(dist[::step])
+    ranks = _FIRST_CHUNK * (2 ** np.arange(1, 2 + len(dist).bit_length()) - 1)
+    taus = sample[ranks[ranks < len(dist)] // step]
+    bucket = np.zeros(len(dist), dtype=np.uint8)
+    for tau in taus:
+        bucket += dist > tau
+    for b in range(len(taus) + 1):
+        sel = np.flatnonzero(bucket == b)
+        if len(sel) == 0:
             continue
-        pos = np.flatnonzero((du > below) & (du <= tau))
-        i = np.searchsorted(first, pos, side="right") - 1
-        order = np.argsort(du[pos], kind="stable")
-        pos, i = pos[order], i[order]
-        yield i, pos - first[i] + i + 1, du[pos]
-        below = tau
+        o = np.argsort(dist[sel])
+        if np.any(np.diff(dist[sel[o]]) == 0):
+            o = np.argsort(dist[sel], kind="stable")   # ties in the gather's (i, j) order
+        sel = sel[o]
+        i = pos[sel] // n
+        yield i, pos[sel] - i * n, dist[sel]
 
 
 def _mst_edges(m):
@@ -323,6 +389,37 @@ def _mst_edges(m):
     return lo[order], hi[order], d[order]
 
 
+def _replay(m, thresh, stop):
+    """Replay the minimum spanning tree's edges in their (d, lo, hi) order.
+
+    An edge merges, with union by size (a size tie keeps the root of the
+    edge's first endpoint), while one of its sides holds fewer than thresh
+    points. At an edge whose two sides both reach thresh the replay skips
+    it or, with stop, ends there. Returns the clusters as sorted id lists
+    in root order, the merge log, and the length of the edge the replay
+    stopped at (None when it did not stop).
+    """
+    n = len(m)
+    root = list(range(n))
+    members = [[x] for x in range(n)]
+    log = []
+    d_stop = None
+    for i, j, d in zip(*(a.tolist() for a in _mst_edges(m))):
+        ra, rb = root[i], root[j]
+        if len(members[ra]) >= thresh and len(members[rb]) >= thresh:
+            if stop:
+                d_stop = d
+                break
+            continue
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        for x in members[rb]:
+            root[x] = ra
+        members[ra] += members[rb]
+        log.append((d, i, j, 1))
+    return [sorted(members[r]) for r in range(n) if root[r] == r], log, d_stop
+
+
 def linkage_size_guard(oracle, alpha):
     """Single linkage that merges only while a side is still undersized.
 
@@ -333,29 +430,14 @@ def linkage_size_guard(oracle, alpha):
     would still have triggered a merge.
 
     Only edges of the minimum spanning tree in that order can merge (see the
-    module docstring), so this runs Prim's algorithm and replays the n-1
-    tree edges in order, with union by size (a size tie keeps the root of
-    the edge's first endpoint). Cost: O(n^2) numpy work in n steps, then
-    O(n log n) Python steps; the n(n-1)/2 edges are never listed or sorted.
+    module docstring), so this is the MST replay (_replay) with every edge
+    between two big enough sides skipped. Cost: O(n^2) numpy work in n
+    steps, then O(n log n) Python steps; the n(n-1)/2 edges are never
+    listed or sorted.
     """
     _check_alpha(alpha)
     m = oracle.matrix()
-    n = len(m)
-    thresh = min_count(alpha, n)
-    root = list(range(n))
-    members = [[x] for x in range(n)]
-    log = []
-    for i, j, d in zip(*(a.tolist() for a in _mst_edges(m))):
-        ra, rb = root[i], root[j]
-        if len(members[ra]) >= thresh and len(members[rb]) >= thresh:
-            continue
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        for x in members[rb]:
-            root[x] = ra
-        members[ra] += members[rb]
-        log.append((d, i, j, 1))
-    clusters = [sorted(members[r]) for r in range(n) if root[r] == r]
+    clusters, log, _ = _replay(m, min_count(alpha, len(m)), stop=False)
     return SuperclusterPartition(clusters, log, alpha)
 
 
@@ -371,12 +453,14 @@ def linkage_conditioned(oracle, alpha, gamma):
     none of them can fire across the hidden clusters, so the result
     refines it while pushing every cluster to at least alpha*n points.
 
-    Criteria 2 and 3 can fire on edges off the minimum spanning tree, so
-    the edges are scanned in order, sorted a chunk at a time, until no
-    later edge can fire (_MergeState.scan): numpy batches over the
-    scanned edges and O(n) per merge (at most n-1 merges). The state's
-    cross extremes at the final roots give the partition's uniformity, as
-    min and max are exact.
+    Up to the first tree edge whose two sides are both big enough, the
+    merges are the size guard's MST replay (module docstring), so _replay
+    runs them and stops at that edge. The replay's c clusters then seed the
+    merge state once, and the scan resumes over the cross edges
+    (_cross_edges), which all come at or after the stop edge, until no later
+    edge can fire (_MergeState.scan): numpy batches over the scanned edges
+    and O(n) per merge. The state's cross extremes at the final clusters
+    give the partition's uniformity, as min and max are exact.
     """
     _check_alpha(alpha)
     if not (gamma >= GAMMA_MIN and math.isfinite(gamma * gamma)):
@@ -385,16 +469,13 @@ def linkage_conditioned(oracle, alpha, gamma):
     spread_bound = ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2
     own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
     m = oracle.matrix()
-    st = _MergeState(m, min_count(alpha, oracle.n), spread_bound, own_bound)
-    log = st.scan(_edge_chunks(m))
-    roots = np.flatnonzero(st.root == np.arange(len(m)))
-    clusters = [np.flatnonzero(st.root == r).tolist() for r in roots]
-    a, b = (roots[t] for t in np.triu_indices(len(roots), 1))
-    mn, mx = st.mn[a, b], st.mx[a, b]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = np.where(mn > 0, mx / mn, np.where(mx > 0, np.inf, 1.0))
-    # every spread is >= 1.0, so the initial value only answers ell < 2
-    return SuperclusterPartition(clusters, log, alpha, float(spread.max(initial=1.0)))
+    thresh = min_count(alpha, len(m))
+    clusters, log, d_stop = _replay(m, thresh, stop=True)
+    st = _MergeState(m, clusters, thresh, spread_bound, own_bound)
+    if d_stop is not None and not st.idle(d_stop):
+        log += st.scan(_cross_edges(m, st.label.copy()))
+        clusters = st.clusters()
+    return SuperclusterPartition(clusters, log, alpha, st.uniformity())
 
 
 def _check_alpha(alpha):

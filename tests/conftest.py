@@ -378,31 +378,41 @@ def sizes_ok(partition):
     return len(sizes) == 1 or min(sizes) >= min_count(partition.alpha, sum(sizes))
 
 
-def full_scan_size_guard(matrix, alpha):
+def full_scan_size_guard(matrix, alpha, stop=False):
     """Size-guarded single linkage over every edge, with no early stop.
 
     Union by size (on a size tie the root of the edge's first endpoint
     stays). Returns (merge log, clusters as sorted id lists ordered by
-    root) in linkage_size_guard's formats.
+    root) in linkage_size_guard's formats, and the first edge skipped for
+    joining two clusters that both hold whole_min_size points, as (d, i, j),
+    or None. With stop, the scan ends at that edge: this prefix is
+    Kruskal's algorithm, and it is where the conditioned linkage leaves its
+    MST replay.
     """
     m = np.asarray(matrix, dtype=float)
     n = len(m)
     thresh = whole_min_size(alpha, n)
-    edges = sorted((m[i, j], i, j) for i in range(n) for j in range(i + 1, n))
+    edges = sorted((float(m[i, j]), i, j) for i in range(n) for j in range(i + 1, n))
     root = list(range(n))
     members = {i: [i] for i in range(n)}
     log = []
+    first_skip = None
     for d, i, j in edges:
         ra, rb = root[i], root[j]
-        if ra == rb or (len(members[ra]) >= thresh and len(members[rb]) >= thresh):
+        if ra == rb:
+            continue
+        if len(members[ra]) >= thresh and len(members[rb]) >= thresh:
+            if stop:
+                return log, [sorted(members[r]) for r in sorted(members)], (d, i, j)
+            first_skip = first_skip or (d, i, j)
             continue
         if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
         members[ra] += members.pop(rb)
         for x in members[ra]:
             root[x] = ra
-        log.append((float(d), i, j, 1))
-    return log, [sorted(members[r]) for r in sorted(members)]
+        log.append((d, i, j, 1))
+    return log, [sorted(members[r]) for r in sorted(members)], first_skip
 
 
 def full_scan_conditioned(matrix, alpha, gamma):

@@ -280,6 +280,39 @@ def test_embed_of_twins_that_differ_elsewhere_exits_one_without_hanging(tmp_path
     assert all(e.startswith("error:") and "distance 0" in e for e in errors)
 
 
+_OOM_PROBE = """
+import json, resource, sys
+import scipy.spatial.distance  # the oracle loads it lazily; map it before the cap
+from ipstable import cli
+with open("/proc/self/statm") as fh:
+    used = int(fh.read().split()[0]) * resource.getpagesize()
+cap = used + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(cli.main(json.loads(sys.argv[2])))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS and /proc/self/statm as on Linux")
+def test_out_of_memory_exits_one_with_the_size_asked_for(tmp_path):
+    """A child process caps its own address space 48 MiB above what it
+    uses, so the 3000 x 3000 distance matrix (68.7 MiB) cannot be allocated:
+    the CLI exits 1 with one line naming the size, not with a traceback."""
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, np.random.default_rng(0).normal(size=(3000, 2)))
+    argv = ["solve", "--input", str(inp), "--algo", "separated-pipeline", "--alpha", "0.1",
+            "--gamma", "4", "--k", "2", "--out", str(tmp_path / "a.txt")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _OOM_PROBE, str(48 << 20), json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: out of memory in solve: Unable to allocate 68.7 MiB")
+    assert "(3000, 3000)" in line
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "1e200"])
 def test_gamma_must_be_finite_with_finite_bounds(tmp_path, capsys, gamma):
     inp = tmp_path / "pts.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipstable import separated
-from ipstable.core import Clustering, DistanceOracle, audit, brute_force
+from ipstable.core import Clustering, DistanceOracle, audit, brute_force, min_count
 from ipstable.hst import embed_hst, hst_k_clustering, normalize_leaves
 from ipstable.separated import (
     GAMMA_MIN,
@@ -134,7 +134,7 @@ def _uniformity(m, clusters):
 def _assert_size_guard_matches(o, alpha, where):
     part = linkage_size_guard(o, alpha)
     m = o.matrix()
-    log, clusters = full_scan_size_guard(m, alpha)
+    log, clusters, _ = full_scan_size_guard(m, alpha)
     assert part.merge_log == log, where
     assert part.clusters == clusters, where
     assert part.n == o.n and part.representatives == [min(c) for c in clusters], where
@@ -229,37 +229,37 @@ def test_conditioned_linkage_matches_full_scan():
     assert min(fired.values()) > 20, fired
 
 
-@pytest.mark.parametrize(
-    "points, alpha, gamma, crits",
-    [
-        # Criterion 1 forms {5, 6} and {12, 13}, then {12, 13, 34}. From the
-        # edge (6, 34) of length 28 on every cluster is big enough and
-        # maxd.max() = 22 <= 28 * 8/9, but {5, 6} against {12, 13, 34}
-        # spreads from 6 to 29, above the bound (17/9)^2, and its cross edge
-        # (6, 34) is still unscanned: the scan may not stop, and (6, 34)
-        # merges by criterion 2.
-        ([5, 6, 12, 13, 34], 0.4, 4.0, [1, 1, 1, 2]),
-        # At gamma = GAMMA_MIN own_bound is exactly 1. After the merge at
-        # (0, 19), maxd.max() = d(0, 24) = 24, no pair spreads beyond 4, and
-        # the next edge after (19, 39) is (0, 24) of length 24: maxd.max()
-        # equals own_bound * d there, and the scan may stop.
-        ([0, 19, 24, 35, 39], 0.34, GAMMA_MIN, [1, 1, 1]),
-        # Criterion 1 forms {1, 9} and {30, 32}; both are big enough, and
-        # the cross edge (9, 30) of length 21 then merges by criterion 3
-        # (maxd[9] = 8 > 21 * 20/81).
-        ([1, 9, 30, 32], 0.34, 10.0, [1, 1, 3]),
-        # Criterion 1 forms {0, 1000, 2000} and {3999, 4999, 5999}; the
-        # cross edge (2000, 3999) of length 1999 then merges by criterion 3,
-        # as maxd[2000] = 2000 exceeds own_bound * 1999 = 1999 by 0.05%.
-        ([0, 1000, 2000, 3999, 4999, 5999], 0.5, GAMMA_MIN, [1, 1, 1, 1, 3]),
-    ],
-    ids=[
-        "spread-blocks-the-stop",
-        "long-own-edge-on-the-bound",
-        "last-merge-by-criterion-3",
-        "criterion-3-just-above-the-bound",
-    ],
-)
+_STOP_RULE_CASES = [
+    # Criterion 1 forms {5, 6} and {12, 13}, then {12, 13, 34}. From the
+    # edge (6, 34) of length 28 on every cluster is big enough and
+    # maxd.max() = 22 <= 28 * 8/9, but {5, 6} against {12, 13, 34}
+    # spreads from 6 to 29, above the bound (17/9)^2, and its cross edge
+    # (6, 34) is still unscanned: the scan may not stop, and (6, 34)
+    # merges by criterion 2.
+    ([5, 6, 12, 13, 34], 0.4, 4.0, [1, 1, 1, 2]),
+    # At gamma = GAMMA_MIN own_bound is exactly 1. After the merge at
+    # (0, 19), maxd.max() = d(0, 24) = 24, no pair spreads beyond 4, and
+    # the next edge after (19, 39) is (0, 24) of length 24: maxd.max()
+    # equals own_bound * d there, and the scan may stop.
+    ([0, 19, 24, 35, 39], 0.34, GAMMA_MIN, [1, 1, 1]),
+    # Criterion 1 forms {1, 9} and {30, 32}; both are big enough, and
+    # the cross edge (9, 30) of length 21 then merges by criterion 3
+    # (maxd[9] = 8 > 21 * 20/81).
+    ([1, 9, 30, 32], 0.34, 10.0, [1, 1, 3]),
+    # Criterion 1 forms {0, 1000, 2000} and {3999, 4999, 5999}; the
+    # cross edge (2000, 3999) of length 1999 then merges by criterion 3,
+    # as maxd[2000] = 2000 exceeds own_bound * 1999 = 1999 by 0.05%.
+    ([0, 1000, 2000, 3999, 4999, 5999], 0.5, GAMMA_MIN, [1, 1, 1, 1, 3]),
+]
+_STOP_RULE_IDS = [
+    "spread-blocks-the-stop",
+    "long-own-edge-on-the-bound",
+    "last-merge-by-criterion-3",
+    "criterion-3-just-above-the-bound",
+]
+
+
+@pytest.mark.parametrize("points, alpha, gamma, crits", _STOP_RULE_CASES, ids=_STOP_RULE_IDS)
 def test_conditioned_stop_rule_boundaries(points, alpha, gamma, crits):
     """Boundary cases of the conditioned scan's stop rule, against the full scan."""
     assert 2.0 * GAMMA_MIN / (GAMMA_MIN - 1.0) ** 2 == 1.0
@@ -267,33 +267,147 @@ def test_conditioned_stop_rule_boundaries(points, alpha, gamma, crits):
     assert [crit for _, _, _, crit in log] == crits
 
 
-def test_linkages_scan_short_of_the_full_edge_list(monkeypatch):
-    """The size guard never lists the edges; the conditioned scan stops early.
-
-    On a planted instance the conditioned linkage stops once no later edge
-    can fire, well before the last of the n(n-1)/2 edges, and still equals
-    the full scan; at alpha = 1 it stops at the merge that leaves one
-    cluster.
-    """
+def _count_tail(monkeypatch):
+    """Record every edge the conditioned scan's tail stream yields, as a
+    list of (d, i, j) per chunk, with chunks of 16 edges and up."""
     yielded = []
-    chunks = separated._edge_chunks
+    cross_edges = separated._cross_edges
 
-    def counted(m):
-        for chunk in chunks(m):
-            yielded.append(len(chunk[2]))
-            yield chunk
+    def counted(m, label):
+        for i, j, d in cross_edges(m, label):
+            yielded.append(list(zip(d.tolist(), i.tolist(), j.tolist())))
+            yield i, j, d
 
-    monkeypatch.setattr(separated, "_edge_chunks", counted)
+    monkeypatch.setattr(separated, "_cross_edges", counted)
     monkeypatch.setattr(separated, "_FIRST_CHUNK", 16)
+    return yielded
+
+
+def _assert_tail_after_the_stop(m, alpha, yielded, where):
+    """The tail yields, in (d, i, j) order, only edges across the replay's
+    clusters and at or after its stop edge; returns them."""
+    _, clusters, stop = full_scan_size_guard(m, alpha, stop=True)
+    part = np.empty(len(m), dtype=int)
+    for c, block in enumerate(clusters):
+        part[block] = c
+    edges = [e for chunk in yielded for e in chunk]
+    assert edges == sorted(edges), where
+    assert all(e >= stop and part[e[1]] != part[e[2]] for e in edges), where
+    return edges
+
+
+def test_linkages_scan_short_of_the_full_edge_list(monkeypatch):
+    """The size guard never lists the edges; the conditioned scan lists only
+    the cross edges after the replay's stop edge, and stops early.
+
+    At alpha = 0.2 the replay alone forms the four planted clusters and no
+    later edge can fire, so the tail yields nothing. At alpha = 0.05 the
+    replay stops at 25 clusters; the scan merges on by criteria 1 and 2,
+    stops well before the last of the n(n-1)/2 edges, and still equals the
+    full scan. At alpha = 1 the replay runs to one cluster, ending on a
+    criterion-1 merge, and the tail scans nothing.
+    """
+    yielded = _count_tail(monkeypatch)
     feats, _ = planted(120, 4, 4.0, seed=12)
     o = _oracle(feats)
     linkage_size_guard(o, 0.2)
     assert yielded == []
-    _assert_conditioned_matches(o, 0.2, 4.0, "planted")
-    assert 0 < sum(yielded) < 120 * 119 // 2 // 2
+    _assert_conditioned_matches(o, 0.2, 4.0, "four planted clusters")
+    assert yielded == []
+    log = _assert_conditioned_matches(o, 0.05, 4.0, "planted")
+    edges = _assert_tail_after_the_stop(o.matrix(), 0.05, yielded, "planted")
+    assert 0 < len(edges) < 120 * 119 // 2 // 2
+    assert 2 in [crit for _, _, _, crit in log]
     yielded.clear()
     assert _assert_conditioned_matches(o, 1.0, 4.0, "one cluster")[-1][3] == 1
-    assert 0 < sum(yielded) < 120 * 119 // 2
+    assert yielded == []
+
+
+def _assert_replay_boundary(o, alpha, gamma, where):
+    """The MST replay's log is the full scan's up to the first tree edge
+    whose sides are both big enough, its clusters are Kruskal's components
+    there, and every later merge of the full scan comes at or after that
+    edge. Returns (replay log, stop edge as (d, i, j) or None)."""
+    m = o.matrix()
+    clusters, log, d_stop = separated._replay(m, min_count(alpha, o.n), stop=True)
+    want_log, want_clusters, stop = full_scan_size_guard(m, alpha, stop=True)
+    full = _assert_conditioned_matches(o, alpha, gamma, where)
+    assert log == want_log == full[:len(log)], where
+    assert clusters == want_clusters, where
+    assert d_stop == (None if stop is None else stop[0]), where
+    assert all((d, i, j) >= stop for d, i, j, _ in full[len(log):]), where
+    return log, stop
+
+
+def test_replay_stops_where_the_full_scan_leaves_the_tree(monkeypatch):
+    yielded = _count_tail(monkeypatch)
+    rng = np.random.default_rng(31)
+    # alpha <= 1/n: the threshold is 1, the prefix is empty and the replay
+    # stops at the shortest edge
+    o = _oracle(random_points(rng, 30, 2))
+    m = o.matrix()
+    shortest = min((m[i, j], i, j) for i in range(30) for j in range(i + 1, 30))
+    for alpha in (0.01, 1 / 30):
+        assert _assert_replay_boundary(o, alpha, 4.0, ("alpha <= 1/n", alpha)) == ([], shortest)
+    # alpha = 1: the replay runs to one cluster and the tail scans nothing
+    for o in (_oracle(random_points(rng, 25, 2)), _oracle(np.round(random_points(rng, 25, 1)))):
+        yielded.clear()
+        log, stop = _assert_replay_boundary(o, 1.0, 4.0, "alpha = 1")
+        assert stop is None and len(log) == o.n - 1 and yielded == []
+    # on an integer grid the stop edge of length 1 ties with earlier unit
+    # edges off the tree, which close cycles and which the replay never sees
+    grid = _oracle(np.random.default_rng(2).integers(0, 5, size=(24, 2)).astype(float))
+    m = grid.matrix()
+    for alpha in (0.15, 0.2, 0.25):
+        yielded.clear()
+        log, stop = _assert_replay_boundary(grid, alpha, 4.0, ("grid", alpha))
+        assert stop[0] == 1.0
+        tree = {(i, j) for _, i, j, _ in log}
+        off_tree = [(i, j) for i in range(24) for j in range(i + 1, 24)
+                    if m[i, j] == stop[0] and (m[i, j], i, j) < stop and (i, j) not in tree]
+        assert off_tree, alpha
+        assert _assert_tail_after_the_stop(m, alpha, yielded, ("grid", alpha))
+    # zero distances: duplicated points merge at length 0 first
+    dup = _oracle(random_points(rng, 8, 2)[rng.integers(0, 8, size=40)])
+    for alpha in (0.05, 0.1, 0.25):
+        yielded.clear()
+        log, _ = _assert_replay_boundary(dup, alpha, 4.0, ("zeros", alpha))
+        assert log and log[0][0] == 0.0
+        assert _assert_tail_after_the_stop(dup.matrix(), alpha, yielded, ("zeros", alpha))
+    # the stop-rule fixtures, and two blocks whose pairs criterion 3 merges
+    # after four replayed merges
+    blocks = ([1, 9, 30, 32, 1001, 1009, 1030, 1032], 0.25, 10.0, [1, 1, 1, 1, 3, 3])
+    for points, alpha, gamma, crits in _STOP_RULE_CASES + [blocks]:
+        yielded.clear()
+        o = _oracle(np.array(points, dtype=float))
+        log, stop = _assert_replay_boundary(o, alpha, gamma, points)
+        assert stop is not None and log and crits[:len(log)] == [1] * len(log), points
+        assert _assert_tail_after_the_stop(o.matrix(), alpha, yielded, points)
+    assert len(log) == 4
+
+
+def test_cross_edge_chunks_hold_the_sorted_cross_pairs(monkeypatch):
+    """_cross_edges yields every pair across labels once, in (d, i, j) order,
+    and tied lengths never straddle two chunks; small blocks and samples
+    exercise the row-block gather and the sampled chunk bounds."""
+    monkeypatch.setattr(separated, "_FIRST_CHUNK", 4)
+    monkeypatch.setattr(separated, "_BLOCK_CELLS", 50)
+    monkeypatch.setattr(separated, "_SAMPLE", 16)
+    rng = np.random.default_rng(37)
+    chunked = 0
+    for n in (2, 3, 9, 40, 90):
+        for pts in (random_points(rng, n, 2), np.round(random_points(rng, n, 2) / 4.0)):
+            m = _oracle(pts).matrix()
+            label = rng.integers(0, 4, size=n)
+            chunks = [[(float(d), int(i), int(j)) for i, j, d in zip(*chunk)]
+                      for chunk in separated._cross_edges(m, label)]
+            want = sorted((m[i, j], i, j) for i in range(n) for j in range(i + 1, n)
+                          if label[i] != label[j])
+            assert [e for chunk in chunks for e in chunk] == want, n
+            assert all(chunk for chunk in chunks)
+            assert all(a[-1][0] < b[0][0] for a, b in zip(chunks, chunks[1:]))
+            chunked += len(chunks) > 2
+    assert chunked >= 4
 
 
 def test_spread_exactly_on_the_bound_does_not_merge():

@@ -105,7 +105,7 @@ def test_separated_solvers_count_seven_of_25_at_alpha_028(alpha):
     assert _labels(pipeline(o, 3, alpha, 4.0).clustering) == truth
     # both linkages stop at the three groups, as their per-edge references do
     part = linkage_size_guard(o, alpha)
-    log, clusters = full_scan_size_guard(o.matrix(), alpha)
+    log, clusters, _ = full_scan_size_guard(o.matrix(), alpha)
     assert part.merge_log == log and part.clusters == clusters
     assert part.ell == 3 and sizes_ok(part)
     part = linkage_conditioned(o, alpha, 4.0)
