@@ -170,16 +170,17 @@ def _slices_clustering(order, start, size, nodes):
     return Clustering.from_labels(labels)
 
 
-def cut_dendrogram(z, k):
+def cut_dendrogram(z, k, slices=None):
     """The k clusters of linkage matrix z left after undoing its k-1 last merges.
 
     These are the k-1 highest merges, ties going to the later merge: scipy
     sorts Z's rows by nondecreasing height and numbers every parent above
     its children, so the last rows are the highest (height, node id) pairs.
+    slices is `_leaf_slices(z)`, computed here when None.
     """
     n = len(z) + 1
     _check_k(k, n)
-    order, children, start, size = _leaf_slices(z)
+    order, children, start, size = _leaf_slices(z) if slices is None else slices
     # the undone merges are nodes >= 2n-k; the root alone is left at k = 1
     kids = np.append(children[n - k :], 2 * n - 2)
     frontier = kids[kids < 2 * n - k]
@@ -207,7 +208,7 @@ def _score_bounds(vi, measure, eta):
     return mv * (1.0 - eta), mv * (1.0 + eta)
 
 
-def greedy_prune(z, oracle, k, measure="num-unstable"):
+def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
     """Greedy top-down pruning of linkage matrix z toward k stable-ish clusters.
 
     Starts from the root's two children and, for k-2 rounds, splits the
@@ -223,6 +224,7 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
     reaches the smallest high end and whose interval is not a single value
     are audited exactly, with the clustering labelled as
     `_slices_clustering` labels it; (score, node id) then picks among them.
+    slices is `_leaf_slices(z)`, computed here when None.
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
@@ -232,7 +234,7 @@ def greedy_prune(z, oracle, k, measure="num-unstable"):
     if len(z) + 1 != n:
         raise ValueError("dendrogram and oracle size mismatch")
     _check_k(k, n, least=2)
-    order, children, start, size = _leaf_slices(z)
+    order, children, start, size = _leaf_slices(z) if slices is None else slices
     eta = oracle._sums_slack()
     # one row per node whose column is needed: the frontier's and the
     # children of each node tried, at most 4k and 2n - 1 of them. One block

@@ -403,11 +403,12 @@ def _bench_runner(token, oracle, features, args):
 
     def run(k, seed):
         if "z" not in cache:
-            cache["z"] = baselines.linkage(oracle, variant)
-        z = cache["z"]
+            cache["z"] = z = baselines.linkage(oracle, variant)
+            cache["slices"] = baselines._leaf_slices(z)     # every cut and pruning reads it
+        z, slices = cache["z"], cache["slices"]
         if prune:
-            return baselines.greedy_prune(z, oracle, k, measure=args.measure)
-        return baselines.cut_dendrogram(z, k)
+            return baselines.greedy_prune(z, oracle, k, measure=args.measure, slices=slices)
+        return baselines.cut_dendrogram(z, k, slices=slices)
 
     return run
 

@@ -21,15 +21,22 @@ They are kept with the table as two n x n small-int arrays; `reconstruct`
 reads the boundaries it walks from them, so it accepts exactly the
 boundaries the fill did.
 
+Almost every cell of the (n+1)^2 (k+1) cube is infinite, so the table keeps
+only each row's band: for row i of layer l, the cells from its first to its
+last finite column, infinite cells between them included. The bands of all
+rows lie back to back in one float64 array, with per-row offsets and first
+columns; a row without a finite cell keeps nothing. At n = 1000, k = 5 the
+band is about 39,000 cells, against 6.0 million in the cube.
+
 Each layer l is then filled from layer l-1 in blocks of ROW_BLOCK rows m: a
-block builds the sparse-table levels of its rows along s (range minima,
-Bender and Farach-Colton; one numpy minimum per level) and answers all of
-its (m, j) interval minima with one gather and one scatter. The fill keeps,
-per row, the first and last finite column of the previous layer and clips
-every interval and every block's table to that span, so the table width and
-the number of queries follow the finite cells. A layer costs O(n^2) for the
-threshold masks plus at most O(n^2 log n) for the levels, in O(n / ROW_BLOCK)
-Python steps, instead of the naive O(n^3) per layer.
+block gathers its rows' bands into the sparse-table levels along s (range
+minima, Bender and Farach-Colton; one numpy minimum per level) and answers
+all of its (m, j) interval minima with one gather. Every interval is clipped
+to its row's band, so the block's width and the number of queries follow the
+finite cells. The finite results are scattered into layer l's band once all
+blocks have run and its rows' spans are known. A layer costs O(n^2) for the
+threshold masks plus at most O(n^2 log n) for the levels, in
+O(n / ROW_BLOCK) Python steps, instead of the naive O(n^3) per layer.
 
 `reconstruct` walks back one layer per numpy step and needs no tolerance.
 Every cell is pen[j] (+ or max) a minimum of the previous layer, and a
@@ -37,6 +44,8 @@ minimum is one of the floats it was taken over, so the walk can pick that
 very entry: for finite p the smallest size at the exact row minimum, and for
 p = infinity the smallest size whose entry is at most the optimum. Ties go
 to the smallest size, and the path found reproduces the optimum bit for bit.
+The walk reads T[i, lo:hi+1, l] as row i's band clipped to [lo, hi] and
+infinite outside it, so it scans the same entries the cube would hold.
 """
 
 from __future__ import annotations
@@ -49,21 +58,42 @@ import numpy as np
 from .core import STABILITY_TOL, _check_p, _check_targets
 from .line1d import LineInstance
 
+# guards the (n+1)^2 (k+1) cells of the full cube, although only the band is
+# kept: the band's width is known only during the fill, and on all-equal
+# values every reachable cell is finite
 MAX_TABLE_CELLS = 2.5e8
 
 # boundary rows per sparse-table block in the layer fill; bounds the block's
-# levels x ROW_BLOCK x n float64 scratch (about 5 MB at n = 1000)
+# levels x ROW_BLOCK x width float64 scratch, where the width follows the
+# rows' bands and is at most n (at most about 5 MB at n = 1000)
 ROW_BLOCK = 64
 
 
 @dataclass
 class DpTable:
-    table: np.ndarray        # shape (n+1, n+1, k+1); [i, j, l], index 0 unused
+    table: np.ndarray        # every row's band, back to back: 1-D float64
+    offsets: np.ndarray      # (k+1, n+2): row i of layer l is table[offsets[l, i] : offsets[l, i+1]]
+    first: np.ndarray        # (k+1, n+1): the column j of that row's first cell
     targets: np.ndarray
     p: float
     instance: LineInstance
     s_lo: np.ndarray = None  # feasibility thresholds, None for k = 1
     s_hi: np.ndarray = None
+
+    def row(self, l, i, lo, hi):
+        """T[i, lo:hi+1, l]: row i of layer l over columns lo..hi, inf outside its band."""
+        out = np.full(max(hi - lo + 1, 0), np.inf)
+        start, end = self.offsets[l, i], self.offsets[l, i + 1]
+        f = int(self.first[l, i])
+        a, b = max(lo, f), min(hi, f + int(end - start) - 1)
+        if a <= b:
+            out[a - lo : b - lo + 1] = self.table[start + a - f : start + b - f + 1]
+        return out
+
+
+def _offsets(first, last):
+    """Band offsets of rows spanning columns first..last; empty where first > last."""
+    return np.concatenate(([0], np.cumsum(np.maximum(last - first + 1, 0))))
 
 
 def _feasibility_thresholds(line):
@@ -105,33 +135,38 @@ def _feasibility_thresholds(line):
     return s_lo, s_hi
 
 
-def _fill_layer(T, l, pen, s_lo, s_hi, first, last, p):
-    """Fill T[:, :, l] from T[:, :, l-1], ROW_BLOCK boundary rows at a time.
+def _fill_layer(band, first, last, l, pen, s_lo, s_hi, p):
+    """Layer l's (band, first, last) from layer l-1's, ROW_BLOCK boundary rows at a time.
 
-    Row m of layer l-1 (the first m points, last cluster of size s) feeds
-    T[m + j, j, l] = pen[j] (+ or max) the min over s in [s_lo[m, j],
-    s_hi[m, j]] of T[m, s, l-1]. Row m of layer l-1 is infinite outside
-    columns first[m]..last[m] (and last[m] <= m - l + 2), so each interval is
-    clipped to that range; rows and (m, j) pairs left empty are skipped, and
-    the cells they would feed stay infinite. Returns the same column bounds
-    for layer l.
+    band holds row m of layer l-1 (the first m points, last cluster of size
+    s) over columns first[m]..last[m], rows back to back; every cell outside
+    it is infinite, and last[m] <= m - l + 2. Row m feeds T[m + j, j, l] =
+    pen[j] (+ or max) the min over s in [s_lo[m, j], s_hi[m, j]] of
+    T[m, s, l-1], so each interval is clipped to the row's band; rows and
+    (m, j) pairs left empty are skipped, and the cells they would feed stay
+    infinite. Layer l's band spans each row's first to last finite cell.
     """
-    n = T.shape[0] - 1
-    prev = T[:, :, l - 1]
+    n = len(first) - 1
+    off = _offsets(first, last)
     rows = np.arange(l - 1, n)
     rows = rows[first[rows] <= last[rows]]
-    new_first = np.full(n + 1, n + 1)
-    new_last = np.zeros(n + 1, dtype=int)
     floor_log2 = np.frexp(np.arange(1, n + 1))[1] - 1          # [length - 1]
+    hits = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]   # finite (i, j, T)
     for start in range(0, len(rows), ROW_BLOCK):
         ms = rows[start : start + ROW_BLOCK]
         a, b = first[ms], last[ms]
         c0 = int(a.min())
         width = int(b.max()) - c0 + 1
         levels = int(floor_log2[width - 1]) + 1
-        # table[t, r, c] = min of prev[ms[r], c0+c .. c0+c+2^t-1]
+        # table[t, r, c] = min of T[ms[r], c0+c .. c0+c+2^t-1, l-1]; level 0
+        # places the block's bands, back to back in band, at their columns
         table = np.empty((levels, len(ms), width))
-        table[0] = prev[ms, c0 : c0 + width]
+        span = b - a + 1
+        seg = band[off[ms[0]] : off[ms[-1] + 1]]
+        level0 = table[0].reshape(-1)
+        level0.fill(np.inf)
+        level0[np.repeat(np.arange(len(ms)) * width + (a - c0) - (np.cumsum(span) - span), span)
+               + np.arange(len(seg))] = seg
         for t in range(1, levels):
             half = 1 << (t - 1)
             w = width - 2 * half + 1
@@ -146,17 +181,22 @@ def _fill_layer(T, l, pen, s_lo, s_hi, first, last, p):
         t = floor_log2[hi - lo]
         mins = np.minimum(table[t, r, lo], table[t, r, hi - (1 << t) + 1])
         js = jj + 1
-        i = ms[r] + js
         vals = np.maximum(pen[js], mins) if p == math.inf else pen[js] + mins
-        T[i, js, l] = vals
         fin = np.isfinite(vals)
-        np.minimum.at(new_first, i[fin], js[fin])
-        np.maximum.at(new_last, i[fin], js[fin])
-    return new_first, new_last
+        hits.append((ms[r[fin]] + js[fin], js[fin], vals[fin]))
+    i, js, vals = map(np.concatenate, zip(*hits))
+    new_first = np.full(n + 1, n + 1)
+    new_last = np.zeros(n + 1, dtype=int)
+    np.minimum.at(new_first, i, js)
+    np.maximum.at(new_last, i, js)
+    new_off = _offsets(new_first, new_last)
+    new_band = np.full(new_off[-1], np.inf)
+    new_band[new_off[i] + js - new_first[i]] = vals
+    return new_band, new_first, new_last
 
 
 def build_table(values, targets, p=math.inf):
-    """Fill the full DP table for the given target sizes and norm order.
+    """Fill the DP table's bands for the given target sizes and norm order.
 
     Args:
         values: raw values or a LineInstance.
@@ -174,28 +214,34 @@ def build_table(values, targets, p=math.inf):
     if float(n + 1) ** 2 * (k + 1) > MAX_TABLE_CELLS:
         raise ValueError("DP table would exceed the memory guard; reduce n or k")
 
-    T = np.full((n + 1, n + 1, k + 1), np.inf)
-
     t1 = float(targets[0])
+    diagonal = np.empty(n)
     for i in range(1, n + 1):
         dev = abs(i - t1)
         try:
-            T[i, i, 1] = dev if p == math.inf else dev**p
+            diagonal[i - 1] = dev if p == math.inf else dev**p
         except OverflowError:
-            T[i, i, 1] = math.inf
+            diagonal[i - 1] = math.inf
+    # (band, first, last) per layer; layer 0 is unused, layer 1 is the
+    # diagonal T[i, i, 1] and its row 0 is empty
+    empty = (np.empty(0), np.full(n + 1, n + 1), np.zeros(n + 1, dtype=int))
+    layers = [empty, (diagonal, np.r_[n + 1, 1 : n + 1], np.arange(n + 1))]
 
-    if k == 1:
-        return DpTable(T, targets, p, instance)
+    s_lo = s_hi = None
+    if k > 1:
+        s_lo, s_hi = _feasibility_thresholds(instance)
+        all_j = np.arange(n + 1, dtype=float)
+        with np.errstate(over="ignore"):             # an overflowed cell is inf
+            for l in range(2, k + 1):
+                tl = float(targets[l - 1])
+                pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
+                layers.append(_fill_layer(*layers[-1], l, pen, s_lo, s_hi, p))
 
-    s_lo, s_hi = _feasibility_thresholds(instance)
-    all_j = np.arange(n + 1, dtype=float)
-    first = last = np.arange(n + 1)                  # layer 1 is the diagonal
-    with np.errstate(over="ignore"):                 # an overflowed cell is inf
-        for l in range(2, k + 1):
-            tl = float(targets[l - 1])
-            pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
-            first, last = _fill_layer(T, l, pen, s_lo, s_hi, first, last, p)
-    return DpTable(T, targets, p, instance, s_lo, s_hi)
+    bands, firsts, lasts = zip(*layers)
+    flat = _offsets(np.concatenate(firsts), np.concatenate(lasts))
+    offsets = np.stack([flat[l * (n + 1) : (l + 1) * (n + 1) + 1] for l in range(k + 1)])
+    return DpTable(np.concatenate(bands), offsets, np.stack(firsts), targets, p, instance,
+                   s_lo, s_hi)
 
 
 def reconstruct(dp):
@@ -210,11 +256,11 @@ def reconstruct(dp):
     size whose entry is at most the optimum. The sizes found fold, in the
     fill's order, to the optimum bit for bit.
     """
-    T, targets, p, instance = dp.table, dp.targets, dp.p, dp.instance
+    targets, p, instance = dp.targets, dp.p, dp.instance
     n = instance.n
     k = len(targets)
 
-    final = T[n, 1:, k]
+    final = dp.row(k, n, 1, n)
     right = int(np.argmin(final)) + 1
     vstar = final[right - 1]
     if not np.isfinite(vstar):
@@ -231,7 +277,7 @@ def reconstruct(dp):
         # the fill's interval for cell T[rem + right, right, l + 1]
         lo = max(1, int(dp.s_lo[rem, right]))
         hi = min(rem - l + 1, int(dp.s_hi[rem, right]))
-        row = T[rem, lo : hi + 1, l]
+        row = dp.row(l, rem, lo, hi)
         right = lo + int(np.argmax(row <= vstar) if p == math.inf else np.argmin(row))
         sizes.append(right)
         rem -= right

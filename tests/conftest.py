@@ -646,6 +646,28 @@ def per_row_dp_table(values, targets, p=math.inf, tol=STABILITY_TOL):
     return T
 
 
+def dense_table(dp):
+    """The (n+1, n+1, k+1) cube T[i, j, l] of a DpTable, expanded from its bands.
+
+    Row i of layer l holds dp.table[dp.offsets[l, i] : dp.offsets[l, i+1]]
+    from column dp.first[l, i] on; every other cell is inf.
+    """
+    n, k = dp.instance.n, len(dp.targets)
+    assert dp.offsets.shape == (k + 1, n + 2) and dp.first.shape == (k + 1, n + 1)
+    assert dp.offsets[0, 0] == 0 and dp.offsets[-1, -1] == dp.table.size
+    assert np.array_equal(dp.offsets[1:, 0], dp.offsets[:-1, -1])
+    T = np.full((n + 1, n + 1, k + 1), np.inf)
+    for l in range(k + 1):
+        for i in range(n + 1):
+            start, end = dp.offsets[l, i], dp.offsets[l, i + 1]
+            assert start <= end
+            if end > start:
+                f = dp.first[l, i]
+                assert 1 <= f and f + (end - start) <= n + 1
+                T[i, f : f + end - start, l] = dp.table[start:end]
+    return T
+
+
 def all_label_partitions(n, k):
     """Every partition of range(n) into exactly k nonempty blocks, as labels.
 

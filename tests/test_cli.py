@@ -716,6 +716,32 @@ def test_bench_audits_a_repeated_assignment_once(tmp_path, monkeypatch):
     assert len(strip(fresh)) == 1 + 3 * 2
 
 
+def test_bench_builds_each_dendrograms_leaf_slices_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(19)
+    inp = tmp_path / "p.csv"
+    _write_csv(inp, rng.normal(size=(40, 2)))
+    argv = ["bench", "--input", str(inp), "--algo", "single-linkage,average-linkage-prune",
+            "--k", "2,3,5", "--repeat", "2"]
+    cached = tmp_path / "cached.csv"
+    real_slices, built = baselines._leaf_slices, []
+    monkeypatch.setattr(baselines, "_leaf_slices", lambda z: built.append(len(z)) or real_slices(z))
+    assert cli.main(argv + ["--out", str(cached)]) == 0
+    assert built == [39, 39]
+
+    # each cut and pruning rebuilding its own slices writes the same rows
+    real_cut, real_prune = baselines.cut_dendrogram, baselines.greedy_prune
+    monkeypatch.setattr(baselines, "cut_dendrogram", lambda z, k, slices: real_cut(z, k))
+    monkeypatch.setattr(baselines, "greedy_prune",
+                        lambda z, oracle, k, measure, slices: real_prune(z, oracle, k, measure))
+    del built[:]
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(argv + ["--out", str(fresh)]) == 0
+    assert built == [39] * (2 + 2 * 3 * 2)         # the runners' two, then one per call
+    strip = lambda path: [line.split(",")[:-1] for line in path.read_text().splitlines()]
+    assert strip(cached) == strip(fresh)
+    assert len(strip(fresh)) == 1 + 2 * 3
+
+
 def test_bench_measure_max_violation_prunes_by_it(tmp_path):
     """--measure max-violation reaches greedy_prune: every row is the audit
     of its pruning, formatted as bench formats it, and on this instance

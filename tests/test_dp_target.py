@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from conftest import (
     MULTI_SCALE_FAR,
     MULTI_SCALE_POOL,
     contiguous_stable_optimum,
+    dense_table,
     line_values,
     naive_num_unstable,
     naive_vi,
@@ -211,7 +216,7 @@ def test_layer_fill_is_bit_identical_to_per_row_fill(kind, p):
         k = [1, min(2, n), int(rng.integers(1, n + 1)), n][trial % 4]
         targets = _random_targets(rng, n, k)
         vals = _sweep_values(rng, kind, n)
-        table = build_table(vals, targets, p=p).table
+        table = dense_table(build_table(vals, targets, p=p))
         assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, k)
 
 
@@ -221,7 +226,7 @@ def test_layer_fill_spans_several_row_blocks(monkeypatch):
     # evenly spaced values leave a few finite cells per row
     for vals in (np.zeros(150), np.arange(150.0)):
         for p in (2.0, math.inf):
-            table = build_table(vals, [50, 30, 70], p=p).table
+            table = dense_table(build_table(vals, [50, 30, 70], p=p))
             assert np.array_equal(table, per_row_dp_table(vals, [50, 30, 70], p=p))
     # small blocks put block boundaries all through random instances
     monkeypatch.setattr(dp_target, "ROW_BLOCK", 5)
@@ -231,8 +236,57 @@ def test_layer_fill_spans_several_row_blocks(monkeypatch):
         targets = _random_targets(rng, n, int(rng.integers(2, min(6, n) + 1)))
         vals = _sweep_values(rng, ["random", "tied", "duplicates"][trial % 3], n)
         for p in NORM_ORDERS:
-            table = build_table(vals, targets, p=p).table
+            table = dense_table(build_table(vals, targets, p=p))
             assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, p)
+
+
+def test_table_keeps_only_each_rows_finite_span():
+    # every row of a filled layer starts and ends on a finite cell, so the
+    # table holds the finite cells and the gaps between them, nothing more;
+    # at p = 700 a deviation of 3 or more overflows to an infinite cell
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(2, 61))
+        targets = _random_targets(rng, n, int(rng.integers(2, min(8, n) + 1)))
+        vals = _sweep_values(rng, FILL_KINDS[trial % 4], n)
+        dp = build_table(vals, targets, p=[1.5, math.inf, 700.0][trial % 3])
+        cube = dense_table(dp)
+        assert np.count_nonzero(np.isfinite(dp.table)) == np.count_nonzero(np.isfinite(cube))
+        for l in range(2, len(targets) + 1):
+            for i in range(n + 1):
+                start, end = dp.offsets[l, i], dp.offsets[l, i + 1]
+                finite = np.flatnonzero(np.isfinite(cube[i, :, l]))
+                if len(finite) == 0:
+                    assert start == end
+                else:
+                    assert dp.first[l, i] == finite[0]
+                    assert end - start == finite[-1] - finite[0] + 1
+
+
+# the peak resident set of the child's own address space: ru_maxrss would
+# also count the pytest process the child was spawned from, as Linux keeps
+# the larger of the two across exec
+_RSS_PROBE = """
+import numpy as np
+from ipstable.dp_target import solve_targets
+values = np.random.default_rng(0).uniform(0.0, 100.0, size=3000)
+solve_targets(values, [600] * 5)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/status as on Linux")
+def test_large_table_stays_within_its_band_memory():
+    """A fresh interpreter solves 3000 values at k = 5. The full cube alone
+    would be 432 MB; the bands and the two 18 MB threshold arrays keep the
+    child's peak resident set below 160 MB."""
+    src = str(Path(dp_target.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout) * 1024 < 160e6          # VmHWM is in kB
 
 
 def _draw_targets(data, n):
@@ -303,7 +357,7 @@ def test_returned_sizes_fold_to_the_optimum_exactly(p):
         labels = clustering.assignment[dp.instance.sort_permutation]
         assert np.all(np.diff(labels) >= 0)                 # contiguous, left to right
         sizes = clustering.sizes().tolist()
-        vstar = dp.table[len(vals), 1:, len(targets)].min()
+        vstar = dense_table(dp)[len(vals), 1:, len(targets)].min()
         assert _fill_order_fold(sizes, targets, p) == vstar, (list(vals), targets, sizes)
         assert obj == (vstar if p == math.inf else vstar ** (1.0 / p))
 
