@@ -12,13 +12,14 @@ import math
 import numpy as np
 
 from .core import (
-    STABILITY_TOL,
     Clustering,
     _check_k,
     _cluster_averages,
+    _nearest_foreign,
     _violation_vector,
     audit,
     cdist,
+    stable_limit,
 )
 
 LLOYD_MAX_ITERS = 100    # Lloyd stops here if no assignment fixpoint came first
@@ -187,22 +188,23 @@ def cut_dendrogram(z, k, slices=None):
     return _slices_clustering(order, start, size, frontier)
 
 
-def _score_bounds(vi, measure, eta):
-    """(low, high) around the audited score of a split whose factors are vi.
+def _score_bounds(own_avg, nearest, measure, eta):
+    """(low, high) around the audited score of a split, from its own and
+    nearest foreign averages read off cached columns.
 
-    vi comes from cached columns and each factor is within 1 +- eta of the
-    audit's, so a count brackets the threshold by 1 +- eta and a max
-    violation is scaled by it. A max of 0 or inf is exact: a factor is 0 or
-    inf only when a sum is exactly 0, and a sum of nonnegative terms is 0
-    in every order or in none. eta None leaves the score unbounded.
+    The audit's decisions and factors are within 1 +- eta of these, so a
+    count brackets the stable limit by 1 +- eta and a max violation is
+    scaled by it. A max of 0 or inf is exact: a factor is 0 or inf only
+    when a sum is exactly 0, and a sum of nonnegative terms is 0 in every
+    order or in none. eta None leaves the score unbounded.
     """
     if eta is None:
         return -math.inf, math.inf
     if measure == "num-unstable":
-        t = 1.0 + STABILITY_TOL
-        return (int(np.count_nonzero(vi > t * (1.0 + eta))),
-                int(np.count_nonzero(vi > t * (1.0 - eta))))
-    mv = float(np.max(vi))
+        limit = stable_limit(nearest)
+        return (int(np.count_nonzero(own_avg > limit * (1.0 + eta))),
+                int(np.count_nonzero(own_avg > limit * (1.0 - eta))))
+    mv = float(np.max(_violation_vector(own_avg, nearest)))
     if mv == 0.0 or mv == math.inf:
         return mv, mv
     return mv * (1.0 - eta), mv * (1.0 + eta)
@@ -262,8 +264,8 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
             for w in cand:
                 sums[:, clustering.assignment[order[start[w]]]] = column(w)
             _, own_avg, avg = _cluster_averages(sums, clustering)
-            vi = _violation_vector(own_avg, avg, clustering)
-            scored.append((*_score_bounds(vi, measure, eta), v, cand))
+            bounds = _score_bounds(own_avg, _nearest_foreign(avg, clustering), measure, eta)
+            scored.append((*bounds, v, cand))
         if not scored:
             raise RuntimeError("no splittable frontier node before reaching k")
         top = min(high for _, high, _, _ in scored)

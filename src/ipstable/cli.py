@@ -441,27 +441,17 @@ def cmd_bench(args):
     lines = ["algorithm,k,num_unstable,max_violation,mean_violation,cost,wall_time_s"]
     for token, run in runners:
         for k in ks:
-            uns, maxvi, meanvi, cost, wall = [], [], [], [], []
+            stats = []
             last = None
             for rep in range(args.repeat):
                 t0 = time.perf_counter()
                 clustering = run(k, args.seed + rep)
-                wall.append(time.perf_counter() - t0)
+                wall = time.perf_counter() - t0
                 last = _audit_unless_repeated(oracle, clustering, last)
-                rep_report = last[1]
-                uns.append(rep_report.num_unstable)
-                maxvi.append(rep_report.max_violation)
-                meanvi.append(rep_report.mean_violation)
-                cost.append(rep_report.cost)
-            row = [
-                token,
-                str(k),
-                f"{np.mean(uns):.10g}",
-                f"{np.mean(maxvi):.10g}",
-                f"{np.mean(meanvi):.10g}",
-                f"{np.mean(cost):.10g}",
-                f"{np.mean(wall):.6g}",
-            ]
+                r = last[1]
+                stats.append((r.num_unstable, r.max_violation, r.mean_violation, r.cost, wall))
+            *means, mean_wall = (np.mean(column) for column in zip(*stats))
+            row = [token, str(k), *(f"{v:.10g}" for v in means), f"{mean_wall:.6g}"]
             lines.append(",".join(row))
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -19,9 +19,9 @@ All averages use the convention 0/0 = 0; a point with positive own-cluster
 average and a zero foreign-cluster average has infinite violation.
 
 One stability rule and one count rule hold for every caller, with no
-per-call knob: a point is stable when own_avg <= foreign_avg * (1 +
-STABILITY_TOL), a relative slack on the foreign side, and "at least frac * n
-points" means `min_count(frac, n)`, the smallest whole count >= frac * n.
+per-call knob: a point is stable when own_avg <= stable_limit(foreign_avg),
+a relative slack on the foreign side, and "at least frac * n points" means
+`min_count(frac, n)`, the smallest whole count >= frac * n.
 
 Distances must be finite and small enough that every row sum stays finite;
 oracles reject anything else, points on a line when they are constructed
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The one stability rule: a point is stable against another cluster when
-#   own_avg <= other_avg * (1 + STABILITY_TOL)
+# The relative slack of the one stability rule, `stable_limit`
 STABILITY_TOL = 1e-9
 
 # Symmetry slack accepted when validating explicit matrices.
@@ -79,6 +78,12 @@ def _check_p(p):
     """The one rule for a norm order: a real p >= 1 or math.inf."""
     if not p >= 1:                                   # also rejects NaN
         raise ValueError(f"p must be >= 1 or infinity, got {p}")
+
+
+def stable_limit(foreign_avg):
+    """The largest own average stable against foreign_avg: the one place
+    the audit, `is_t_stable` and every solver read the stability rule."""
+    return foreign_avg * (1.0 + STABILITY_TOL)
 
 
 def min_count(frac, n):
@@ -230,16 +235,18 @@ class DistanceOracle:
         return self.matrix() @ mask.astype(float)
 
     def _sums_slack(self):
-        """Relative slack eta of a factor read from `_sums_to` columns, not `cluster_sums`.
+        """Relative slack eta of a factor or decision read from `_sums_to` columns.
 
-        On the line the columns are the same bit for bit, so both give the
-        same factors and eta is 0. A matrix column m @ mask sums the same n
-        nonnegative terms as the one-hot product's column in another order.
-        Any order of such a sum is within gamma = (n-1)u/(1-(n-1)u) of the
-        exact sum (u = 2^-53), so the two sums differ by at most about 2n u,
-        a ratio of two averages by 4n u, and the roundings of the two
-        averages and their ratio add 3u per side: eta = 8n u bounds it with
-        room to spare.
+        On the line the columns are `cluster_sums`' bit for bit, so eta is 0.
+        A matrix column m @ mask sums the same n nonnegative terms as the
+        one-hot product's column in another order. Any order of such a sum
+        is within gamma = (n-1)u/(1-(n-1)u) of the exact sum (u = 2^-53), so
+        the two sums differ by at most about 2n u, a ratio of two averages by
+        4n u, and the roundings of the two averages and their ratio add 3u
+        per side. A decision own_avg > stable_limit(nearest) * (1 +- eta)
+        compares the same two averages, and the roundings of the averages,
+        of the product with 1 + tol and of the 1 +- eta scaling add 4u:
+        eta = 8n u bounds either with room to spare.
 
         That holds while every positive average and factor is a normal
         float. With d_lo and d_hi the smallest positive and the largest
@@ -310,7 +317,7 @@ class StabilityReport:
     """Result of auditing one clustering against one oracle."""
 
     vi: np.ndarray             # per-point violation factor
-    num_unstable: int          # points with vi > 1 + STABILITY_TOL
+    num_unstable: int          # points with own avg > stable_limit(nearest foreign avg)
     max_violation: float       # max vi (the smallest t making the clustering t-stable)
     mean_violation: float      # mean vi over unstable points, 0 if none
     cost: float                # sum over clusters of avg within-cluster distance
@@ -336,24 +343,19 @@ def _cluster_averages(sums, clustering):
     return own_sum, own_avg, sums / sizes
 
 
-def _violation_vector(own_avg, avg, clustering):
-    """Per-point violation factors: worst own/foreign average ratio.
+def _nearest_foreign(avg, clustering):
+    """Each point's smallest average distance to a cluster not its own (inf at k = 1)."""
+    foreign = avg.copy()
+    foreign[np.arange(clustering.n), clustering.assignment] = np.inf
+    return foreign.min(axis=1)
 
-    0/0 counts as 0; a positive own average against a zero foreign average is
-    an infinite violation. With k = 1 there is no foreign cluster and every
-    factor is 0.
-    """
-    a = clustering.assignment
-    n = len(a)
-    if clustering.k == 1:
-        return np.zeros(n)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = own_avg[:, None] / avg
-    # own == 0 -> stable against everything (covers 0/0); own > 0, foreign == 0 -> inf
-    ratios = np.where(own_avg[:, None] == 0.0, 0.0, ratios)
-    ratios[np.isnan(ratios)] = 0.0
-    ratios[np.arange(n), a] = -np.inf          # mask the own column
-    return np.max(ratios, axis=1)
+
+def _violation_vector(own_avg, nearest):
+    """Per-point violation factors own_avg / nearest (`_nearest_foreign`): 0
+    where own_avg is 0 or k = 1, inf where only nearest is 0. Division is
+    monotone, so this is the largest own/foreign ratio bit for bit."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(own_avg, nearest, out=np.zeros(len(own_avg)), where=own_avg > 0)
 
 
 def _check_targets(targets, k):
@@ -366,6 +368,14 @@ def _check_targets(targets, k):
     if not np.all(targets >= 1):
         raise ValueError("targets must be at least 1: no cluster is empty")
     return targets
+
+
+def _own_and_nearest(oracle, clustering):
+    """(own_sum, own_avg, nearest foreign average) per point."""
+    if clustering.n != oracle.n:
+        raise ValueError("clustering and oracle size mismatch")
+    own_sum, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
+    return own_sum, own_avg, _nearest_foreign(avg, clustering)
 
 
 def audit(oracle, clustering, targets=None, p=math.inf):
@@ -382,11 +392,9 @@ def audit(oracle, clustering, targets=None, p=math.inf):
         within-cluster pairwise distance (singletons contribute 0), and `obj`
         is the lp-norm of (|C_i| - targets[i]).
     """
-    if clustering.n != oracle.n:
-        raise ValueError("clustering and oracle size mismatch")
-    own_sum, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
-    vi = _violation_vector(own_avg, avg, clustering)
-    unstable = vi > 1.0 + STABILITY_TOL
+    own_sum, own_avg, nearest = _own_and_nearest(oracle, clustering)
+    vi = _violation_vector(own_avg, nearest)
+    unstable = own_avg > stable_limit(nearest)
     num_unstable = int(np.count_nonzero(unstable))
     max_violation = float(np.max(vi)) if len(vi) else 0.0
     mean_violation = float(np.mean(vi[unstable])) if num_unstable else 0.0
@@ -412,10 +420,12 @@ def audit(oracle, clustering, targets=None, p=math.inf):
 
 
 def is_t_stable(oracle, clustering, t):
-    """True when every point's violation factor is at most t (with slack)."""
+    """True when no point's own average exceeds t * stable_limit(nearest foreign average)."""
     if not (t >= 1.0):
         raise ValueError("t must be at least 1")
-    return bool(audit(oracle, clustering).max_violation <= t * (1.0 + STABILITY_TOL))
+    _, own_avg, nearest = _own_and_nearest(oracle, clustering)
+    with np.errstate(over="ignore", invalid="ignore"):    # t = inf against 0 is NaN: stable
+        return not np.any(own_avg > t * stable_limit(nearest))
 
 
 def _partitions_into_k(n, k):
@@ -479,7 +489,7 @@ def brute_force(oracle, k, mode="find-stable"):
                     continue
                 other = sums[c] / sizes[c]
                 if mode == "find-stable":
-                    if own > other * (1.0 + STABILITY_TOL):
+                    if own > stable_limit(other):
                         ok = False
                         break
                 else:

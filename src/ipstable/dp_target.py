@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STABILITY_TOL, _check_p, _check_targets
+from .core import _check_p, _check_targets, stable_limit
 from .line1d import LineInstance
 
 # guards the (n+1)^2 (k+1) cells of the full cube, although only the band is
@@ -112,7 +112,6 @@ def _feasibility_thresholds(line):
     s_lo = np.full((n, n), n + 1, dtype=np.int16)
     s_hi = np.zeros((n, n), dtype=np.int16)
     counts = np.arange(1, n, dtype=float)
-    slack = 1.0 + STABILITY_TOL
 
     def averages(a):
         """Average distances from point a to its c nearest neighbors on the
@@ -130,8 +129,8 @@ def _feasibility_thresholds(line):
     for m in range(1, n):
         left_a, right_a = left_b, right_b
         left_b, right_b = averages(m)
-        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_a, right_a[1:] * slack, side="right")
-        s_lo[m, 1 : n - m + 1] = np.searchsorted(left_b[1:] * slack, right_b, side="left") + 1
+        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_a, stable_limit(right_a[1:]), side="right")
+        s_lo[m, 1 : n - m + 1] = np.searchsorted(stable_limit(left_b[1:]), right_b, side="left") + 1
     return s_lo, s_hi
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, _check_k, audit, min_count
+from .core import Clustering, _check_k, audit, min_count, stable_limit
 from .tree import _integer_ids, root_pass
 
 # rows per float block in Hst.point_distance_matrix; bounds its float
@@ -332,7 +332,7 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     Drops exactly min_count(epsilon, n) points with the largest realized
     stretch (ties broken by point id). The returned stretch s certifies the
     result: the audited max violation against the original metric is at most
-    s * (1 + STABILITY_TOL). Raises if exclusion leaves fewer than k points.
+    stable_limit(s). Raises if exclusion leaves fewer than k points.
     """
     if not 0.0 <= epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in [0, 1/3)")
@@ -356,7 +356,7 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     t_final = sub.point_distance_matrix()
     stretch = float(_stretch_ratios(t_final, kept.matrix()).max()) if len(retained) > 1 else 1.0
     report = audit(kept, clustering)
-    if not report.max_violation <= stretch * (1.0 + STABILITY_TOL):
+    if not report.max_violation <= stable_limit(stretch):
         raise RuntimeError("stretch certificate violated; embedding is broken")
     return EmbedClusterResult(clustering, retained, list(excluded), stretch, report)
 

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, _check_k, _check_range
+from .core import Clustering, _check_k, _check_range, stable_limit
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,13 @@ class LineInstance:
         """Is the last of the `left` points before sorted position b stable
         against the `right` points from b on?
 
-        Its average distance to its own cluster (0 for a singleton) may exceed
-        its average distance to the right cluster by 1 + STABILITY_TOL.
+        It is when its average distance to its own cluster (0 for a
+        singleton) is at most `stable_limit` of its average distance to the
+        right cluster.
         """
         a = b - 1
         own = self.dist_left(a, left - 1) / (left - 1) if left > 1 else 0.0
-        return own <= self.dist_right(a, right) / right * (1.0 + STABILITY_TOL)
+        return own <= stable_limit(self.dist_right(a, right) / right)
 
     def clustering(self, sizes):
         """The contiguous clustering whose clusters, left to right in sorted

@@ -27,6 +27,8 @@ and both start with one replay of the minimum spanning tree of that order
 (_replay): Prim's O(n^2) algorithm in n numpy steps, then the n-1 tree edges
 in order with union by size. Single linkage is the minimum spanning tree
 (Gower & Ross 1969), and neither linkage lists the n(n-1)/2 edges for it.
+The replay returns a partition as one array of labels in root order, which
+the merge state relabels in place and SuperclusterPartition holds.
 
 The size guard merges only on tree edges. When an edge e = (i, j) comes up,
 every earlier edge was either merged or skipped with both sides at least
@@ -65,6 +67,7 @@ from .core import (
     Clustering,
     _check_k,
     _cluster_averages,
+    _nearest_foreign,
     _partitions_into_k,
     audit,
     min_count,
@@ -94,50 +97,50 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma):
     n = oracle.n
     if np.any(clustering.sizes() < min_count(alpha, n)):
         return False
-    if clustering.k == 1:
-        return True
     _, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
-    avg[np.arange(n), clustering.assignment] = np.inf   # the own column is not foreign
-    return not np.any(avg < gamma * own_avg[:, None] * (1.0 - STABILITY_TOL))
+    nearest = _nearest_foreign(avg, clustering)
+    return not np.any(nearest < gamma * own_avg * (1.0 - STABILITY_TOL))
 
 
 @dataclass
 class SuperclusterPartition:
     """Outcome of a guarded linkage phase over n points.
 
-    clusters hold sorted point ids; n and representatives, the smallest id
-    per cluster, follow from them. merge_log records (distance,
-    endpoint_a, endpoint_b, criterion) per executed merge, where criterion
-    is 1 (size), 2 (cross spread), or 3 (long own edge); the plain
-    size-guarded variant only ever logs criterion 1. uniformity is the
-    largest cross spread over supercluster pairs, max cross distance over
-    min cross distance (inf when the min is 0 and the max is not, 1.0 with
-    fewer than two superclusters). The conditioned linkage sets it from the
-    extremes it tracks; the size-guarded one tracks none and leaves it None.
+    label[x] is point x's supercluster, 0..ell-1 in root order; clusters
+    (sorted id lists in label order), representatives (the smallest id per
+    cluster) and n follow from it. merge_log records (distance, endpoint_a,
+    endpoint_b, criterion) per executed merge, where criterion is 1 (size),
+    2 (cross spread), or 3 (long own edge); the plain size-guarded variant
+    only ever logs criterion 1. uniformity is the largest cross spread over
+    supercluster pairs, max cross distance over min cross distance (inf
+    when the min is 0 and the max is not, 1.0 with fewer than two
+    superclusters). The conditioned linkage sets it from the extremes it
+    tracks; the size-guarded one tracks none and leaves it None.
     """
 
-    clusters: list
+    label: np.ndarray
     merge_log: list = field(default_factory=list)
     alpha: float = 0.0
     uniformity: float | None = None
 
     @property
     def ell(self):
-        return len(self.clusters)
+        return int(self.label.max()) + 1
 
     @property
     def n(self):
-        return sum(map(len, self.clusters))
+        return len(self.label)
+
+    @property
+    def clusters(self):
+        return [np.flatnonzero(self.label == i).tolist() for i in range(self.ell)]
 
     @property
     def representatives(self):
-        return [c[0] for c in self.clusters]
+        return np.unique(self.label, return_index=True)[1].tolist()
 
     def to_clustering(self):
-        assignment = np.empty(self.n, dtype=int)
-        for i, c in enumerate(self.clusters):
-            assignment[c] = i
-        return Clustering(assignment, self.ell)
+        return Clustering(self.label, self.ell)
 
 
 class _MergeState:
@@ -145,24 +148,24 @@ class _MergeState:
     cluster labels plus the incremental distance bookkeeping the three
     criteria read.
 
-    label[x] is the label of x's cluster. The labels 0..c-1 follow the
-    clusters' root order, and a merge keeps the label of the cluster whose
-    root union by size keeps, so the final clusters in label order are in
-    root order. size and the mn/mx rows and columns are read at live labels
-    only; a merged-away label has size 0.
+    label[x] is the label of x's cluster, the replay's label array updated
+    in place. The labels 0..c-1 follow the clusters' root order, and a
+    merge keeps the label of the cluster whose root union by size keeps,
+    so the final clusters in label order are in root order. size and the
+    mn/mx entries of distinct clusters are read at live labels only; a
+    merged-away label has size 0.
     """
 
-    def __init__(self, m, clusters, thresh, spread_bound, own_bound):
+    def __init__(self, m, label, thresh, spread_bound, own_bound):
         self.m = m
         self.n = n = len(m)
         self.thresh = thresh
         self.spread_bound = spread_bound
         self.own_bound = own_bound
-        self.size = np.array([len(c) for c in clusters], dtype=np.int64)
-        c = len(clusters)
-        order = np.concatenate(clusters)            # the points in label order
-        self.label = np.empty(n, dtype=np.int64)
-        self.label[order] = np.repeat(np.arange(c), self.size)
+        self.label = label
+        self.size = np.bincount(label)
+        c = len(self.size)
+        order = np.argsort(label, kind="stable")    # the points in label order
         self.small = int(np.count_nonzero(self.size < thresh))   # clusters below thresh
         # extreme cross distances between the clusters, and per point the
         # max distance into its own cluster, by grouped reductions over
@@ -184,8 +187,6 @@ class _MergeState:
             ids = lab[runs]
             self.mn[ids] = np.minimum(self.mn[ids], np.minimum.reduceat(lo, runs))
             self.mx[ids] = np.maximum(self.mx[ids], np.maximum.reduceat(hi, runs))
-        np.fill_diagonal(self.mn, 0.0)
-        np.fill_diagonal(self.mx, 0.0)
 
     def fires(self, ri, rj, i, j, d):
         """The criterion (1-3) each edge (i, j) of length d between clusters
@@ -210,18 +211,18 @@ class _MergeState:
             return -np.inf
         return self.maxd.max()
 
+    def _live_pairs(self):
+        """The label pairs (a, b), a < b, of the current clusters."""
+        live = np.flatnonzero(self.size)
+        return (live[t] for t in np.triu_indices(len(live), 1))
+
     def wide_pair(self):
         """Whether some pair of current clusters spreads beyond the bound.
 
         Such a pair may still have unscanned cross edges, and the first of
         them merges it by criterion 2.
         """
-        live = np.flatnonzero(self.size)
-        return bool(self._wide(*np.ix_(live, live)).any())
-
-    def idle(self, d):
-        """Whether no edge of length d or more can fire (see reach)."""
-        return d * self.own_bound >= self.reach() and not self.wide_pair()
+        return bool(self._wide(*self._live_pairs()).any())
 
     def _wide(self, ri, rj):
         """Criterion 2 per pair of labels: cross spread above the bound."""
@@ -245,7 +246,6 @@ class _MergeState:
         self.mn[:, ra] = self.mn[ra, :]
         self.mx[ra, :] = np.maximum(self.mx[ra, :], self.mx[rb, :])
         self.mx[:, ra] = self.mx[ra, :]
-        self.mn[ra, ra] = self.mx[ra, ra] = 0.0
 
     def scan(self, chunks):
         """Merge at every sorted edge whose criterion fires; returns the merge log.
@@ -291,17 +291,10 @@ class _MergeState:
                 reach, wide = self.reach(), None
         return log
 
-    def clusters(self):
-        """The current clusters as sorted id lists, in label order."""
-        order = np.argsort(self.label, kind="stable")
-        runs = np.flatnonzero(np.diff(self.label[order])) + 1
-        return [c.tolist() for c in np.split(order, runs)]
-
     def uniformity(self):
         """The largest cross spread over pairs of current clusters (see
         SuperclusterPartition), from the exact extremes."""
-        live = np.flatnonzero(self.size)
-        a, b = (live[t] for t in np.triu_indices(len(live), 1))
+        a, b = self._live_pairs()
         mn, mx = self.mn[a, b], self.mx[a, b]
         with np.errstate(divide="ignore", invalid="ignore"):
             spread = np.where(mn > 0, mx / mn, np.where(mx > 0, np.inf, 1.0))
@@ -318,7 +311,7 @@ def _cross_edges(m, label):
     tau_b], so tied lengths share a chunk. tau_b is read off a sorted
     sample of the lengths near rank (2^(b+1) - 1) * _FIRST_CHUNK. A chunk is
     sorted only when the scan reaches it: by length, and by (i, j) among
-    tied lengths.
+    tied lengths. label is read before the first yield only.
     """
     n = len(m)
     rows = max(1, _BLOCK_CELLS // n)
@@ -395,7 +388,7 @@ def _replay(m, thresh, stop):
     An edge merges, with union by size (a size tie keeps the root of the
     edge's first endpoint), while one of its sides holds fewer than thresh
     points. At an edge whose two sides both reach thresh the replay skips
-    it or, with stop, ends there. Returns the clusters as sorted id lists
+    it or, with stop, ends there. Returns each point's cluster label, 0..c-1
     in root order, the merge log, and the length of the edge the replay
     stopped at (None when it did not stop).
     """
@@ -417,7 +410,7 @@ def _replay(m, thresh, stop):
             root[x] = ra
         members[ra] += members[rb]
         log.append((d, i, j, 1))
-    return [sorted(members[r]) for r in range(n) if root[r] == r], log, d_stop
+    return np.unique(root, return_inverse=True)[1], log, d_stop
 
 
 def linkage_size_guard(oracle, alpha):
@@ -437,8 +430,8 @@ def linkage_size_guard(oracle, alpha):
     """
     _check_alpha(alpha)
     m = oracle.matrix()
-    clusters, log, _ = _replay(m, min_count(alpha, len(m)), stop=False)
-    return SuperclusterPartition(clusters, log, alpha)
+    label, log, _ = _replay(m, min_count(alpha, len(m)), stop=False)
+    return SuperclusterPartition(label, log, alpha)
 
 
 def linkage_conditioned(oracle, alpha, gamma):
@@ -470,12 +463,12 @@ def linkage_conditioned(oracle, alpha, gamma):
     own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
     m = oracle.matrix()
     thresh = min_count(alpha, len(m))
-    clusters, log, d_stop = _replay(m, thresh, stop=True)
-    st = _MergeState(m, clusters, thresh, spread_bound, own_bound)
-    if d_stop is not None and not st.idle(d_stop):
-        log += st.scan(_cross_edges(m, st.label.copy()))
-        clusters = st.clusters()
-    return SuperclusterPartition(clusters, log, alpha, st.uniformity())
+    label, log, d_stop = _replay(m, thresh, stop=True)
+    st = _MergeState(m, label, thresh, spread_bound, own_bound)
+    if d_stop is not None and (d_stop * own_bound < st.reach() or st.wide_pair()):
+        log += st.scan(_cross_edges(m, st.label))
+    return SuperclusterPartition(np.unique(st.label, return_inverse=True)[1], log, alpha,
+                                 st.uniformity())
 
 
 def _check_alpha(alpha):
@@ -507,9 +500,8 @@ def exact_enumerate(oracle, k, alpha):
             "guarded linkage left fewer superclusters than k; "
             "no separated clustering at this alpha"
         )
-    labels = part.to_clustering().assignment
     for grouping in _partitions_into_k(ell, k):
-        cand = Clustering(np.asarray(grouping)[labels], k)
+        cand = Clustering(np.asarray(grouping)[part.label], k)
         if audit(oracle, cand).num_unstable == 0:
             return cand
     raise RuntimeError(
@@ -547,6 +539,6 @@ def pipeline(oracle, k, alpha, gamma, seed=0):
     if part.ell < k:
         raise ValueError("fewer superclusters than k; lower alpha or k")
     reps = cluster_via_embedding(oracle.sub_oracle(part.representatives), k, seed=seed)
-    clustering = Clustering(reps.clustering.assignment[part.to_clustering().assignment], k)
+    clustering = Clustering(reps.clustering.assignment[part.label], k)
     report = audit(oracle, clustering)
     return PipelineResult(clustering, report, part, reps.stretch)

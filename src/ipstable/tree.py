@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import STABILITY_TOL, Clustering, DistanceOracle
+from .core import Clustering, DistanceOracle, stable_limit
 
 
 def _integer_ids(ids, message):
@@ -211,7 +211,7 @@ def _stable(tree, u, v):
     own_count = tree.n - foreign_count - 1      # u itself excluded
     _, total = tree.distance_sums()
     own = (total[u] - foreign_sum) / own_count if own_count else 0.0
-    return own <= foreign_sum / foreign_count * (1.0 + STABILITY_TOL)
+    return own <= stable_limit(foreign_sum / foreign_count)
 
 
 def solve_tree2(tree):

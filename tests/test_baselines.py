@@ -6,7 +6,15 @@ import pytest
 from scipy.cluster.hierarchy import leaves_list
 
 from ipstable import baselines
-from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit
+from ipstable.core import (
+    STABILITY_TOL,
+    Clustering,
+    DistanceOracle,
+    _cluster_averages,
+    _nearest_foreign,
+    audit,
+    stable_limit,
+)
 from ipstable.baselines import (
     _leaf_slices,
     _slices_clustering,
@@ -284,6 +292,32 @@ def test_prune_audits_a_split_whose_factor_is_within_the_slack(monkeypatch):
     got = greedy_prune(z, o, 3)
     assert len(audits) == 1
     assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 3)
+
+
+def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatch):
+    # the line's columns are the audit's bit for bit, so eta is 0 and every
+    # cached count is exact. Point 5 sits (found by bisection) where
+    # splitting node 10 leaves a point with its own average on its stable
+    # limit, then 5 ulps above it, which turns the choice to the other split
+    picked = []
+    for x5 in (17.450000006275, 17.450000006275005):
+        v = np.array([0.0, 1.0, 2.5, 10.0, 11.0, x5, 30.0, 31.5])
+        o = DistanceOracle.from_points(v)
+        assert o._sums_slack() == 0.0
+        z = linkage(o, "average")
+        order, children, start, size = _leaf_slices(z)
+        split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
+        c = _slices_clustering(order, start, size, split)
+        _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
+        limit = stable_limit(_nearest_foreign(avg, c))
+        assert np.min(np.abs(own_avg - limit) / np.spacing(limit)) <= 8
+        audits = _counting(monkeypatch, baselines, "audit")
+        got = greedy_prune(z, o, 3)
+        assert audits == []
+        monkeypatch.undo()
+        assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 3)
+        picked.append(got.assignment.tolist())
+    assert picked[0] != picked[1]
 
 
 def test_prune_scores_most_splits_without_an_audit(monkeypatch):

@@ -12,10 +12,13 @@ from ipstable.core import (
     DistanceOracle,
     STABILITY_TOL,
     _cluster_averages,
+    _nearest_foreign,
     _partitions_into_k,
+    _violation_vector,
     audit,
     brute_force,
     is_t_stable,
+    stable_limit,
 )
 from ipstable.hardgen import fixtures
 from ipstable.hst import cluster_via_embedding, embed_hst, hst_k_clustering, normalize_leaves
@@ -306,6 +309,57 @@ def test_cluster_averages_hand_values():
     # a singleton's own average is 0 (no other member)
     assert own_sum[3] == 0.0 and own_avg[3] == 0.0
     assert avg[3, 0] == pytest.approx((7.0 + 6.0 + 4.0) / 3.0)
+
+
+def _masked_ratio_max(own_avg, avg, clustering):
+    """The factors as an n x k ratio matrix with the own column masked: the
+    row maximum the one division by the nearest foreign average replaced."""
+    a = clustering.assignment
+    if clustering.k == 1:
+        return np.zeros(len(a))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = own_avg[:, None] / avg
+    ratios = np.where(own_avg[:, None] == 0.0, 0.0, ratios)
+    ratios[np.isnan(ratios)] = 0.0
+    ratios[np.arange(len(a)), a] = -np.inf
+    return np.max(ratios, axis=1)
+
+
+def _averaged_cases():
+    """(oracle, clustering) on random, integer-tied, duplicate-point and
+    zero-distance inputs, k = 1 included, plus points at the tolerance."""
+    rng = np.random.default_rng(41)
+    for n in (2, 5, 12, 40):
+        for pts in (random_points(rng, n, 2), rng.integers(0, 4, size=(n, 1)).astype(float),
+                    random_points(rng, 3, 2)[rng.integers(0, 3, size=n)], np.zeros((n, 1))):
+            o = DistanceOracle.from_points(pts)
+            for k in sorted({1, 2, min(n, 3), n}):
+                labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+                yield o, Clustering(rng.permutation(labels), k)
+        yield DistanceOracle.from_matrix(random_graph_metric(rng, n)), Clustering(
+            np.arange(n) % 2, 2)
+    for f in (0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0):
+        g = 1.0 / (1.0 + f * STABILITY_TOL)
+        yield DistanceOracle.from_points([0.0, 1.0, 1.0 + g]), Clustering([0, 0, 1], 2)
+    ulp_past = [0.0, 0.9046800715504857, -0.9046800706458055]
+    yield DistanceOracle.from_points(ulp_past), Clustering([0, 0, 1], 2)
+
+
+def test_violation_vector_is_the_masked_ratio_row_maximum():
+    for o, c in _averaged_cases():
+        _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
+        got = _violation_vector(own_avg, _nearest_foreign(avg, c))
+        assert np.array_equal(got, _masked_ratio_max(own_avg, avg, c)), (o.matrix(), c)
+
+
+def test_audit_counts_the_points_above_their_stable_limit():
+    for o, c in _averaged_cases():
+        _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
+        want = 0
+        for x in range(c.n):
+            foreign = [avg[x, i] for i in range(c.k) if i != c.assignment[x]]
+            want += bool(own_avg[x] > stable_limit(min(foreign, default=math.inf)))
+        assert audit(o, c).num_unstable == want, (o.matrix(), c)
 
 
 def test_violation_hand_value():

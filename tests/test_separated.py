@@ -329,11 +329,11 @@ def _assert_replay_boundary(o, alpha, gamma, where):
     there, and every later merge of the full scan comes at or after that
     edge. Returns (replay log, stop edge as (d, i, j) or None)."""
     m = o.matrix()
-    clusters, log, d_stop = separated._replay(m, min_count(alpha, o.n), stop=True)
+    label, log, d_stop = separated._replay(m, min_count(alpha, o.n), stop=True)
     want_log, want_clusters, stop = full_scan_size_guard(m, alpha, stop=True)
     full = _assert_conditioned_matches(o, alpha, gamma, where)
     assert log == want_log == full[:len(log)], where
-    assert clusters == want_clusters, where
+    assert separated.SuperclusterPartition(label).clusters == want_clusters, where
     assert d_stop == (None if stop is None else stop[0]), where
     assert all((d, i, j) >= stop for d, i, j, _ in full[len(log):]), where
     return log, stop

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipstable import cli
 from ipstable.core import (
     STABILITY_TOL,
     Clustering,
@@ -23,7 +24,7 @@ from ipstable.core import (
 )
 from ipstable.dp_target import DpTable, solve_targets
 from ipstable.hst import cluster_via_embedding
-from ipstable.line1d import solve_1d
+from ipstable.line1d import LineInstance, solve_1d
 from ipstable.separated import (
     check_alpha_gamma,
     exact_enumerate,
@@ -75,6 +76,30 @@ def test_every_solver_and_the_audit_share_one_tolerance(f, stable):
     # the same line as a path tree; rooted at 2, the boundary starts at (1, 2)
     tree = WeightedTree(3, [(0, 1, 1.0), (1, 2, g)], root=2)
     assert _labels(solve_tree2(tree)) == expected
+
+
+# point 0's own average, 0.9046800715504857, is one ulp above the stable
+# limit of its foreign average, 0.9046800706458055, although their ratio
+# rounds to exactly 1 + STABILITY_TOL
+ULP_PAST = [0.0, 0.9046800715504857, -0.9046800706458055]
+
+
+def test_one_ulp_past_the_tolerance_is_unstable_everywhere(tmp_path, capsys):
+    o = DistanceOracle.from_points(ULP_PAST)
+    c = Clustering([0, 0, 1], 2)
+    rep = audit(o, c)
+    assert rep.vi[0] == rep.max_violation == 1.0 + STABILITY_TOL
+    assert rep.num_unstable == 1 and rep.mean_violation == rep.vi[0]
+    assert is_t_stable(o, c, 1.0) is False
+    # the line solvers' check on the mirrored line, where point 0 is the
+    # last of the left pair {1, 0} against {2}
+    mirrored = LineInstance.from_values([-x for x in ULP_PAST])
+    assert not mirrored.last_point_stable(2, 2, 1)
+    inp, assign = tmp_path / "points.csv", tmp_path / "assignment.txt"
+    inp.write_text("".join(f"{x!r}\n" for x in ULP_PAST))
+    assign.write_text("0\n0\n1\n")
+    assert cli.main(["audit", "--input", str(inp), "--assignment", str(assign)]) == 2
+    assert '"num_unstable": 1' in capsys.readouterr().out
 
 
 def test_min_count_is_the_smallest_whole_count():
