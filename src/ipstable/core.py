@@ -396,7 +396,7 @@ def audit(oracle, clustering, targets=None, p=math.inf):
     vi = _violation_vector(own_avg, nearest)
     unstable = own_avg > stable_limit(nearest)
     num_unstable = int(np.count_nonzero(unstable))
-    max_violation = float(np.max(vi)) if len(vi) else 0.0
+    max_violation = float(np.max(vi))
     mean_violation = float(np.mean(vi[unstable])) if num_unstable else 0.0
 
     # summing own_sum over a cluster counts each within-cluster pair twice,

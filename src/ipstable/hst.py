@@ -354,7 +354,7 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
 
     kept = oracle.sub_oracle(retained)
     t_final = sub.point_distance_matrix()
-    stretch = float(_stretch_ratios(t_final, kept.matrix()).max()) if len(retained) > 1 else 1.0
+    stretch = float(_stretch_ratios(t_final, kept.matrix()).max())
     report = audit(kept, clustering)
     if not report.max_violation <= stable_limit(stretch):
         raise RuntimeError("stretch certificate violated; embedding is broken")

@@ -25,10 +25,11 @@ enumeration, tracks none.
 Both linkages take the edges (i, j), i < j, in the strict order (d, i, j),
 and both start with one replay of the minimum spanning tree of that order
 (_replay): Prim's O(n^2) algorithm in n numpy steps, then the n-1 tree edges
-in order with union by size. Single linkage is the minimum spanning tree
-(Gower & Ross 1969), and neither linkage lists the n(n-1)/2 edges for it.
-The replay returns a partition as one array of labels in root order, which
-the merge state relabels in place and SuperclusterPartition holds.
+in order with union by size. Prim breaks ties in d by the smaller tree end
+for one remaining point and by the smaller (lo, hi) among points. Single
+linkage is the minimum spanning tree (Gower & Ross 1969); neither linkage
+lists the n(n-1)/2 edges for it. The replay returns one label array in root
+order, relabeled in place by the merge state and held by SuperclusterPartition.
 
 The size guard merges only on tree edges. When an edge e = (i, j) comes up,
 every earlier edge was either merged or skipped with both sides at least
@@ -326,9 +327,7 @@ def _cross_edges(m, label):
     sample = np.sort(dist[::step])
     ranks = _FIRST_CHUNK * (2 ** np.arange(1, 2 + len(dist).bit_length()) - 1)
     taus = sample[ranks[ranks < len(dist)] // step]
-    bucket = np.zeros(len(dist), dtype=np.uint8)
-    for tau in taus:
-        bucket += dist > tau
+    bucket = np.searchsorted(taus, dist)    # the taus below each length
     for b in range(len(taus) + 1):
         sel = np.flatnonzero(bucket == b)
         if len(sel) == 0:
@@ -346,9 +345,9 @@ def _mst_edges(m):
 
     Prim's algorithm from point 0, one numpy step per added point: best[r]
     is the lightest known edge from remaining point rem[r] into the tree,
-    via[r] its tree end. Ties in d go to the smaller (min id, max id) pair,
-    so the tree is the unique one of that order. Returns the n-1 edges as
-    (lo, hi, d) arrays, sorted in that order.
+    via[r] its tree end. Ties in d go to the smaller (lo, hi) pair, which for
+    one remaining point is the smaller tree end, so the tree is the unique
+    one of that order. Returns the n-1 edges as (lo, hi, d) arrays, sorted.
     """
     n = len(m)
     rem = np.arange(1, n)
@@ -372,10 +371,8 @@ def _mst_edges(m):
         closer = c < b
         tie = c == b
         if tie.any():
-            p, old = pts[tie], w[tie]
-            new_lo, old_lo = np.minimum(v, p), np.minimum(old, p)
-            new_hi, old_hi = np.maximum(v, p), np.maximum(old, p)
-            closer[tie] = (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
+            # for one remaining point p, (min, max) of an edge (u, p) orders by u
+            closer |= tie & (v < w)
         np.copyto(b, c, where=closer)
         np.copyto(w, v, where=closer)
     order = np.lexsort((hi, lo, d))
@@ -481,9 +478,9 @@ def exact_enumerate(oracle, k, alpha):
 
     Runs the size-guarded linkage, then tries every grouping of the
     superclusters into k nonempty clusters and returns the first one the
-    audit certifies stable. Refuses upfront when (1/alpha)**k exceeds 1e7;
-    raises when no grouping is stable, which means the input had no
-    sufficiently separated underlying clustering.
+    audit certifies stable. Refuses when (1/alpha)**k or, after the linkage,
+    the S(ell, k) groupings (ell can reach n) exceed 1e7; raises when none is
+    stable, as then the input had no sufficiently separated clustering.
     """
     _check_k(k, oracle.n)
     _check_alpha(alpha)
@@ -500,6 +497,9 @@ def exact_enumerate(oracle, k, alpha):
             "guarded linkage left fewer superclusters than k; "
             "no separated clustering at this alpha"
         )
+    onto = sum((-1) ** j * math.comb(k, j) * (k - j) ** ell for j in range(k + 1))
+    if onto > ENUM_GUARD * math.factorial(k):       # onto maps / k! = S(ell, k)
+        raise ValueError(f"enumeration too large: S({ell}, {k}) groupings exceed the guard")
     for grouping in _partitions_into_k(ell, k):
         cand = Clustering(np.asarray(grouping)[part.label], k)
         if audit(oracle, cand).num_unstable == 0:

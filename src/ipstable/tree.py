@@ -206,11 +206,11 @@ def rotate(tree, pivot):
 
 
 def _stable(tree, u, v):
-    """Whether u is stable when edge (u, v) splits the tree into two clusters."""
+    """Whether u is stable when edge (u, v) splits the tree; both sides are branch sums."""
     foreign_sum, foreign_count = _branch_sum(tree, u, v)
     own_count = tree.n - foreign_count - 1      # u itself excluded
-    _, total = tree.distance_sums()
-    own = (total[u] - foreign_sum) / own_count if own_count else 0.0
+    own_sum = sum(_branch_sum(tree, u, w)[0] for w, _ in tree.adj[u] if w != v)
+    own = own_sum / own_count if own_count else 0.0
     return own <= stable_limit(foreign_sum / foreign_count)
 
 

@@ -244,6 +244,15 @@ def test_separated_exact_with_a_tiny_alpha_is_the_guard_error(tmp_path, capsys):
     assert "enumeration too large" in capsys.readouterr().err
 
 
+def test_separated_exact_with_too_many_superclusters_is_the_guard_error(tmp_path, capsys):
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, np.random.default_rng(7).normal(size=(80, 2)))
+    rc = cli.main(["solve", "--input", str(inp), "--algo", "separated-exact", "--k", "2",
+                   "--alpha", "0.005"])
+    assert rc == 1
+    assert "error: enumeration too large" in capsys.readouterr().err
+
+
 _EXIT_PROBE = """
 import json, sys
 from ipstable import cli

@@ -545,6 +545,14 @@ def test_exact_enumerate_guards():
         exact_enumerate(o, 4, alpha=0.5)
 
 
+def test_exact_enumerate_guards_the_groupings_of_the_superclusters():
+    # alpha * n < 1 leaves all 80 points as superclusters: (1/alpha)**2 is
+    # 40,000, but there are S(80, 2) = 2**79 - 1 groupings
+    o = _oracle(np.random.default_rng(7).normal(size=(80, 2)))
+    with pytest.raises(ValueError, match=r"enumeration too large: S\(80, 2\)"):
+        exact_enumerate(o, 2, alpha=0.005)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 3), st.floats(0.1, 0.5), st.sampled_from([1.0, 3.0, 50.0]), st.data())
 def test_exact_enumerate_matches_brute_force(k, alpha, spacing, data):

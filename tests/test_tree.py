@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipstable import tree as tree_mod
-from ipstable.core import STABILITY_TOL, DistanceOracle, audit, brute_force
+from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit, brute_force
 from ipstable.tree import WeightedTree, rotate, solve_tree2
 
 from conftest import (
@@ -101,6 +101,18 @@ def test_rotate_moves_one_step():
     # from an endpoint, rotate names one of its own neighbors
     t = WeightedTree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     assert rotate(t, 2) in {1, 3}
+
+
+def test_split_stability_agrees_with_the_audit_at_an_ulp():
+    # on the path 1-0-2, total[0] - d(0, 2) rounds an ulp below d(0, 1) and
+    # would read as stable; the branch sum is d(0, 1), the audit's own sum
+    edges = [(0, 1, 0.9046800715504857), (0, 2, 0.9046800706458055)]
+    t = WeightedTree(3, edges)
+    assert tree_mod._stable(t, 0, 2) is False
+    assert audit(t.to_oracle(), Clustering(np.array([0, 0, 1]), 2)).num_unstable == 1
+    for root in range(3):
+        rooted = WeightedTree(3, edges, root=root)
+        assert audit(rooted.to_oracle(), solve_tree2(rooted)).num_unstable == 0
 
 
 def test_boundary_clustering_partitions():
