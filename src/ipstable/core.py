@@ -24,8 +24,9 @@ a relative slack on the foreign side, and "at least frac * n points" means
 `min_count(frac, n)`, the smallest whole count >= frac * n.
 
 Distances must be finite and small enough that every row sum stays finite;
-oracles reject anything else, points on a line when they are constructed
-and every other payload when its matrix is built.
+oracles reject anything else, points on a line and trees when they are
+constructed and every other payload when its matrix is built. The audit
+of points on a line or of a tree never builds the n x n matrix.
 
 scipy is loaded on first use, only by multi-column point matrices, k-means
 and the linkage baselines; the line, DP and tree solvers never import it.
@@ -137,20 +138,22 @@ class DistanceOracle:
 
     Every matrix the oracle hands out is exactly symmetric with a zero
     diagonal: d(j, i) is d(i, j), i < j, as the upper triangle holds it.
-    Explicit matrices and trees are mirrored once at construction, so no
-    caller has to choose a triangle.
+    Explicit matrices are mirrored once at construction and a tree's matrix
+    when it is built, so no caller has to choose a triangle.
 
-    `cluster_sums` has two backends, chosen by the payload. Points with a
+    `cluster_sums` has three backends, chosen by the payload. Points with a
     single column (all three metrics are |x - y| there) take prefix sums on
-    the line and never build the matrix; every other payload multiplies its
-    matrix by the clustering's one-hot matrix.
+    the line, and a tree takes two passes over its preorder per cluster
+    (`WeightedTree.sums_to`); neither builds the matrix. Every other payload
+    multiplies its matrix by the clustering's one-hot matrix.
     """
 
-    def __init__(self, n, matrix=None, features=None, metric=None):
+    def __init__(self, n, matrix=None, features=None, metric=None, tree=None):
         self.n = int(n)
         self._matrix = matrix
         self._features = features
         self._metric = metric
+        self._tree = tree
         self._line = features[:, 0] if features is not None and features.shape[1] == 1 else None
 
     @classmethod
@@ -189,16 +192,25 @@ class DistanceOracle:
     def from_tree(cls, tree):
         """Path-metric oracle over a weighted tree, one point per node.
 
-        The two triangles of tree.distance_matrix may differ in the last
-        bits, as each sums its path in its own order.
+        O(n): the largest distance is the tree's diameter, found by two
+        sweeps (the farthest node from the root is one end of a longest
+        path), and the matrix is built only if `matrix` is called.
         """
-        m = _mirror_upper(tree.distance_matrix())
-        _check_range(m.max(), len(m))
-        return cls(m.shape[0], matrix=m)
+        far = int(np.argmax(tree.dists_from(tree.root)))
+        _check_range(tree.dists_from(far).max(), tree.n)
+        return cls(tree.n, tree=tree)
 
     def matrix(self):
+        """The n x n distance matrix, built on first use and cached.
+
+        A tree's matrix is tree.distance_matrix with its upper triangle
+        mirrored: the two triangles may differ in the last bits, as each
+        sums its path in its own order.
+        """
         if self._matrix is None:
-            if self._line is not None:
+            if self._tree is not None:
+                m = _mirror_upper(self._tree.distance_matrix())
+            elif self._line is not None:
                 # |x - y| for every metric; cdist's euclidean would square the
                 # difference, flushing tiny distances to 0 and overflowing
                 # large ones
@@ -213,7 +225,7 @@ class DistanceOracle:
     def cluster_sums(self, clustering):
         """The n x k matrix S[x, i]: total distance from point x to cluster i."""
         a = clustering.assignment
-        if self._line is not None:
+        if self._line is not None or self._tree is not None:
             sums = np.empty((self.n, clustering.k))
             for i in range(clustering.k):
                 sums[:, i] = self._sums_to(a == i)
@@ -225,19 +237,23 @@ class DistanceOracle:
     def _sums_to(self, mask):
         """One column of `cluster_sums`: total distance from every point to mask's points.
 
-        On the line it is the column `cluster_sums` gives that cluster, bit
-        for bit. Otherwise it is one matrix-vector product, m @ mask: the
-        same n nonnegative terms as the one-hot product's column, summed in
-        another order, so its last bits may differ (`_sums_slack` bounds it).
+        On the line and on a tree it is the column `cluster_sums` gives that
+        cluster, bit for bit. Otherwise it is one matrix-vector product,
+        m @ mask: the same n nonnegative terms as the one-hot product's
+        column, summed in another order, so its last bits may differ
+        (`_sums_slack` bounds it).
         """
         if self._line is not None:
             return _line_sums_to(self._line, mask)
+        if self._tree is not None:
+            return self._tree.sums_to(mask)
         return self.matrix() @ mask.astype(float)
 
     def _sums_slack(self):
         """Relative slack eta of a factor or decision read from `_sums_to` columns.
 
-        On the line the columns are `cluster_sums`' bit for bit, so eta is 0.
+        On the line and on a tree the columns are `cluster_sums`' bit for
+        bit, so eta is 0.
         A matrix column m @ mask sums the same n nonnegative terms as the
         one-hot product's column in another order. Any order of such a sum
         is within gamma = (n-1)u/(1-(n-1)u) of the exact sum (u = 2^-53), so
@@ -255,7 +271,7 @@ class DistanceOracle:
         d_lo >= n 2^-1022 and n d_hi <= 2^1022 d_lo. Otherwise eta is None:
         no bound is claimed.
         """
-        if self._line is not None:
+        if self._line is not None or self._tree is not None:
             return 0.0
         m = self.matrix()
         d_lo = float(np.min(m, where=m > 0, initial=np.inf))

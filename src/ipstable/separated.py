@@ -327,7 +327,11 @@ def _cross_edges(m, label):
     sample = np.sort(dist[::step])
     ranks = _FIRST_CHUNK * (2 ** np.arange(1, 2 + len(dist).bit_length()) - 1)
     taus = sample[ranks[ranks < len(dist)] // step]
-    bucket = np.searchsorted(taus, dist)    # the taus below each length
+    # the taus below each length, one pass per tau: np.searchsorted counts the
+    # same, but its binary search over unsorted lengths is several times slower
+    bucket = np.zeros(len(dist), dtype=np.uint8)
+    for tau in taus:
+        bucket += dist > tau
     for b in range(len(taus) + 1):
         sel = np.flatnonzero(bucket == b)
         if len(sel) == 0:
@@ -461,6 +465,11 @@ def linkage_conditioned(oracle, alpha, gamma):
     m = oracle.matrix()
     thresh = min_count(alpha, len(m))
     label, log, d_stop = _replay(m, thresh, stop=True)
+    if thresh <= 1:
+        # the replay stopped at its first edge with every point a singleton:
+        # no cluster is undersized or has a far own partner, and every
+        # singleton pair's spread is 1, so no criterion can fire
+        return SuperclusterPartition(label, log, alpha, 1.0)
     st = _MergeState(m, label, thresh, spread_bound, own_bound)
     if d_stop is not None and (d_stop * own_bound < st.reach() or st.wide_pair()):
         log += st.scan(_cross_edges(m, st.label))

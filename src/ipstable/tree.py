@@ -14,7 +14,10 @@ Cost: construction roots the tree with one depth-first pass, and the first
 solve adds one pass for each node's distance sum over its subtree and, by
 rerooting, over the whole tree. Every branch average and endpoint check then
 costs O(1) per neighbor, and successive pivots are distinct nodes, so
-solve_tree2 is O(n). distance_matrix fills the n x n matrix with two numpy
+solve_tree2 is O(n). The audit of a tree reads one column per cluster from
+sums_to, two O(n) passes each, so auditing a k-clustering is O(nk) and never
+forms the n x n matrix. distance_matrix, which only the consumers that need
+every entry call (through the oracle's matrix()), fills it with two numpy
 passes over the preorder: O(n^2) writes from O(n) numpy calls.
 """
 
@@ -142,6 +145,42 @@ class WeightedTree:
                     d[v] = d[u] + w
                     q.append(v)
         return d
+
+    def sums_to(self, mask):
+        """Total distance from every node to the nodes in mask, in two O(n) passes.
+
+        Bottom-up, cnt[v] counts mask's nodes in v's subtree and down[v] sums
+        their distances from v; br[v] = down[v] + w_v * cnt[v] is the same
+        sum seen from v's parent. Top-down, out[c] sums the distances from c
+        to mask's nodes outside c's subtree: out[p] + w_c * (m - cnt[c]),
+        plus the br of c's siblings, as the sum of those before c in the
+        preorder and the sum of those after it. The result is down + out.
+
+        Every term is nonnegative, so each sum's rounding error is relative
+        to that sum. The usual reroot step, S[c] = S[p] + w_c * (m - 2 cnt[c]),
+        subtracts: its error is relative to S[p], which can dwarf S[c] when
+        a heavy edge separates c from the rest. This stays apart from
+        distance_sums on purpose, so an audit checks solve_tree2 with other
+        arithmetic.
+        """
+        order, parent, weight = self.order, self.parent, self.parent_weight
+        cnt = np.asarray(mask, dtype=np.int64).tolist()
+        down, br, later = [0.0] * self.n, [0.0] * self.n, [0.0] * self.n
+        # reversed preorder meets p's children last first, so down[p] then
+        # holds the br of the siblings after v
+        for v in order[:0:-1]:
+            p = parent[v]
+            br[v] = b = down[v] + weight[v] * cnt[v]
+            later[v] = down[p]
+            down[p] += b
+            cnt[p] += cnt[v]
+        m = cnt[self.root]
+        out, earlier = [0.0] * self.n, [0.0] * self.n
+        for c in order[1:]:
+            p = parent[c]
+            out[c] = (out[p] + weight[c] * (m - cnt[c])) + (earlier[p] + later[c])
+            earlier[p] += br[c]
+        return np.add(down, out)
 
     def distance_matrix(self):
         """All-pairs distances; row u equals dists_from(u) bit for bit.

@@ -768,6 +768,13 @@ def random_graph_metric(rng, n):
     return w
 
 
+def random_clustering(rng, n, k):
+    """Random labels with every cluster nonempty; clusters interleave."""
+    labels = rng.integers(0, k, size=n)
+    labels[rng.permutation(n)[:k]] = np.arange(k)
+    return Clustering(labels, k)
+
+
 def random_tree(rng, n, wmax=3.0):
     edges = []
     for v in range(1, n):

@@ -30,6 +30,7 @@ from conftest import (
     naive_cost,
     naive_num_unstable,
     naive_vi,
+    random_clustering,
     random_graph_metric,
     random_points,
     random_tree,
@@ -173,14 +174,7 @@ def test_from_matrix_and_from_tree_keep_the_upper_triangle():
     assert np.array_equal(tree.to_oracle().matrix(), upper + upper.T)
 
 
-# --- cluster sums: one kernel, two backends ----------------------------------
-
-
-def _random_clustering(rng, n, k):
-    """Random labels with every cluster nonempty; clusters interleave."""
-    labels = rng.integers(0, k, size=n)
-    labels[rng.permutation(n)[:k]] = np.arange(k)
-    return Clustering(labels, k)
+# --- cluster sums: one kernel, three backends --------------------------------
 
 
 def test_matrix_backend_sums_are_bit_identical_to_the_product():
@@ -191,10 +185,9 @@ def test_matrix_backend_sums_are_bit_identical_to_the_product():
             DistanceOracle.from_points(random_points(rng, n, 3)),
             DistanceOracle.from_points(random_points(rng, n, 2), "manhattan"),
             DistanceOracle.from_matrix(random_graph_metric(rng, n)),
-            random_tree(rng, n).to_oracle(),
         ]
         for o in oracles:
-            c = _random_clustering(rng, n, int(rng.integers(1, n + 1)))
+            c = random_clustering(rng, n, int(rng.integers(1, n + 1)))
             onehot = np.zeros((n, c.k))
             onehot[np.arange(n), c.assignment] = 1.0
             assert np.array_equal(o.cluster_sums(c), o.matrix() @ onehot)
@@ -218,7 +211,7 @@ def test_line_backend_matches_matrix_backend(kind):
         line = DistanceOracle.from_points(LINE_VALUES[kind](rng, n))
         dense = DistanceOracle.from_matrix(line.matrix())
         for k in sorted({1, n, int(rng.integers(1, n + 1))}):
-            c = _random_clustering(rng, n, k)
+            c = random_clustering(rng, n, k)
             np.testing.assert_allclose(line.cluster_sums(c), dense.cluster_sums(c),
                                        rtol=1e-12, atol=0)
             got, want = audit(line, c), audit(dense, c)
@@ -242,7 +235,7 @@ def test_line_oracle_and_its_sub_oracles_sum_without_a_matrix(monkeypatch):
     rng = np.random.default_rng(4)
     vals = rng.normal(size=25)
     keep = rng.permutation(25)[:17]
-    c = _random_clustering(rng, 17, 4)
+    c = random_clustering(rng, 17, 4)
     want = DistanceOracle.from_matrix(np.abs(vals[keep, None] - vals[None, keep])).cluster_sums(c)
 
     def no_matrix(self):
@@ -251,7 +244,7 @@ def test_line_oracle_and_its_sub_oracles_sum_without_a_matrix(monkeypatch):
     monkeypatch.setattr(DistanceOracle, "matrix", no_matrix)
     o = DistanceOracle.from_points(vals)
     np.testing.assert_allclose(o.sub_oracle(keep).cluster_sums(c), want, rtol=1e-12, atol=0)
-    assert audit(o, _random_clustering(rng, 25, 3)).vi.shape == (25,)
+    assert audit(o, random_clustering(rng, 25, 3)).vi.shape == (25,)
 
 
 # --- clustering invariants ---------------------------------------------------

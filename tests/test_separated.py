@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,62 @@ def test_conditioned_linkage_matches_full_scan():
                     for entry in log:
                         fired[entry[3]] += 1
     assert min(fired.values()) > 20, fired
+
+
+def _state_build_partition(m, alpha, gamma):
+    """The conditioned linkage with no singleton shortcut: the replay, the
+    merge state over its clusters and the tail scan, as (labels, log,
+    uniformity)."""
+    spread_bound = ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2
+    own_bound = 2.0 * gamma / (gamma - 1.0) ** 2
+    thresh = min_count(alpha, len(m))
+    label, log, d_stop = separated._replay(m, thresh, stop=True)
+    st = separated._MergeState(m, label, thresh, spread_bound, own_bound)
+    if d_stop is not None and (d_stop * own_bound < st.reach() or st.wide_pair()):
+        log += st.scan(separated._cross_edges(m, st.label))
+    return np.unique(st.label, return_inverse=True)[1], log, st.uniformity()
+
+
+def test_conditioned_linkage_of_singletons_skips_the_merge_state():
+    """At min_count(alpha, n) <= 1 the replay stops at its first edge with
+    every point a singleton, and no criterion can fire: the linkage returns
+    the partition the merge state and the tail scan give, n singletons with
+    an empty log and uniformity 1.0, on random, rounded, duplicate-heavy
+    and all-equal points and at n = 1 and 2."""
+    rng = np.random.default_rng(53)
+    oracles = [_oracle([[0.0, 0.0]]), _oracle([[0.0], [3.0]]), _oracle([[2.0], [2.0]])]
+    for n in (5, 30, 120):
+        feats = random_points(rng, n, 2)
+        oracles += [_oracle(feats), _oracle(np.round(feats)), _oracle(np.zeros((n, 2))),
+                    _oracle(feats[rng.integers(0, max(1, n // 3), size=n)])]
+    for o in oracles:
+        m = o.matrix()
+        for alpha in (1e-4, 0.5 / o.n, 1.0 / o.n):
+            assert min_count(alpha, o.n) == 1
+            for gamma in (GAMMA_MIN, 4.0, 1e150):
+                where = (o.n, alpha, gamma)
+                part = linkage_conditioned(o, alpha, gamma)
+                label, log, uniformity = _state_build_partition(m, alpha, gamma)
+                assert np.array_equal(part.label, label), where
+                assert part.merge_log == log == [], where
+                assert part.uniformity == uniformity == 1.0, where
+                assert (part.merge_log, part.clusters) == full_scan_conditioned(m, alpha, gamma)
+
+
+def test_conditioned_linkage_of_singletons_allocates_no_merge_state():
+    """At n = 2000 and alpha = 1e-4 the linkage allocates little beyond
+    Prim's rows; the merge state's c x c extremes and its gather of every
+    live pair peaked at about 170 MiB there."""
+    o = _oracle(np.random.default_rng(59).normal(size=(2000, 2)))
+    o.matrix()
+    tracemalloc.start()
+    try:
+        part = linkage_conditioned(o, 1e-4, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.ell == 2000 and part.merge_log == [] and part.uniformity == 1.0
+    assert peak < 8 * 2**20, peak
 
 
 _STOP_RULE_CASES = [

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipstable import tree as tree_mod
-from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit, brute_force
+from ipstable.core import (
+    STABILITY_TOL,
+    Clustering,
+    DistanceOracle,
+    audit,
+    brute_force,
+    is_t_stable,
+)
 from ipstable.tree import WeightedTree, rotate, solve_tree2
 
 from conftest import (
@@ -14,6 +27,7 @@ from conftest import (
     dfs_root_fields,
     naive_num_unstable,
     naive_vi,
+    random_clustering,
     random_tree,
 )
 
@@ -339,3 +353,162 @@ def test_rotate_and_component_call_counts(monkeypatch, n, edges, rotations):
     monkeypatch.setattr(WeightedTree, "component", counted("component", WeightedTree.component))
     solve_tree2(WeightedTree(n, edges, root=0))
     assert calls == {"rotate": rotations, "component": 1}
+
+
+# --- the tree backend of cluster sums -----------------------------------------
+
+
+def _clusterings(rng, n):
+    """Random clusterings at k = 1, 2 and a drawn k."""
+    ks = sorted({1, min(2, n), int(rng.integers(1, n + 1))})
+    return [random_clustering(rng, n, k) for k in ks]
+
+
+def _exact_sums_to(tree, mask):
+    """Total distance from every node to mask's nodes, in Fractions, by one
+    walk from each node."""
+    out = []
+    for u in range(tree.n):
+        dist, stack = {u: Fraction(0)}, [u]
+        while stack:
+            x = stack.pop()
+            for y, w in tree.adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + Fraction(w)
+                    stack.append(y)
+        out.append(sum((dist[y] for y in range(tree.n) if mask[y]), Fraction(0)))
+    return out
+
+
+def _assert_near_exact(tree, mask):
+    """sums_to is within 2n * 2^-53 of the exact sum, relative to each sum."""
+    got = tree.sums_to(np.asarray(mask, dtype=bool))
+    bound = Fraction(2 * tree.n, 2**53)
+    for v, (g, e) in enumerate(zip(got.tolist(), _exact_sums_to(tree, mask))):
+        assert abs(Fraction(g) - e) <= bound * e, (v, g, float(e))
+
+
+def test_tree_sums_to_is_the_cluster_sums_column():
+    rng = np.random.default_rng(59)
+    for t in _shaped_trees(rng):
+        o = t.to_oracle()
+        assert o._sums_slack() == 0.0
+        for c in _clusterings(rng, t.n):
+            sums = o.cluster_sums(c)
+            for i in range(c.k):
+                assert np.array_equal(o._sums_to(c.assignment == i), sums[:, i])
+
+
+def test_tree_cluster_sums_on_integer_weights_are_the_matrix_product():
+    """Every sum of whole weights is exact, so both backends agree bit for bit."""
+    rng = np.random.default_rng(61)
+    for t in _shaped_trees(rng):
+        t = WeightedTree(t.n, [(u, v, float(rng.integers(1, 6))) for u, v, _ in t.edges], t.root)
+        o = t.to_oracle()
+        for c in _clusterings(rng, t.n):
+            onehot = np.zeros((t.n, c.k))
+            onehot[np.arange(t.n), c.assignment] = 1.0
+            assert np.array_equal(o.cluster_sums(c), o.matrix() @ onehot)
+
+
+@st.composite
+def _multiscale_trees(draw):
+    """Random, path, star and tied trees on 1..25 nodes with shuffled labels
+    and a random root, plus a node mask. Weights are a mantissa in [1, 10)
+    times 10^e for e in -8, -4, 0, 4 and 8, or 1 and 2 only on the tied
+    trees."""
+    n = draw(st.integers(1, 25))
+    shape = draw(st.sampled_from(["random", "path", "star", "tied"]))
+    label = draw(st.permutations(range(n)))
+    if shape == "tied":
+        weight = st.sampled_from([1.0, 2.0])
+    else:
+        weight = st.builds(lambda f, e: f * 10.0**e, st.floats(1.0, 10.0),
+                           st.sampled_from([-8, -4, 0, 4, 8]))
+    edges = []
+    for v in range(1, n):
+        u = 0 if shape == "star" else v - 1 if shape == "path" else draw(st.integers(0, v - 1))
+        edges.append((label[u], label[v], draw(weight)))
+    tree = WeightedTree(n, edges, root=draw(st.integers(0, n - 1)))
+    return tree, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multiscale_trees())
+def test_tree_sums_to_is_near_the_exact_sums(tree_and_mask):
+    _assert_near_exact(*tree_and_mask)
+
+
+def test_tree_sums_to_adds_only_across_a_heavy_edge():
+    """Four leaves hang from node 1 at 1e-6, and node 1 from node 0 at 1e6.
+    Node 1's sum to the leaves is 4e-6; the subtracting reroot step
+    total[1] = total[0] + w * (m - 2 cnt[1]) rounds on node 0's scale and
+    gives 4.00003e-6."""
+    t = WeightedTree(6, [(0, 1, 1e6)] + [(1, j, 1e-6) for j in range(2, 6)])
+    mask = [False, False, True, True, True, True]
+    assert t.sums_to(np.array(mask))[1] == pytest.approx(4e-6, rel=1e-15)
+    _assert_near_exact(t, mask)
+
+
+def test_tree_audit_builds_no_matrix():
+    rng = np.random.default_rng(67)
+    for t in _shaped_trees(rng):
+        o = t.to_oracle()
+        for c in _clusterings(rng, t.n):
+            audit(o, c)
+            is_t_stable(o, c, 2.0)
+        assert o._matrix is None
+
+
+def test_tree_audit_counts_the_naive_unstable_points():
+    rng = np.random.default_rng(71)
+    for trial, t in enumerate(_shaped_trees(rng)):
+        m = t.distance_matrix()
+        clusterings = _clusterings(rng, t.n) + ([solve_tree2(t)] if t.n >= 2 else [])
+        for c in clusterings:
+            rep = audit(t.to_oracle(), c)
+            assert rep.num_unstable == naive_num_unstable(m, c.assignment), trial
+            np.testing.assert_allclose(rep.vi, naive_vi(m, c.assignment), rtol=1e-12, atol=0)
+
+
+# A fresh interpreter writes a random tree and a path on 20000 nodes, caps
+# its address space at its current size plus 200 MB and runs solve-tree2
+# and an audit of its output on both; the n x n matrix alone is 3.2 GB.
+_CAPPED_TREE_RUN = """
+import resource, sys
+import numpy as np
+from ipstable import cli
+d, n = sys.argv[1], 20000
+rng = np.random.default_rng(0)
+weights = rng.uniform(0.1, 3.0, n - 1).tolist()
+parents = {"random": (rng.random(n - 1) * np.arange(1, n)).astype(int).tolist(),
+           "path": list(range(n - 1))}
+for name, parent in parents.items():
+    with open(f"{d}/{name}.tree", "w") as fh:
+        fh.writelines(f"{u} {v} {w!r}\\n" for v, u, w in zip(range(1, n), parent, weights))
+with open("/proc/self/statm") as fh:
+    used = int(fh.read().split()[0]) * resource.getpagesize()
+cap = used + (200 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+for name in parents:
+    tree = f"{d}/{name}.tree"
+    rc = cli.main(["solve", "--input", tree, "--metric", "tree", "--algo", "solve-tree2",
+                   "--out", tree + ".txt"])
+    assert rc == 0, (name, rc)
+    rc = cli.main(["audit", "--input", tree, "--metric", "tree", "--assignment", tree + ".txt",
+                   "--out", tree + ".audit.json"])
+    assert rc == 0, (name, rc)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/statm as on Linux")
+def test_large_tree_solve_and_audit_run_under_an_address_space_cap(tmp_path):
+    src = str(Path(tree_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _CAPPED_TREE_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("random", "path"):
+        for report in (f"{name}.tree.txt.report.json", f"{name}.tree.audit.json"):
+            assert json.loads((tmp_path / report).read_text())["num_unstable"] == 0
