@@ -219,9 +219,10 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
     node id. Only non-singleton nodes can split. z must be over the
     oracle's n points.
 
-    A split is scored without an audit, from cached per-node columns of
-    the cluster sums (one `_sums_to` per node, the first time it or its
-    parent is a candidate), giving a (low, high) interval on its audited
+    A split is scored without an audit, from per-node columns of the
+    cluster sums cached in one dict (one `_sums_to` per node, the first
+    time it or its parent is a candidate: the frontier's nodes and the
+    children of each node tried), giving a (low, high) interval on its audited
     score (`DistanceOracle._sums_slack`). Only the splits whose low end
     reaches the smallest high end and whose interval is not a single value
     are audited exactly, with the clustering labelled as
@@ -238,19 +239,14 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
     _check_k(k, n, least=2)
     order, children, start, size = _leaf_slices(z) if slices is None else slices
     eta = oracle._sums_slack()
-    # one row per node whose column is needed: the frontier's and the
-    # children of each node tried, at most 4k and 2n - 1 of them. One block
-    # rather than one array per node keeps the heap from fragmenting
-    store = np.empty((min(4 * k, 2 * n - 1), n))
-    row = {}
+    columns = {}    # node -> its column of the cluster sums
 
     def column(v):
-        if v not in row:
+        if v not in columns:
             mask = np.zeros(n, dtype=bool)
             mask[order[start[v] : start[v] + size[v]]] = True
-            row[v] = len(row)
-            store[row[v]] = oracle._sums_to(mask)
-        return store[row[v]]
+            columns[v] = oracle._sums_to(mask)
+        return columns[v]
 
     frontier = children[-1].tolist()
     for _ in range(k - 2):

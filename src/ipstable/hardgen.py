@@ -2,9 +2,12 @@
 
 Three generator families, each returning (features, metadata) where metadata
 names the problematic clustering and its claimed violation. Every generator
-re-audits its own claim before returning, so a successful call is itself the
-proof that the construction behaves as advertised. fixtures() additionally
-exposes the small hand-built instances used throughout the tests.
+audits its clustering once, in `_proved`, and checks exactly the claims its
+metadata states, each to a relative VERIFY_TOL; a successful call is itself
+the proof that the construction behaves as advertised. Parameters whose
+floats cannot realize the claim (say, distances whose squares flush to 0)
+raise ValueError naming the claim. fixtures() additionally exposes the small
+hand-built instances used throughout the tests.
 """
 
 from __future__ import annotations
@@ -15,15 +18,32 @@ import numpy as np
 
 from .core import Clustering, DistanceOracle, audit
 
-VERIFY_TOL = 1e-6
+VERIFY_TOL = 1e-6    # relative tolerance of every claim a generator checks
 
 # ratio of consecutive micro-gaps along the single-linkage path
 PATH_GAP_GROWTH = 1.01
 
 
-def _self_check(features, assignment, k):
-    oracle = DistanceOracle.from_points(np.asarray(features, dtype=float))
-    return audit(oracle, Clustering(np.asarray(assignment), k))
+def _proved(features, assignment, k, vi_at, max_violation=None, at_least=False):
+    """The audit of the clustering, once it is checked to realize the claims.
+
+    vi_at maps point indices to claimed violations: each audited vi must
+    equal its claim (be at least it, when at_least) to a relative
+    VERIFY_TOL, as must the max violation when one is claimed. A miss
+    raises ValueError naming the claim.
+    """
+    report = audit(DistanceOracle.from_points(np.asarray(features, dtype=float)),
+                   Clustering(np.asarray(assignment), k))
+    claims = [(f"Vi[{i}]", report.vi[i], c) for i, c in vi_at.items()]
+    if max_violation is not None:
+        claims.append(("the max violation", report.max_violation, max_violation))
+    for name, got, claimed in claims:
+        slack = VERIFY_TOL * abs(claimed)
+        if not (got >= claimed - slack if at_least else abs(got - claimed) <= slack):
+            bound = "at least " if at_least else ""
+            raise ValueError(f"the construction does not realize its claim: "
+                             f"{name} = {float(got)}, claimed {bound}{float(claimed)}")
+    return report
 
 
 def kmeanspp_spacing_bound(alpha, n_blocks, r):
@@ -74,18 +94,10 @@ def gen_kmeanspp_hard(alpha, n_blocks, r=1.0, spacing=None):
         u_indices.append(4 * j + 3)
     features = np.asarray(rows)
     k = 2 * n_blocks
-    report = _self_check(features, assignment, k)
     # v violates by exactly alpha; z and z' violate by 1.5a/sqrt(a^2+1),
     # which only dominates for alpha below sqrt(5)/2
     expected_max = max(alpha, 1.5 * alpha / math.sqrt(alpha * alpha + 1.0))
-    vi_v = report.vi[v_indices]
-    if (np.abs(vi_v - alpha) > VERIFY_TOL).any() or abs(
-        report.max_violation - expected_max
-    ) > VERIFY_TOL:
-        raise AssertionError(
-            f"construction bug: Vi(v)={vi_v}, MaxVi={report.max_violation}, "
-            f"expected {alpha} and {expected_max}"
-        )
+    _proved(features, assignment, k, dict.fromkeys(v_indices, alpha), max_violation=expected_max)
     metadata = {
         "family": "kmeanspp-blocks",
         "alpha": alpha,
@@ -133,10 +145,7 @@ def gen_kcenter_hard(n, epsilon):
     assignment[0] = assignment[2] = 0
     assignment[n + 2 :] = 0
     claimed = n / 8.0
-    report = _self_check(features, assignment, 2)
-    vi_p = report.vi[2]
-    if vi_p < claimed - VERIFY_TOL:
-        raise AssertionError(f"construction bug: Vi(p)={vi_p} below n/8={claimed}")
+    vi_p = _proved(features, assignment, 2, {2: claimed}, at_least=True).vi[2]
     metadata = {
         "family": "kcenter-balls",
         "n": n,
@@ -161,7 +170,8 @@ def gen_single_linkage_hard(n, epsilon):
     into its own cluster is exactly epsilon*(n-1)/2 while its distance to
     the singleton is 1, making Vi(v2) = epsilon*(n-1)/2 on the nose
     (the (n-1)/4 headline at epsilon = 1/2). Verified by audit before
-    returning.
+    returning. That is the only claim: for small epsilon a tail point can
+    violate by more than v2 (at n = 21, epsilon = 1e-3 the max is 0.0104).
     """
     if n < 5:
         raise ValueError("need n >= 5")
@@ -179,13 +189,7 @@ def gen_single_linkage_hard(n, epsilon):
     assignment = np.ones(n, dtype=int)
     assignment[0] = 0
     claimed = epsilon * (n - 1) / 2.0
-    oracle = DistanceOracle.from_points(values.reshape(-1, 1))
-    report = audit(oracle, Clustering(assignment, 2))
-    if abs(report.vi[1] - claimed) > VERIFY_TOL or abs(report.max_violation - claimed) > VERIFY_TOL:
-        raise AssertionError(
-            f"construction bug: Vi(v2)={report.vi[1]}, MaxVi={report.max_violation}, "
-            f"claimed {claimed}"
-        )
+    _proved(values, assignment, 2, {1: claimed})
     metadata = {
         "family": "single-linkage-path",
         "n": n,

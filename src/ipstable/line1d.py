@@ -34,8 +34,8 @@ class LineInstance:
 
     sort_permutation[i] is the original index of the i-th sorted value; ties
     keep input order (stable sort). `from_values` sorts and validates raw
-    input. Both arrays are kept as read-only copies, so the sums derived from
-    them cannot drift from the values.
+    input: a 1-D array or a single column. Both arrays are kept as read-only
+    copies, so the sums derived from them cannot drift from the values.
     """
 
     values: np.ndarray
@@ -49,7 +49,12 @@ class LineInstance:
 
     @classmethod
     def from_values(cls, raw):
-        raw = np.asarray(raw, dtype=float).ravel()
+        raw = np.asarray(raw, dtype=float)
+        # one column is a line, as DistanceOracle.from_points reads it
+        if raw.ndim == 2 and raw.shape[1] == 1:
+            raw = raw[:, 0]
+        if raw.ndim != 1:
+            raise ValueError(f"values must be a 1-D array or one column, got shape {raw.shape}")
         if len(raw) == 0:
             raise ValueError("need at least one value")
         if not np.all(np.isfinite(raw)):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 
 import numpy as np
 
@@ -134,17 +133,26 @@ class WeightedTree:
         return self._sums
 
     def dists_from(self, start):
-        """Distances from one node to all nodes (single BFS, O(n))."""
-        d = np.full(self.n, -1.0)
-        d[start] = 0.0
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v, w in self.adj[u]:
-                if d[v] < 0:
-                    d[v] = d[u] + w
-                    q.append(v)
-        return d
+        """Distances from one node to all nodes, in O(n) over the rooted layer.
+
+        First up the parent chain from start to the root, then one pass over
+        the preorder sets d[v] = d[parent[v]] + parent_weight[v] for every
+        node off that chain. Each d[v] is then d[u] + w with u the neighbor
+        toward start, the recurrence a breadth-first walk from start
+        applies, so the result is the same bit for bit.
+        """
+        parent, weight = self.parent, self.parent_weight
+        d = [0.0] * self.n
+        chain = {start}
+        v = start
+        while parent[v] >= 0:
+            d[parent[v]] = d[v] + weight[v]
+            v = parent[v]
+            chain.add(v)
+        for v in self.order:
+            if v not in chain:
+                d[v] = d[parent[v]] + weight[v]
+        return np.array(d)
 
     def sums_to(self, mask):
         """Total distance from every node to the nodes in mask, in two O(n) passes.
@@ -276,7 +284,6 @@ def solve_tree2(tree):
     else:
         raise RuntimeError("rotation did not settle within n steps")
     assignment = np.ones(tree.n, dtype=int)
+    # prev is cur's parent at every step, so the root is on prev's side
     assignment[tree.component(prev, cur)] = 0
-    if assignment[r] == 1:
-        assignment = 1 - assignment
     return Clustering(assignment, 2)

@@ -3,14 +3,14 @@
 naive_vi, naive_cost and naive_alpha_gamma below are deliberately written with
 plain loops and no shared code with the package, so the audit's cluster-sums
 kernel is checked against a reimplementation rather than against itself.
-bfs_solve_tree2, node_dist, naive_point_distance_matrix, walk_hst_k_clustering,
-frontier_embed_hst, two_pass_normalize_leaves, walk_restrict, dfs_root_fields,
-full_scan_size_guard, full_scan_conditioned, max_pick_cut, reaudit_prune,
-per_row_dp_table and relabel_by_first_appearance are the plain per-call
-walks, per-point ancestor walks, per-node frontier loops, two-pass splices,
-per-edge scans, per-row fills and per-point loops the tree, HST, linkage,
-dendrogram, DP and relabeling code replaced; the faster paths must reproduce
-them exactly.
+bfs_dists_from, bfs_solve_tree2, node_dist, naive_point_distance_matrix,
+walk_hst_k_clustering, frontier_embed_hst, two_pass_normalize_leaves,
+walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
+max_pick_cut, reaudit_prune, per_row_dp_table and relabel_by_first_appearance
+are the breadth-first walks, plain per-call walks, per-point ancestor walks,
+per-node frontier loops, two-pass splices, per-edge scans, per-row fills and
+per-point loops the tree, HST, linkage, dendrogram, DP and relabeling code
+replaced; the faster paths must reproduce them exactly.
 """
 
 import itertools
@@ -109,6 +109,20 @@ def naive_alpha_gamma(matrix, labels, alpha, gamma, tol=TOL):
     return True
 
 
+def bfs_dists_from(tree, start):
+    """Distances from start to every node, by a breadth-first walk of the adjacency."""
+    d = np.full(tree.n, -1.0)
+    d[start] = 0.0
+    q = deque([start])
+    while q:
+        u = q.popleft()
+        for v, w in tree.adj[u]:
+            if d[v] < 0:
+                d[v] = d[u] + w
+                q.append(v)
+    return d
+
+
 def _bfs_side(tree, keep, drop):
     """Nodes reachable from keep without crossing edge (keep, drop)."""
     seen = {keep}
@@ -131,13 +145,13 @@ def bfs_solve_tree2(tree, tol=TOL):
     """
 
     def furthest(u):
-        dist = tree.dists_from(u)
+        dist = bfs_dists_from(tree, u)
         avgs = {v: float(dist[_bfs_side(tree, v, u)].mean()) for v, _ in tree.adj[u]}
         return max(sorted(avgs), key=lambda v: (avgs[v], -v))
 
     def stable(e, o):
         own, other = _bfs_side(tree, e, o), _bfs_side(tree, o, e)
-        dist = tree.dists_from(e)
+        dist = bfs_dists_from(tree, e)
         own_avg = dist[own].sum() / (len(own) - 1) if len(own) > 1 else 0.0
         return own_avg <= dist[other].mean() * (1.0 + tol)
 
@@ -854,6 +868,23 @@ def relabel_by_first_appearance(labels):
     order = labels[np.sort(first)]
     remap = {lab: i for i, lab in enumerate(order.tolist())}
     return np.array([remap[l] for l in labels.tolist()]), len(remap)
+
+
+def claims_hold(meta, vi, max_violation, rel=1e-6):
+    """Whether an audit's vi and max violation realize every claim a hard
+    instance's metadata states, each to a relative rel."""
+    family = meta["family"]
+    if family == "kmeanspp-blocks":
+        equal = [(vi[v], meta["alpha"]) for v in meta["v_indices"]]
+        equal.append((max_violation, meta["claimed_max_violation"]))
+        at_least = []
+    elif family == "kcenter-balls":
+        equal = [(vi[meta["p"]], meta["audited_vi_p"])]
+        at_least = [(vi[meta["p"]], meta["claimed_min_violation"])]
+    else:
+        equal, at_least = [(vi[meta["v2"]], meta["claimed_vi_v2"])], []
+    return (all(abs(got - claim) <= rel * abs(claim) for got, claim in equal)
+            and all(got >= claim * (1.0 - rel) for got, claim in at_least))
 
 
 def oracle_from_points(points, metric="euclidean"):

@@ -11,7 +11,7 @@ import pytest
 from ipstable import baselines, cli
 from ipstable.core import DistanceOracle, audit
 
-from conftest import planted
+from conftest import claims_hold, planted
 
 
 def _write_csv(path, arr, header=None):
@@ -860,6 +860,29 @@ def test_gen_output_audits_to_claimed_violation(tmp_path, capsys):
     assert out["max_violation"] == pytest.approx(meta["claimed_max_violation"], abs=1e-9)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["kmeanspp-blocks", "--alpha", "1e15", "--r", "0.7"], None),
+    (["kmeanspp-blocks", "--alpha", "3", "--r", "1e-200"], "Vi[2] = 0.0, claimed 3.0"),
+    (["single-linkage-path", "--n", "21", "--epsilon", "1e-3"], None),
+    (["single-linkage-path", "--n", "21", "--epsilon", "1e-300"], "Vi[1] = 0.0, claimed 1e-299"),
+], ids=["blocks-huge-alpha", "blocks-flushed", "path-small-epsilon", "path-flushed"])
+def test_gen_writes_only_claims_that_hold(tmp_path, capsys, flags, message):
+    prefix = tmp_path / "g"
+    rc = cli.main(["gen", "--family", *flags, "--out", str(prefix)])
+    err = capsys.readouterr().err
+    if message is not None:
+        assert rc == 1
+        assert err == f"error: the construction does not realize its claim: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert rc == 0 and err == ""
+    # at epsilon = 1e-3 the path's claim is a violation below 1: every point is stable
+    assert cli.main(["audit", "--input", f"{prefix}.csv", "--vi",
+                     "--assignment", f"{prefix}-assignment.txt"]) in (0, 2)
+    report = json.loads(capsys.readouterr().out)
+    assert claims_hold(_read_json(f"{prefix}-meta.json"), report["vi"], report["max_violation"])
+
+
 def test_gen_error_paths(tmp_path, capsys):
     assert cli.main(["gen", "--family", "kmeanspp-blocks",
                      "--out", str(tmp_path / "x")]) == 1
@@ -919,6 +942,8 @@ def test_line_solvers_need_a_point_metric(tmp_path, capsys, algo, metric):
     (["0 1"], "tree", "expected 'u v weight'"),
     (["0 1 1.0 2"], "tree", "expected 'u v weight'"),
     (["1 2"], None, "expected one integer per line"),
+    ([], "tree", "{bad}: no edges"),
+    ([], None, "{bad}: empty assignment"),
 ])
 def test_malformed_lines_are_an_error(tmp_path, capsys, lines, metric, message):
     bad = tmp_path / "bad.txt"
@@ -930,7 +955,36 @@ def test_malformed_lines_are_an_error(tmp_path, capsys, lines, metric, message):
         _write_csv(inp, [0.0])
         argv = ["audit", "--input", str(inp), "--assignment", str(bad)]
     assert cli.main(argv) == 1
-    assert f"error: {bad}:1: {message}" in capsys.readouterr().err
+    # a fault on a line names the line; a fault of the whole file only the file
+    where = message.format(bad=bad) if "{bad}" in message else f"{bad}:1: {message}"
+    assert f"error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, labels, flags, message", [
+    ("0\nx\n", [0, 1], ["audit"], "{inp}:2: non-numeric row"),
+    ("value\nx\n", [0, 1], ["audit"], "{inp}:2: non-numeric row"),
+    ("value\n", [0, 1], ["audit"], "{inp}: no data rows"),
+    ("0,1\n2\n", [0, 1], ["audit"], "{inp}: row 2 has 1 columns, expected 2"),
+    ("0\n1\n", [0, 1], ["audit", "--p", "x"], "--p must be a number or 'inf', got 'x'"),
+    ("0\n1\n", [0, 1], ["audit", "--targets", "1,a"],
+     "--targets must be comma-separated integers, got '1,a'"),
+    ("0\n1\n", [-1, -1], ["audit"], "assignment excludes every point"),
+    ("0 1 1.0\n", None, ["solve", "--metric", "tree", "--algo", "solve-tree2", "--k", "3"],
+     "solve-tree2 only produces k=2"),
+    ("0\n1\n", None, ["bench", "--algo", ",", "--k", "2"],
+     "--algo must list at least one algorithm"),
+], ids=["after-data", "after-header", "no-data", "ragged", "p", "targets", "all-excluded",
+        "tree2-k3", "no-algo"])
+def test_input_and_flag_errors_are_one_line(tmp_path, capsys, text, labels, flags, message):
+    inp = tmp_path / "in.txt"
+    inp.write_text(text)
+    command, *flags = flags
+    if labels is not None:
+        assign = tmp_path / "a.txt"
+        _write_lines(assign, labels)
+        flags += ["--assignment", str(assign)]
+    assert cli.main([command, "--input", str(inp), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(inp=inp)}\n"
 
 
 def test_bench_checks_every_k_before_running(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from ipstable.hardgen import (
     kmeanspp_spacing_bound,
 )
 
-from conftest import naive_vi
+from conftest import claims_hold, naive_vi
 
 
 def _clustering(meta, k):
@@ -169,3 +169,22 @@ def test_audits_match_independent_oracle():
     mine = audit(o, c).vi
     ref = naive_vi(o.matrix(), c.assignment)
     assert np.allclose(mine, ref)
+
+
+@pytest.mark.parametrize("generate, args", [
+    (gen_kmeanspp_hard, (1.05, 3)),
+    (gen_kmeanspp_hard, (3.0, 6, 1e-3)),
+    (gen_kmeanspp_hard, (1e15, 1, 0.7)),     # vi is off by ulps of 1e15
+    (gen_kcenter_hard, (5, 0.1)),
+    (gen_kcenter_hard, (64, 1.0 / 128.0)),
+    (gen_single_linkage_hard, (21, 0.5)),
+    (gen_single_linkage_hard, (21, 1e-3)),   # the max violation is not vi[v2] here
+    (gen_single_linkage_hard, (41, 1e-9)),
+])
+def test_written_claims_hold_to_a_relative_tolerance(generate, args):
+    features, meta = generate(*args)
+    oracle = DistanceOracle.from_points(features)
+    rep = audit(oracle, _clustering(meta, meta.get("k", 2)))
+    ref = naive_vi(oracle.matrix(), np.asarray(meta["clustering"]))
+    assert claims_hold(meta, rep.vi, rep.max_violation)
+    assert claims_hold(meta, ref, max(ref))

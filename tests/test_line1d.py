@@ -171,6 +171,19 @@ def test_edge_cases():
         solve_1d([1.0, 2.0], 0)
 
 
+def test_line_input_is_one_dimension_or_one_column():
+    # two points in the plane, not the four values 0, 1, 7, 8 on a line
+    square = np.array([[0.0, 1.0], [7.0, 8.0]])
+    with pytest.raises(ValueError, match="1-D array or one column"):
+        solve_1d(square, 2)
+    with pytest.raises(ValueError, match="1-D array or one column"):
+        solve_targets(square, [2, 2])
+    values = np.array([8.0, 0.0, 7.0, 1.0, 7.5])
+    for shaped in (values, values.reshape(-1, 1)):
+        assert solve_1d(shaped, 2).assignment.tolist() == [1, 0, 1, 0, 1]
+        assert solve_targets(shaped, [2, 3])[0].assignment.tolist() == [1, 0, 1, 0, 1]
+
+
 def test_values_whose_sums_overflow_are_rejected():
     big = np.tile([1e307, -1e307], 65)   # each value finite, their prefix sums not
     with pytest.raises(ValueError, match="overflow"):

@@ -23,6 +23,7 @@ from ipstable.core import (
 from ipstable.tree import WeightedTree, rotate, solve_tree2
 
 from conftest import (
+    bfs_dists_from,
     bfs_solve_tree2,
     dfs_root_fields,
     naive_num_unstable,
@@ -289,8 +290,10 @@ def test_root_pass_matches_the_depth_first_reference():
 
 def test_distance_matrix_is_bitwise_the_bfs_rows():
     for t in _shaped_trees(np.random.default_rng(41)):
-        bfs = np.vstack([t.dists_from(u) for u in range(t.n)])
+        bfs = np.vstack([bfs_dists_from(t, u) for u in range(t.n)])
         assert np.array_equal(t.distance_matrix(), bfs)
+        for u in range(t.n):
+            assert np.array_equal(t.dists_from(u), bfs[u]), u
 
 
 def test_distance_sums_match_the_matrix():
