@@ -14,8 +14,6 @@ import numpy as np
 from .core import (
     Clustering,
     _check_k,
-    _cluster_averages,
-    _nearest_foreign,
     _violation_vector,
     audit,
     cdist,
@@ -219,15 +217,25 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
     node id. Only non-singleton nodes can split. z must be over the
     oracle's n points.
 
-    A split is scored without an audit, from per-node columns of the
-    cluster sums cached in one dict (one `_sums_to` per node, the first
-    time it or its parent is a candidate: the frontier's nodes and the
-    children of each node tried), giving a (low, high) interval on its audited
-    score (`DistanceOracle._sums_slack`). Only the splits whose low end
-    reaches the smallest high end and whose interval is not a single value
-    are audited exactly, with the clustering labelled as
-    `_slices_clustering` labels it; (score, node id) then picks among them.
-    slices is `_leaf_slices(z)`, computed here when None.
+    A split is scored without an audit. Each node's column of the cluster
+    sums (`_sums_to`: the sum of its members' rows on a matrix oracle) is
+    read once, the first time the node or its parent is a candidate, and
+    kept as two average columns in leaf order: the foreign average col / s
+    and, over the node's own slice, the own average col / (s - 1), 0 for a
+    singleton. These are the floats `_cluster_averages` computes from the
+    same columns. Once per round, each point's nearest and second-nearest
+    foreign average over the frontier are tabled, with the node giving the
+    nearest. Splitting v into (a, b) then changes only selections: a point
+    in a takes the smaller of its nearest and b's average (and a point in
+    b the same with a), and a point outside v the smallest of a's, b's and
+    its nearest that is not v's, so the own and nearest averages are those
+    of `_nearest_foreign` bit for bit, in leaf order, which neither a count
+    nor a max depends on. They give a (low, high) interval on the audited
+    score (`_score_bounds`, `DistanceOracle._sums_slack`). Only
+    the splits whose low end reaches the smallest high end and whose
+    interval is not a single value are audited exactly, with the clustering
+    labelled as `_slices_clustering` labels it; (score, node id) then picks
+    among them. slices is `_leaf_slices(z)`, computed here when None.
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
@@ -238,30 +246,49 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
         raise ValueError("dendrogram and oracle size mismatch")
     _check_k(k, n, least=2)
     order, children, start, size = _leaf_slices(z) if slices is None else slices
+    end = start + size
     eta = oracle._sums_slack()
-    columns = {}    # node -> its column of the cluster sums
+    # node -> (own average over its slice, foreign average), both in leaf order
+    averages = {}
 
-    def column(v):
-        if v not in columns:
+    def node_averages(v):
+        if v not in averages:
             mask = np.zeros(n, dtype=bool)
-            mask[order[start[v] : start[v] + size[v]]] = True
-            columns[v] = oracle._sums_to(mask)
-        return columns[v]
+            mask[order[start[v] : end[v]]] = True
+            col = oracle._sums_to(mask)[order]
+            s = float(size[v])
+            own = col[start[v] : end[v]] / (s - 1.0) if s > 1 else np.zeros(1)
+            averages[v] = own, col / s
+        return averages[v]
 
+    points = np.arange(n)
     frontier = children[-1].tolist()
     for _ in range(k - 2):
+        # each point's own average, and its nearest and second-nearest
+        # foreign averages over the frontier, with the nearest one's index
+        own_avg = np.empty(n)
+        far = np.empty((len(frontier), n))
+        for i, w in enumerate(frontier):
+            own_avg[start[w] : end[w]], far[i] = node_averages(w)
+            far[i, start[w] : end[w]] = np.inf
+        first = far.argmin(axis=0)
+        near = far[first, points]
+        far[first, points] = np.inf
+        second = far.min(axis=0)
         scored = []
-        for v in frontier:
+        for i, v in enumerate(frontier):
             if v < n:
                 continue
-            cand = [w for w in frontier if w != v] + children[v - n].tolist()
-            clustering = _slices_clustering(order, start, size, cand)
-            sums = np.empty((n, len(cand)))
-            for w in cand:
-                sums[:, clustering.assignment[order[start[w]]]] = column(w)
-            _, own_avg, avg = _cluster_averages(sums, clustering)
-            bounds = _score_bounds(own_avg, _nearest_foreign(avg, clustering), measure, eta)
-            scored.append((*bounds, v, cand))
+            a, b = children[v - n].tolist()
+            (own_a, far_a), (own_b, far_b) = node_averages(a), node_averages(b)
+            nearest = np.minimum(np.where(first == i, second, near), np.minimum(far_a, far_b))
+            lo, mid, hi = start[v], end[a], end[v]
+            nearest[lo:mid] = np.minimum(near[lo:mid], far_b[lo:mid])
+            nearest[mid:hi] = np.minimum(near[mid:hi], far_a[mid:hi])
+            split_own = own_avg.copy()
+            split_own[lo:mid], split_own[mid:hi] = own_a, own_b
+            bounds = _score_bounds(split_own, nearest, measure, eta)
+            scored.append((*bounds, v, [w for w in frontier if w != v] + [a, b]))
         if not scored:
             raise RuntimeError("no splittable frontier node before reaching k")
         top = min(high for _, high, _, _ in scored)

@@ -9,8 +9,10 @@ and a brute-force reference solver for small instances.
 The audit has one primitive: the n x k cluster-sums matrix S, where S[x, i]
 is the total distance from point x to cluster i. The oracle computes it
 (`DistanceOracle.cluster_sums`, or one column at a time with `_sums_to`,
-which greedy pruning caches per dendrogram node), and `_cluster_averages`
-turns any S into own and foreign averages; it is the only code that does.
+which sums only the members' rows and which greedy pruning caches per
+dendrogram node), and `_cluster_averages` turns any S into own and foreign
+averages; it is the only code that does, apart from greedy pruning's
+per-node average columns, which divide the same columns by the same sizes.
 Violation factors, the within-cluster cost and the separation check in
 `separated` are all read from it. `brute_force` keeps its own plain
 loops on purpose, as the reference the exact solvers are tested against.
@@ -44,6 +46,11 @@ STABILITY_TOL = 1e-9
 
 # Symmetry slack accepted when validating explicit matrices.
 MATRIX_SYM_TOL = 1e-12
+
+_UNSET = object()    # a lazily computed value not computed yet
+
+# Rows of the matrix a member-row column copies at a time (`_sums_to`)
+_ROW_BLOCK = 64
 
 _FEATURE_METRICS = {
     "euclidean": "euclidean",
@@ -145,15 +152,19 @@ class DistanceOracle:
     single column (all three metrics are |x - y| there) take prefix sums on
     the line, and a tree takes two passes over its preorder per cluster
     (`WeightedTree.sums_to`); neither builds the matrix. Every other payload
-    multiplies its matrix by the clustering's one-hot matrix.
+    multiplies its matrix by the clustering's one-hot matrix. A tree oracle
+    restricted by `sub_oracle` may keep the whole tree and the kept nodes'
+    ids.
     """
 
-    def __init__(self, n, matrix=None, features=None, metric=None, tree=None):
+    def __init__(self, n, matrix=None, features=None, metric=None, tree=None, nodes=None):
         self.n = int(n)
         self._matrix = matrix
+        self._slack = _UNSET
         self._features = features
         self._metric = metric
         self._tree = tree
+        self._nodes = nodes
         self._line = features[:, 0] if features is not None and features.shape[1] == 1 else None
 
     @classmethod
@@ -210,6 +221,8 @@ class DistanceOracle:
         if self._matrix is None:
             if self._tree is not None:
                 m = _mirror_upper(self._tree.distance_matrix())
+                if self._nodes is not None:
+                    m = m[np.ix_(self._nodes, self._nodes)]
             elif self._line is not None:
                 # |x - y| for every metric; cdist's euclidean would square the
                 # difference, flushing tiny distances to 0 and overflowing
@@ -238,24 +251,36 @@ class DistanceOracle:
         """One column of `cluster_sums`: total distance from every point to mask's points.
 
         On the line and on a tree it is the column `cluster_sums` gives that
-        cluster, bit for bit. Otherwise it is one matrix-vector product,
-        m @ mask: the same n nonnegative terms as the one-hot product's
-        column, summed in another order, so its last bits may differ
-        (`_sums_slack` bounds it).
+        cluster, bit for bit; a restricted tree scatters mask to the whole
+        tree and reads the kept nodes' entries. Otherwise it is the sum of
+        mask's rows of the matrix, copied _ROW_BLOCK rows at a time, so its
+        cost follows the number of members, not n^2. Every matrix is exactly
+        symmetric, so row y holds the terms d(x, y) of column y: the same n
+        nonnegative terms as the one-hot product's column, summed in another
+        order, so its last bits may differ (`_sums_slack` bounds it).
         """
         if self._line is not None:
             return _line_sums_to(self._line, mask)
         if self._tree is not None:
-            return self._tree.sums_to(mask)
-        return self.matrix() @ mask.astype(float)
+            if self._nodes is None:
+                return self._tree.sums_to(mask)
+            full = np.zeros(self._tree.n, dtype=bool)
+            full[self._nodes[mask]] = True
+            return self._tree.sums_to(full)[self._nodes]
+        m, rows = self.matrix(), np.flatnonzero(mask)
+        col = np.zeros(self.n)
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            col += m[rows[lo : lo + _ROW_BLOCK]].sum(axis=0)
+        return col
 
     def _sums_slack(self):
         """Relative slack eta of a factor or decision read from `_sums_to` columns.
 
-        On the line and on a tree the columns are `cluster_sums`' bit for
-        bit, so eta is 0.
-        A matrix column m @ mask sums the same n nonnegative terms as the
-        one-hot product's column in another order. Any order of such a sum
+        Computed once per oracle. On the line and on a tree the columns are
+        `cluster_sums`' bit for bit, so eta is 0.
+        A matrix column, the sum of mask's rows, holds the same n nonnegative
+        terms as the one-hot product's column, as the matrix is exactly
+        symmetric, summed in another order. Any order of such a sum
         is within gamma = (n-1)u/(1-(n-1)u) of the exact sum (u = 2^-53), so
         the two sums differ by at most about 2n u, a ratio of two averages by
         4n u, and the roundings of the two averages and their ratio add 3u
@@ -273,17 +298,25 @@ class DistanceOracle:
         """
         if self._line is not None or self._tree is not None:
             return 0.0
-        m = self.matrix()
-        d_lo = float(np.min(m, where=m > 0, initial=np.inf))
-        if d_lo < self.n * 2.0**-1022 or self.n * float(m.max()) > d_lo * 2.0**1022:
-            return None
-        return 8 * self.n * 2.0**-53
+        if self._slack is _UNSET:
+            m = self.matrix()
+            d_lo = float(np.min(m, where=m > 0, initial=np.inf))
+            normal = d_lo >= self.n * 2.0**-1022 and self.n * float(m.max()) <= d_lo * 2.0**1022
+            self._slack = 8 * self.n * 2.0**-53 if normal else None
+        return self._slack
 
     def sub_oracle(self, indices):
-        """Restriction to a subset of points (new indices follow `indices` order)."""
+        """Restriction to a subset of points (new indices follow `indices` order).
+
+        A tree oracle whose matrix is not built keeps the tree, so its
+        restriction audits without the matrix too.
+        """
         idx = np.asarray(indices, dtype=int)
         if self._line is not None:
             return DistanceOracle(len(idx), features=self._features[idx], metric=self._metric)
+        if self._tree is not None and self._matrix is None:
+            nodes = idx if self._nodes is None else self._nodes[idx]
+            return DistanceOracle(len(idx), tree=self._tree, nodes=nodes)
         m = self.matrix()[np.ix_(idx, idx)]
         return DistanceOracle(len(idx), matrix=m)
 
@@ -343,9 +376,10 @@ class StabilityReport:
 def _cluster_averages(sums, clustering):
     """Per-point cluster sums and averages, all read from the n x k sums S.
 
-    S[x, i] = total distance from x to cluster i (`cluster_sums`, or
-    greedy pruning's cached node columns); this is the only place the
-    package turns cluster sums into averages. Returns (own_sum, own_avg,
+    S[x, i] = total distance from x to cluster i (`cluster_sums`); this is
+    the only place the package turns cluster sums into averages, apart from
+    greedy pruning's per-node columns, which divide `_sums_to` columns by
+    the same sizes and so hold the same floats. Returns (own_sum, own_avg,
     avg): own_sum[x] = S[x, a[x]], own_avg[x] is its average over the rest
     of x's cluster (0 for a singleton), and avg[x, i] = S[x, i] / |C_i|.
     """

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import leaves_list
 
-from ipstable import baselines
+from ipstable import baselines, cli
 from ipstable.core import (
     STABILITY_TOL,
     Clustering,
@@ -347,6 +347,94 @@ def test_prune_audits_every_split_where_the_slack_is_unproven(monkeypatch):
         assert len(audits) == len(candidates) > 0
         monkeypatch.undo()
         assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 6, measure=measure)
+
+
+def _split_averages(o, slices, cand):
+    """(own_avg, nearest) of a split, in leaf order, as the audit's helpers
+    compute them from `_sums_to` columns assembled into the sums matrix."""
+    order, _, start, size = slices
+    c = _slices_clustering(order, start, size, cand)
+    sums = np.empty((o.n, len(cand)))
+    for w in cand:
+        mask = np.zeros(o.n, dtype=bool)
+        mask[order[start[w] : start[w] + size[w]]] = True
+        sums[:, c.assignment[order[start[w]]]] = o._sums_to(mask)
+    _, own_avg, avg = _cluster_averages(sums, c)
+    return own_avg[order], _nearest_foreign(avg, c)[order]
+
+
+@pytest.mark.parametrize("variant", ["single", "average", "complete"])
+def test_prune_scores_each_split_from_the_audits_averages_bit_for_bit(monkeypatch, variant):
+    # copies of a few random points: a node's average can then round below
+    # both of its children's, so a point outside it needs the table's
+    # second-nearest entry
+    rng = np.random.default_rng(31)
+    instances = [rng.normal(size=(40, 2)), np.round(rng.normal(size=(40, 2)), 1),
+                 rng.integers(0, 3, size=(40, 2)).astype(float),
+                 rng.normal(size=(4, 2))[rng.integers(0, 4, size=40)],
+                 rng.integers(0, 5, size=(30, 1)).astype(float)]
+    for x in instances:
+        o = DistanceOracle.from_points(x)
+        z = linkage(o, variant)
+        slices = order, children, start, size = _leaf_slices(z)
+        n, k = o.n, 9
+        calls = []
+        real = baselines._score_bounds
+
+        def capture(own_avg, nearest, *rest):
+            calls.append((own_avg.copy(), nearest.copy()))
+            return real(own_avg, nearest, *rest)
+
+        monkeypatch.setattr(baselines, "_score_bounds", capture)
+        greedy_prune(z, o, k)
+        monkeypatch.undo()
+        # replay the rounds: candidates in frontier order, then the split chosen
+        frontier, want = children[-1].tolist(), []
+        for kk in range(3, k + 1):
+            cands = [[w for w in frontier if w != v] + children[v - n].tolist()
+                     for v in frontier if v >= n]
+            want += [_split_averages(o, slices, cand) for cand in cands]
+            chosen = greedy_prune(z, o, kk).assignment
+            (frontier,) = [cand for cand in cands if np.array_equal(
+                _slices_clustering(order, start, size, cand).assignment, chosen)]
+        assert len(calls) == len(want)
+        for (own_avg, nearest), (own_want, near_want) in zip(calls, want):
+            assert own_avg.tobytes() == own_want.tobytes()
+            assert nearest.tobytes() == near_want.tobytes()
+
+
+@pytest.mark.parametrize("payload", ["euclidean", "manhattan", "chebyshev", "matrix"])
+def test_member_row_columns_are_within_the_slack_of_the_cluster_sums(payload):
+    rng = np.random.default_rng(37)
+    for n, d in ((2, 2), (9, 3), (60, 2), (150, 5), (700, 3)):
+        x = np.exp(rng.normal(size=(n, d)) * 3.0)
+        if payload == "matrix":
+            o = DistanceOracle.from_matrix(DistanceOracle.from_points(x).matrix())
+        else:
+            o = DistanceOracle.from_points(x, payload)
+        eta = o._sums_slack()
+        assert eta is not None and eta > 0
+        for k in sorted({1, 2, min(n, 7)}):
+            c = Clustering.from_labels(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+            sums = o.cluster_sums(c)
+            for i in range(k):
+                col = o._sums_to(c.assignment == i)
+                assert np.all(np.abs(col - sums[:, i]) <= eta * sums[:, i]), (payload, n, k, i)
+
+
+def test_prune_on_the_benchmark_input_matches_the_reaudit_loop(tmp_path):
+    # criterion 12's blobs as the benchmark's bench-prune job reads them:
+    # written, loaded with --standardize, average linkage, k = 10 and 20
+    rng = np.random.default_rng(0)
+    centers = rng.normal(size=(10, 6)) * 4.0
+    rows = np.concatenate([c + rng.normal(size=(100, 6)) for c in centers])
+    path = tmp_path / "blobs.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in r) + "\n"
+                            for r in rows[rng.permutation(1000)]))
+    o = DistanceOracle.from_points(cli.load_points(path, standardize=True))
+    z = linkage(o, "average")
+    for k in (10, 20):
+        assert _outcome(greedy_prune, z, o, k) == _outcome(reaudit_prune, z, o, k), k
 
 
 @pytest.mark.parametrize("variant", ["single", "average", "complete"])

@@ -247,6 +247,56 @@ def test_line_oracle_and_its_sub_oracles_sum_without_a_matrix(monkeypatch):
     assert audit(o, random_clustering(rng, 25, 3)).vi.shape == (25,)
 
 
+def test_tree_sub_oracles_sum_on_the_whole_tree_without_a_matrix(monkeypatch):
+    rng = np.random.default_rng(6)
+    tree = random_tree(rng, 40)
+    full = tree.to_oracle().matrix()
+    keep = rng.permutation(40)[:29]
+    inner = rng.permutation(29)[:17]
+    c, c_inner = random_clustering(rng, 29, 4), random_clustering(rng, 17, 3)
+    want = DistanceOracle.from_matrix(full[np.ix_(keep, keep)]).cluster_sums(c)
+    nested = keep[inner]
+    want_inner = DistanceOracle.from_matrix(full[np.ix_(nested, nested)]).cluster_sums(c_inner)
+
+    def no_matrix(self):
+        raise AssertionError("the tree backend built an n x n matrix")
+
+    monkeypatch.setattr(DistanceOracle, "matrix", no_matrix)
+    sub = tree.to_oracle().sub_oracle(keep)
+    assert sub._sums_slack() == 0.0
+    np.testing.assert_allclose(sub.cluster_sums(c), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sub.sub_oracle(inner).cluster_sums(c_inner), want_inner,
+                               rtol=1e-12, atol=0)
+    assert audit(sub, c).vi.shape == (29,)
+    monkeypatch.undo()
+    assert np.array_equal(sub.matrix(), full[np.ix_(keep, keep)])
+    assert np.array_equal(sub.sub_oracle(inner).matrix(), full[np.ix_(nested, nested)])
+    # an oracle whose matrix is built restricts it rather than build another
+    built = tree.to_oracle()
+    built.matrix()
+    monkeypatch.setattr(type(tree), "distance_matrix", no_matrix)
+    assert np.array_equal(built.sub_oracle(keep).matrix(), full[np.ix_(keep, keep)])
+
+
+def test_sums_slack_reads_the_matrix_once_per_oracle(monkeypatch):
+    pts = np.random.default_rng(8).normal(size=(30, 2))
+    reads = []
+    real = DistanceOracle.matrix
+
+    def counting(self):
+        reads.append(1)
+        return real(self)
+
+    dense = DistanceOracle.from_points(pts).matrix()
+    monkeypatch.setattr(DistanceOracle, "matrix", counting)
+    # subnormal distances prove no slack: None is cached too
+    for o, want in ((DistanceOracle.from_points(pts), 8 * 30 * 2.0**-53),
+                    (DistanceOracle.from_matrix(dense * 1e-310), None)):
+        reads.clear()
+        assert [o._sums_slack(), o._sums_slack(), o._sums_slack()] == [want] * 3
+        assert len(reads) == 1
+
+
 # --- clustering invariants ---------------------------------------------------
 
 

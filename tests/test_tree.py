@@ -475,8 +475,9 @@ def test_tree_audit_counts_the_naive_unstable_points():
 
 
 # A fresh interpreter writes a random tree and a path on 20000 nodes, caps
-# its address space at its current size plus 200 MB and runs solve-tree2
-# and an audit of its output on both; the n x n matrix alone is 3.2 GB.
+# its address space at its current size plus 200 MB and runs solve-tree2,
+# an audit of its output and an audit that excludes node 0 on both; the
+# n x n matrix alone is 3.2 GB.
 _CAPPED_TREE_RUN = """
 import resource, sys
 import numpy as np
@@ -501,6 +502,13 @@ for name in parents:
     rc = cli.main(["audit", "--input", tree, "--metric", "tree", "--assignment", tree + ".txt",
                    "--out", tree + ".audit.json"])
     assert rc == 0, (name, rc)
+    with open(tree + ".txt") as fh:
+        labels = fh.read().split()
+    with open(tree + ".excluded.txt", "w") as fh:
+        fh.write("-1\\n" + "\\n".join(labels[1:]) + "\\n")
+    rc = cli.main(["audit", "--input", tree, "--metric", "tree",
+                   "--assignment", tree + ".excluded.txt", "--vi", "--out", tree + ".excluded.json"])
+    assert rc in (0, 2), (name, rc)
 """
 
 
@@ -515,3 +523,5 @@ def test_large_tree_solve_and_audit_run_under_an_address_space_cap(tmp_path):
     for name in ("random", "path"):
         for report in (f"{name}.tree.txt.report.json", f"{name}.tree.audit.json"):
             assert json.loads((tmp_path / report).read_text())["num_unstable"] == 0
+        excluded = json.loads((tmp_path / f"{name}.tree.excluded.json").read_text())
+        assert len(excluded["vi"]) == 19999
