@@ -7,15 +7,12 @@ something to break. All are deterministic given their seed/start arguments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
     Clustering,
     _check_k,
     _violation_vector,
-    audit,
     cdist,
     stable_limit,
 )
@@ -186,39 +183,28 @@ def cut_dendrogram(z, k, slices=None):
     return _slices_clustering(order, start, size, frontier)
 
 
-def _score_bounds(own_avg, nearest, measure, eta):
-    """(low, high) around the audited score of a split, from its own and
-    nearest foreign averages read off cached columns.
-
-    The audit's decisions and factors are within 1 +- eta of these, so a
-    count brackets the stable limit by 1 +- eta and a max violation is
-    scaled by it. A max of 0 or inf is exact: a factor is 0 or inf only
-    when a sum is exactly 0, and a sum of nonnegative terms is 0 in every
-    order or in none. eta None leaves the score unbounded.
-    """
-    if eta is None:
-        return -math.inf, math.inf
+def _split_score(own_avg, nearest, measure):
+    """The audited score of a split from its own and nearest foreign averages:
+    the count `audit` calls num_unstable, or its max violation."""
     if measure == "num-unstable":
-        limit = stable_limit(nearest)
-        return (int(np.count_nonzero(own_avg > limit * (1.0 + eta))),
-                int(np.count_nonzero(own_avg > limit * (1.0 - eta))))
-    mv = float(np.max(_violation_vector(own_avg, nearest)))
-    if mv == 0.0 or mv == math.inf:
-        return mv, mv
-    return mv * (1.0 - eta), mv * (1.0 + eta)
+        return int(np.count_nonzero(own_avg > stable_limit(nearest)))
+    return float(np.max(_violation_vector(own_avg, nearest)))
 
 
-def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
-    """Greedy top-down pruning of linkage matrix z toward k stable-ish clusters.
+def prune_frontiers(z, oracle, measure="num-unstable", slices=None):
+    """Greedy top-down pruning of linkage matrix z: the frontier after each round.
 
-    Starts from the root's two children and, for k-2 rounds, splits the
-    frontier node whose split gives the best audited score: fewest
-    unstable points or smallest max violation. Ties go to the smallest
-    node id. Only non-singleton nodes can split. z must be over the
-    oracle's n points.
+    Yields lists of dendrogram nodes, the root's two children first, then
+    one more node per round, until every point is its own node. Each round
+    splits the frontier node whose split gives the best audited score:
+    fewest unstable points or smallest max violation. Ties go to the
+    smallest node id. Only non-singleton nodes can split. No round depends
+    on how many clusters a caller wants, so one pass serves every k. z must
+    be over the oracle's n points; slices is `_leaf_slices(z)`, computed
+    here when None.
 
     A split is scored without an audit. Each node's column of the cluster
-    sums (`_sums_to`: the sum of its members' rows on a matrix oracle) is
+    sums (`_sums_to`, the audit's column for that cluster bit for bit) is
     read once, the first time the node or its parent is a candidate, and
     kept as two average columns in leaf order: the foreign average col / s
     and, over the node's own slice, the own average col / (s - 1), 0 for a
@@ -230,12 +216,8 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
     b the same with a), and a point outside v the smallest of a's, b's and
     its nearest that is not v's, so the own and nearest averages are those
     of `_nearest_foreign` bit for bit, in leaf order, which neither a count
-    nor a max depends on. They give a (low, high) interval on the audited
-    score (`_score_bounds`, `DistanceOracle._sums_slack`). Only
-    the splits whose low end reaches the smallest high end and whose
-    interval is not a single value are audited exactly, with the clustering
-    labelled as `_slices_clustering` labels it; (score, node id) then picks
-    among them. slices is `_leaf_slices(z)`, computed here when None.
+    nor a max depends on. So each split's score is its audit's, and
+    (score, node id) picks the split.
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
@@ -244,10 +226,8 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
     n = oracle.n
     if len(z) + 1 != n:
         raise ValueError("dendrogram and oracle size mismatch")
-    _check_k(k, n, least=2)
     order, children, start, size = _leaf_slices(z) if slices is None else slices
     end = start + size
-    eta = oracle._sums_slack()
     # node -> (own average over its slice, foreign average), both in leaf order
     averages = {}
 
@@ -263,7 +243,10 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
 
     points = np.arange(n)
     frontier = children[-1].tolist()
-    for _ in range(k - 2):
+    while True:
+        yield frontier
+        if len(frontier) == n:
+            return
         # each point's own average, and its nearest and second-nearest
         # foreign averages over the frontier, with the nearest one's index
         own_avg = np.empty(n)
@@ -275,7 +258,7 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
         near = far[first, points]
         far[first, points] = np.inf
         second = far.min(axis=0)
-        scored = []
+        best = None
         for i, v in enumerate(frontier):
             if v < n:
                 continue
@@ -287,21 +270,25 @@ def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
             nearest[mid:hi] = np.minimum(near[mid:hi], far_a[mid:hi])
             split_own = own_avg.copy()
             split_own[lo:mid], split_own[mid:hi] = own_a, own_b
-            bounds = _score_bounds(split_own, nearest, measure, eta)
-            scored.append((*bounds, v, [w for w in frontier if w != v] + [a, b]))
-        if not scored:
-            raise RuntimeError("no splittable frontier node before reaching k")
-        top = min(high for _, high, _, _ in scored)
-        best = None
-        for low, high, v, cand in scored:
-            if low > top:
-                continue
-            if low != high:
-                rep = audit(oracle, _slices_clustering(order, start, size, cand))
-                low = rep.num_unstable if measure == "num-unstable" else rep.max_violation
-            if best is None or (low, v) < (best[0], best[1]):
-                best = (low, v, cand)
+            score = _split_score(split_own, nearest, measure)
+            if best is None or (score, v) < best[:2]:
+                best = score, v, [w for w in frontier if w != v] + [a, b]
         frontier = best[2]
+
+
+def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
+    """Greedy top-down pruning of linkage matrix z toward k stable-ish clusters.
+
+    The clustering of `prune_frontiers`' k-node frontier, after k - 2
+    rounds. slices is `_leaf_slices(z)`, computed here when None.
+    """
+    slices = _leaf_slices(z) if slices is None else slices
+    frontiers = prune_frontiers(z, oracle, measure, slices)
+    frontier = next(frontiers)      # checks z, oracle and measure first
+    _check_k(k, oracle.n, least=2)
+    for _ in range(k - 2):
+        frontier = next(frontiers)
+    order, _, start, size = slices
     return _slices_clustering(order, start, size, frontier)
 
 

@@ -409,7 +409,18 @@ def _bench_runner(token, oracle, features, args):
             cache["slices"] = baselines._leaf_slices(z)     # every cut and pruning reads it
         z, slices = cache["z"], cache["slices"]
         if prune:
-            return baselines.greedy_prune(z, oracle, k, measure=args.measure, slices=slices)
+            # no pruning round depends on k: one pass serves every k, and
+            # the frontiers reached so far are kept
+            if "frontiers" not in cache:
+                rounds = baselines.prune_frontiers(z, oracle, args.measure, slices)
+                cache["frontiers"], cache["rounds"] = [next(rounds)], rounds
+            if k < 2:
+                raise CliError(f"need 2 <= k <= n to prune, got k={k}")
+            frontiers = cache["frontiers"]
+            while len(frontiers) < k - 1:
+                frontiers.append(next(cache["rounds"]))
+            order, _, start, size = slices
+            return baselines._slices_clustering(order, start, size, frontiers[k - 2])
         return baselines.cut_dendrogram(z, k, slices=slices)
 
     return run

@@ -9,10 +9,13 @@ and a brute-force reference solver for small instances.
 The audit has one primitive: the n x k cluster-sums matrix S, where S[x, i]
 is the total distance from point x to cluster i. The oracle computes it
 (`DistanceOracle.cluster_sums`, or one column at a time with `_sums_to`,
-which sums only the members' rows and which greedy pruning caches per
-dendrogram node), and `_cluster_averages` turns any S into own and foreign
-averages; it is the only code that does, apart from greedy pruning's
-per-node average columns, which divide the same columns by the same sizes.
+which greedy pruning caches per dendrogram node); each backend has one
+kernel for both, so a column of either is the same bit for bit. On a
+matrix that kernel adds each cluster's member rows one at a time in
+ascending id order, O(n^2) at any k. `_cluster_averages` turns any S
+into own and foreign averages; it is the only code that does, apart from
+greedy pruning's per-node average columns, which divide the same columns
+by the same sizes.
 Violation factors, the within-cluster cost and the separation check in
 `separated` are all read from it. `brute_force` keeps its own plain
 loops on purpose, as the reference the exact solvers are tested against.
@@ -30,8 +33,9 @@ oracles reject anything else, points on a line and trees when they are
 constructed and every other payload when its matrix is built. The audit
 of points on a line or of a tree never builds the n x n matrix.
 
-scipy is loaded on first use, only by multi-column point matrices, k-means
-and the linkage baselines; the line, DP and tree solvers never import it.
+scipy is loaded on first use, only by multi-column point matrices, the
+matrix backend's cluster sums (`scipy.sparse`), k-means and the linkage
+baselines; the line, DP and tree solvers never import it.
 """
 
 from __future__ import annotations
@@ -46,11 +50,6 @@ STABILITY_TOL = 1e-9
 
 # Symmetry slack accepted when validating explicit matrices.
 MATRIX_SYM_TOL = 1e-12
-
-_UNSET = object()    # a lazily computed value not computed yet
-
-# Rows of the matrix a member-row column copies at a time (`_sums_to`)
-_ROW_BLOCK = 64
 
 _FEATURE_METRICS = {
     "euclidean": "euclidean",
@@ -152,15 +151,14 @@ class DistanceOracle:
     single column (all three metrics are |x - y| there) take prefix sums on
     the line, and a tree takes two passes over its preorder per cluster
     (`WeightedTree.sums_to`); neither builds the matrix. Every other payload
-    multiplies its matrix by the clustering's one-hot matrix. A tree oracle
-    restricted by `sub_oracle` may keep the whole tree and the kept nodes'
-    ids.
+    adds each cluster's member rows of its matrix (`_member_row_sums`). A
+    tree oracle restricted by `sub_oracle` may keep the whole tree and the
+    kept nodes' ids.
     """
 
     def __init__(self, n, matrix=None, features=None, metric=None, tree=None, nodes=None):
         self.n = int(n)
         self._matrix = matrix
-        self._slack = _UNSET
         self._features = features
         self._metric = metric
         self._tree = tree
@@ -236,28 +234,27 @@ class DistanceOracle:
         return self._matrix
 
     def cluster_sums(self, clustering):
-        """The n x k matrix S[x, i]: total distance from point x to cluster i."""
+        """The n x k matrix S[x, i]: total distance from point x to cluster i.
+
+        On a matrix, S is a transposed view of `_member_row_sums`' k x n
+        rows: a C-order copy would take longer than the product at k = 500.
+        """
         a = clustering.assignment
         if self._line is not None or self._tree is not None:
             sums = np.empty((self.n, clustering.k))
             for i in range(clustering.k):
                 sums[:, i] = self._sums_to(a == i)
             return sums
-        onehot = np.zeros((self.n, clustering.k))
-        onehot[np.arange(self.n), a] = 1.0
-        return self.matrix() @ onehot
+        bounds = np.concatenate(([0], np.cumsum(clustering.sizes())))
+        return self._member_row_sums(np.argsort(a, kind="stable"), bounds).T
 
     def _sums_to(self, mask):
-        """One column of `cluster_sums`: total distance from every point to mask's points.
+        """Total distance from every point to mask's points: the column
+        `cluster_sums` gives that cluster, bit for bit.
 
-        On the line and on a tree it is the column `cluster_sums` gives that
-        cluster, bit for bit; a restricted tree scatters mask to the whole
-        tree and reads the kept nodes' entries. Otherwise it is the sum of
-        mask's rows of the matrix, copied _ROW_BLOCK rows at a time, so its
-        cost follows the number of members, not n^2. Every matrix is exactly
-        symmetric, so row y holds the terms d(x, y) of column y: the same n
-        nonnegative terms as the one-hot product's column, summed in another
-        order, so its last bits may differ (`_sums_slack` bounds it).
+        A restricted tree scatters mask to the whole tree and reads the kept
+        nodes' entries. On a matrix it is the one-row case of
+        `_member_row_sums`, so its cost follows the number of members.
         """
         if self._line is not None:
             return _line_sums_to(self._line, mask)
@@ -267,43 +264,24 @@ class DistanceOracle:
             full = np.zeros(self._tree.n, dtype=bool)
             full[self._nodes[mask]] = True
             return self._tree.sums_to(full)[self._nodes]
-        m, rows = self.matrix(), np.flatnonzero(mask)
-        col = np.zeros(self.n)
-        for lo in range(0, len(rows), _ROW_BLOCK):
-            col += m[rows[lo : lo + _ROW_BLOCK]].sum(axis=0)
-        return col
+        rows = np.flatnonzero(mask)
+        return self._member_row_sums(rows, [0, len(rows)])[0]
 
-    def _sums_slack(self):
-        """Relative slack eta of a factor or decision read from `_sums_to` columns.
+    def _member_row_sums(self, members, bounds):
+        """Row i: the sum of the matrix rows members[bounds[i] : bounds[i + 1]].
 
-        Computed once per oracle. On the line and on a tree the columns are
-        `cluster_sums`' bit for bit, so eta is 0.
-        A matrix column, the sum of mask's rows, holds the same n nonnegative
-        terms as the one-hot product's column, as the matrix is exactly
-        symmetric, summed in another order. Any order of such a sum
-        is within gamma = (n-1)u/(1-(n-1)u) of the exact sum (u = 2^-53), so
-        the two sums differ by at most about 2n u, a ratio of two averages by
-        4n u, and the roundings of the two averages and their ratio add 3u
-        per side. A decision own_avg > stable_limit(nearest) * (1 +- eta)
-        compares the same two averages, and the roundings of the averages,
-        of the product with 1 + tol and of the 1 +- eta scaling add 4u:
-        eta = 8n u bounds either with room to spare.
-
-        That holds while every positive average and factor is a normal
-        float. With d_lo and d_hi the smallest positive and the largest
-        distance, the averages lie in [d_lo / n, d_hi] and the factors in
-        [d_lo / (n d_hi), n d_hi / d_lo], which are normal when
-        d_lo >= n 2^-1022 and n d_hi <= 2^1022 d_lo. Otherwise eta is None:
-        no bound is claimed.
+        One k x n CSR indicator times the matrix: scipy adds each row's
+        members one at a time, in the order given (ascending ids, from both
+        callers), to a zero row. So a row depends on its member list alone,
+        whatever the other rows are, and no n x k one-hot or BLAS call
+        enters it. Every matrix is exactly symmetric, so row i holds the
+        sums d(x, C_i) of every point x. O(n) per member, O(n^2) at any k.
         """
-        if self._line is not None or self._tree is not None:
-            return 0.0
-        if self._slack is _UNSET:
-            m = self.matrix()
-            d_lo = float(np.min(m, where=m > 0, initial=np.inf))
-            normal = d_lo >= self.n * 2.0**-1022 and self.n * float(m.max()) <= d_lo * 2.0**1022
-            self._slack = 8 * self.n * 2.0**-53 if normal else None
-        return self._slack
+        from scipy.sparse import csr_array
+
+        indicator = csr_array((np.ones(len(members)), members, bounds),
+                              shape=(len(bounds) - 1, self.n))
+        return indicator @ self.matrix()
 
     def sub_oracle(self, indices):
         """Restriction to a subset of points (new indices follow `indices` order).
@@ -378,10 +356,11 @@ def _cluster_averages(sums, clustering):
 
     S[x, i] = total distance from x to cluster i (`cluster_sums`); this is
     the only place the package turns cluster sums into averages, apart from
-    greedy pruning's per-node columns, which divide `_sums_to` columns by
-    the same sizes and so hold the same floats. Returns (own_sum, own_avg,
-    avg): own_sum[x] = S[x, a[x]], own_avg[x] is its average over the rest
-    of x's cluster (0 for a singleton), and avg[x, i] = S[x, i] / |C_i|.
+    greedy pruning's per-node columns, which divide `_sums_to` columns (S's
+    columns bit for bit) by the same sizes and so hold the same floats.
+    Returns (own_sum, own_avg, avg): own_sum[x] = S[x, a[x]], own_avg[x] is
+    its average over the rest of x's cluster (0 for a singleton), and
+    avg[x, i] = S[x, i] / |C_i|.
     """
     a = clustering.assignment
     n = len(a)

@@ -6,11 +6,12 @@ kernel is checked against a reimplementation rather than against itself.
 bfs_dists_from, bfs_solve_tree2, node_dist, naive_point_distance_matrix,
 walk_hst_k_clustering, frontier_embed_hst, two_pass_normalize_leaves,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
-max_pick_cut, reaudit_prune, per_row_dp_table and relabel_by_first_appearance
-are the breadth-first walks, plain per-call walks, per-point ancestor walks,
-per-node frontier loops, two-pass splices, per-edge scans, per-row fills and
-per-point loops the tree, HST, linkage, dendrogram, DP and relabeling code
-replaced; the faster paths must reproduce them exactly.
+max_pick_cut, reaudit_prune, per_row_dp_table, member_row_sums and
+relabel_by_first_appearance are the breadth-first walks, plain per-call walks,
+per-point ancestor walks, per-node frontier loops, two-pass splices, per-edge
+scans, per-row fills, member-row loops and per-point loops the tree, HST,
+linkage, dendrogram, DP, cluster-sums and relabeling code replaced; the faster
+paths must reproduce them exactly.
 """
 
 import itertools
@@ -546,6 +547,21 @@ def reaudit_prune(z, oracle, k, measure="num-unstable"):
             raise RuntimeError("no splittable frontier node before reaching k")
         frontier = best[2]
     return _frontier_labels(z, frontier)
+
+
+def member_row_sums(matrix, labels, k):
+    """The n x k cluster sums of the matrix backend by a plain loop.
+
+    Point y's row of the matrix is added to cluster labels[y]'s column, one
+    Python float at a time, for y in ascending order: each column is the
+    left-to-right sum of its members' rows, starting from 0.0.
+    """
+    m = np.asarray(matrix, dtype=float).tolist()
+    sums = [[0.0] * k for _ in m]
+    for y, i in enumerate(np.asarray(labels).tolist()):
+        for x, d in enumerate(m[y]):
+            sums[x][i] += d
+    return np.array(sums)
 
 
 class _SparseMin:

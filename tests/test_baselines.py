@@ -263,6 +263,12 @@ def test_prune_matches_the_reaudit_loop_at_scale(variant):
                 assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
 
 
+def _audits(monkeypatch):
+    """Count audits through their kernel, `DistanceOracle.cluster_sums`;
+    pruning reads only `_sums_to` columns. Returns the count list."""
+    return _counting(monkeypatch, DistanceOracle, "cluster_sums")
+
+
 def _counting(monkeypatch, module, name):
     """Wrap module.name so that calls are counted; returns the count list."""
     calls = []
@@ -276,34 +282,35 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_prune_audits_a_split_whose_factor_is_within_the_slack(monkeypatch):
+def test_prune_scores_a_split_near_its_stable_limit_without_an_audit(monkeypatch):
     # point 5 sits (found by bisection) where splitting node 10 leaves one
-    # point with an audited factor 2e-16 from 1 + STABILITY_TOL: its cached
-    # score is an interval, not a count, and the other split's exact 0 does
-    # not settle it, so that split is audited
+    # point with an audited factor 2e-16 from 1 + STABILITY_TOL, well inside
+    # any bound on reordered sums (8n ulps); the cached columns are the
+    # audit's bit for bit, so that split's count is exact and no split is
+    # audited
     v = np.array([0.0, 1.0, 2.5, 10.0, 11.0, 17.450000006275, 30.0, 31.5])
     o = DistanceOracle.from_points(np.column_stack([v, np.zeros(8)]))
     z = linkage(o, "average")
     order, children, start, size = _leaf_slices(z)
     split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
     vi = audit(o, _slices_clustering(order, start, size, split)).vi
-    assert np.min(np.abs(vi / (1.0 + STABILITY_TOL) - 1.0)) <= o._sums_slack()
-    audits = _counting(monkeypatch, baselines, "audit")
+    assert np.min(np.abs(vi / (1.0 + STABILITY_TOL) - 1.0)) <= 8 * 8 * 2.0**-53
+    audits = _audits(monkeypatch)
     got = greedy_prune(z, o, 3)
-    assert len(audits) == 1
+    assert audits == []
+    monkeypatch.undo()
     assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 3)
 
 
 def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatch):
-    # the line's columns are the audit's bit for bit, so eta is 0 and every
-    # cached count is exact. Point 5 sits (found by bisection) where
-    # splitting node 10 leaves a point with its own average on its stable
-    # limit, then 5 ulps above it, which turns the choice to the other split
+    # the line's columns are the audit's bit for bit, so every cached count
+    # is exact. Point 5 sits (found by bisection) where splitting node 10
+    # leaves a point with its own average on its stable limit, then 5 ulps
+    # above it, which turns the choice to the other split
     picked = []
     for x5 in (17.450000006275, 17.450000006275005):
         v = np.array([0.0, 1.0, 2.5, 10.0, 11.0, x5, 30.0, 31.5])
         o = DistanceOracle.from_points(v)
-        assert o._sums_slack() == 0.0
         z = linkage(o, "average")
         order, children, start, size = _leaf_slices(z)
         split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
@@ -311,7 +318,7 @@ def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatc
         _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
         limit = stable_limit(_nearest_foreign(avg, c))
         assert np.min(np.abs(own_avg - limit) / np.spacing(limit)) <= 8
-        audits = _counting(monkeypatch, baselines, "audit")
+        audits = _audits(monkeypatch)
         got = greedy_prune(z, o, 3)
         assert audits == []
         monkeypatch.undo()
@@ -324,27 +331,29 @@ def test_prune_scores_most_splits_without_an_audit(monkeypatch):
     feats, _ = planted(200, 10, 4.0, seed=21)
     o = DistanceOracle.from_points(feats)
     z = linkage(o, "average")
-    audits = _counting(monkeypatch, baselines, "audit")
-    candidates = _counting(monkeypatch, baselines, "_score_bounds")
+    audits = _audits(monkeypatch)
+    candidates = _counting(monkeypatch, baselines, "_split_score")
     got = greedy_prune(z, o, 10)
     assert len(candidates) >= 8
-    assert len(audits) < len(candidates)
+    assert audits == []
     monkeypatch.undo()
     assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 10)
 
 
-def test_prune_audits_every_split_where_the_slack_is_unproven(monkeypatch):
-    # subnormal distances: averages lose relative precision, so no slack holds
+def test_prune_scores_subnormal_distances_without_an_audit(monkeypatch):
+    # subnormal distances: averages lose relative precision, so no bound on
+    # reordered sums holds, but the cached columns are the audit's bit for
+    # bit, so every split is still scored exactly
     rng = np.random.default_rng(23)
     pts = rng.normal(size=(16, 2))
     o = DistanceOracle.from_matrix(np.linalg.norm(pts[:, None] - pts[None], axis=2) * 1e-310)
-    assert o._sums_slack() is None
+    assert np.min(o.matrix(), where=o.matrix() > 0, initial=np.inf) < 2.0**-1022
     z = linkage(o, "average")
     for measure in ("num-unstable", "max-violation"):
-        audits = _counting(monkeypatch, baselines, "audit")
-        candidates = _counting(monkeypatch, baselines, "_score_bounds")
+        audits = _audits(monkeypatch)
+        candidates = _counting(monkeypatch, baselines, "_split_score")
         got = greedy_prune(z, o, 6, measure=measure)
-        assert len(audits) == len(candidates) > 0
+        assert audits == [] and len(candidates) > 0
         monkeypatch.undo()
         assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 6, measure=measure)
 
@@ -379,13 +388,13 @@ def test_prune_scores_each_split_from_the_audits_averages_bit_for_bit(monkeypatc
         slices = order, children, start, size = _leaf_slices(z)
         n, k = o.n, 9
         calls = []
-        real = baselines._score_bounds
+        real = baselines._split_score
 
         def capture(own_avg, nearest, *rest):
             calls.append((own_avg.copy(), nearest.copy()))
             return real(own_avg, nearest, *rest)
 
-        monkeypatch.setattr(baselines, "_score_bounds", capture)
+        monkeypatch.setattr(baselines, "_split_score", capture)
         greedy_prune(z, o, k)
         monkeypatch.undo()
         # replay the rounds: candidates in frontier order, then the split chosen
@@ -405,6 +414,8 @@ def test_prune_scores_each_split_from_the_audits_averages_bit_for_bit(monkeypatc
 
 @pytest.mark.parametrize("payload", ["euclidean", "manhattan", "chebyshev", "matrix"])
 def test_member_row_columns_are_within_the_slack_of_the_cluster_sums(payload):
+    # one kernel: a member-row column is the audit's column bit for bit, at
+    # sizes where many member rows add
     rng = np.random.default_rng(37)
     for n, d in ((2, 2), (9, 3), (60, 2), (150, 5), (700, 3)):
         x = np.exp(rng.normal(size=(n, d)) * 3.0)
@@ -412,14 +423,12 @@ def test_member_row_columns_are_within_the_slack_of_the_cluster_sums(payload):
             o = DistanceOracle.from_matrix(DistanceOracle.from_points(x).matrix())
         else:
             o = DistanceOracle.from_points(x, payload)
-        eta = o._sums_slack()
-        assert eta is not None and eta > 0
         for k in sorted({1, 2, min(n, 7)}):
             c = Clustering.from_labels(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
             sums = o.cluster_sums(c)
             for i in range(k):
                 col = o._sums_to(c.assignment == i)
-                assert np.all(np.abs(col - sums[:, i]) <= eta * sums[:, i]), (payload, n, k, i)
+                assert col.tobytes() == sums[:, i].tobytes(), (payload, n, k, i)
 
 
 def test_prune_on_the_benchmark_input_matches_the_reaudit_loop(tmp_path):

@@ -737,18 +737,49 @@ def test_bench_builds_each_dendrograms_leaf_slices_once(tmp_path, monkeypatch):
     assert cli.main(argv + ["--out", str(cached)]) == 0
     assert built == [39, 39]
 
-    # each cut and pruning rebuilding its own slices writes the same rows
-    real_cut, real_prune = baselines.cut_dendrogram, baselines.greedy_prune
+    # each cut and the pruning rebuilding their own slices write the same rows
+    real_cut, real_prune = baselines.cut_dendrogram, baselines.prune_frontiers
     monkeypatch.setattr(baselines, "cut_dendrogram", lambda z, k, slices: real_cut(z, k))
-    monkeypatch.setattr(baselines, "greedy_prune",
-                        lambda z, oracle, k, measure, slices: real_prune(z, oracle, k, measure))
+    monkeypatch.setattr(baselines, "prune_frontiers",
+                        lambda z, oracle, measure, slices: real_prune(z, oracle, measure))
     del built[:]
     fresh = tmp_path / "fresh.csv"
     assert cli.main(argv + ["--out", str(fresh)]) == 0
-    assert built == [39] * (2 + 2 * 3 * 2)         # the runners' two, then one per call
+    assert built == [39] * (2 + 3 * 2 + 1)      # the runners' two, one per cut, one pruning
     strip = lambda path: [line.split(",")[:-1] for line in path.read_text().splitlines()]
     assert strip(cached) == strip(fresh)
     assert len(strip(fresh)) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("measure", ["num-unstable", "max-violation"])
+def test_bench_prunes_once_for_every_k_in_any_order(tmp_path, monkeypatch, measure):
+    """One pruning pass serves a --k list: 10,20 and 20,10 write the rows of
+    two single-k runs, apart from wall_time_s, and the rounds are not redone."""
+    rng = np.random.default_rng(29)
+    inp = tmp_path / "p.csv"
+    _write_csv(inp, rng.normal(size=(60, 3)))
+    rows = {}
+    for ks in ("10", "20", "10,20", "20,10"):
+        out = tmp_path / f"{ks}.csv"
+        assert cli.main(["bench", "--input", str(inp), "--algo", "average-linkage-prune",
+                         "--k", ks, "--measure", measure, "--repeat", "2",
+                         "--out", str(out)]) == 0
+        body = [line.split(",")[:-1] for line in out.read_text().splitlines()[1:]]
+        rows[ks] = {int(row[1]): row for row in body}
+        assert len(body) == len(rows[ks]) == len(ks.split(","))
+    assert rows["10,20"] == rows["20,10"] == {**rows["10"], **rows["20"]}
+    splits, real_score = [], baselines._split_score
+    monkeypatch.setattr(baselines, "_split_score",
+                        lambda *args: splits.append(1) or real_score(*args))
+    assert cli.main(["bench", "--input", str(inp), "--algo", "average-linkage-prune",
+                     "--k", "20,10", "--measure", measure,
+                     "--out", str(tmp_path / "count.csv")]) == 0
+    once = len(splits)
+    del splits[:]
+    assert cli.main(["bench", "--input", str(inp), "--algo", "average-linkage-prune",
+                     "--k", "20", "--measure", measure,
+                     "--out", str(tmp_path / "count.csv")]) == 0
+    assert once == len(splits) > 0
 
 
 def test_bench_measure_max_violation_prunes_by_it(tmp_path):

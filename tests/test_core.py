@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstable import baselines
+from ipstable import baselines, core
 from ipstable.core import (
     Clustering,
     DistanceOracle,
@@ -27,6 +27,7 @@ from ipstable.separated import exact_enumerate, pipeline
 
 from conftest import (
     all_label_partitions,
+    member_row_sums,
     naive_cost,
     naive_num_unstable,
     naive_vi,
@@ -34,6 +35,7 @@ from conftest import (
     random_graph_metric,
     random_points,
     random_tree,
+    reaudit_prune,
     relabel_by_first_appearance,
 )
 
@@ -177,20 +179,29 @@ def test_from_matrix_and_from_tree_keep_the_upper_triangle():
 # --- cluster sums: one kernel, three backends --------------------------------
 
 
-def test_matrix_backend_sums_are_bit_identical_to_the_product():
+def _matrix_backed_oracles(rng, n):
+    """Every payload the matrix backend sums: points under each metric, an
+    explicit matrix and a restriction of a larger points oracle."""
+    x = random_points(rng, n + 5, 3)
+    yield from (DistanceOracle.from_points(x[:n], metric) for metric in METRICS)
+    yield DistanceOracle.from_matrix(random_graph_metric(rng, n))
+    yield DistanceOracle.from_points(x).sub_oracle(rng.permutation(n + 5)[:n])
+
+
+def test_matrix_backend_sums_are_the_member_row_loop_bit_for_bit():
     rng = np.random.default_rng(31)
     for trial in range(8):
         n = int(rng.integers(2, 40))
-        oracles = [
-            DistanceOracle.from_points(random_points(rng, n, 3)),
-            DistanceOracle.from_points(random_points(rng, n, 2), "manhattan"),
-            DistanceOracle.from_matrix(random_graph_metric(rng, n)),
-        ]
-        for o in oracles:
-            c = random_clustering(rng, n, int(rng.integers(1, n + 1)))
-            onehot = np.zeros((n, c.k))
-            onehot[np.arange(n), c.assignment] = 1.0
-            assert np.array_equal(o.cluster_sums(c), o.matrix() @ onehot)
+        for o in _matrix_backed_oracles(rng, n):
+            for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+                c = random_clustering(rng, n, k)
+                got = o.cluster_sums(c)
+                want = member_row_sums(o.matrix(), c.assignment, k)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, k)
+                # any order of n nonnegative terms is within about (n-1)u of the exact sum
+                onehot = np.zeros((n, k))
+                onehot[np.arange(n), c.assignment] = 1.0
+                np.testing.assert_allclose(got, o.matrix() @ onehot, rtol=2 * n * 2.0**-53, atol=0)
 
 
 LINE_VALUES = {
@@ -263,7 +274,6 @@ def test_tree_sub_oracles_sum_on_the_whole_tree_without_a_matrix(monkeypatch):
 
     monkeypatch.setattr(DistanceOracle, "matrix", no_matrix)
     sub = tree.to_oracle().sub_oracle(keep)
-    assert sub._sums_slack() == 0.0
     np.testing.assert_allclose(sub.cluster_sums(c), want, rtol=1e-12, atol=0)
     np.testing.assert_allclose(sub.sub_oracle(inner).cluster_sums(c_inner), want_inner,
                                rtol=1e-12, atol=0)
@@ -278,23 +288,26 @@ def test_tree_sub_oracles_sum_on_the_whole_tree_without_a_matrix(monkeypatch):
     assert np.array_equal(built.sub_oracle(keep).matrix(), full[np.ix_(keep, keep)])
 
 
-def test_sums_slack_reads_the_matrix_once_per_oracle(monkeypatch):
+def test_prune_builds_one_matrix_per_oracle_and_needs_no_audit(monkeypatch):
+    # plain and subnormal distances alike: every split's score is read off
+    # columns equal to the audit's, so no split is audited, and all of them
+    # come from the one matrix the oracle caches
     pts = np.random.default_rng(8).normal(size=(30, 2))
-    reads = []
-    real = DistanceOracle.matrix
-
-    def counting(self):
-        reads.append(1)
-        return real(self)
-
     dense = DistanceOracle.from_points(pts).matrix()
-    monkeypatch.setattr(DistanceOracle, "matrix", counting)
-    # subnormal distances prove no slack: None is cached too
-    for o, want in ((DistanceOracle.from_points(pts), 8 * 30 * 2.0**-53),
-                    (DistanceOracle.from_matrix(dense * 1e-310), None)):
-        reads.clear()
-        assert [o._sums_slack(), o._sums_slack(), o._sums_slack()] == [want] * 3
-        assert len(reads) == 1
+    for make, cdists in ((lambda: DistanceOracle.from_points(pts), 1),
+                         (lambda: DistanceOracle.from_matrix(dense * 1e-310), 0)):
+        z = baselines.linkage(make(), "average")
+        o = make()
+        builds, audits = [], []
+        real_cdist, real_sums = core.cdist, DistanceOracle.cluster_sums
+        monkeypatch.setattr(core, "cdist", lambda *args: builds.append(1) or real_cdist(*args))
+        monkeypatch.setattr(DistanceOracle, "cluster_sums",
+                            lambda self, c: audits.append(1) or real_sums(self, c))
+        got = baselines.greedy_prune(z, o, 8)
+        assert audits == []
+        assert len(builds) == cdists
+        monkeypatch.undo()
+        assert got.assignment.tolist() == reaudit_prune(z, o, 8)[0].tolist()
 
 
 # --- clustering invariants ---------------------------------------------------
