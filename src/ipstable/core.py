@@ -374,7 +374,9 @@ def _cluster_averages(sums, clustering):
 
 def _nearest_foreign(avg, clustering):
     """Each point's smallest average distance to a cluster not its own (inf at k = 1)."""
-    foreign = avg.copy()
+    # keep avg's memory order: the sums are a transposed k x n view, and a
+    # C-order copy would transpose them
+    foreign = avg.copy(order="K")
     foreign[np.arange(clustering.n), clustering.assignment] = np.inf
     return foreign.min(axis=1)
 

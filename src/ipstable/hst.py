@@ -5,10 +5,12 @@ A 2-HST here is a rooted tree whose edge weights are a function of depth
 at least geometrically downward. Data points map injectively to nodes. After
 normalization the points are exactly the leaves, all at one depth, which
 makes same-depth subtree distances depend only on the lca depth; that is the
-property the cluster-selection argument uses. point_distance_matrix relies
-on the same fact for any mapped points: a pair's distance is a function of
-the two depths and the lca depth, and the lca depths of all m^2 pairs come
-from one m x m comparison per depth, with no Python work per pair.
+property the cluster-selection argument uses. Tree distances between any
+mapped points rely on the same fact: a pair's distance is a function of the
+two depths and the lca depth. Hst._distance_rows forms them a block of rows
+at a time from a small-int table of each point's ancestor per depth, with
+no Python work per pair, so point_distance_matrix fills the m x m matrix
+and point_stretch reads each point's largest d_T/d without it.
 
 The tree layer is tree.root_pass, shared with WeightedTree: one depth-first
 pass gives preorder positions, depths and subtree sizes, so every subtree is
@@ -20,10 +22,11 @@ ancestor closure of the kept points in one pass in reverse preorder.
 The embedding is the seeded random hierarchical decomposition of
 Fakcharoenphol, Rao and Talwar (random center permutation, random radius
 scale beta in [1, 2), radii shrinking by powers of two), split one whole
-level at a time. Points at distance 0 must agree on every other distance,
-as in any pseudo-metric. It guarantees dominance d <= d_T structurally;
-stretch is measured, not promised, and the caller receives it as a
-certificate multiplier.
+level at a time; each point's first covering center comes from windows of
+the center order that double in width. Points at distance 0 must agree on
+every other distance, as in any pseudo-metric. It guarantees dominance
+d <= d_T structurally; stretch is measured, not promised, and the caller
+receives it as a certificate multiplier.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ import numpy as np
 from .core import Clustering, _check_k, audit, min_count, stable_limit
 from .tree import _integer_ids, root_pass
 
-# rows per float block in Hst.point_distance_matrix; bounds its float
+# rows per block of tree distances (Hst._distance_rows); bounds its
 # temporaries to ROW_CHUNK x m
 ROW_CHUNK = 64
+# columns of the center order in embed_hst's first scan window
+_FIRST_WINDOW = 32
 
 
 class Hst:
@@ -104,15 +109,18 @@ class Hst:
             c.append(c[-1] + w)
         return c
 
-    def point_distance_matrix(self):
-        """Tree distances between all mapped points, ordered like points().
+    def _distance_rows(self):
+        """Tree distances between the mapped points, ordered like points(),
+        as (lo, rows lo .. lo + ROW_CHUNK - 1) blocks.
 
         Entry (a, b) is cum[depth a] + cum[depth b] - 2 cum[depth lca(a, b)],
-        the formula of the pairwise walk in tests/conftest.py, so the matrix
-        is bit-identical to it. A pair's lca depth is the number of depths
-        >= 1 at which the two points share an ancestor: one m x m comparison
-        per depth fills a small-int matrix, and the float arithmetic runs in
-        row chunks, so the output is the only m x m float array.
+        the formula of the pairwise walk in tests/conftest.py. A pair's lca
+        depth is the number of depths >= 1 at which the two points share an
+        ancestor. anc[d - 1] holds each point's depth-d ancestor, or above a
+        shallow point i a stand-in -1 - i that matches no other point, in the
+        smallest signed dtype that holds every node id and stand-in (there
+        are at most n_nodes points), so each block's lca depths cost one
+        small-int comparison per depth.
         """
         pts = self.points()
         m = len(pts)
@@ -122,22 +130,52 @@ class Hst:
         cur = np.array([node_of[p] for p in pts], dtype=np.intp)
         point_depth = depth[cur]
         deepest = int(point_depth.max()) if m else 0
-        lca = np.zeros((m, m), dtype=np.min_scalar_type(deepest))
-        alone = -1 - np.arange(m)     # stands in above a shallow point; matches no other
+        anc = np.empty((deepest, m), dtype=np.min_scalar_type(-self.n_nodes))
+        alone = -1 - np.arange(m)
         for d in range(deepest, 0, -1):
             here = depth[cur] == d
-            anc = np.where(here, cur, alone)
-            lca += anc[:, None] == anc[None, :]
+            anc[d - 1] = np.where(here, cur, alone)
             cur = np.where(here, parent[cur], cur)
         cum = np.asarray(self._cum())
         twice = 2.0 * cum
         cd = cum[point_depth]
-        out = np.empty((m, m))
         for lo in range(0, m, ROW_CHUNK):
-            block = out[lo : lo + ROW_CHUNK]
-            np.add(cd[lo : lo + ROW_CHUNK, None], cd, out=block)
-            block -= twice[lca[lo : lo + ROW_CHUNK]]
-        np.fill_diagonal(out, 0.0)     # a point matches itself at every depth, stand-ins too
+            hi = min(lo + ROW_CHUNK, m)
+            lca = np.zeros((hi - lo, m), dtype=np.min_scalar_type(deepest))
+            for a in anc:
+                lca += a[lo:hi, None] == a
+            block = cd[lo:hi, None] + cd
+            block -= twice[lca]
+            # a point matches itself at every depth, stand-ins too
+            block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+            yield lo, block
+
+    def point_distance_matrix(self):
+        """Tree distances between all mapped points, ordered like points(),
+        bit for bit the pairwise walk in tests/conftest.py."""
+        m = len(self.node_point)
+        out = np.empty((m, m))
+        for lo, block in self._distance_rows():
+            out[lo : lo + len(block)] = block
+        return out
+
+    def point_stretch(self, base):
+        """Each mapped point's largest stretch d_T / d, ordered like points().
+
+        base is the original distance matrix over points(). A point's pair
+        with itself counts as 1, and a pair at distance 0 other than that,
+        0/0 included, as inf. The tree distances are read a block of rows at
+        a time against base's matching rows, so no m x m float array is
+        formed.
+        """
+        out = np.empty(len(base))
+        for lo, block in self._distance_rows():
+            hi = lo + len(block)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                block /= base[lo:hi]
+            block[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+            block[np.isnan(block)] = np.inf
+            out[lo:hi] = block.max(axis=1)
         return out
 
     def is_normalized(self):
@@ -234,12 +272,16 @@ def embed_hst(oracle, seed):
     Classic hierarchical decomposition: a random permutation fixes center
     priority, a random beta in [1, 2) scales radii that halve per level; a
     cluster's points go to the first center within the radius. Each level
-    splits every open cluster at once: one gather gives each point's first
-    covering center, and the children come out in (parent id, center
-    priority) order. Clusters that reach a single point become leaves. Points
-    at distance 0 are twins, and a cluster of twins (zero diameter) splits
-    into singleton leaves one level down. Twins that differ in another
-    distance could never be split, so they are an error. Same seed, same tree.
+    splits every open cluster at once. Each point's first covering center
+    comes from a scan of the center order in column windows that double in
+    width from _FIRST_WINDOW: a point leaves the scan at its first window
+    with a center in range, and every point covers itself, so each finds
+    one by the window that holds its own column. The children come out in
+    (parent id, center priority) order. Clusters that reach a single point
+    become leaves. Points at distance 0 are twins, and a cluster of twins
+    (zero diameter) splits into singleton leaves one level down. Twins that
+    differ in another distance could never be split, so they are an error.
+    Same seed, same tree.
     Every tree distance is below 2**(i_top + 2), with 2**i_top the top level
     weight; a diameter that puts that bound past the float range is an error.
     """
@@ -275,9 +317,17 @@ def embed_hst(oracle, seed):
         depth += 1
         level -= 1
         radius = beta * 2.0 ** (level - 1)
-        # first center (in permutation order) within radius; every point
-        # covers itself, so argmax always finds a True
-        first = np.argmax(m[np.ix_(pts, order)] <= radius, axis=1)
+        # first center (in permutation order) within radius, by doubling windows
+        first = np.empty(len(pts), dtype=np.intp)
+        scan = np.arange(len(pts))
+        lo, width = 0, _FIRST_WINDOW
+        while len(scan):
+            cover = m[np.ix_(pts[scan], order[lo : lo + width])] <= radius
+            at = np.argmax(cover, axis=1)
+            hit = cover[np.arange(len(scan)), at]
+            first[scan[hit]] = lo + at[hit]
+            scan = scan[~hit]
+            lo, width = lo + width, 2 * width
         # a cluster of twins alone splits by point id, any other by first center
         head = np.r_[True, node[1:] != node[:-1]]
         starts = np.flatnonzero(head)
@@ -332,7 +382,9 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     Drops exactly min_count(epsilon, n) points with the largest realized
     stretch (ties broken by point id). The returned stretch s certifies the
     result: the audited max violation against the original metric is at most
-    stable_limit(s). Raises if exclusion leaves fewer than k points.
+    stable_limit(s). Raises if exclusion leaves fewer than k points. Both
+    stretches are Hst.point_stretch over the oracle's matrix and the
+    retained points' matrix, so no tree-distance or ratio matrix is formed.
     """
     if not 0.0 <= epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in [0, 1/3)")
@@ -343,8 +395,9 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     excluded = []
     drop = min_count(epsilon, n)
     if drop:
-        per_point = _stretch_ratios(hst.point_distance_matrix(), oracle.matrix()).max(axis=1)
-        excluded = sorted(sorted(range(n), key=lambda i: (-per_point[i], i))[:drop])
+        per_point = hst.point_stretch(oracle.matrix())
+        # stretch descending, then point id
+        excluded = np.sort(np.lexsort((np.arange(n), -per_point))[:drop]).tolist()
     retained = sorted(set(range(n)) - set(excluded))
     if len(retained) < k:
         raise ValueError("exclusion left fewer than k points")
@@ -353,19 +406,9 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     clustering = hst_k_clustering(sub, k)
 
     kept = oracle.sub_oracle(retained)
-    t_final = sub.point_distance_matrix()
-    stretch = float(_stretch_ratios(t_final, kept.matrix()).max())
+    stretch = float(sub.point_stretch(kept.matrix()).max())
     report = audit(kept, clustering)
     if not report.max_violation <= stable_limit(stretch):
         raise RuntimeError("stretch certificate violated; embedding is broken")
-    return EmbedClusterResult(clustering, retained, list(excluded), stretch, report)
+    return EmbedClusterResult(clustering, retained, excluded, stretch, report)
 
-
-def _stretch_ratios(tree_d, base_d):
-    """Pairwise d_T/d with the diagonal at 1; 0-distance pairs become inf."""
-    n = len(base_d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = tree_d / base_d
-    r[np.arange(n), np.arange(n)] = 1.0
-    r[np.isnan(r)] = np.inf  # off-diagonal 0/0: duplicates at tree distance 0 cannot happen
-    return r

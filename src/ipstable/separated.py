@@ -347,38 +347,43 @@ def _cross_edges(m, label):
 def _mst_edges(m):
     """Minimum spanning tree of symmetric m under the strict edge order (d, lo, hi).
 
-    Prim's algorithm from point 0, one numpy step per added point: best[r]
-    is the lightest known edge from remaining point rem[r] into the tree,
-    via[r] its tree end. Ties in d go to the smaller (lo, hi) pair, which for
-    one remaining point is the smaller tree end, so the tree is the unique
-    one of that order. Returns the n-1 edges as (lo, hi, d) arrays, sorted.
+    Prim's algorithm from point 0, one numpy step per added point over
+    full-length arrays: best[p] is the lightest known edge from point p into
+    the tree and via[p] its tree end. A point joining the tree leaves
+    `outside` and holds best inf, so it is never picked or updated again,
+    and its row is read as a view of m. Ties in d go to the smaller (lo, hi) pair,
+    which for one remaining point is the smaller tree end, so the tree is
+    the unique one of that order. Returns the n-1 edges as (lo, hi, d)
+    arrays, sorted.
     """
     n = len(m)
-    rem = np.arange(1, n)
-    best = m[0, 1:].copy()
-    via = np.zeros(n - 1, dtype=np.int64)
+    best = m[0].copy()
+    best[0] = np.inf
+    via = np.zeros(n, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
     lo = np.empty(n - 1, dtype=np.int64)
     hi = np.empty(n - 1, dtype=np.int64)
     d = np.empty(n - 1)
-    for r in range(n - 2, -1, -1):          # r: last slot still remaining
-        h = int(np.argmin(best[:r + 1]))
-        ties = np.flatnonzero(best[:r + 1] == best[h])
+    for r in range(n - 1):
+        h = int(np.argmin(best))
+        ties = np.flatnonzero(best == best[h])
         if len(ties) > 1:
-            ends = via[ties], rem[ties]
+            ends = via[ties], ties
             h = int(ties[np.lexsort((np.maximum(*ends), np.minimum(*ends)))[0]])
-        v, u = int(rem[h]), int(via[h])
-        lo[r], hi[r], d[r] = min(u, v), max(u, v), best[h]
-        # the last remaining point takes the added point's slot
-        rem[h], best[h], via[h] = rem[r], best[r], via[r]
-        pts, b, w = rem[:r], best[:r], via[:r]
-        c = m[v, pts]
-        closer = c < b
-        tie = c == b
+        u = int(via[h])
+        lo[r], hi[r], d[r] = min(u, h), max(u, h), best[h]
+        outside[h] = False
+        best[h] = np.inf
+        c = m[h]
+        closer = c < best
+        tie = c == best
         if tie.any():
             # for one remaining point p, (min, max) of an edge (u, p) orders by u
-            closer |= tie & (v < w)
-        np.copyto(b, c, where=closer)
-        np.copyto(w, v, where=closer)
+            closer |= tie & (h < via)
+        closer &= outside
+        np.copyto(best, c, where=closer)
+        np.copyto(via, h, where=closer)
     order = np.lexsort((hi, lo, d))
     return lo[order], hi[order], d[order]
 

@@ -6,12 +6,13 @@ kernel is checked against a reimplementation rather than against itself.
 bfs_dists_from, bfs_solve_tree2, node_dist, naive_point_distance_matrix,
 walk_hst_k_clustering, frontier_embed_hst, two_pass_normalize_leaves,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
-max_pick_cut, reaudit_prune, per_row_dp_table, member_row_sums and
-relabel_by_first_appearance are the breadth-first walks, plain per-call walks,
-per-point ancestor walks, per-node frontier loops, two-pass splices, per-edge
-scans, per-row fills, member-row loops and per-point loops the tree, HST,
-linkage, dendrogram, DP, cluster-sums and relabeling code replaced; the faster
-paths must reproduce them exactly.
+max_pick_cut, reaudit_prune, per_row_dp_table, member_row_sums,
+stretch_ratios and relabel_by_first_appearance are the breadth-first walks,
+plain per-call walks, per-point ancestor walks, per-node frontier loops,
+two-pass splices, per-edge scans, per-row fills, member-row loops, whole
+ratio matrices and per-point loops the tree, HST, linkage, dendrogram, DP,
+cluster-sums, stretch and relabeling code replaced; the faster paths must
+reproduce them exactly.
 """
 
 import itertools
@@ -199,6 +200,21 @@ def naive_point_distance_matrix(hst):
         for j in range(i + 1, len(pts)):
             out[i, j] = out[j, i] = node_dist(hst, nodes[pts[i]], nodes[pts[j]])
     return out
+
+
+def stretch_ratios(tree_d, base_d):
+    """Pairwise d_T/d with the diagonal at 1; 0-distance pairs become inf.
+
+    The whole ratio matrix hst.cluster_via_embedding formed before
+    Hst.point_stretch read it a block of rows at a time; a row's max is
+    that point's stretch.
+    """
+    n = len(base_d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = tree_d / base_d
+    r[np.arange(n), np.arange(n)] = 1.0
+    r[np.isnan(r)] = np.inf  # off-diagonal 0/0
+    return r
 
 
 def walk_hst_k_clustering(hst, k):

@@ -24,6 +24,7 @@ from conftest import (
     random_graph_metric,
     random_hst,
     random_points,
+    stretch_ratios,
     two_pass_normalize_leaves,
     walk_hst_k_clustering,
     walk_restrict,
@@ -364,3 +365,81 @@ def test_restrict_matches_the_ancestor_walk():
         for keep in keeps:
             r = restrict(h, keep)
             assert (r.parent, r.level_weights, r.node_point) == walk_restrict(h, keep)
+
+
+def _stretch_family(rng):
+    """(hst, base matrix) pairs: raw random HSTs (point depths differ), their
+    normalized and restricted forms, and embeddings of random, tied-grid,
+    twin and multi-scale points, raw, restricted and normalized."""
+    # a deep weight below the rounding of cum puts two leaves at tree
+    # distance 0: at base distance 0 their stretch is 0/0, read as inf
+    yield Hst([-1, 0, 1, 1], [1.0, 1e-17], {2: 0, 3: 1}), np.zeros((2, 2))
+    for _ in range(30):
+        h = random_hst(rng, max_depth=int(rng.integers(1, 7)))
+        m = len(h.points())
+        base = np.triu(np.round(rng.uniform(0.0, 3.0, (m, m))), 1)  # ties and zeros
+        base += base.T
+        keep = np.flatnonzero(rng.random(m) < 0.6)
+        yield h, base
+        yield normalize_leaves(h), base
+        if len(keep):
+            yield restrict(h, keep), base[np.ix_(keep, keep)]
+    grid = np.round(random_points(rng, 150, 2))
+    clouds = [random_points(rng, 150, 3), grid, grid[rng.integers(0, 50, size=120)],
+              np.concatenate([random_points(rng, 30, 2, 10.0 ** e) for e in range(-4, 5, 2)])]
+    for seed, x in enumerate(clouds):
+        o = DistanceOracle.from_points(x)
+        h = embed_hst(o, seed)
+        keep = np.flatnonzero(rng.random(o.n) < 0.8)
+        yield h, o.matrix()
+        yield normalize_leaves(restrict(h, keep)), o.matrix()[np.ix_(keep, keep)]
+
+
+def test_point_stretch_is_bitwise_the_ratio_matrix_max():
+    for case, (h, base) in enumerate(_stretch_family(np.random.default_rng(79))):
+        want = stretch_ratios(naive_point_distance_matrix(h), base).max(axis=1)
+        assert np.array_equal(h.point_stretch(base), want), case
+
+
+def test_exclusion_ranks_by_stretch_then_point_id():
+    rng = np.random.default_rng(83)
+    tied_at_inf = 0
+    for trial in range(16):
+        n = int(rng.integers(12, 60))
+        x = np.round(random_points(rng, n, 2, scale=2.0))     # tied distances and twins
+        o = DistanceOracle.from_points(x)
+        res = cluster_via_embedding(o, 2, epsilon=0.3, seed=trial)
+        per_point = stretch_ratios(naive_point_distance_matrix(embed_hst(o, trial)),
+                                   o.matrix()).max(axis=1)
+        drop = math.ceil(0.3 * n)
+        assert res.excluded == sorted(sorted(range(n), key=lambda i: (-per_point[i], i))[:drop])
+        tied_at_inf += np.count_nonzero(per_point == np.inf) > drop
+        kept = res.retained
+        sub = normalize_leaves(restrict(embed_hst(o, trial), kept))
+        assert res.stretch == stretch_ratios(naive_point_distance_matrix(sub),
+                                             o.matrix()[np.ix_(kept, kept)]).max()
+    assert tied_at_inf    # the id order broke a tie among infinite stretches
+
+
+def test_tree_distances_with_node_ids_past_int16():
+    # 65,536 nodes: the root's children 1..65534, and node 65535 below node
+    # 65534. In int16, node 65535 would read -1, the stand-in above the
+    # depth-1 point 0, and give points 0 and 1 a common depth-2 ancestor
+    parent = [-1] + [0] * 65534 + [65534]
+    h = Hst(parent, [4.0, 2.0], {1: 0, 65535: 1, 40000: 2, 65534: 3})
+    base = np.ones((4, 4)) - np.eye(4)
+    assert np.array_equal(h.point_distance_matrix(), naive_point_distance_matrix(h))
+    assert np.array_equal(h.point_stretch(base),
+                          stretch_ratios(naive_point_distance_matrix(h), base).max(axis=1))
+
+
+def test_embed_scan_past_the_last_window_matches_the_frontier_loop():
+    # 260 points on 200 integer sites: below radius 1 a point covers only
+    # itself and its twins, so points late in the center order scan windows
+    # of 32, 64 and 128 columns and then one that runs past the last center
+    x = np.arange(200.0)[np.random.default_rng(89).integers(0, 200, size=260)]
+    o = DistanceOracle.from_points(x)
+    for seed in range(3):
+        h, ref = embed_hst(o, seed), frontier_embed_hst(o, seed)
+        assert (h.parent, h.level_weights, h.node_point) == (ref.parent, ref.level_weights,
+                                                            ref.node_point), seed
