@@ -29,10 +29,18 @@ def lloyd(features, center_coords):
     points whose cluster keeps at least 2 members); repairs can bump the
     objective, so inertia_history is only guaranteed nonincreasing while
     n_repairs stays 0.
+
+    A center is its cluster's mean, `x[assign == j].mean(axis=0)` bit for
+    bit. With two or more columns numpy's mean adds the rows one at a time
+    in id order, and so does one weighted `np.bincount` per column, which
+    gives every center at once. A single column numpy sums pairwise, so
+    that case sums each cluster's rows with `np.add.reduce`, as mean does.
     """
     x = np.asarray(features, dtype=float)
     centers = np.asarray(center_coords, dtype=float).copy()
     k = len(centers)
+    # per-column copies for the bincount centers; None for one column
+    cols = np.ascontiguousarray(x.T) if x.shape[1] >= 2 else None
     assign = None
     inertias = []
     n_repairs = 0
@@ -55,11 +63,15 @@ def lloyd(features, center_coords):
         if assign is not None and (new_assign == assign).all():
             break
         assign = new_assign
-        # each cluster's rows in id order, as x[assign == j] gives them
-        xs = x[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(sizes)
-        for j in range(k):
-            centers[j] = xs[ends[j] - sizes[j] : ends[j]].mean(axis=0)
+        if cols is None:
+            # each cluster's rows in id order, as x[assign == j] gives them
+            xs = x[np.argsort(assign, kind="stable")]
+            ends = np.cumsum(sizes)
+            for j in range(k):
+                centers[j] = np.add.reduce(xs[ends[j] - sizes[j] : ends[j]], axis=0) / sizes[j]
+        else:
+            for c, col in enumerate(cols):
+                centers[:, c] = np.bincount(assign, weights=col, minlength=k) / sizes
     return assign, centers, inertias, n_repairs
 
 

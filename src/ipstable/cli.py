@@ -7,7 +7,7 @@ solver whose output keeps some unstable points; its report carries the
 certificate it can actually promise. 1 is an error (bad input, infeasible
 instance, violated precondition).
 
-File formats, all plain text:
+File formats, all plain UTF-8 text (a leading byte-order mark is ignored):
   points CSV      one row per point, numeric columns, optional header row
   matrix CSV      n rows by n columns, symmetric, zero diagonal; the upper
                   triangle is used
@@ -70,40 +70,59 @@ class CliError(Exception):
 
 
 def _records(path):
-    """(line number, fields) for each nonblank line of an input file.
+    """[(line number, fields)] for each nonblank line of an input file.
 
-    Fields split on commas when the line has one, else on blanks. This is
-    the only place an input file is opened; an unreadable one is a CliError.
+    Fields split on commas when the line has one, else on blanks. A leading
+    UTF-8 byte-order mark is dropped. This is the only place an input file
+    is opened; an unreadable one is a CliError.
     """
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    yield lineno, ([t.strip() for t in line.split(",")] if "," in line
-                                   else line.split())
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(str(exc))
+    # text mode reads every line end as "\n", as iterating the file would
+    lines = enumerate(map(str.strip, text.split("\n")), start=1)
+    return [(lineno, [t.strip() for t in line.split(",")] if "," in line else line.split())
+            for lineno, line in lines if line]
+
+
+def _convert(path, records, convert, message):
+    """convert(records), converting a whole file at once.
+
+    When that raises ValueError, the first record it rejects on its own is
+    a CliError naming the line and the message.
+    """
+    try:
+        return convert(records)
+    except ValueError:
+        for lineno, fields in records:
+            try:
+                convert([(lineno, fields)])
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: {message}") from None
+        raise
+
+
+def _floats(records):
+    return list(map(float, [t for _, fields in records for t in fields]))
 
 
 def _load_rows(path):
     """Numeric rows from a CSV-ish file; a single leading header row is ok."""
-    rows = []
-    saw_header = False
-    for lineno, fields in _records(path):
-        try:
-            rows.append([float(t) for t in fields])
-        except ValueError:
-            if rows or saw_header:
-                raise CliError(f"{path}:{lineno}: non-numeric row")
-            saw_header = True
-    if not rows:
+    records = _records(path)
+    try:
+        _floats(records[:1])
+    except ValueError:
+        records = records[1:]
+    values = _convert(path, records, _floats, "non-numeric row")
+    if not records:
         raise CliError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise CliError(f"{path}: row {i + 1} has {len(r)} columns, expected {width}")
-    return np.asarray(rows, dtype=float)
+    width = len(records[0][1])
+    for i, (_, fields) in enumerate(records):
+        if len(fields) != width:
+            raise CliError(f"{path}: row {i + 1} has {len(fields)} columns, expected {width}")
+    return np.array(values, dtype=float).reshape(len(records), width)
 
 
 def load_points(path, standardize=False):
@@ -123,28 +142,24 @@ def load_matrix(path):
     return m
 
 
+def _edges(records):
+    return [(int(u), int(v), float(w)) for _, (u, v, w) in records]
+
+
 def load_tree(path):
-    edges = []
-    for lineno, fields in _records(path):
-        try:
-            u, v, w = fields
-            edges.append((int(u), int(v), float(w)))
-        except ValueError:
-            raise CliError(f"{path}:{lineno}: expected 'u v weight'")
+    edges = _convert(path, _records(path), _edges, "expected 'u v weight'")
     max_id = max((max(u, v) for u, v, _ in edges), default=-1)
     if max_id < 0:
         raise CliError(f"{path}: no edges")
     return WeightedTree(max_id + 1, edges)
 
 
+def _labels(records):
+    return [int(label) for _, (label,) in records]
+
+
 def load_assignment(path):
-    labels = []
-    for lineno, fields in _records(path):
-        try:
-            (label,) = fields
-            labels.append(int(label))
-        except ValueError:
-            raise CliError(f"{path}:{lineno}: expected one integer per line")
+    labels = _convert(path, _records(path), _labels, "expected one integer per line")
     if not labels:
         raise CliError(f"{path}: empty assignment")
     return np.asarray(labels, dtype=int)
@@ -273,7 +288,7 @@ def _write_report(path, payload, fmt):
 
 
 def _write_assignment(path, labels):
-    _write_text(path, "".join(f"{int(l)}\n" for l in labels))
+    _write_text(path, "".join(f"{l}\n" for l in np.asarray(labels, dtype=int).tolist()))
 
 
 def _write_points_csv(path, rows):

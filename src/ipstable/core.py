@@ -332,12 +332,6 @@ class Clustering:
     def sizes(self):
         return np.bincount(self.assignment, minlength=self.k)
 
-    def members(self, i):
-        return np.flatnonzero(self.assignment == i)
-
-    def clusters(self):
-        return [self.members(i) for i in range(self.k)]
-
 
 @dataclass
 class StabilityReport:

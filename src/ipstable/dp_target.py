@@ -16,7 +16,9 @@ over nested point sets on a line), so for fixed (boundary position m, right
 size j) the feasible s form an interval [s_lo[m, j], s_hi[m, j]]. The
 thresholds are found once by binary search over the model's array sums,
 running float sums of a point's distances, nearest first, which are 0 across
-ties and close to the exact sums on any scale (n - 1 rows of numpy work).
+ties and close to the exact sums on any scale. They are formed ROW_BLOCK
+points at a time (a few numpy calls per block), and each boundary then
+takes one pair of binary searches over its two points' rows.
 They are kept with the table as two n x n small-int arrays; `reconstruct`
 reads the boundaries it walks from them, so it accepts exactly the
 boundaries the fill did.
@@ -63,9 +65,10 @@ from .line1d import LineInstance
 # values every reachable cell is finite
 MAX_TABLE_CELLS = 2.5e8
 
-# boundary rows per sparse-table block in the layer fill; bounds the block's
-# levels x ROW_BLOCK x width float64 scratch, where the width follows the
-# rows' bands and is at most n (at most about 5 MB at n = 1000)
+# boundary rows per block, in the thresholds and in the layer fill; bounds
+# the thresholds' few (ROW_BLOCK + 1) x n float64 rows and the fill's
+# levels x ROW_BLOCK x width scratch, where the width follows the rows'
+# bands and is at most n (at most about 5 MB at n = 1000)
 ROW_BLOCK = 64
 
 
@@ -112,25 +115,22 @@ def _feasibility_thresholds(line):
     s_lo = np.full((n, n), n + 1, dtype=np.int16)
     s_hi = np.zeros((n, n), dtype=np.int16)
     counts = np.arange(1, n, dtype=float)
-
-    def averages(a):
-        """Average distances from point a to its c nearest neighbors on the
-        left and on the right, c = 0, 1, ...; the empty average is 0."""
-        left = line.dists_left(a, a)
-        left[1:] /= counts[:a]
-        right = line.dists_right(a, n - 1 - a)
-        right[1:] /= counts[: n - 1 - a]
-        return left, right
-
     # point m - 1 ends the left cluster and point m starts the right one; each
     # point's averages serve as own-cluster ones at one boundary and as
-    # other-cluster ones at the next
-    left_b, right_b = averages(0)
-    for m in range(1, n):
-        left_a, right_a = left_b, right_b
-        left_b, right_b = averages(m)
-        s_hi[m, 1 : n - m + 1] = np.searchsorted(left_a, stable_limit(right_a[1:]), side="right")
-        s_lo[m, 1 : n - m + 1] = np.searchsorted(stable_limit(left_b[1:]), right_b, side="left") + 1
+    # other-cluster ones at the next. A block of boundaries m0..m1-1 reads
+    # points m0-1..m1-1: their average distances to their c nearest
+    # neighbors on the left and on the right, c = 0, 1, ..., the empty
+    # average 0, in one row each
+    for m0 in range(1, n, ROW_BLOCK):
+        m1 = min(m0 + ROW_BLOCK, n)
+        left, right = line.dist_rows(m0 - 1, m1)
+        left[:, 1:] /= counts[: m1 - 1]
+        right[:, 1:] /= counts[: n - m0]
+        left_lim, right_lim = stable_limit(left), stable_limit(right)
+        for r, m in enumerate(range(m0, m1)):
+            jmax = n - m
+            s_hi[m, 1 : jmax + 1] = left[r, :m].searchsorted(right_lim[r, 1 : jmax + 1], "right")
+            s_lo[m, 1 : jmax + 1] = left_lim[r + 1, 1 : m + 1].searchsorted(right[r + 1, :jmax]) + 1
     return s_lo, s_hi
 
 

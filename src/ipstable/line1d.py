@@ -13,7 +13,8 @@ integers over a common power of two, with their exact prefix sums, and
 defines once the distance sum from a sorted point to the c points next to it
 on either side. A separator move then only changes the bounds; the sweep
 reads its sums off the prefix sums, exactly and on any scale. The DP reads
-all the sums from one point at once, as running float sums of its distances.
+all the sums from a block of points at once, one row of running float sums
+of its distances per point.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Clustering, _check_k, _check_range, stable_limit
 
@@ -75,11 +77,12 @@ class LineInstance:
     # points left of it is then c * ints[a] - (sums[a] - sums[a - c]), over
     # scale, and its mirror on the right: exact, so 0 across tied values and
     # never negative, whatever the spread and the offset. The scalar forms
-    # round it once and serve the sweep. The array forms serve the DP
-    # thresholds at numpy speed: running sums of the distances, nearest
-    # first. Each distance is a correctly rounded nonnegative difference, so
-    # a sum is exactly 0 across ties, never negative, exact for c <= 1 and
-    # within c ulps (relative) of the exact sum, whatever the offset.
+    # round it once and serve the sweep. The array form serves the DP
+    # thresholds at numpy speed, a block of points at a time: running sums
+    # of the distances, nearest first. Each distance is a correctly rounded
+    # nonnegative difference, so a sum is exactly 0 across ties, never
+    # negative, exact for c <= 1 and within c ulps (relative) of the exact
+    # sum, whatever the offset.
 
     @cached_property
     def _exact(self):
@@ -105,19 +108,33 @@ class LineInstance:
         d = (sums[a + c + 1] - sums[a + 1]) - c * ints[a]
         return d * inv if inv else d / scale
 
-    def dists_left(self, a, c):
-        """dist_left(a, 0), ..., dist_left(a, c) as running float sums."""
-        v = self.values
-        out = np.zeros(c + 1)
-        np.cumsum(v[a] - v[a - c : a][::-1], out=out[1:])
-        return out
+    @cached_property
+    def _windows(self):
+        # row r of each: the n values from sorted position r on, of the
+        # values descending (left) or ascending (right), padded past the end
+        # with the last value, so a padded distance is at most the spread
+        n = self.n
+        return tuple(sliding_window_view(np.concatenate((v, np.full(n - 1, v[-1]))), n)
+                     for v in (self.values[::-1], self.values))
 
-    def dists_right(self, a, c):
-        """dist_right(a, 0), ..., dist_right(a, c) as running float sums."""
-        v = self.values
-        out = np.zeros(c + 1)
-        np.cumsum(v[a + 1 : a + c + 1] - v[a], out=out[1:])
-        return out
+    def dist_rows(self, lo, hi):
+        """Running float sums of the distances from sorted points lo..hi-1.
+
+        Returns (left, right), arrays of hi - lo rows: left[r, c] is the
+        sum of the distances from point a = lo + r to the c points just left
+        of it, nearest first, for c = 0..a, and right[r, c] the same to the
+        right, for c = 0..n-1-a. left has hi columns and right n - lo, as
+        many as the block's last and first point need; the entries past a
+        row's own count are finite and meaningless.
+        """
+        n = self.n
+        v = self.values[lo:hi, None]
+        win_left, win_right = self._windows
+        left = np.zeros((hi - lo, hi))
+        right = np.zeros((hi - lo, n - lo))
+        np.cumsum(v - win_left[n - hi : n - lo][::-1, 1:hi], axis=1, out=left[:, 1:])
+        np.cumsum(win_right[lo:hi, 1 : n - lo] - v, axis=1, out=right[:, 1:])
+        return left, right
 
     def last_point_stable(self, b, left, right):
         """Is the last of the `left` points before sorted position b stable

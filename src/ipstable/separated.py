@@ -107,12 +107,12 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma):
 class SuperclusterPartition:
     """Outcome of a guarded linkage phase over n points.
 
-    label[x] is point x's supercluster, 0..ell-1 in root order; clusters
-    (sorted id lists in label order), representatives (the smallest id per
-    cluster) and n follow from it. merge_log records (distance, endpoint_a,
-    endpoint_b, criterion) per executed merge, where criterion is 1 (size),
-    2 (cross spread), or 3 (long own edge); the plain size-guarded variant
-    only ever logs criterion 1. uniformity is the largest cross spread over
+    label[x] is point x's supercluster, 0..ell-1 in root order;
+    representatives (the smallest id per cluster) and n follow from it.
+    merge_log records (distance, endpoint_a, endpoint_b, criterion) per
+    executed merge, where criterion is 1 (size), 2 (cross spread), or 3
+    (long own edge); the plain size-guarded variant only ever logs
+    criterion 1. uniformity is the largest cross spread over
     supercluster pairs, max cross distance over min cross distance (inf
     when the min is 0 and the max is not, 1.0 with fewer than two
     superclusters). The conditioned linkage sets it from the extremes it
@@ -131,10 +131,6 @@ class SuperclusterPartition:
     @property
     def n(self):
         return len(self.label)
-
-    @property
-    def clusters(self):
-        return [np.flatnonzero(self.label == i).tolist() for i in range(self.ell)]
 
     @property
     def representatives(self):

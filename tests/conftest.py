@@ -7,12 +7,12 @@ bfs_dists_from, bfs_solve_tree2, node_dist, naive_point_distance_matrix,
 walk_hst_k_clustering, frontier_embed_hst, two_pass_normalize_leaves,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
 max_pick_cut, reaudit_prune, per_row_dp_table, member_row_sums,
-stretch_ratios and relabel_by_first_appearance are the breadth-first walks,
-plain per-call walks, per-point ancestor walks, per-node frontier loops,
-two-pass splices, per-edge scans, per-row fills, member-row loops, whole
-ratio matrices and per-point loops the tree, HST, linkage, dendrogram, DP,
-cluster-sums, stretch and relabeling code replaced; the faster paths must
-reproduce them exactly.
+per_cluster_lloyd, stretch_ratios and relabel_by_first_appearance are the
+breadth-first walks, plain per-call walks, per-point ancestor walks,
+per-node frontier loops, two-pass splices, per-edge scans, per-row fills,
+member-row loops, per-cluster means, whole ratio matrices and per-point
+loops the tree, HST, linkage, dendrogram, DP, cluster-sums, Lloyd, stretch
+and relabeling code replaced; the faster paths must reproduce them exactly.
 """
 
 import itertools
@@ -22,7 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from ipstable.baselines import LLOYD_MAX_ITERS
 from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit, min_count
 from ipstable.hst import Hst
 from ipstable.line1d import LineInstance
@@ -405,7 +407,7 @@ def whole_min_size(alpha, n):
 
 def sizes_ok(partition):
     """Every supercluster of a linkage partition reached alpha * n points (a lone one counts)."""
-    sizes = [len(c) for c in partition.clusters]
+    sizes = [len(c) for c in clusters(partition.label)]
     return len(sizes) == 1 or min(sizes) >= min_count(partition.alpha, sum(sizes))
 
 
@@ -563,6 +565,41 @@ def reaudit_prune(z, oracle, k, measure="num-unstable"):
             raise RuntimeError("no splittable frontier node before reaching k")
         frontier = best[2]
     return _frontier_labels(z, frontier)
+
+
+def per_cluster_lloyd(features, center_coords):
+    """`baselines.lloyd` with each center updated as its cluster's own
+    `x[assign == j].mean(axis=0)`, one cluster at a time, and each empty
+    cluster repaired in turn."""
+    x = np.asarray(features, dtype=float)
+    centers = np.asarray(center_coords, dtype=float).copy()
+    k = len(centers)
+    assign = None
+    inertias = []
+    n_repairs = 0
+    for _ in range(LLOYD_MAX_ITERS):
+        d2 = cdist(x, centers, metric="sqeuclidean")
+        new_assign = d2.argmin(axis=1)
+        inertias.append(float(d2[np.arange(len(x)), new_assign].sum()))
+        for j in range(k):
+            if not (new_assign == j).any():
+                sizes = np.bincount(new_assign, minlength=k)
+                movable = sizes[new_assign] >= 2
+                i = int(np.where(movable, d2[:, j], -np.inf).argmax())
+                new_assign[i] = j
+                n_repairs += 1
+        if assign is not None and (new_assign == assign).all():
+            break
+        assign = new_assign
+        for j in range(k):
+            centers[j] = x[assign == j].mean(axis=0)
+    return assign, centers, inertias, n_repairs
+
+
+def clusters(labels):
+    """Each cluster's sorted point ids, as a list, for labels 0..max."""
+    labels = np.asarray(labels)
+    return [np.flatnonzero(labels == i).tolist() for i in range(int(labels.max()) + 1)]
 
 
 def member_row_sums(matrix, labels, k):

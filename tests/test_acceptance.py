@@ -31,6 +31,7 @@ from ipstable.tree import solve_tree2
 
 from conftest import (
     all_label_partitions,
+    clusters,
     contiguous_stable_optimum,
     naive_num_unstable,
     naive_vi,
@@ -70,7 +71,7 @@ def test_criterion_02_unique_stable_2_clustering_on_0_1_7_8():
     vals = np.array([0.0, 1.0, 7.0, 8.0]).reshape(-1, 1)
     oracle = DistanceOracle.from_points(vals)
     found, maxvi = brute_force(oracle, 2)
-    got = {frozenset(int(i) for i in b) for b in found.clusters()}
+    got = {frozenset(int(i) for i in b) for b in clusters(found.assignment)}
     assert got == {frozenset({0, 1}), frozenset({2, 3})}
     assert maxvi <= 1.0 + TOL
     # independent sweep over all 7 bipartitions
@@ -232,7 +233,7 @@ def test_criterion_07_tree_solver_exact_and_confirmed_small():
                 if naive_num_unstable(m, labels) == 0:
                     stable_cuts.append(frozenset(side))
             assert stable_cuts, "no stable edge cut exists, contradicting the solver"
-            got = {frozenset(int(i) for i in b) for b in clustering.clusters()}
+            got = {frozenset(int(i) for i in b) for b in clusters(clustering.assignment)}
             assert any(side in got or (frozenset(range(n)) - side) in got
                        for side in stable_cuts)
             exhaustive_checked += 1
@@ -327,7 +328,7 @@ def test_criterion_10_separated_recovery_and_inequality_suites():
         o, t = _planted_oracle(seed)
         assert check_alpha_gamma(o, t, 0.25, gamma)
         m = o.matrix()
-        members = [np.asarray(b) for b in t.clusters()]
+        members = [np.asarray(b) for b in clusters(t.assignment)]
         for i in range(4):
             ci = members[i]
             within = m[np.ix_(ci, ci)]

@@ -28,8 +28,10 @@ from ipstable.baselines import (
 )
 
 from conftest import (
+    clusters,
     dendrogram_leaves,
     max_pick_cut,
+    per_cluster_lloyd,
     planted,
     random_points,
     reaudit_prune,
@@ -70,11 +72,44 @@ def test_kmeans_pp_determinism_and_validity():
         kmeans_pp(x, 41)
 
 
+@pytest.mark.parametrize("d", [1, 2, 6, 8])
+def test_lloyd_centers_are_the_per_cluster_means_bit_for_bit(d):
+    """bincount centers (two or more columns) and per-cluster sums (one
+    column) give the reference's assignment, centers, inertias and repairs,
+    on spread-out scales, duplicate points and repeated starting centers."""
+    rng = np.random.default_rng(d)
+    repairs = 0
+    for trial in range(12):
+        n = int(rng.integers(5, 300))
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        if trial % 3 == 0:
+            x = x[rng.integers(0, max(2, n // 6), size=n)]
+        k = int(rng.integers(2, min(n, 40) + 1))
+        # repeated starting centers leave clusters empty, so Lloyd repairs them
+        start = x[rng.choice(n, k, replace=trial % 2 == 1)]
+        got, want = lloyd(x, start), per_cluster_lloyd(x, start)
+        assert np.array_equal(got[0], want[0]), (trial, n, k)
+        assert got[1].tobytes() == want[1].tobytes(), (trial, n, k)
+        assert got[2:] == want[2:], (trial, n, k)
+        repairs += got[3]
+    assert repairs > 0
+
+
+@pytest.mark.parametrize("d", [1, 6])
+def test_kmeans_pp_equals_seeding_with_the_reference_lloyd(monkeypatch, d):
+    rng = np.random.default_rng(10 + d)
+    x = rng.normal(size=(200, d))
+    got = [kmeans_pp(x, k, seed=seed).assignment for k in (2, 10, 50) for seed in range(4)]
+    monkeypatch.setattr(baselines, "lloyd", per_cluster_lloyd)
+    want = [kmeans_pp(x, k, seed=seed).assignment for k in (2, 10, 50) for seed in range(4)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_kmeans_pp_init_override_is_lloyd_fixed_point_aware():
     # centers placed exactly on two tight blobs stay there
     x = np.vstack([np.zeros((3, 2)), np.ones((3, 2)) * 9])
     assign, _, _, _ = lloyd(x, x[[0, 3]])
-    blocks = sorted(sorted(int(i) for i in b) for b in Clustering(assign, 2).clusters())
+    blocks = sorted(sorted(int(i) for i in b) for b in clusters(assign))
     assert blocks == [[0, 1, 2], [3, 4, 5]]
 
 
@@ -92,7 +127,7 @@ def test_kcenter_survives_duplicates():
     o = DistanceOracle.from_points(np.zeros((6, 2)))
     c = kcenter_greedy(o, 3, first=0)
     assert c.k == 3
-    assert sorted(len(b) for b in c.clusters()) == [1, 1, 4]
+    assert sorted(len(b) for b in clusters(c.assignment)) == [1, 1, 4]
     with pytest.raises(ValueError):
         kcenter_greedy(o, 2, first=9)
 
@@ -132,7 +167,7 @@ def test_cut_dendrogram_equals_threshold_components():
                 if m[i, j] < cutoff - 1e-12:
                     g.add_edge(i, j)
         comps = {frozenset(comp) for comp in nx.connected_components(g)}
-        mine = {frozenset(int(i) for i in b) for b in c.clusters()}
+        mine = {frozenset(int(i) for i in b) for b in clusters(c.assignment)}
         assert mine == comps
 
 
@@ -187,7 +222,7 @@ def test_greedy_prune_matches_exhaustive_candidates():
             want = {
                 frozenset(np.flatnonzero(best[1] == ci).tolist()) for ci in range(3)
             }
-            mine = {frozenset(int(i) for i in b) for b in got.clusters()}
+            mine = {frozenset(int(i) for i in b) for b in clusters(got.assignment)}
             assert mine == want
 
 

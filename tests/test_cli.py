@@ -991,6 +991,61 @@ def test_malformed_lines_are_an_error(tmp_path, capsys, lines, metric, message):
     assert f"error: {where}" in capsys.readouterr().err
 
 
+BOM = "\ufeff"
+LOADER_CASES = {
+    # name: (loader, file text, the loaded value or the error after "{path}")
+    "header": ("points", "x,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-lines": ("points", "\n1\n\n  \n2\n3\n\n", [[1.0], [2.0], [3.0]]),
+    "crlf": ("points", "1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "comma-and-blank-rows": ("points", "1 2\n3,4\n5\t6\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    "spaces-around-commas": ("points", " 1 , 2 \n3 ,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "float-syntax": ("points", "1e3\n+2\n-0.5\n1_0\n", [[1000.0], [2.0], [-0.5], [10.0]]),
+    "bad-middle-row": ("points", "1\n2\n\nx\n4\n", ":4: non-numeric row"),
+    "bad-row-after-header": ("points", "v\n1\n2,x\n3\n", ":3: non-numeric row"),
+    "non-numeric-before-ragged": ("points", "1,2\n3\n4,y\n", ":3: non-numeric row"),
+    "ragged-row": ("points", "a,b\n1,2\n\n3,4\n5\n", ": row 3 has 1 columns, expected 2"),
+    "header-only": ("points", "a,b\n", ": no data rows"),
+    "bom-points": ("points", BOM + "1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+    "tree": ("tree", "0 1 1.5\n\n1,2,2\n", [(0, 1, 1.5), (1, 2, 2.0)]),
+    "tree-two-fields": ("tree", "0 1 1.0\n1 2\n", ":2: expected 'u v weight'"),
+    "tree-four-fields": ("tree", "0 1 1.0\n1 2 1.0 7\n", ":2: expected 'u v weight'"),
+    "tree-all-two-fields": ("tree", "0 1\n1 2\n", ":1: expected 'u v weight'"),
+    "tree-float-id": ("tree", "0 1 1.0\n1 2.0 1.0\n2 3\n", ":2: expected 'u v weight'"),
+    "bom-tree": ("tree", BOM + "0 1 1.0\n1 2 2.0\n", [(0, 1, 1.0), (1, 2, 2.0)]),
+    "labels": ("assignment", "+1\n 1 \n0\n-1\n", [1, 1, 0, -1]),
+    "label-two-fields": ("assignment", "0\n1 2\n", ":2: expected one integer per line"),
+    "label-float": ("assignment", "0\n\n1.0\n", ":3: expected one integer per line"),
+    "bom-assignment": ("assignment", BOM + "1\n0\n", [1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_loaders_read_whole_files_and_name_the_line_at_fault(tmp_path, name):
+    kind, text, want = LOADER_CASES[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    load = {"points": cli.load_points, "tree": cli.load_tree,
+            "assignment": cli.load_assignment}[kind]
+    if isinstance(want, str):
+        with pytest.raises(cli.CliError) as err:
+            load(str(path))
+        assert str(err.value) == f"{path}{want}"
+        return
+    got = load(str(path))
+    if kind == "tree":
+        assert got.edges == want and got.n == len(want) + 1
+    else:
+        assert got.tolist() == want and got.dtype == (float if kind == "points" else int)
+
+
+def test_a_byte_order_mark_keeps_the_first_row(tmp_path):
+    inp, out = tmp_path / "bom.csv", tmp_path / "labels.txt"
+    inp.write_bytes(b"\xef\xbb\xbf1\n2\n3\n10\n11\n")
+    assert cli.main(["solve", "--input", str(inp), "--algo", "solve-1d", "--k", "2",
+                     "--out", str(out)]) == 0
+    assert out.read_text() == "0\n0\n0\n1\n1\n"
+
+
 @pytest.mark.parametrize("text, labels, flags, message", [
     ("0\nx\n", [0, 1], ["audit"], "{inp}:2: non-numeric row"),
     ("value\nx\n", [0, 1], ["audit"], "{inp}:2: non-numeric row"),

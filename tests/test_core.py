@@ -27,6 +27,7 @@ from ipstable.separated import exact_enumerate, pipeline
 
 from conftest import (
     all_label_partitions,
+    clusters,
     member_row_sums,
     naive_cost,
     naive_num_unstable,
@@ -327,8 +328,7 @@ def test_from_labels_and_accessors():
     assert c.k == 2
     assert sorted(c.sizes()) == [2, 2]
     # labels are renumbered densely in order of first appearance
-    assert set(c.members(0)) == {0, 2}
-    assert [set(b) for b in c.clusters()] == [{0, 2}, {1, 3}]
+    assert [set(b) for b in clusters(c.assignment)] == [{0, 2}, {1, 3}]
 
 
 def test_from_labels_matches_the_dict_loop():
@@ -631,7 +631,7 @@ def test_brute_force_finds_unique_split():
     o = DistanceOracle.from_points(vals)
     got, vi = brute_force(o, 2)
     assert got is not None
-    assert [set(b) for b in sorted(got.clusters(), key=min)] == [{0, 1}, {2, 3}]
+    assert [set(b) for b in sorted(clusters(got.assignment), key=min)] == [{0, 1}, {2, 3}]
     assert vi <= 1.0 + STABILITY_TOL
 
 

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstable.core import DistanceOracle, audit
+from ipstable.core import STABILITY_TOL, DistanceOracle, audit
 from ipstable import dp_target
 from ipstable.dp_target import build_table, reconstruct, solve_targets
 from ipstable.hardgen import fixtures
+from ipstable.line1d import LineInstance
 
 from conftest import (
     MULTI_SCALE_FAR,
     MULTI_SCALE_POOL,
+    _per_row_thresholds,
     contiguous_stable_optimum,
     dense_table,
     line_values,
@@ -238,6 +240,33 @@ def test_layer_fill_spans_several_row_blocks(monkeypatch):
         for p in NORM_ORDERS:
             table = dense_table(build_table(vals, targets, p=p))
             assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, p)
+
+
+THRESHOLD_VALUES = {
+    "tied": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "multi-scale": lambda rng, n: _sweep_values(rng, "multi-scale", n),
+    # each value near 1e307, so n (max |x|) overflows but n (max - min) does not
+    "huge-small-spread": lambda rng, n: 1e307 + rng.permutation(n) * 1e292,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(THRESHOLD_VALUES))
+def test_thresholds_in_row_blocks_equal_the_per_row_thresholds(kind):
+    """Row blocks of ROW_BLOCK points give every boundary's thresholds bit
+    for bit, on both sides of each block edge, and leave every unused cell
+    an empty interval."""
+    rng = np.random.default_rng(sorted(THRESHOLD_VALUES).index(kind))
+    for n in (2, 3, 63, 64, 65, 133):
+        line = LineInstance.from_values(THRESHOLD_VALUES[kind](rng, n))
+        s_lo, s_hi = dp_target._feasibility_thresholds(line)
+        want_hi, want_lo = _per_row_thresholds(line.values, STABILITY_TOL)
+        for m in range(1, n):
+            assert np.array_equal(s_hi[m, 1 : n - m + 1], want_hi[m]), (n, m)
+            assert np.array_equal(s_lo[m, 1 : n - m + 1], want_lo[m]), (n, m)
+        used = np.zeros((n, n), dtype=bool)
+        for m in range(1, n):
+            used[m, 1 : n - m + 1] = True
+        assert (s_lo[~used] == n + 1).all() and (s_hi[~used] == 0).all(), n
 
 
 def test_table_keeps_only_each_rows_finite_span():

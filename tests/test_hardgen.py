@@ -14,7 +14,7 @@ from ipstable.hardgen import (
     kmeanspp_spacing_bound,
 )
 
-from conftest import claims_hold, naive_vi
+from conftest import claims_hold, clusters, naive_vi
 
 
 def _clustering(meta, k):
@@ -49,7 +49,7 @@ def test_kmeanspp_is_lloyd_fixed_point():
     # seed the centers at (v, u) of block 0 and let Lloyd iterate on the block
     sub = pts[:4]  # rows (z, z', v, u)
     assign, _, _, _ = lloyd(sub, sub[[2, 3]])
-    groups = {frozenset(int(i) for i in b) for b in Clustering(assign, 2).clusters()}
+    groups = {frozenset(int(i) for i in b) for b in clusters(assign)}
     assert groups == {frozenset({0, 1, 2}), frozenset({3})}
 
 
@@ -85,8 +85,8 @@ def test_kcenter_instance_violation_and_trap():
     assert meta["claimed_min_violation"] == pytest.approx(2.0)
     # greedy seeded at c1 reproduces exactly this 2-clustering
     greedy = kcenter_greedy(o, 2, first=meta["c1"])
-    got = {frozenset(int(i) for i in b) for b in greedy.clusters()}
-    want = {frozenset(int(i) for i in b) for b in c.clusters()}
+    got = {frozenset(int(i) for i in b) for b in clusters(greedy.assignment)}
+    want = {frozenset(int(i) for i in b) for b in clusters(c.assignment)}
     assert got == want
 
 
@@ -122,7 +122,7 @@ def test_single_linkage_cut_isolates_endpoint():
     z = sch.linkage(vals.reshape(-1, 1), method="single")
     labels = sch.fcluster(z, t=2, criterion="maxclust")
     got = {frozenset(np.flatnonzero(labels == lab).tolist()) for lab in (1, 2)}
-    want = {frozenset(int(i) for i in b) for b in _clustering(meta, 2).clusters()}
+    want = {frozenset(int(i) for i in b) for b in clusters(_clustering(meta, 2).assignment)}
     assert got == want
     assert frozenset({0}) in got
 

@@ -10,7 +10,7 @@ from ipstable.dp_target import solve_targets
 from ipstable.hardgen import fixtures
 from ipstable.line1d import LineInstance, solve_1d, sweep
 
-from conftest import line_values, naive_num_unstable, naive_vi
+from conftest import clusters, line_values, naive_num_unstable, naive_vi
 
 
 def _line_matrix(values):
@@ -20,7 +20,7 @@ def _line_matrix(values):
 
 def _clusters_as_value_sets(values, clustering):
     return sorted(
-        (sorted(values[i] for i in block) for block in clustering.clusters()),
+        (sorted(values[i] for i in block) for block in clusters(clustering.assignment)),
         key=lambda b: b[0],
     )
 
@@ -54,17 +54,22 @@ MODEL_VALUES = {
 def test_model_sums_exact_scalar_and_close_array(kind):
     """The scalar sums are the exact sums rounded once; the array sums stay
     within 1e-12 of them on every kind, multi- and extreme-scale included,
-    exactly 0 across ties and equal for one point."""
+    exactly 0 across ties and equal for one point. A block's rows are the
+    same floats whatever block they are read in."""
     rng = np.random.default_rng(sorted(MODEL_VALUES).index(kind))
     for n in (1, 2, 7, 30):
         line = LineInstance.from_values(MODEL_VALUES[kind](rng, n))
         x = [Fraction(y) for y in line.values.tolist()]
+        left, right = line.dist_rows(0, n)
+        for lo, hi in ((0, 1), (n - 1, n), (n // 3, n - n // 3)):
+            part_left, part_right = line.dist_rows(lo, hi)
+            assert np.array_equal(part_left, left[lo:hi, :hi])
+            assert np.array_equal(part_right, right[lo:hi, : n - lo])
         for a in range(n):
-            for side, c_max, dists, dist in (
-                (-1, a, line.dists_left, line.dist_left),
-                (1, n - 1 - a, line.dists_right, line.dist_right),
+            for side, c_max, arr, dist in (
+                (-1, a, left[a], line.dist_left),
+                (1, n - 1 - a, right[a], line.dist_right),
             ):
-                arr = dists(a, c_max)
                 for c in range(c_max + 1):
                     want = float(sum(abs(x[a] - x[a + side * t]) for t in range(1, c + 1)))
                     got = dist(a, c)
@@ -220,8 +225,8 @@ def test_input_order_irrelevant_to_cluster_contents():
     base = solve_1d(vals, k)
     perm = rng.permutation(30)
     shuffled = solve_1d(vals[perm], k)
-    a = sorted(sorted(float(vals[i]) for i in block) for block in base.clusters())
-    b = sorted(sorted(float(vals[perm][i]) for i in block) for block in shuffled.clusters())
+    a = sorted(sorted(float(vals[i]) for i in c) for c in clusters(base.assignment))
+    b = sorted(sorted(float(vals[perm][i]) for i in c) for c in clusters(shuffled.assignment))
     assert a == b
 
 

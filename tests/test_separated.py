@@ -19,6 +19,7 @@ from ipstable.separated import (
 )
 
 from conftest import (
+    clusters,
     full_scan_conditioned,
     full_scan_size_guard,
     naive_alpha_gamma,
@@ -111,7 +112,7 @@ def test_size_guard_reaches_alpha_sizes_and_refines_planted():
         part = linkage_size_guard(_oracle(feats), alpha=0.25)
         assert sizes_ok(part)
         # every supercluster sits inside one planted cluster
-        for block in part.clusters:
+        for block in clusters(part.label):
             assert len({labels[i] for i in block}) == 1
         assert all(crit == 1 for _, _, _, crit in part.merge_log)
         assert part.ell == 3
@@ -135,10 +136,10 @@ def _uniformity(m, clusters):
 def _assert_size_guard_matches(o, alpha, where):
     part = linkage_size_guard(o, alpha)
     m = o.matrix()
-    log, clusters, _ = full_scan_size_guard(m, alpha)
+    log, want, _ = full_scan_size_guard(m, alpha)
     assert part.merge_log == log, where
-    assert part.clusters == clusters, where
-    assert part.n == o.n and part.representatives == [min(c) for c in clusters], where
+    assert clusters(part.label) == want, where
+    assert part.n == o.n and part.representatives == [min(c) for c in want], where
     assert part.uniformity is None, where
 
 
@@ -209,10 +210,10 @@ def _assert_conditioned_matches(o, alpha, gamma, where):
     spread of the upper-triangle cross extremes bit for bit; returns the
     full scan's log."""
     part = linkage_conditioned(o, alpha, gamma)
-    log, clusters = full_scan_conditioned(o.matrix(), alpha, gamma)
+    log, want = full_scan_conditioned(o.matrix(), alpha, gamma)
     assert part.merge_log == log, where
-    assert part.clusters == clusters, where
-    assert part.uniformity == _uniformity(o.matrix(), part.clusters), where
+    assert clusters(part.label) == want, where
+    assert part.uniformity == _uniformity(o.matrix(), want), where
     return log
 
 
@@ -267,7 +268,8 @@ def test_conditioned_linkage_of_singletons_skips_the_merge_state():
                 assert np.array_equal(part.label, label), where
                 assert part.merge_log == log == [], where
                 assert part.uniformity == uniformity == 1.0, where
-                assert (part.merge_log, part.clusters) == full_scan_conditioned(m, alpha, gamma)
+                want = full_scan_conditioned(m, alpha, gamma)
+                assert (part.merge_log, clusters(part.label)) == want
 
 
 def test_conditioned_linkage_of_singletons_allocates_no_merge_state():
@@ -390,7 +392,7 @@ def _assert_replay_boundary(o, alpha, gamma, where):
     want_log, want_clusters, stop = full_scan_size_guard(m, alpha, stop=True)
     full = _assert_conditioned_matches(o, alpha, gamma, where)
     assert log == want_log == full[:len(log)], where
-    assert separated.SuperclusterPartition(label).clusters == want_clusters, where
+    assert clusters(label) == want_clusters, where
     assert d_stop == (None if stop is None else stop[0]), where
     assert all((d, i, j) >= stop for d, i, j, _ in full[len(log):]), where
     return log, stop
@@ -479,9 +481,9 @@ def test_spread_exactly_on_the_bound_does_not_merge():
     assert ((gamma * gamma + 1.0) / (gamma - 1.0) ** 2) ** 2 == 4.0
     o = _oracle([1.0, 3.0, 6.0, 8.0, 13.0])
     part = linkage_conditioned(o, alpha=0.4, gamma=gamma)
-    log, clusters = full_scan_conditioned(o.matrix(), 0.4, gamma)
+    log, want = full_scan_conditioned(o.matrix(), 0.4, gamma)
     assert part.merge_log == log
-    assert part.clusters == clusters == [[0, 1], [2, 3, 4]]
+    assert clusters(part.label) == want == [[0, 1], [2, 3, 4]]
     assert part.uniformity == 4.0
     assert [crit for _, _, _, crit in log] == [1, 1, 1]
 
@@ -506,7 +508,7 @@ def test_conditioned_linkage_recovers_planted():
         feats, labels = planted(80, 4, 4.0, seed=10 + seed)
         part = linkage_conditioned(_oracle(feats), alpha=0.2, gamma=4.0)
         assert sizes_ok(part)
-        for block in part.clusters:
+        for block in clusters(part.label):
             assert len({labels[i] for i in block}) == 1
         assert part.ell == 4
         assert all(crit in (1, 2, 3) for _, _, _, crit in part.merge_log)
@@ -564,7 +566,7 @@ def test_merge_log_replay():
         for i in merged:
             cluster_of[i] = merged
 
-    final = {frozenset(int(j) for j in c) for c in part.clusters}
+    final = {frozenset(int(j) for j in c) for c in clusters(part.label)}
     replay = {frozenset(cluster_of[i]) for i in range(n)}
     assert final == replay
 
@@ -574,7 +576,7 @@ def test_partition_to_clustering_roundtrip():
     part = linkage_size_guard(_oracle(feats), alpha=0.3)
     c = part.to_clustering()
     assert c.k == part.ell
-    for i, block in enumerate(part.clusters):
+    for i, block in enumerate(clusters(part.label)):
         assert all(c.assignment[j] == i for j in block)
 
 
@@ -584,7 +586,7 @@ def test_exact_enumerate_stable_on_planted():
     c = exact_enumerate(o, 4, alpha=0.2)
     assert naive_num_unstable(o.matrix(), c.assignment) == 0
     # it actually recovers the planted blobs here
-    for block in c.clusters():
+    for block in clusters(c.assignment):
         assert len({labels[int(i)] for i in block}) == 1
 
 

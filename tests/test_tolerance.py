@@ -35,6 +35,7 @@ from ipstable.separated import (
 from ipstable.tree import WeightedTree, solve_tree2
 
 from conftest import (
+    clusters,
     full_scan_conditioned,
     full_scan_size_guard,
     naive_alpha_gamma,
@@ -130,12 +131,12 @@ def test_separated_solvers_count_seven_of_25_at_alpha_028(alpha):
     assert _labels(pipeline(o, 3, alpha, 4.0).clustering) == truth
     # both linkages stop at the three groups, as their per-edge references do
     part = linkage_size_guard(o, alpha)
-    log, clusters, _ = full_scan_size_guard(o.matrix(), alpha)
-    assert part.merge_log == log and part.clusters == clusters
+    log, want, _ = full_scan_size_guard(o.matrix(), alpha)
+    assert part.merge_log == log and clusters(part.label) == want
     assert part.ell == 3 and sizes_ok(part)
     part = linkage_conditioned(o, alpha, 4.0)
-    log, clusters = full_scan_conditioned(o.matrix(), alpha, 4.0)
-    assert part.merge_log == log and part.clusters == clusters
+    log, want = full_scan_conditioned(o.matrix(), alpha, 4.0)
+    assert part.merge_log == log and clusters(part.label) == want
     assert part.ell == 3 and sizes_ok(part)
 
 

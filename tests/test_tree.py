@@ -25,6 +25,7 @@ from ipstable.tree import WeightedTree, rotate, solve_tree2
 from conftest import (
     bfs_dists_from,
     bfs_solve_tree2,
+    clusters,
     dfs_root_fields,
     naive_num_unstable,
     naive_vi,
@@ -184,7 +185,7 @@ def test_solver_output_is_an_edge_cut():
         n = int(rng.integers(3, 40))
         t = random_tree(rng, n)
         c = solve_tree2(t)
-        for block in c.clusters():
+        for block in clusters(c.assignment):
             block = set(int(b) for b in block)
             seen = {min(block)}
             frontier = [min(block)]
