@@ -43,6 +43,7 @@ from .separated import (
     pipeline,
 )
 from .baselines import (
+    Dendrogram,
     cut_dendrogram,
     greedy_prune,
     kcenter_greedy,
@@ -84,6 +85,7 @@ __all__ = [
     "linkage_conditioned",
     "linkage_size_guard",
     "pipeline",
+    "Dendrogram",
     "cut_dendrogram",
     "greedy_prune",
     "kcenter_greedy",

@@ -3,6 +3,11 @@
 None of these optimize for stability; they exist so the audit machinery has
 realistic clusterings to grade and so the adversarial generators have
 something to break. All are deterministic given their seed/start arguments.
+
+`linkage` returns a `Dendrogram`, which lays out every node's points as one
+slice of its leaf order once; `cut_dendrogram`, `prune_frontiers` and
+`greedy_prune` read those slices, so any number of cuts and prunings of
+one tree share them.
 """
 
 from __future__ import annotations
@@ -129,70 +134,68 @@ def kcenter_greedy(oracle, k, first):
     return Clustering(assign, k)
 
 
-def linkage(oracle, variant="single"):
-    """scipy's linkage matrix Z for single, average, or complete linkage.
+LINKAGES = ("single", "average", "complete")     # the variants `linkage` builds
 
-    Z has n-1 rows: row r merges nodes Z[r, 0] and Z[r, 1] into node n + r
-    at height Z[r, 2]; nodes 0..n-1 are the points. A one-point oracle gives
-    an empty (0, 4) array.
-    """
-    if variant not in ("single", "average", "complete"):
+
+def linkage(oracle, variant="single"):
+    """The Dendrogram of single, average, or complete linkage over the oracle's points."""
+    if variant not in LINKAGES:
         raise ValueError("variant must be single, average, or complete")
     if oracle.n == 1:
-        return np.empty((0, 4))
+        return Dendrogram(np.empty((0, 4)))
     from scipy.cluster import hierarchy
     from scipy.spatial.distance import squareform
 
-    return hierarchy.linkage(squareform(oracle.matrix(), checks=False), method=variant)
+    return Dendrogram(hierarchy.linkage(squareform(oracle.matrix(), checks=False), method=variant))
 
 
-def _leaf_slices(z):
-    """(order, children, start, size) of linkage matrix z.
+class Dendrogram:
+    """A linkage matrix z with each node's points as one slice of a leaf order.
 
-    order is scipy's leaf order (`leaves_list`, left child first),
-    children[r] the two nodes row r merges, and node v's points are
-    order[start[v] : start[v] + size[v]].
+    z is scipy's: row r merges nodes z[r, 0] and z[r, 1] into node n + r at
+    height z[r, 2]; nodes 0..n-1 are the points, and a one-point dendrogram
+    has an empty (0, 4) z. order is scipy's leaf order (`leaves_list`, left
+    child first), children[r] the two nodes row r merges, and node v's
+    points are order[start[v] : start[v] + size[v]].
     """
-    n = len(z) + 1
-    children = z[:, :2].astype(int)
-    size = np.ones(2 * n - 1, dtype=int)
-    size[n:] = z[:, 3]
-    # a parent's id is above its children's, so reversed rows go top-down
-    kids, sizes, start = children.tolist(), size.tolist(), [0] * (2 * n - 1)
-    for r in range(n - 2, -1, -1):
-        left, right = kids[r]
-        start[left] = start[n + r]
-        start[right] = start[left] + sizes[left]
-    start = np.array(start)
-    order = np.empty(n, dtype=int)
-    order[start[:n]] = np.arange(n)
-    return order, children, start, size
+
+    def __init__(self, z):
+        self.z = z
+        self.n = n = len(z) + 1
+        self.children = z[:, :2].astype(int)
+        self.size = np.ones(2 * n - 1, dtype=int)
+        self.size[n:] = z[:, 3]
+        # a parent's id is above its children's, so reversed rows go top-down
+        kids, sizes, start = self.children.tolist(), self.size.tolist(), [0] * (2 * n - 1)
+        for r in range(n - 2, -1, -1):
+            left, right = kids[r]
+            start[left] = start[n + r]
+            start[right] = start[left] + sizes[left]
+        self.start = np.array(start)
+        self.order = np.empty(n, dtype=int)
+        self.order[self.start[:n]] = np.arange(n)
+
+    def clustering(self, nodes):
+        """The clustering whose clusters are the given nodes' leaf slices."""
+        nodes = np.asarray(nodes)
+        nodes = nodes[np.argsort(self.start[nodes])]
+        labels = np.empty(self.n, dtype=int)
+        labels[self.order] = np.repeat(np.arange(len(nodes)), self.size[nodes])
+        return Clustering.from_labels(labels)
 
 
-def _slices_clustering(order, start, size, nodes):
-    """The clustering whose clusters are the given nodes' leaf slices."""
-    nodes = np.asarray(nodes)
-    nodes = nodes[np.argsort(start[nodes])]
-    labels = np.empty(len(order), dtype=int)
-    labels[order] = np.repeat(np.arange(len(nodes)), size[nodes])
-    return Clustering.from_labels(labels)
-
-
-def cut_dendrogram(z, k, slices=None):
-    """The k clusters of linkage matrix z left after undoing its k-1 last merges.
+def cut_dendrogram(tree, k):
+    """The k clusters of a Dendrogram left after undoing its k-1 last merges.
 
     These are the k-1 highest merges, ties going to the later merge: scipy
-    sorts Z's rows by nondecreasing height and numbers every parent above
+    sorts z's rows by nondecreasing height and numbers every parent above
     its children, so the last rows are the highest (height, node id) pairs.
-    slices is `_leaf_slices(z)`, computed here when None.
     """
-    n = len(z) + 1
+    n = tree.n
     _check_k(k, n)
-    order, children, start, size = _leaf_slices(z) if slices is None else slices
     # the undone merges are nodes >= 2n-k; the root alone is left at k = 1
-    kids = np.append(children[n - k :], 2 * n - 2)
-    frontier = kids[kids < 2 * n - k]
-    return _slices_clustering(order, start, size, frontier)
+    kids = np.append(tree.children[n - k :], 2 * n - 2)
+    return tree.clustering(kids[kids < 2 * n - k])
 
 
 def _split_score(own_avg, nearest, measure):
@@ -203,17 +206,16 @@ def _split_score(own_avg, nearest, measure):
     return float(np.max(_violation_vector(own_avg, nearest)))
 
 
-def prune_frontiers(z, oracle, measure="num-unstable", slices=None):
-    """Greedy top-down pruning of linkage matrix z: the frontier after each round.
+def prune_frontiers(tree, oracle, measure="num-unstable"):
+    """Greedy top-down pruning of a Dendrogram: the frontier after each round.
 
     Yields lists of dendrogram nodes, the root's two children first, then
     one more node per round, until every point is its own node. Each round
     splits the frontier node whose split gives the best audited score:
     fewest unstable points or smallest max violation. Ties go to the
     smallest node id. Only non-singleton nodes can split. No round depends
-    on how many clusters a caller wants, so one pass serves every k. z must
-    be over the oracle's n points; slices is `_leaf_slices(z)`, computed
-    here when None.
+    on how many clusters a caller wants, so one pass serves every k. The
+    tree must be over the oracle's n points.
 
     A split is scored without an audit. Each node's column of the cluster
     sums (`_sums_to`, the audit's column for that cluster bit for bit) is
@@ -233,12 +235,12 @@ def prune_frontiers(z, oracle, measure="num-unstable", slices=None):
     """
     if measure not in ("num-unstable", "max-violation"):
         raise ValueError("measure must be num-unstable or max-violation")
-    if len(z) == 0:
+    if tree.n == 1:
         raise ValueError("cannot prune a single-leaf dendrogram")
     n = oracle.n
-    if len(z) + 1 != n:
+    if tree.n != n:
         raise ValueError("dendrogram and oracle size mismatch")
-    order, children, start, size = _leaf_slices(z) if slices is None else slices
+    order, children, start, size = tree.order, tree.children, tree.start, tree.size
     end = start + size
     # node -> (own average over its slice, foreign average), both in leaf order
     averages = {}
@@ -288,20 +290,18 @@ def prune_frontiers(z, oracle, measure="num-unstable", slices=None):
         frontier = best[2]
 
 
-def greedy_prune(z, oracle, k, measure="num-unstable", slices=None):
-    """Greedy top-down pruning of linkage matrix z toward k stable-ish clusters.
+def greedy_prune(tree, oracle, k, measure="num-unstable"):
+    """Greedy top-down pruning of a Dendrogram toward k stable-ish clusters.
 
     The clustering of `prune_frontiers`' k-node frontier, after k - 2
-    rounds. slices is `_leaf_slices(z)`, computed here when None.
+    rounds.
     """
-    slices = _leaf_slices(z) if slices is None else slices
-    frontiers = prune_frontiers(z, oracle, measure, slices)
-    frontier = next(frontiers)      # checks z, oracle and measure first
+    frontiers = prune_frontiers(tree, oracle, measure)
+    frontier = next(frontiers)      # checks the tree, oracle and measure first
     _check_k(k, oracle.n, least=2)
     for _ in range(k - 2):
         frontier = next(frontiers)
-    order, _, start, size = slices
-    return _slices_clustering(order, start, size, frontier)
+    return tree.clustering(frontier)
 
 
 def random_clustering(n, k, seed=0):

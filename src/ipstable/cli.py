@@ -52,12 +52,8 @@ BENCH_ALGOS = (
     "kmeans++",
     "kcenter",
     "random",
-    "single-linkage",
-    "average-linkage",
-    "complete-linkage",
-    "single-linkage-prune",
-    "average-linkage-prune",
-    "complete-linkage-prune",
+    *(f"{variant}-linkage" for variant in baselines.LINKAGES),
+    *(f"{variant}-linkage-prune" for variant in baselines.LINKAGES),
 )
 
 
@@ -405,38 +401,31 @@ def _bench_runner(token, oracle, features, args):
         return lambda k, seed: baselines.kcenter_greedy(oracle, k, first=args.first)
     if token == "random":
         return lambda k, seed: baselines.random_clustering(oracle.n, k, seed=seed)
-
-    base = token
-    prune = False
-    if token.endswith("-prune"):
-        base = token[: -len("-prune")]
-        prune = True
-    variant = {"single-linkage": "single", "average-linkage": "average",
-               "complete-linkage": "complete"}.get(base)
-    if variant is None:
+    if token not in BENCH_ALGOS:
         raise CliError(f"unknown benchmark algorithm {token!r}")
+    # "<variant>-linkage" or "<variant>-linkage-prune"
+    variant, prune = token.split("-")[0], token.endswith("-prune")
 
     cache = {}
 
     def run(k, seed):
-        if "z" not in cache:
-            cache["z"] = z = baselines.linkage(oracle, variant)
-            cache["slices"] = baselines._leaf_slices(z)     # every cut and pruning reads it
-        z, slices = cache["z"], cache["slices"]
+        if "tree" not in cache:
+            cache["tree"] = baselines.linkage(oracle, variant)    # every cut and pruning reads it
+        tree = cache["tree"]
         if prune:
-            # no pruning round depends on k: one pass serves every k, and
-            # the frontiers reached so far are kept
+            # no pruning round depends on k: one pass serves every k, and the
+            # frontiers reached so far are kept here; kept on the tree, they
+            # would make a cycle with the rounds, which hold the oracle
             if "frontiers" not in cache:
-                rounds = baselines.prune_frontiers(z, oracle, args.measure, slices)
+                rounds = baselines.prune_frontiers(tree, oracle, args.measure)
                 cache["frontiers"], cache["rounds"] = [next(rounds)], rounds
             if k < 2:
                 raise CliError(f"need 2 <= k <= n to prune, got k={k}")
             frontiers = cache["frontiers"]
             while len(frontiers) < k - 1:
                 frontiers.append(next(cache["rounds"]))
-            order, _, start, size = slices
-            return baselines._slices_clustering(order, start, size, frontiers[k - 2])
-        return baselines.cut_dendrogram(z, k, slices=slices)
+            return tree.clustering(frontiers[k - 2])
+        return baselines.cut_dendrogram(tree, k)
 
     return run
 

@@ -67,8 +67,7 @@ from .core import (
     STABILITY_TOL,
     Clustering,
     _check_k,
-    _cluster_averages,
-    _nearest_foreign,
+    _own_and_nearest,
     _partitions_into_k,
     audit,
     min_count,
@@ -93,13 +92,12 @@ def check_alpha_gamma(oracle, clustering, alpha, gamma):
     averages exclude the point itself (matching the stability audit), which
     is the stricter reading, so a pass here implies the guarantee
     downstream algorithms rely on; a singleton's own average is 0. Both
-    averages come from the audit's cluster-sums kernel.
+    averages come from the audit's cluster-sums kernel, and a clustering of
+    another size than the oracle is a ValueError, as in the audit.
     """
-    n = oracle.n
-    if np.any(clustering.sizes() < min_count(alpha, n)):
+    _, own_avg, nearest = _own_and_nearest(oracle, clustering)
+    if np.any(clustering.sizes() < min_count(alpha, oracle.n)):
         return False
-    _, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
-    nearest = _nearest_foreign(avg, clustering)
     return not np.any(nearest < gamma * own_avg * (1.0 - STABILITY_TOL))
 
 

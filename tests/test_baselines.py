@@ -16,8 +16,7 @@ from ipstable.core import (
     stable_limit,
 )
 from ipstable.baselines import (
-    _leaf_slices,
-    _slices_clustering,
+    Dendrogram,
     cut_dendrogram,
     greedy_prune,
     kcenter_greedy,
@@ -136,8 +135,7 @@ def test_single_linkage_merge_heights_match_mst():
     rng = np.random.default_rng(2)
     x = random_points(rng, 24, 2)
     o = DistanceOracle.from_points(x)
-    z = linkage(o, "single")
-    heights = z[:, 2]
+    heights = linkage(o, "single").z[:, 2]
     m = o.matrix()
     g = nx.Graph()
     for i in range(24):
@@ -151,13 +149,13 @@ def test_cut_dendrogram_equals_threshold_components():
     rng = np.random.default_rng(3)
     x = random_points(rng, 30, 2)
     o = DistanceOracle.from_points(x)
-    z = linkage(o, "single")
+    tree = linkage(o, "single")
     for k in (2, 4, 7):
-        c = cut_dendrogram(z, k)
+        c = cut_dendrogram(tree, k)
         assert c.k == k
         # single-linkage k clusters = components of the graph on edges
         # strictly below the k-th largest merge height
-        heights = z[:, 2].tolist()
+        heights = tree.z[:, 2].tolist()
         cutoff = sorted(heights, reverse=True)[k - 2]
         m = o.matrix()
         g = nx.Graph()
@@ -176,9 +174,9 @@ def test_linkage_variants_differ_and_validate():
     x = random_points(rng, 20, 2)
     o = DistanceOracle.from_points(x)
     for variant in ("single", "average", "complete"):
-        z = linkage(o, variant)
-        assert sorted(leaves_list(z)) == list(range(20))
-        c = cut_dendrogram(z, 4)
+        tree = linkage(o, variant)
+        assert sorted(leaves_list(tree.z)) == list(range(20))
+        c = cut_dendrogram(tree, 4)
         assert c.k == 4
     with pytest.raises(ValueError):
         linkage(o, "ward2000")
@@ -188,9 +186,9 @@ def test_deep_chain_dendrogram_leaves_iterative():
     # a long 1-D run gives a maximally unbalanced single-linkage tree
     vals = np.arange(3000, dtype=float).reshape(-1, 1) ** 1.001
     o = DistanceOracle.from_points(vals)
-    z = linkage(o, "single")
-    assert len(leaves_list(z)) == 3000  # must not hit the recursion limit
-    assert _leaf_slices(z)[0].tolist() == leaves_list(z).tolist()
+    tree = linkage(o, "single")
+    assert len(leaves_list(tree.z)) == 3000  # must not hit the recursion limit
+    assert tree.order.tolist() == leaves_list(tree.z).tolist()
 
 
 def test_greedy_prune_matches_exhaustive_candidates():
@@ -199,8 +197,9 @@ def test_greedy_prune_matches_exhaustive_candidates():
         for trial in range(6):
             x = random_points(rng, 14, 2)
             o = DistanceOracle.from_points(x)
-            z = linkage(o, "average")
-            got = greedy_prune(z, o, 3, measure=measure)
+            tree = linkage(o, "average")
+            z = tree.z
+            got = greedy_prune(tree, o, 3, measure=measure)
             # one round from the root pair: try every splittable frontier node
             frontier = [int(z[-1, 0]), int(z[-1, 1])]
             best = None
@@ -228,19 +227,19 @@ def test_greedy_prune_matches_exhaustive_candidates():
 
 def test_greedy_prune_guards():
     o = DistanceOracle.from_points(np.arange(5.0).reshape(-1, 1))
-    z = linkage(o, "single")
+    tree = linkage(o, "single")
     with pytest.raises(ValueError):
-        greedy_prune(z, o, 3, measure="entropy")
-    assert greedy_prune(z, o, 2).k == 2
+        greedy_prune(tree, o, 3, measure="entropy")
+    assert greedy_prune(tree, o, 2).k == 2
 
 
 @pytest.mark.parametrize("tree_n, oracle_n", [(5, 10), (10, 5)])
 def test_greedy_prune_rejects_a_dendrogram_of_another_size(tree_n, oracle_n):
     # a 5-leaf tree against 10 points used to leave labels unset, not raise
-    z = linkage(DistanceOracle.from_points(np.arange(float(tree_n)).reshape(-1, 1)))
+    tree = linkage(DistanceOracle.from_points(np.arange(float(tree_n)).reshape(-1, 1)))
     o = DistanceOracle.from_points(np.arange(float(oracle_n)).reshape(-1, 1))
     with pytest.raises(ValueError, match="size mismatch"):
-        greedy_prune(z, o, 3)
+        greedy_prune(tree, o, 3)
 
 
 def _dendrogram_instances():
@@ -268,13 +267,13 @@ def _outcome(fn, *args, **kwargs):
 def test_cut_and_prune_match_the_frontier_loops(variant):
     for n, x in _dendrogram_instances():
         o = DistanceOracle.from_points(x)
-        z = linkage(o, variant)
+        tree = linkage(o, variant)
         for k in range(n + 2):
-            assert _outcome(cut_dendrogram, z, k) == _outcome(max_pick_cut, z, k), (n, x, k)
+            assert _outcome(cut_dendrogram, tree, k) == _outcome(max_pick_cut, tree.z, k), (n, x, k)
         for measure in ("num-unstable", "max-violation"):
             for k in range(min(8, n + 1) + 1):
-                want = _outcome(reaudit_prune, z, o, k, measure=measure)
-                assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
+                want = _outcome(reaudit_prune, tree.z, o, k, measure=measure)
+                assert _outcome(greedy_prune, tree, o, k, measure=measure) == want, (n, x, k)
 
 
 def _larger_dendrogram_instances():
@@ -291,11 +290,11 @@ def _larger_dendrogram_instances():
 def test_prune_matches_the_reaudit_loop_at_scale(variant):
     for n, x in _larger_dendrogram_instances():
         o = DistanceOracle.from_points(x)
-        z = linkage(o, variant)
+        tree = linkage(o, variant)
         for measure in ("num-unstable", "max-violation"):
             for k in (2, 3, 5, 8, 12):
-                want = _outcome(reaudit_prune, z, o, k, measure=measure)
-                assert _outcome(greedy_prune, z, o, k, measure=measure) == want, (n, x, k)
+                want = _outcome(reaudit_prune, tree.z, o, k, measure=measure)
+                assert _outcome(greedy_prune, tree, o, k, measure=measure) == want, (n, x, k)
 
 
 def _audits(monkeypatch):
@@ -325,16 +324,16 @@ def test_prune_scores_a_split_near_its_stable_limit_without_an_audit(monkeypatch
     # audited
     v = np.array([0.0, 1.0, 2.5, 10.0, 11.0, 17.450000006275, 30.0, 31.5])
     o = DistanceOracle.from_points(np.column_stack([v, np.zeros(8)]))
-    z = linkage(o, "average")
-    order, children, start, size = _leaf_slices(z)
+    tree = linkage(o, "average")
+    children = tree.children
     split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
-    vi = audit(o, _slices_clustering(order, start, size, split)).vi
+    vi = audit(o, tree.clustering(split)).vi
     assert np.min(np.abs(vi / (1.0 + STABILITY_TOL) - 1.0)) <= 8 * 8 * 2.0**-53
     audits = _audits(monkeypatch)
-    got = greedy_prune(z, o, 3)
+    got = greedy_prune(tree, o, 3)
     assert audits == []
     monkeypatch.undo()
-    assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 3)
+    assert _outcome(lambda: got) == _outcome(reaudit_prune, tree.z, o, 3)
 
 
 def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatch):
@@ -346,18 +345,18 @@ def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatc
     for x5 in (17.450000006275, 17.450000006275005):
         v = np.array([0.0, 1.0, 2.5, 10.0, 11.0, x5, 30.0, 31.5])
         o = DistanceOracle.from_points(v)
-        z = linkage(o, "average")
-        order, children, start, size = _leaf_slices(z)
+        tree = linkage(o, "average")
+        children = tree.children
         split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
-        c = _slices_clustering(order, start, size, split)
+        c = tree.clustering(split)
         _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
         limit = stable_limit(_nearest_foreign(avg, c))
         assert np.min(np.abs(own_avg - limit) / np.spacing(limit)) <= 8
         audits = _audits(monkeypatch)
-        got = greedy_prune(z, o, 3)
+        got = greedy_prune(tree, o, 3)
         assert audits == []
         monkeypatch.undo()
-        assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 3)
+        assert _outcome(lambda: got) == _outcome(reaudit_prune, tree.z, o, 3)
         picked.append(got.assignment.tolist())
     assert picked[0] != picked[1]
 
@@ -365,14 +364,14 @@ def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatc
 def test_prune_scores_most_splits_without_an_audit(monkeypatch):
     feats, _ = planted(200, 10, 4.0, seed=21)
     o = DistanceOracle.from_points(feats)
-    z = linkage(o, "average")
+    tree = linkage(o, "average")
     audits = _audits(monkeypatch)
     candidates = _counting(monkeypatch, baselines, "_split_score")
-    got = greedy_prune(z, o, 10)
+    got = greedy_prune(tree, o, 10)
     assert len(candidates) >= 8
     assert audits == []
     monkeypatch.undo()
-    assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 10)
+    assert _outcome(lambda: got) == _outcome(reaudit_prune, tree.z, o, 10)
 
 
 def test_prune_scores_subnormal_distances_without_an_audit(monkeypatch):
@@ -383,21 +382,21 @@ def test_prune_scores_subnormal_distances_without_an_audit(monkeypatch):
     pts = rng.normal(size=(16, 2))
     o = DistanceOracle.from_matrix(np.linalg.norm(pts[:, None] - pts[None], axis=2) * 1e-310)
     assert np.min(o.matrix(), where=o.matrix() > 0, initial=np.inf) < 2.0**-1022
-    z = linkage(o, "average")
+    tree = linkage(o, "average")
     for measure in ("num-unstable", "max-violation"):
         audits = _audits(monkeypatch)
         candidates = _counting(monkeypatch, baselines, "_split_score")
-        got = greedy_prune(z, o, 6, measure=measure)
+        got = greedy_prune(tree, o, 6, measure=measure)
         assert audits == [] and len(candidates) > 0
         monkeypatch.undo()
-        assert _outcome(lambda: got) == _outcome(reaudit_prune, z, o, 6, measure=measure)
+        assert _outcome(lambda: got) == _outcome(reaudit_prune, tree.z, o, 6, measure=measure)
 
 
-def _split_averages(o, slices, cand):
+def _split_averages(o, tree, cand):
     """(own_avg, nearest) of a split, in leaf order, as the audit's helpers
     compute them from `_sums_to` columns assembled into the sums matrix."""
-    order, _, start, size = slices
-    c = _slices_clustering(order, start, size, cand)
+    order, start, size = tree.order, tree.start, tree.size
+    c = tree.clustering(cand)
     sums = np.empty((o.n, len(cand)))
     for w in cand:
         mask = np.zeros(o.n, dtype=bool)
@@ -419,8 +418,8 @@ def test_prune_scores_each_split_from_the_audits_averages_bit_for_bit(monkeypatc
                  rng.integers(0, 5, size=(30, 1)).astype(float)]
     for x in instances:
         o = DistanceOracle.from_points(x)
-        z = linkage(o, variant)
-        slices = order, children, start, size = _leaf_slices(z)
+        tree = linkage(o, variant)
+        children = tree.children
         n, k = o.n, 9
         calls = []
         real = baselines._split_score
@@ -430,17 +429,17 @@ def test_prune_scores_each_split_from_the_audits_averages_bit_for_bit(monkeypatc
             return real(own_avg, nearest, *rest)
 
         monkeypatch.setattr(baselines, "_split_score", capture)
-        greedy_prune(z, o, k)
+        greedy_prune(tree, o, k)
         monkeypatch.undo()
         # replay the rounds: candidates in frontier order, then the split chosen
         frontier, want = children[-1].tolist(), []
         for kk in range(3, k + 1):
             cands = [[w for w in frontier if w != v] + children[v - n].tolist()
                      for v in frontier if v >= n]
-            want += [_split_averages(o, slices, cand) for cand in cands]
-            chosen = greedy_prune(z, o, kk).assignment
+            want += [_split_averages(o, tree, cand) for cand in cands]
+            chosen = greedy_prune(tree, o, kk).assignment
             (frontier,) = [cand for cand in cands if np.array_equal(
-                _slices_clustering(order, start, size, cand).assignment, chosen)]
+                tree.clustering(cand).assignment, chosen)]
         assert len(calls) == len(want)
         for (own_avg, nearest), (own_want, near_want) in zip(calls, want):
             assert own_avg.tobytes() == own_want.tobytes()
@@ -476,9 +475,9 @@ def test_prune_on_the_benchmark_input_matches_the_reaudit_loop(tmp_path):
     path.write_text("".join(",".join(repr(float(v)) for v in r) + "\n"
                             for r in rows[rng.permutation(1000)]))
     o = DistanceOracle.from_points(cli.load_points(path, standardize=True))
-    z = linkage(o, "average")
+    tree = linkage(o, "average")
     for k in (10, 20):
-        assert _outcome(greedy_prune, z, o, k) == _outcome(reaudit_prune, z, o, k), k
+        assert _outcome(greedy_prune, tree, o, k) == _outcome(reaudit_prune, tree.z, o, k), k
 
 
 @pytest.mark.parametrize("variant", ["single", "average", "complete"])
@@ -486,8 +485,9 @@ def test_leaf_slices_order_is_scipys_leaves_list(variant):
     rng = np.random.default_rng(12)
     larger = [(n, rng.integers(0, 4, size=(n, 2)).astype(float)) for n in (31, 47, 59)]
     for n, x in [*_dendrogram_instances(), *larger]:
-        z = linkage(DistanceOracle.from_points(x), variant)
-        order, _, start, size = _leaf_slices(z)
+        z = linkage(DistanceOracle.from_points(x), variant).z
+        tree = Dendrogram(z)
+        order, start, size = tree.order, tree.start, tree.size
         assert order.tolist() == (leaves_list(z).tolist() if n > 1 else [0]), (n, x)
         for v in range(2 * n - 1):
             got = order[start[v] : start[v] + size[v]].tolist()

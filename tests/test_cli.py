@@ -1,8 +1,10 @@
 import ast
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -732,16 +734,22 @@ def test_bench_builds_each_dendrograms_leaf_slices_once(tmp_path, monkeypatch):
     argv = ["bench", "--input", str(inp), "--algo", "single-linkage,average-linkage-prune",
             "--k", "2,3,5", "--repeat", "2"]
     cached = tmp_path / "cached.csv"
-    real_slices, built = baselines._leaf_slices, []
-    monkeypatch.setattr(baselines, "_leaf_slices", lambda z: built.append(len(z)) or real_slices(z))
+    built = []
+
+    class Counted(baselines.Dendrogram):
+        def __init__(self, z):
+            built.append(len(z))
+            super().__init__(z)
+
+    monkeypatch.setattr(baselines, "Dendrogram", Counted)
     assert cli.main(argv + ["--out", str(cached)]) == 0
     assert built == [39, 39]
 
-    # each cut and the pruning rebuilding their own slices write the same rows
+    # each cut and the pruning on a fresh Dendrogram of the same z write the same rows
     real_cut, real_prune = baselines.cut_dendrogram, baselines.prune_frontiers
-    monkeypatch.setattr(baselines, "cut_dendrogram", lambda z, k, slices: real_cut(z, k))
+    monkeypatch.setattr(baselines, "cut_dendrogram", lambda tree, k: real_cut(Counted(tree.z), k))
     monkeypatch.setattr(baselines, "prune_frontiers",
-                        lambda z, oracle, measure, slices: real_prune(z, oracle, measure))
+                        lambda tree, oracle, measure: real_prune(Counted(tree.z), oracle, measure))
     del built[:]
     fresh = tmp_path / "fresh.csv"
     assert cli.main(argv + ["--out", str(fresh)]) == 0
@@ -749,6 +757,32 @@ def test_bench_builds_each_dendrograms_leaf_slices_once(tmp_path, monkeypatch):
     strip = lambda path: [line.split(",")[:-1] for line in path.read_text().splitlines()]
     assert strip(cached) == strip(fresh)
     assert len(strip(fresh)) == 1 + 2 * 3
+
+
+def test_bench_frees_its_instance_without_the_cycle_collector(tmp_path, monkeypatch):
+    """No reference cycle holds the oracle after bench: a pruning's rounds
+    read the tree, so a tree that kept them would keep the oracle's matrix
+    alive until the cycle collector ran."""
+    inp = tmp_path / "p.csv"
+    _write_csv(inp, np.random.default_rng(41).normal(size=(30, 2)))
+    refs, real_build = [], cli.build_oracle
+
+    def build(args):
+        built = real_build(args)
+        refs.append(weakref.ref(built[0]))
+        return built
+
+    monkeypatch.setattr(cli, "build_oracle", build)
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(["bench", "--input", str(inp), "--algo",
+                         "average-linkage-prune,single-linkage", "--k", "2,3",
+                         "--out", str(tmp_path / "b.csv")]) == 0
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("measure", ["num-unstable", "max-violation"])
@@ -793,11 +827,11 @@ def test_bench_measure_max_violation_prunes_by_it(tmp_path):
             "--k", "3,4,5", "--measure", "max-violation", "--out", str(out)]
     assert cli.main(argv) == 0
     oracle = DistanceOracle.from_points(pts)
-    z = baselines.linkage(oracle, "average")
+    tree = baselines.linkage(oracle, "average")
     expected = []
     for k in (3, 4, 5):
-        c = baselines.greedy_prune(z, oracle, k, measure="max-violation")
-        assert not np.array_equal(c.assignment, baselines.greedy_prune(z, oracle, k).assignment)
+        c = baselines.greedy_prune(tree, oracle, k, measure="max-violation")
+        assert not np.array_equal(c.assignment, baselines.greedy_prune(tree, oracle, k).assignment)
         r = audit(oracle, c)
         stats = (r.num_unstable, r.max_violation, r.mean_violation, r.cost)
         expected.append(["average-linkage-prune", str(k), *(f"{np.mean([x]):.10g}" for x in stats)])

@@ -297,18 +297,18 @@ def test_prune_builds_one_matrix_per_oracle_and_needs_no_audit(monkeypatch):
     dense = DistanceOracle.from_points(pts).matrix()
     for make, cdists in ((lambda: DistanceOracle.from_points(pts), 1),
                          (lambda: DistanceOracle.from_matrix(dense * 1e-310), 0)):
-        z = baselines.linkage(make(), "average")
+        tree = baselines.linkage(make(), "average")
         o = make()
         builds, audits = [], []
         real_cdist, real_sums = core.cdist, DistanceOracle.cluster_sums
         monkeypatch.setattr(core, "cdist", lambda *args: builds.append(1) or real_cdist(*args))
         monkeypatch.setattr(DistanceOracle, "cluster_sums",
                             lambda self, c: audits.append(1) or real_sums(self, c))
-        got = baselines.greedy_prune(z, o, 8)
+        got = baselines.greedy_prune(tree, o, 8)
         assert audits == []
         assert len(builds) == cdists
         monkeypatch.undo()
-        assert got.assignment.tolist() == reaudit_prune(z, o, 8)[0].tolist()
+        assert got.assignment.tolist() == reaudit_prune(tree.z, o, 8)[0].tolist()
 
 
 # --- clustering invariants ---------------------------------------------------

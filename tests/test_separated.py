@@ -60,6 +60,12 @@ def test_check_alpha_gamma_rejections():
     assert not check_alpha_gamma(o, Clustering.from_labels(bad), alpha=0.25, gamma=4.0)
     # absurd gamma demand fails even on the true labels
     assert not check_alpha_gamma(o, c, alpha=0.25, gamma=1e6)
+    # a clustering of another size is the audit's error, on a line and in 2-D
+    for pts in (np.arange(6.0).reshape(-1, 1), np.arange(12.0).reshape(6, 2)):
+        for labels in ([0, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]):
+            with pytest.raises(ValueError, match="clustering and oracle size mismatch"):
+                check_alpha_gamma(_oracle(pts), Clustering.from_labels(np.array(labels)),
+                                  alpha=0.25, gamma=4.0)
 
 
 def _separation_ratio(m, labels):
