@@ -21,9 +21,9 @@ Every subcommand turns --input/--metric into an instance in build_oracle.
 solve-1d and solve-dp need one value column under a point metric;
 solve-tree2 needs --metric tree and takes no --standardize. Neither these
 solvers nor an audit of one value column or of a tree builds the distance
-matrix, also when the audit excludes rows. Input files are read
-only by _records and output files written only by _write_text, so an
-unreadable input or an unwritable output is exit 1 with a message, like
+matrix, and an audit that excludes rows copies no distances. Input files
+are read only by _records and output files written only by _write_text, so
+an unreadable input or an unwritable output is exit 1 with a message, like
 every other error.
 """
 

@@ -31,7 +31,7 @@ a relative slack on the foreign side, and "at least frac * n points" means
 Distances must be finite and small enough that every row sum stays finite;
 oracles reject anything else, points on a line and trees when they are
 constructed and every other payload when its matrix is built. The audit
-of points on a line or of a tree never builds the n x n matrix.
+of a line, a tree or a view of either (`sub_oracle`) builds no matrix.
 
 scipy is loaded on first use, only by multi-column point matrices, the
 matrix backend's cluster sums (`scipy.sparse`), k-means and the linkage
@@ -152,18 +152,22 @@ class DistanceOracle:
     the line, and a tree takes two passes over its preorder per cluster
     (`WeightedTree.sums_to`); neither builds the matrix. Every other payload
     adds each cluster's member rows of its matrix (`_member_row_sums`). A
-    tree oracle restricted by `sub_oracle` may keep the whole tree and the
-    kept nodes' ids.
+    restriction of any payload is a view of its base that sums with the
+    base's backend, whether or not the base's matrix is built.
     """
 
-    def __init__(self, n, matrix=None, features=None, metric=None, tree=None, nodes=None):
+    def __init__(self, n, matrix=None, features=None, metric=None, tree=None, base=None, index=None):
         self.n = int(n)
         self._matrix = matrix
         self._features = features
         self._metric = metric
         self._tree = tree
-        self._nodes = nodes
         self._line = features[:, 0] if features is not None and features.shape[1] == 1 else None
+        # a view: point i is the base's point index[i]
+        self._base, self._index = base, index
+        # a line or a tree, or a view of one, sums a cluster column at a time
+        self._by_columns = (self._line is not None or tree is not None if base is None
+                            else base._by_columns)
 
     @classmethod
     def from_points(cls, points, metric="euclidean"):
@@ -214,13 +218,13 @@ class DistanceOracle:
 
         A tree's matrix is tree.distance_matrix with its upper triangle
         mirrored: the two triangles may differ in the last bits, as each
-        sums its path in its own order.
+        sums its path in its own order; a view gathers its base's matrix.
         """
-        if self._matrix is None:
+        if self._matrix is None and self._base is not None:
+            self._matrix = self._base.matrix()[np.ix_(self._index, self._index)]
+        elif self._matrix is None:
             if self._tree is not None:
                 m = _mirror_upper(self._tree.distance_matrix())
-                if self._nodes is not None:
-                    m = m[np.ix_(self._nodes, self._nodes)]
             elif self._line is not None:
                 # |x - y| for every metric; cdist's euclidean would square the
                 # difference, flushing tiny distances to 0 and overflowing
@@ -240,7 +244,7 @@ class DistanceOracle:
         rows: a C-order copy would take longer than the product at k = 500.
         """
         a = clustering.assignment
-        if self._line is not None or self._tree is not None:
+        if self._by_columns:
             sums = np.empty((self.n, clustering.k))
             for i in range(clustering.k):
                 sums[:, i] = self._sums_to(a == i)
@@ -252,18 +256,18 @@ class DistanceOracle:
         """Total distance from every point to mask's points: the column
         `cluster_sums` gives that cluster, bit for bit.
 
-        A restricted tree scatters mask to the whole tree and reads the kept
-        nodes' entries. On a matrix it is the one-row case of
+        A view of a line or a tree scatters mask onto its base and reads the
+        base's column at its index. On a matrix it is the one-row case of
         `_member_row_sums`, so its cost follows the number of members.
         """
+        if self._by_columns and self._base is not None:
+            full = np.zeros(self._base.n, dtype=bool)
+            full[self._index[mask]] = True
+            return self._base._sums_to(full)[self._index]
         if self._line is not None:
             return _line_sums_to(self._line, mask)
         if self._tree is not None:
-            if self._nodes is None:
-                return self._tree.sums_to(mask)
-            full = np.zeros(self._tree.n, dtype=bool)
-            full[self._nodes[mask]] = True
-            return self._tree.sums_to(full)[self._nodes]
+            return self._tree.sums_to(mask)
         rows = np.flatnonzero(mask)
         return self._member_row_sums(rows, [0, len(rows)])[0]
 
@@ -276,7 +280,10 @@ class DistanceOracle:
         whatever the other rows are, and no n x k one-hot or BLAS call
         enters it. Every matrix is exactly symmetric, so row i holds the
         sums d(x, C_i) of every point x. O(n) per member, O(n^2) at any k.
+        A view adds its base's rows index[members] at columns index, in order.
         """
+        if self._base is not None:
+            return self._base._member_row_sums(self._index[members], bounds)[:, self._index]
         from scipy.sparse import csr_array
 
         indicator = csr_array((np.ones(len(members)), members, bounds),
@@ -284,19 +291,16 @@ class DistanceOracle:
         return indicator @ self.matrix()
 
     def sub_oracle(self, indices):
-        """Restriction to a subset of points (new indices follow `indices` order).
-
-        A tree oracle whose matrix is not built keeps the tree, so its
-        restriction audits without the matrix too.
-        """
-        idx = np.asarray(indices, dtype=int)
-        if self._line is not None:
-            return DistanceOracle(len(idx), features=self._features[idx], metric=self._metric)
-        if self._tree is not None and self._matrix is None:
-            nodes = idx if self._nodes is None else self._nodes[idx]
-            return DistanceOracle(len(idx), tree=self._tree, nodes=nodes)
-        m = self.matrix()[np.ix_(idx, idx)]
-        return DistanceOracle(len(idx), matrix=m)
+        """Restriction to the distinct points `indices`, in their order: a view
+        of this oracle's base (itself unless it is a view) that copies nothing."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError("restriction indices must be a 1-D sequence of integers")
+        idx = idx.astype(np.intp)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n) or len(np.unique(idx)) < len(idx):
+            raise ValueError(f"restriction indices must be distinct and lie in [0, {self.n})")
+        base, index = (self, idx) if self._base is None else (self._base, self._index[idx])
+        return DistanceOracle(len(idx), base=base, index=index)
 
 
 @dataclass(frozen=True)

@@ -162,17 +162,19 @@ class Hst:
     def point_stretch(self, base):
         """Each mapped point's largest stretch d_T / d, ordered like points().
 
-        base is the original distance matrix over points(). A point's pair
-        with itself counts as 1, and a pair at distance 0 other than that,
-        0/0 included, as inf. The tree distances are read a block of rows at
-        a time against base's matching rows, so no m x m float array is
-        formed.
+        base is the original distance matrix, indexed by point id. A point's
+        pair with itself counts as 1, and a pair at distance 0 other than
+        that, 0/0 included, as inf. The tree distances are read a block of
+        rows at a time against base at points(), so no m x m float array
+        is formed.
         """
-        out = np.empty(len(base))
+        pts = np.asarray(self.points(), dtype=np.intp)
+        every_row = np.array_equal(pts, np.arange(len(base)))
+        out = np.empty(len(pts))
         for lo, block in self._distance_rows():
             hi = lo + len(block)
             with np.errstate(divide="ignore", invalid="ignore"):
-                block /= base[lo:hi]
+                block /= base[lo:hi] if every_row else base[np.ix_(pts[lo:hi], pts)]
             block[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
             block[np.isnan(block)] = np.inf
             out[lo:hi] = block.max(axis=1)
@@ -383,8 +385,8 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     stretch (ties broken by point id). The returned stretch s certifies the
     result: the audited max violation against the original metric is at most
     stable_limit(s). Raises if exclusion leaves fewer than k points. Both
-    stretches are Hst.point_stretch over the oracle's matrix and the
-    retained points' matrix, so no tree-distance or ratio matrix is formed.
+    stretches and the audit's sub_oracle(retained) read the oracle's matrix,
+    so no tree-distance, ratio or retained points' matrix is formed.
     """
     if not 0.0 <= epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in [0, 1/3)")
@@ -405,9 +407,8 @@ def cluster_via_embedding(oracle, k, epsilon=0.0, seed=0):
     sub = normalize_leaves(restrict(hst, retained))
     clustering = hst_k_clustering(sub, k)
 
-    kept = oracle.sub_oracle(retained)
-    stretch = float(sub.point_stretch(kept.matrix()).max())
-    report = audit(kept, clustering)
+    stretch = float(sub.point_stretch(oracle.matrix()).max())
+    report = audit(oracle.sub_oracle(retained), clustering)
     if not report.max_violation <= stable_limit(stretch):
         raise RuntimeError("stretch certificate violated; embedding is broken")
     return EmbedClusterResult(clustering, retained, excluded, stretch, report)

@@ -24,6 +24,7 @@ from ipstable.hardgen import fixtures
 from ipstable.hst import cluster_via_embedding, embed_hst, hst_k_clustering, normalize_leaves
 from ipstable.line1d import solve_1d
 from ipstable.separated import exact_enumerate, pipeline
+from ipstable.tree import WeightedTree
 
 from conftest import (
     all_label_partitions,
@@ -287,6 +288,89 @@ def test_tree_sub_oracles_sum_on_the_whole_tree_without_a_matrix(monkeypatch):
     built.matrix()
     monkeypatch.setattr(type(tree), "distance_matrix", no_matrix)
     assert np.array_equal(built.sub_oracle(keep).matrix(), full[np.ix_(keep, keep)])
+
+
+# --- restriction: one view of every payload ---------------------------------
+
+
+def test_restriction_rejects_repeated_negative_and_out_of_range_indices():
+    # a repeated index names one point twice: a scatter onto the base would
+    # count it once in a cluster sum and a gathered matrix twice
+    path = WeightedTree(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    for o in (path.to_oracle(), DistanceOracle.from_matrix(path.to_oracle().matrix()),
+              DistanceOracle.from_points([0.0, 1.0, 3.0]),
+              DistanceOracle.from_points([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])):
+        for bad in ([0, 0, 2], [-1, 0], [0, 3], [[0, 1]], [0.0, 1.5], [True, False]):
+            with pytest.raises(ValueError, match="restriction indices"):
+                o.sub_oracle(bad)
+            with pytest.raises(ValueError, match="restriction indices"):
+                o.sub_oracle([2, 1, 0]).sub_oracle(bad)
+        sums = o.sub_oracle([2, 0]).cluster_sums(Clustering(np.array([0, 1]), 2))
+        assert sums.tolist() == [[0.0, 3.0], [3.0, 0.0]]
+
+
+def _restriction_bases(rng, n):
+    """(name, oracle) for each payload: a matrix, points with three columns
+    and with one, and a tree."""
+    x = random_points(rng, n, 3)
+    yield "matrix", DistanceOracle.from_matrix(random_graph_metric(rng, n))
+    yield "points", DistanceOracle.from_points(x, "manhattan")
+    yield "line", DistanceOracle.from_points(x[:, 0])
+    yield "tree", random_tree(rng, n).to_oracle()
+
+
+def _restrictions(rng, base):
+    """(base ids, view) for sorted, permuted and nested indices."""
+    keep = rng.permutation(base.n)[: int(rng.integers(2, base.n + 1))]
+    yield np.sort(keep), base.sub_oracle(np.sort(keep))
+    yield keep, base.sub_oracle(keep)
+    inner = rng.permutation(len(keep))[: int(rng.integers(1, len(keep) + 1))]
+    yield keep[inner], base.sub_oracle(keep).sub_oracle(inner)
+
+
+def test_restriction_sums_are_the_base_sums_bit_for_bit():
+    """A matrix or feature view sums like the copied matrix, np.ix_ order
+    included; a line or tree view is its base kernel's scattered column."""
+    rng = np.random.default_rng(97)
+    for trial in range(6):
+        n = int(rng.integers(3, 40))
+        for name, base in _restriction_bases(rng, n):
+            for idx, sub in _restrictions(rng, base):
+                m = len(idx)
+                for k in sorted({1, m, int(rng.integers(1, m + 1))}):
+                    c = random_clustering(rng, m, k)
+                    if name in ("matrix", "points"):
+                        want = member_row_sums(base.matrix()[np.ix_(idx, idx)], c.assignment, k)
+                    else:
+                        want = np.empty((m, k))
+                        for i in range(k):
+                            full = np.zeros(n, dtype=bool)
+                            full[idx[c.assignment == i]] = True
+                            want[:, i] = base._sums_to(full)[idx]
+                    got = sub.cluster_sums(c)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                    for i in range(k):
+                        column = sub._sums_to(c.assignment == i)
+                        assert column.tobytes() == want[:, i].tobytes(), name
+
+
+def test_tree_restriction_sums_the_same_bits_before_and_after_the_matrix():
+    rng = np.random.default_rng(101)
+    changed = 0
+    for trial in range(8):
+        base = random_tree(rng, int(rng.integers(3, 60))).to_oracle()
+        views = [(idx, random_clustering(rng, len(idx), int(rng.integers(1, len(idx) + 1))))
+                 for idx, _ in _restrictions(rng, base)]
+        before = [base.sub_oracle(idx).cluster_sums(c) for idx, c in views]
+        passes = [audit(base.sub_oracle(idx), c) for idx, c in views]
+        base.matrix()
+        for (idx, c), want, report in zip(views, before, passes):
+            sub = base.sub_oracle(idx)
+            assert sub.cluster_sums(c).tobytes() == want.tobytes()
+            assert audit(sub, c).vi.tobytes() == report.vi.tobytes()
+            rows = member_row_sums(base.matrix()[np.ix_(idx, idx)], c.assignment, c.k)
+            changed += rows.tobytes() != want.tobytes()
+    assert changed    # matrix rows would have given other bits
 
 
 def test_prune_builds_one_matrix_per_oracle_and_needs_no_audit(monkeypatch):

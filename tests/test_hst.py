@@ -368,12 +368,18 @@ def test_restrict_matches_the_ancestor_walk():
 
 
 def _stretch_family(rng):
-    """(hst, base matrix) pairs: raw random HSTs (point depths differ), their
-    normalized and restricted forms, and embeddings of random, tied-grid,
-    twin and multi-scale points, raw, restricted and normalized."""
+    """(hst, base matrix indexed by point id) pairs: raw random HSTs (point
+    depths differ), their normalized and restricted forms, whose points()
+    skip ids, and embeddings of random, tied-grid, twin and multi-scale
+    points, raw, restricted and normalized."""
     # a deep weight below the rounding of cum puts two leaves at tree
     # distance 0: at base distance 0 their stretch is 0/0, read as inf
     yield Hst([-1, 0, 1, 1], [1.0, 1e-17], {2: 0, 3: 1}), np.zeros((2, 2))
+    # points 1 and 4 of six, listed against the node order
+    base = np.abs(np.subtract.outer(np.arange(6.0) ** 2, np.arange(6.0) ** 2))
+    yield Hst([-1, 0, 0], [16.0], {1: 4, 2: 1}), base
+    # points 0 .. 2 of five: the first rows, but not every row
+    yield Hst([-1, 0, 0, 0], [16.0], {1: 2, 2: 0, 3: 1}), base[:5, :5]
     for _ in range(30):
         h = random_hst(rng, max_depth=int(rng.integers(1, 7)))
         m = len(h.points())
@@ -383,7 +389,7 @@ def _stretch_family(rng):
         yield h, base
         yield normalize_leaves(h), base
         if len(keep):
-            yield restrict(h, keep), base[np.ix_(keep, keep)]
+            yield restrict(h, keep), base
     grid = np.round(random_points(rng, 150, 2))
     clouds = [random_points(rng, 150, 3), grid, grid[rng.integers(0, 50, size=120)],
               np.concatenate([random_points(rng, 30, 2, 10.0 ** e) for e in range(-4, 5, 2)])]
@@ -392,13 +398,34 @@ def _stretch_family(rng):
         h = embed_hst(o, seed)
         keep = np.flatnonzero(rng.random(o.n) < 0.8)
         yield h, o.matrix()
-        yield normalize_leaves(restrict(h, keep)), o.matrix()[np.ix_(keep, keep)]
+        yield normalize_leaves(restrict(h, keep)), o.matrix()
 
 
 def test_point_stretch_is_bitwise_the_ratio_matrix_max():
+    skipped = 0
     for case, (h, base) in enumerate(_stretch_family(np.random.default_rng(79))):
-        want = stretch_ratios(naive_point_distance_matrix(h), base).max(axis=1)
+        pts = h.points()
+        skipped += pts != list(range(len(base)))
+        want = stretch_ratios(naive_point_distance_matrix(h), base[np.ix_(pts, pts)]).max(axis=1)
         assert np.array_equal(h.point_stretch(base), want), case
+    assert skipped > 20
+
+
+def test_embedding_reads_only_its_inputs_matrix(monkeypatch):
+    # the stretches and the audit read the input's matrix through the
+    # retained ids: no oracle other than the input builds or hands one out
+    o = DistanceOracle.from_points(random_points(np.random.default_rng(103), 120, 3))
+    calls = []
+    matrix = DistanceOracle.matrix
+
+    def spy(self):
+        calls.append(self)
+        return matrix(self)
+
+    monkeypatch.setattr(DistanceOracle, "matrix", spy)
+    res = cluster_via_embedding(o, 4, epsilon=0.2)
+    assert len(res.excluded) == 24 and calls
+    assert all(oracle is o for oracle in calls)
 
 
 def test_exclusion_ranks_by_stretch_then_point_id():
