@@ -163,11 +163,10 @@ class DistanceOracle:
         self._metric = metric
         self._tree = tree
         self._line = features[:, 0] if features is not None and features.shape[1] == 1 else None
-        # a view: point i is the base's point index[i]
-        self._base, self._index = base, index
-        # a line or a tree, or a view of one, sums a cluster column at a time
-        self._by_columns = (self._line is not None or tree is not None if base is None
-                            else base._by_columns)
+        self._base, self._index = base, index  # a view: point i is the base's point index[i]
+        if base is not None:
+            self._tree = base._tree
+            self._line = None if base._line is None else base._line[index]
 
     @classmethod
     def from_points(cls, points, metric="euclidean"):
@@ -218,9 +217,10 @@ class DistanceOracle:
 
         A tree's matrix is tree.distance_matrix with its upper triangle
         mirrored: the two triangles may differ in the last bits, as each
-        sums its path in its own order; a view gathers its base's matrix.
+        sums its path in its own order. A view of a line takes |x - y| of its
+        values, and any other view gathers its base's matrix.
         """
-        if self._matrix is None and self._base is not None:
+        if self._matrix is None and self._base is not None and self._line is None:
             self._matrix = self._base.matrix()[np.ix_(self._index, self._index)]
         elif self._matrix is None:
             if self._tree is not None:
@@ -244,7 +244,7 @@ class DistanceOracle:
         rows: a C-order copy would take longer than the product at k = 500.
         """
         a = clustering.assignment
-        if self._by_columns:
+        if self._line is not None or self._tree is not None:
             sums = np.empty((self.n, clustering.k))
             for i in range(clustering.k):
                 sums[:, i] = self._sums_to(a == i)
@@ -256,18 +256,18 @@ class DistanceOracle:
         """Total distance from every point to mask's points: the column
         `cluster_sums` gives that cluster, bit for bit.
 
-        A view of a line or a tree scatters mask onto its base and reads the
-        base's column at its index. On a matrix it is the one-row case of
+        A view of a tree scatters mask to the whole tree and reads the
+        column at its index. On a matrix it is the one-row case of
         `_member_row_sums`, so its cost follows the number of members.
         """
-        if self._by_columns and self._base is not None:
-            full = np.zeros(self._base.n, dtype=bool)
-            full[self._index[mask]] = True
-            return self._base._sums_to(full)[self._index]
         if self._line is not None:
             return _line_sums_to(self._line, mask)
         if self._tree is not None:
-            return self._tree.sums_to(mask)
+            if self._base is None:
+                return self._tree.sums_to(mask)
+            full = np.zeros(self._tree.n, dtype=bool)
+            full[self._index[mask]] = True
+            return self._tree.sums_to(full)[self._index]
         rows = np.flatnonzero(mask)
         return self._member_row_sums(rows, [0, len(rows)])[0]
 

@@ -293,6 +293,19 @@ def test_tree_sub_oracles_sum_on_the_whole_tree_without_a_matrix(monkeypatch):
 # --- restriction: one view of every payload ---------------------------------
 
 
+def test_line_view_matrix_is_its_own_values_without_the_base_matrix():
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=60) * 10.0 ** rng.integers(-3, 4, size=60)
+    base = DistanceOracle.from_points(vals)
+    keep = rng.permutation(60)[:23]
+    inner = rng.permutation(23)[:9]
+    for idx, sub in ((keep, base.sub_oracle(keep)),
+                     (keep[inner], base.sub_oracle(keep).sub_oracle(inner))):
+        want = DistanceOracle.from_points(vals[idx]).matrix()
+        assert sub.matrix().tobytes() == want.tobytes()
+    assert base._matrix is None
+
+
 def test_restriction_rejects_repeated_negative_and_out_of_range_indices():
     # a repeated index names one point twice: a scatter onto the base would
     # count it once in a cluster sum and a gathered matrix twice
@@ -330,7 +343,8 @@ def _restrictions(rng, base):
 
 def test_restriction_sums_are_the_base_sums_bit_for_bit():
     """A matrix or feature view sums like the copied matrix, np.ix_ order
-    included; a line or tree view is its base kernel's scattered column."""
+    included; a line or tree view is its base kernel's scattered column, and
+    a line view also a line of its own values."""
     rng = np.random.default_rng(97)
     for trial in range(6):
         n = int(rng.integers(3, 40))
@@ -347,6 +361,10 @@ def test_restriction_sums_are_the_base_sums_bit_for_bit():
                             full = np.zeros(n, dtype=bool)
                             full[idx[c.assignment == i]] = True
                             want[:, i] = base._sums_to(full)[idx]
+                    if name == "line":
+                        # also a line of the kept values, summed on its own
+                        own = DistanceOracle.from_points(base._line[idx]).cluster_sums(c)
+                        assert own.tobytes() == want.tobytes()
                     got = sub.cluster_sums(c)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
                     for i in range(k):
