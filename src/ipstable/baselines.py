@@ -222,14 +222,14 @@ def prune_frontiers(tree, oracle, measure="num-unstable"):
     read once, the first time the node or its parent is a candidate, and
     kept as two average columns in leaf order: the foreign average col / s
     and, over the node's own slice, the own average col / (s - 1), 0 for a
-    singleton. These are the floats `_cluster_averages` computes from the
-    same columns. Once per round, each point's nearest and second-nearest
+    singleton. These are the floats `core._own_and_nearest` computes from
+    the same columns. Once per round, each point's nearest and second-nearest
     foreign average over the frontier are tabled, with the node giving the
     nearest. Splitting v into (a, b) then changes only selections: a point
     in a takes the smaller of its nearest and b's average (and a point in
     b the same with a), and a point outside v the smallest of a's, b's and
     its nearest that is not v's, so the own and nearest averages are those
-    of `_nearest_foreign` bit for bit, in leaf order, which neither a count
+    of `_own_and_nearest` bit for bit, in leaf order, which neither a count
     nor a max depends on. So each split's score is its audit's, and
     (score, node id) picks the split.
     """

@@ -12,7 +12,9 @@ File formats, all plain UTF-8 text (a leading byte-order mark is ignored):
   matrix CSV      n rows by n columns, symmetric, zero diagonal; the upper
                   triangle is used
   tree file       lines "u v weight" with node ids 0..n-1
-  assignment      one cluster index per line; negative marks an excluded row
+  assignment      one cluster index per line; negative marks an excluded row.
+                  audit --targets lists one size per label the assignment
+                  uses, in ascending label order
   report          JSON with keys num_unstable, max_violation,
                   mean_violation, cost, obj; strict JSON, with an infinite
                   value (e.g. a certificate) written as the string "inf"
@@ -551,7 +553,8 @@ def build_parser():
     p_audit = subs.add_parser("audit", help="audit an assignment file against an instance")
     _add_common(p_audit, seed=False)
     p_audit.add_argument("--assignment", required=True, help="one cluster index per line")
-    p_audit.add_argument("--targets", help="comma-separated target cluster sizes")
+    p_audit.add_argument("--targets", help="comma-separated target cluster sizes, one per "
+                         "label used, in ascending label order")
     p_audit.add_argument("--p", default="inf", help="size-deviation norm, number or 'inf'")
     p_audit.add_argument("--vi", action="store_true", help="include per-point violations")
     p_audit.add_argument("--out", help="report path (stdout if omitted)")

@@ -9,13 +9,14 @@ and a brute-force reference solver for small instances.
 The audit has one primitive: the n x k cluster-sums matrix S, where S[x, i]
 is the total distance from point x to cluster i. The oracle computes it
 (`DistanceOracle.cluster_sums`, or one column at a time with `_sums_to`,
-which greedy pruning caches per dendrogram node); each backend has one
-kernel for both, so a column of either is the same bit for bit. On a
-matrix that kernel adds each cluster's member rows one at a time in
-ascending id order, O(n^2) at any k. `_cluster_averages` turns any S
-into own and foreign averages; it is the only code that does, apart from
-greedy pruning's per-node average columns, which divide the same columns
-by the same sizes.
+which greedy pruning caches per dendrogram node). Both are cases of one
+method per backend, `_member_row_sums`, so a column of either is the same
+bit for bit. On a matrix it adds each cluster's member rows one at a time
+in ascending id order, O(n^2) at any k. `_own_and_nearest` turns S into
+own and nearest foreign averages in place, as `cluster_sums` returns a
+fresh array, so an audit holds one n x k array. It is the only code that
+forms averages, apart from greedy pruning's per-node average columns,
+which divide the same columns by the same sizes.
 Violation factors, the within-cluster cost and the separation check in
 `separated` are all read from it. `brute_force` keeps its own plain
 loops on purpose, as the reference the exact solvers are tested against.
@@ -111,8 +112,8 @@ def _mirror_upper(m):
     return m
 
 
-def _line_sums_to(values, mask):
-    """Total distance from every point on a line to the points in mask.
+def _line_sums_to(values, members):
+    """Total distance from every point on a line to the points `members`.
 
     O(n log n) and no n x n array: sort the members and shift them and
     every point by their minimum, so the prefix sums are on the scale of
@@ -126,7 +127,7 @@ def _line_sums_to(values, mask):
     audit that certifies the line solvers' exit 0, and sharing their
     arithmetic would check them against themselves.
     """
-    members = np.sort(values[mask])
+    members = np.sort(values[members])
     x = values - members[0]
     members -= members[0]
     prefix = np.concatenate(([0.0], np.cumsum(members)))
@@ -147,13 +148,15 @@ class DistanceOracle:
     Explicit matrices are mirrored once at construction and a tree's matrix
     when it is built, so no caller has to choose a triangle.
 
-    `cluster_sums` has three backends, chosen by the payload. Points with a
-    single column (all three metrics are |x - y| there) take prefix sums on
-    the line, and a tree takes two passes over its preorder per cluster
-    (`WeightedTree.sums_to`); neither builds the matrix. Every other payload
-    adds each cluster's member rows of its matrix (`_member_row_sums`). A
-    restriction of any payload is a view of its base that sums with the
-    base's backend, whether or not the base's matrix is built.
+    The cluster sums have one method, `_member_row_sums`, with one branch
+    per backend; it is the only sums code that reads the payload. Points
+    with a single column (all three metrics are |x - y| there), and views
+    of them, take prefix sums on the line, and a tree takes two passes over
+    its preorder per cluster (`WeightedTree.sums_to`); neither builds the
+    matrix. Every other payload adds each cluster's member rows of its
+    matrix. Any other restriction is a view of its base that sums with the
+    base's backend, whether or not the base's matrix is built. Every call
+    returns a fresh array, which the audit overwrites with its averages.
     """
 
     def __init__(self, n, matrix=None, features=None, metric=None, tree=None, base=None, index=None):
@@ -164,9 +167,8 @@ class DistanceOracle:
         self._tree = tree
         self._line = features[:, 0] if features is not None and features.shape[1] == 1 else None
         self._base, self._index = base, index  # a view: point i is the base's point index[i]
-        if base is not None:
-            self._tree = base._tree
-            self._line = None if base._line is None else base._line[index]
+        if base is not None and base._line is not None:
+            self._line = base._line[index]
 
     @classmethod
     def from_points(cls, points, metric="euclidean"):
@@ -240,48 +242,48 @@ class DistanceOracle:
     def cluster_sums(self, clustering):
         """The n x k matrix S[x, i]: total distance from point x to cluster i.
 
-        On a matrix, S is a transposed view of `_member_row_sums`' k x n
-        rows: a C-order copy would take longer than the product at k = 500.
+        S is a transposed view of `_member_row_sums`' k x n rows, each
+        cluster's members in ascending id order: a C-order copy would take
+        longer than the product at k = 500. The array is fresh, shared with
+        no other call and no matrix, so the audit may overwrite it.
         """
-        a = clustering.assignment
-        if self._line is not None or self._tree is not None:
-            sums = np.empty((self.n, clustering.k))
-            for i in range(clustering.k):
-                sums[:, i] = self._sums_to(a == i)
-            return sums
         bounds = np.concatenate(([0], np.cumsum(clustering.sizes())))
-        return self._member_row_sums(np.argsort(a, kind="stable"), bounds).T
+        return self._member_row_sums(np.argsort(clustering.assignment, kind="stable"), bounds).T
 
     def _sums_to(self, mask):
         """Total distance from every point to mask's points: the column
-        `cluster_sums` gives that cluster, bit for bit.
-
-        A view of a tree scatters mask to the whole tree and reads the
-        column at its index. On a matrix it is the one-row case of
-        `_member_row_sums`, so its cost follows the number of members.
-        """
-        if self._line is not None:
-            return _line_sums_to(self._line, mask)
-        if self._tree is not None:
-            if self._base is None:
-                return self._tree.sums_to(mask)
-            full = np.zeros(self._tree.n, dtype=bool)
-            full[self._index[mask]] = True
-            return self._tree.sums_to(full)[self._index]
-        rows = np.flatnonzero(mask)
-        return self._member_row_sums(rows, [0, len(rows)])[0]
+        `cluster_sums` gives that cluster, bit for bit, as the one-row case
+        of `_member_row_sums`. A fresh array, like `cluster_sums`."""
+        members = np.flatnonzero(mask)
+        return self._member_row_sums(members, [0, len(members)])[0]
 
     def _member_row_sums(self, members, bounds):
-        """Row i: the sum of the matrix rows members[bounds[i] : bounds[i + 1]].
+        """Row i: total distance from every point to members[bounds[i] : bounds[i + 1]].
 
-        One k x n CSR indicator times the matrix: scipy adds each row's
-        members one at a time, in the order given (ascending ids, from both
-        callers), to a zero row. So a row depends on its member list alone,
-        whatever the other rows are, and no n x k one-hot or BLAS call
-        enters it. Every matrix is exactly symmetric, so row i holds the
-        sums d(x, C_i) of every point x. O(n) per member, O(n^2) at any k.
-        A view adds its base's rows index[members] at columns index, in order.
+        The one sums method, with one branch per backend, in a fresh k x n
+        array. A line, its views included, runs `_line_sums_to` once per
+        span, and a tree runs `WeightedTree.sums_to` once per span's mask;
+        both fill one preallocated array. Any other view sums its base's
+        rows index[members] and reads the columns at index, in order.
+
+        Every other payload multiplies one k x n CSR indicator by the
+        matrix: scipy adds each row's members one at a time, in the order
+        given (ascending ids, from both callers), to a zero row. So a row
+        depends on its member list alone, whatever the other rows are, and
+        no n x k one-hot or BLAS call enters it. Every matrix is exactly
+        symmetric, so row i holds the sums d(x, C_i) of every point x. O(n)
+        per member, O(n^2) at any k.
         """
+        if self._line is not None or self._tree is not None:    # a view has no tree
+            rows = np.empty((len(bounds) - 1, self.n))
+            for row, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+                if self._line is not None:
+                    row[:] = _line_sums_to(self._line, members[lo:hi])
+                else:
+                    mask = np.zeros(self.n, dtype=bool)
+                    mask[members[lo:hi]] = True
+                    row[:] = self._tree.sums_to(mask)
+            return rows
         if self._base is not None:
             return self._base._member_row_sums(self._index[members], bounds)[:, self._index]
         from scipy.sparse import csr_array
@@ -349,38 +351,8 @@ class StabilityReport:
     obj: float | None = None   # lp-norm of cluster size deviations, if targets given
 
 
-def _cluster_averages(sums, clustering):
-    """Per-point cluster sums and averages, all read from the n x k sums S.
-
-    S[x, i] = total distance from x to cluster i (`cluster_sums`); this is
-    the only place the package turns cluster sums into averages, apart from
-    greedy pruning's per-node columns, which divide `_sums_to` columns (S's
-    columns bit for bit) by the same sizes and so hold the same floats.
-    Returns (own_sum, own_avg, avg): own_sum[x] = S[x, a[x]], own_avg[x] is
-    its average over the rest of x's cluster (0 for a singleton), and
-    avg[x, i] = S[x, i] / |C_i|.
-    """
-    a = clustering.assignment
-    n = len(a)
-    sizes = clustering.sizes().astype(float)
-
-    own_sum = sums[np.arange(n), a]
-    own_den = sizes[a] - 1.0
-    own_avg = np.divide(own_sum, own_den, out=np.zeros(n), where=own_den > 0)
-    return own_sum, own_avg, sums / sizes
-
-
-def _nearest_foreign(avg, clustering):
-    """Each point's smallest average distance to a cluster not its own (inf at k = 1)."""
-    # keep avg's memory order: the sums are a transposed k x n view, and a
-    # C-order copy would transpose them
-    foreign = avg.copy(order="K")
-    foreign[np.arange(clustering.n), clustering.assignment] = np.inf
-    return foreign.min(axis=1)
-
-
 def _violation_vector(own_avg, nearest):
-    """Per-point violation factors own_avg / nearest (`_nearest_foreign`): 0
+    """Per-point violation factors own_avg / nearest (`_own_and_nearest`): 0
     where own_avg is 0 or k = 1, inf where only nearest is 0. Division is
     monotone, so this is the largest own/foreign ratio bit for bit."""
     with np.errstate(divide="ignore", over="ignore"):
@@ -400,11 +372,29 @@ def _check_targets(targets, k):
 
 
 def _own_and_nearest(oracle, clustering):
-    """(own_sum, own_avg, nearest foreign average) per point."""
+    """(own_sum, own_avg, nearest) per point, all read from the n x k sums S.
+
+    The only code that turns cluster sums into averages, apart from greedy
+    pruning's per-node columns, which divide `_sums_to` columns (S's columns
+    bit for bit) by the same sizes and so hold the same floats. own_sum[x]
+    is S[x, a[x]], and own_avg[x] its average over the rest of x's cluster
+    (0 for a singleton). nearest[x] is x's smallest average S[x, i] / |C_i|
+    over the clusters i not its own (inf at k = 1). The averages are formed
+    in S itself, which `cluster_sums` returns fresh: an audit allocates no
+    other n x k array.
+    """
     if clustering.n != oracle.n:
         raise ValueError("clustering and oracle size mismatch")
-    own_sum, own_avg, avg = _cluster_averages(oracle.cluster_sums(clustering), clustering)
-    return own_sum, own_avg, _nearest_foreign(avg, clustering)
+    sums = oracle.cluster_sums(clustering)
+    a = clustering.assignment
+    points = np.arange(len(a))
+    sizes = clustering.sizes().astype(float)
+    own_sum = sums[points, a]
+    own_den = sizes[a] - 1.0
+    own_avg = np.divide(own_sum, own_den, out=np.zeros(len(a)), where=own_den > 0)
+    sums /= sizes
+    sums[points, a] = np.inf
+    return own_sum, own_avg, sums.min(axis=1)
 
 
 def audit(oracle, clustering, targets=None, p=math.inf):

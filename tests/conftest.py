@@ -617,6 +617,30 @@ def member_row_sums(matrix, labels, k):
     return np.array(sums)
 
 
+def cluster_averages(sums, clustering):
+    """(own_sum, own_avg, avg) from the n x k cluster sums S, in new arrays.
+
+    own_sum[x] = S[x, a[x]], own_avg[x] is its average over the rest of x's
+    cluster (0 for a singleton), and avg[x, i] = S[x, i] / |C_i|. The plain
+    reference for the averages `core._own_and_nearest` forms in place.
+    """
+    a = clustering.assignment
+    n = len(a)
+    sizes = clustering.sizes().astype(float)
+    own_sum = sums[np.arange(n), a]
+    own_den = sizes[a] - 1.0
+    own_avg = np.divide(own_sum, own_den, out=np.zeros(n), where=own_den > 0)
+    return own_sum, own_avg, sums / sizes
+
+
+def nearest_foreign(avg, clustering):
+    """Each point's smallest average to a cluster not its own, from a masked
+    copy of avg (inf at k = 1)."""
+    foreign = avg.copy()
+    foreign[np.arange(clustering.n), clustering.assignment] = np.inf
+    return foreign.min(axis=1)
+
+
 class _SparseMin:
     """Static range-minimum structure over one array, vectorized queries."""
 

@@ -10,8 +10,6 @@ from ipstable.core import (
     STABILITY_TOL,
     Clustering,
     DistanceOracle,
-    _cluster_averages,
-    _nearest_foreign,
     audit,
     stable_limit,
 )
@@ -27,9 +25,11 @@ from ipstable.baselines import (
 )
 
 from conftest import (
+    cluster_averages,
     clusters,
     dendrogram_leaves,
     max_pick_cut,
+    nearest_foreign,
     per_cluster_lloyd,
     planted,
     random_points,
@@ -349,8 +349,8 @@ def test_prune_on_the_line_scores_a_split_at_its_stable_limit_exactly(monkeypatc
         children = tree.children
         split = [w for w in children[-1].tolist() if w != 10] + children[10 - 8].tolist()
         c = tree.clustering(split)
-        _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
-        limit = stable_limit(_nearest_foreign(avg, c))
+        _, own_avg, avg = cluster_averages(o.cluster_sums(c), c)
+        limit = stable_limit(nearest_foreign(avg, c))
         assert np.min(np.abs(own_avg - limit) / np.spacing(limit)) <= 8
         audits = _audits(monkeypatch)
         got = greedy_prune(tree, o, 3)
@@ -393,7 +393,7 @@ def test_prune_scores_subnormal_distances_without_an_audit(monkeypatch):
 
 
 def _split_averages(o, tree, cand):
-    """(own_avg, nearest) of a split, in leaf order, as the audit's helpers
+    """(own_avg, nearest) of a split, in leaf order, as the reference averages
     compute them from `_sums_to` columns assembled into the sums matrix."""
     order, start, size = tree.order, tree.start, tree.size
     c = tree.clustering(cand)
@@ -402,8 +402,8 @@ def _split_averages(o, tree, cand):
         mask = np.zeros(o.n, dtype=bool)
         mask[order[start[w] : start[w] + size[w]]] = True
         sums[:, c.assignment[order[start[w]]]] = o._sums_to(mask)
-    _, own_avg, avg = _cluster_averages(sums, c)
-    return own_avg[order], _nearest_foreign(avg, c)[order]
+    _, own_avg, avg = cluster_averages(sums, c)
+    return own_avg[order], nearest_foreign(avg, c)[order]
 
 
 @pytest.mark.parametrize("variant", ["single", "average", "complete"])

@@ -125,6 +125,20 @@ def test_audit_matrix_and_header_and_negatives(tmp_path, capsys):
     assert cli.main(["audit", "--input", str(hdr), "--assignment", str(assign4)]) == 0
 
 
+def test_audit_targets_follow_ascending_label_order(tmp_path):
+    # label 5 is the first in the file and 2 the smallest: --targets lists
+    # label 2's size first, whatever order the labels appear in
+    inp = tmp_path / "pts.csv"
+    _write_csv(inp, [0.0, 1.0, 2.0, 9.0])
+    assign = tmp_path / "a.txt"
+    _write_lines(assign, [5, 5, 5, 2])
+    for targets, obj in (("1,3", 0.0), ("3,1", 2.0)):
+        out = tmp_path / f"{targets}.json"
+        assert cli.main(["audit", "--input", str(inp), "--assignment", str(assign),
+                         "--targets", targets, "--out", str(out)]) == 0
+        assert _read_json(out)["obj"] == obj
+
+
 def test_audit_error_paths(tmp_path, capsys):
     inp = tmp_path / "pts.csv"
     _write_csv(inp, [0.0, 1.0, 7.0, 8.0])

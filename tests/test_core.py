@@ -11,8 +11,7 @@ from ipstable.core import (
     Clustering,
     DistanceOracle,
     STABILITY_TOL,
-    _cluster_averages,
-    _nearest_foreign,
+    _own_and_nearest,
     _partitions_into_k,
     _violation_vector,
     audit,
@@ -28,11 +27,13 @@ from ipstable.tree import WeightedTree
 
 from conftest import (
     all_label_partitions,
+    cluster_averages,
     clusters,
     member_row_sums,
     naive_cost,
     naive_num_unstable,
     naive_vi,
+    nearest_foreign,
     random_clustering,
     random_graph_metric,
     random_points,
@@ -391,6 +392,30 @@ def test_tree_restriction_sums_the_same_bits_before_and_after_the_matrix():
     assert changed    # matrix rows would have given other bits
 
 
+def test_cluster_sums_are_fresh_and_each_backend_agrees_with_itself():
+    """The audit divides the sums in place, so every cluster_sums array is
+    its own: no second call and no built matrix shares its memory, and two
+    audits in a row see the same sums and leave the matrix as it was."""
+    rng = np.random.default_rng(43)
+    for trial in range(4):
+        n = int(rng.integers(3, 30))
+        for name, base in _restriction_bases(rng, n):
+            for _, o in [(None, base), *_restrictions(rng, base)]:
+                k = int(rng.integers(1, o.n + 1))
+                c = random_clustering(rng, o.n, k)
+                sums = o.cluster_sums(c)
+                assert not np.shares_memory(sums, o.cluster_sums(c)), name
+                for i in range(k):
+                    column = o._sums_to(c.assignment == i)
+                    assert column.tobytes() == sums[:, i].tobytes(), name
+                matrix = o.matrix()
+                before = matrix.tobytes()
+                assert not np.shares_memory(o.cluster_sums(c), matrix), name
+                first, second = audit(o, c), audit(o, c)
+                assert first.vi.tobytes() == second.vi.tobytes(), name
+                assert o.matrix() is matrix and matrix.tobytes() == before, name
+
+
 def test_prune_builds_one_matrix_per_oracle_and_needs_no_audit(monkeypatch):
     # plain and subnormal distances alike: every split's score is read off
     # columns equal to the audit's, so no split is audited, and all of them
@@ -457,7 +482,7 @@ def test_from_labels_matches_the_dict_loop():
 def test_cluster_averages_hand_values():
     o = DistanceOracle.from_points([0.0, 1.0, 3.0, 7.0])
     c = Clustering(np.array([0, 0, 0, 1]), 2)
-    own_sum, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
+    own_sum, own_avg, avg = cluster_averages(o.cluster_sums(c), c)
     # point 0: distances 1 and 3 to the rest of its cluster, 7 to cluster 1
     assert own_sum[0] == pytest.approx(4.0)
     assert own_avg[0] == pytest.approx(2.0)
@@ -503,16 +528,26 @@ def _averaged_cases():
     yield DistanceOracle.from_points(ulp_past), Clustering([0, 0, 1], 2)
 
 
+def test_own_and_nearest_is_the_reference_averages_bit_for_bit():
+    # the averages formed in place in the sums are the reference's division
+    # of a copy, its masked copy and its row minimum, float for float
+    for o, c in _averaged_cases():
+        own_sum, own_avg, avg = cluster_averages(o.cluster_sums(c), c)
+        want = own_sum, own_avg, nearest_foreign(avg, c)
+        for got, expected in zip(_own_and_nearest(o, c), want):
+            assert got.tobytes() == expected.tobytes(), (o.matrix(), c)
+
+
 def test_violation_vector_is_the_masked_ratio_row_maximum():
     for o, c in _averaged_cases():
-        _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
-        got = _violation_vector(own_avg, _nearest_foreign(avg, c))
+        _, own_avg, avg = cluster_averages(o.cluster_sums(c), c)
+        got = _violation_vector(own_avg, nearest_foreign(avg, c))
         assert np.array_equal(got, _masked_ratio_max(own_avg, avg, c)), (o.matrix(), c)
 
 
 def test_audit_counts_the_points_above_their_stable_limit():
     for o, c in _averaged_cases():
-        _, own_avg, avg = _cluster_averages(o.cluster_sums(c), c)
+        _, own_avg, avg = cluster_averages(o.cluster_sums(c), c)
         want = 0
         for x in range(c.n):
             foreign = [avg[x, i] for i in range(c.k) if i != c.assignment[x]]
