@@ -19,6 +19,14 @@ File formats, all plain UTF-8 text (a leading byte-order mark is ignored):
                   mean_violation, cost, obj; strict JSON, with an infinite
                   value (e.g. a certificate) written as the string "inf"
 
+Numbers are read as Python's float() and int() read them, whichever path
+parses a file: one np.loadtxt call reads a file whose lines all split the
+same way, and numpy's numbers are a subset of Python's with the same
+values; a file it declines is read field by field by the per-record path,
+whose errors name the line at fault. Labels must fit int64 and tree node
+ids must be non-negative. The argument parser, PARSER, is built once at
+import.
+
 Every subcommand turns --input/--metric into an instance in build_oracle.
 solve-1d and solve-dp need one value column under a point metric;
 solve-tree2 needs --metric tree and takes no --standardize. Neither these
@@ -34,6 +42,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -68,11 +77,11 @@ class CliError(Exception):
 
 
 def _records(path):
-    """[(line number, fields)] for each nonblank line of an input file.
+    """The lines of an input file, stripped; line i + 1 is entry i.
 
-    Fields split on commas when the line has one, else on blanks. A leading
-    UTF-8 byte-order mark is dropped. This is the only place an input file
-    is opened; an unreadable one is a CliError.
+    Blank lines stay as "". A leading UTF-8 byte-order mark is dropped. This
+    is the only place an input file is opened; an unreadable one is a
+    CliError.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -80,9 +89,40 @@ def _records(path):
     except OSError as exc:
         raise CliError(str(exc))
     # text mode reads every line end as "\n", as iterating the file would
-    lines = enumerate(map(str.strip, text.split("\n")), start=1)
-    return [(lineno, [t.strip() for t in line.split(",")] if "," in line else line.split())
-            for lineno, line in lines if line]
+    return list(map(str.strip, text.split("\n")))
+
+
+def _split(line):
+    """A line's fields: split on commas when it has one, else on blanks."""
+    return [t.strip() for t in line.split(",")] if "," in line else line.split()
+
+
+def _fields(lines):
+    """[(line number, fields)] for each nonblank line: the per-record path."""
+    return [(lineno, _split(line)) for lineno, line in enumerate(lines, start=1) if line]
+
+
+def _loadtxt(lines, dtype, ndmin=2):
+    """The nonblank lines read by one np.loadtxt call, or None to read them per record.
+
+    It reads only lines that all split on commas or all on blanks, as _split
+    would split them. numpy's numbers are a subset of Python's float() and
+    int() that read as the same values: it rejects "1_0", non-ASCII digits
+    and integers beyond int64, and any line it rejects, like an empty file,
+    is left to the per-record path and its line-numbered messages.
+    """
+    lines = list(filter(None, lines))
+    commas = len([line for line in lines if "," in line])
+    if not lines or 0 < commas < len(lines):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" as the integer 1 with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=dtype, delimiter="," if commas else None,
+                              comments=None, quotechar=None, ndmin=ndmin)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
 
 
 def _convert(path, records, convert, message):
@@ -102,17 +142,31 @@ def _convert(path, records, convert, message):
         raise
 
 
+def _reject(path, records, values, bad, message):
+    """A CliError naming the first record whose converted value is bad."""
+    for (lineno, _), value in zip(records, values):
+        if bad(value):
+            raise CliError(f"{path}:{lineno}: {message}")
+
+
 def _floats(records):
     return list(map(float, [t for _, fields in records for t in fields]))
 
 
 def _load_rows(path):
     """Numeric rows from a CSV-ish file; a single leading header row is ok."""
-    records = _records(path)
-    try:
-        _floats(records[:1])
-    except ValueError:
-        records = records[1:]
+    lines = _records(path)
+    data = list(filter(None, lines))
+    header = 0
+    if data:
+        try:
+            list(map(float, _split(data[0])))
+        except ValueError:
+            header = 1
+    rows = _loadtxt(data[header:], float)
+    if rows is not None:
+        return rows
+    records = _fields(lines)[header:]
     values = _convert(path, records, _floats, "non-numeric row")
     if not records:
         raise CliError(f"{path}: no data rows")
@@ -144,9 +198,21 @@ def _edges(records):
     return [(int(u), int(v), float(w)) for _, (u, v, w) in records]
 
 
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
+
+
 def load_tree(path):
-    edges = _convert(path, _records(path), _edges, "expected 'u v weight'")
-    max_id = max((max(u, v) for u, v, _ in edges), default=-1)
+    lines = _records(path)
+    rows = _loadtxt(lines, _EDGE, ndmin=1)
+    if rows is not None and min(rows["u"].min(), rows["v"].min()) >= 0:
+        edges = list(zip(rows["u"].tolist(), rows["v"].tolist(), rows["w"].tolist()))
+        max_id = int(max(rows["u"].max(), rows["v"].max()))
+    else:
+        records = _fields(lines)
+        edges = _convert(path, records, _edges, "expected 'u v weight'")
+        _reject(path, records, edges, lambda e: min(e[0], e[1]) < 0,
+                "tree node ids must be non-negative")
+        max_id = max((max(u, v) for u, v, _ in edges), default=-1)
     if max_id < 0:
         raise CliError(f"{path}: no edges")
     return WeightedTree(max_id + 1, edges)
@@ -157,9 +223,17 @@ def _labels(records):
 
 
 def load_assignment(path):
-    labels = _convert(path, _records(path), _labels, "expected one integer per line")
+    lines = _records(path)
+    labels = _loadtxt(lines, int)
+    if labels is not None and labels.shape[1] == 1:
+        return labels.reshape(-1)
+    records = _fields(lines)
+    labels = _convert(path, records, _labels, "expected one integer per line")
     if not labels:
         raise CliError(f"{path}: empty assignment")
+    bounds = np.iinfo(int)
+    _reject(path, records, labels, lambda label: not bounds.min <= label <= bounds.max,
+            f"label out of the {bounds.bits}-bit integer range")
     return np.asarray(labels, dtype=int)
 
 
@@ -613,9 +687,12 @@ def build_parser():
     return parser
 
 
+# built once per process: parse_args leaves no state on it
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     # library errors: bad input (ValueError), infeasible instance (RuntimeError),

@@ -34,7 +34,7 @@ from .core import Clustering, DistanceOracle, stable_limit
 def _integer_ids(ids, message):
     """ids as ints by operator.index, which neither truncates 0.5 nor parses "1"."""
     ids = list(ids)
-    if any(isinstance(i, bool) for i in ids):
+    if bool in set(map(type, ids)):
         raise ValueError(message)
     try:
         return list(map(operator.index, ids))
@@ -88,6 +88,7 @@ class WeightedTree:
             raise ValueError("root must be a node of the tree")
         ends = _integer_ids([x for u, v, _ in edges for x in (u, v)], "tree node ids must be integers")
         self.adj = [[] for _ in range(self.n)]
+        neighbors = [[] for _ in range(self.n)]
         self.edges = []
         for u, v, (_, _, w) in zip(ends[::2], ends[1::2], edges):
             w = float(w)
@@ -97,13 +98,13 @@ class WeightedTree:
                 raise ValueError("edge weights must be positive and finite")
             self.adj[u].append((v, w))
             self.adj[v].append((u, w))
+            neighbors[u].append(v)
+            neighbors[v].append(u)
             self.edges.append((u, v, w))
         # every path is at most the total weight, so this bounds all distances
         if not math.isfinite(sum(w for _, _, w in self.edges)):
             raise ValueError("edge weights overflow the float range")
-        self.order, self.pos, self.parent, self.depth, self.size = root_pass(
-            [[v for v, _ in nbrs] for nbrs in self.adj], self.root
-        )
+        self.order, self.pos, self.parent, self.depth, self.size = root_pass(neighbors, self.root)
         self.parent_weight = [0.0] * self.n
         for u, v, w in self.edges:
             self.parent_weight[v if self.parent[v] == u else u] = w

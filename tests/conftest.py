@@ -7,12 +7,13 @@ bfs_dists_from, bfs_solve_tree2, node_dist, naive_point_distance_matrix,
 walk_hst_k_clustering, frontier_embed_hst, two_pass_normalize_leaves,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
 max_pick_cut, reaudit_prune, per_row_dp_table, member_row_sums,
-per_cluster_lloyd, stretch_ratios and relabel_by_first_appearance are the
-breadth-first walks, plain per-call walks, per-point ancestor walks,
-per-node frontier loops, two-pass splices, per-edge scans, per-row fills,
-member-row loops, per-cluster means, whole ratio matrices and per-point
-loops the tree, HST, linkage, dendrogram, DP, cluster-sums, Lloyd, stretch
-and relabeling code replaced; the faster paths must reproduce them exactly.
+per_cluster_lloyd, stretch_ratios, relabel_by_first_appearance and
+per_record_load are the breadth-first walks, plain per-call walks,
+per-point ancestor walks, per-node frontier loops, two-pass splices,
+per-edge scans, per-row fills, member-row loops, per-cluster means, whole
+ratio matrices, per-point loops and per-field conversions the tree, HST,
+linkage, dendrogram, DP, cluster-sums, Lloyd, stretch, relabeling and
+input-loading code replaced; the faster paths must reproduce them exactly.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ipstable.baselines import LLOYD_MAX_ITERS
+from ipstable.cli import CliError
 from ipstable.core import STABILITY_TOL, Clustering, DistanceOracle, audit, min_count
 from ipstable.hst import Hst
 from ipstable.line1d import LineInstance
@@ -982,3 +984,65 @@ def claims_hold(meta, vi, max_violation, rel=1e-6):
 
 def oracle_from_points(points, metric="euclidean"):
     return DistanceOracle.from_points(points, metric)
+
+
+def per_record_load(kind, path):
+    """An input file read one field at a time, as the cli read every file
+    before its one-call numpy path: kind is "points", "matrix", "tree" or
+    "assignment".
+
+    Each nonblank line, stripped, splits on commas (each field stripped)
+    when it has one, else on blanks; every field goes through Python float()
+    or int(). Returns a float array, a WeightedTree or an int64 array, or
+    raises the cli's CliError for the first line at fault.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    records = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line:
+            fields = [t.strip() for t in line.split(",")] if "," in line else line.split()
+            records.append((lineno, fields))
+
+    def convert(read, message):
+        out = []
+        for lineno, fields in records:
+            try:
+                out.append(read(*fields))
+            except (ValueError, TypeError):
+                raise CliError(f"{path}:{lineno}: {message}") from None
+        return out
+
+    if kind in ("points", "matrix"):
+        if records:
+            try:
+                [float(t) for t in records[0][1]]
+            except ValueError:
+                records = records[1:]
+        rows = convert(lambda *fields: [float(t) for t in fields], "non-numeric row")
+        if not rows:
+            raise CliError(f"{path}: no data rows")
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise CliError(f"{path}: row {i + 1} has {len(row)} columns, "
+                               f"expected {len(rows[0])}")
+        out = np.array(rows, dtype=float)
+        if kind == "matrix" and out.shape[0] != out.shape[1]:
+            raise CliError(f"{path}: distance matrix must be square, got {out.shape}")
+        return out
+    if kind == "tree":
+        edges = convert(lambda u, v, w: (int(u), int(v), float(w)), "expected 'u v weight'")
+        for (lineno, _), (u, v, _) in zip(records, edges):
+            if u < 0 or v < 0:
+                raise CliError(f"{path}:{lineno}: tree node ids must be non-negative")
+        if not edges:
+            raise CliError(f"{path}: no edges")
+        return WeightedTree(max(max(u, v) for u, v, _ in edges) + 1, edges)
+    labels = convert(lambda label: int(label), "expected one integer per line")
+    if not labels:
+        raise CliError(f"{path}: empty assignment")
+    for (lineno, _), label in zip(records, labels):
+        if not -2 ** 63 <= label < 2 ** 63:
+            raise CliError(f"{path}:{lineno}: label out of the 64-bit integer range")
+    return np.array(labels, dtype=np.int64)

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipstable import baselines, cli
 from ipstable.core import DistanceOracle, audit
 
-from conftest import claims_hold, planted
+from conftest import claims_hold, per_record_load, planted
 
 
 def _write_csv(path, arr, header=None):
@@ -1064,6 +1067,13 @@ LOADER_CASES = {
     "label-two-fields": ("assignment", "0\n1 2\n", ":2: expected one integer per line"),
     "label-float": ("assignment", "0\n\n1.0\n", ":3: expected one integer per line"),
     "bom-assignment": ("assignment", BOM + "1\n0\n", [1, 0]),
+    "hash-field": ("points", "1\n#2\n3\n", ":2: non-numeric row"),
+    "quoted-field": ("points", '1,2\n"3",4\n', ":2: non-numeric row"),
+    "nbsp-separator": ("points", "1\xa02\n3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "overflow-to-inf": ("points", "1e400\n-1e400\n", [[math.inf], [-math.inf]]),
+    "label-20-digits": ("assignment", "0\n12345678901234567890\n",
+                        ":2: label out of the 64-bit integer range"),
+    "tree-negative-id": ("tree", "0 1 1.0\n1 -2 1.0\n", ":2: tree node ids must be non-negative"),
 }
 
 
@@ -1084,6 +1094,105 @@ def test_loaders_read_whole_files_and_name_the_line_at_fault(tmp_path, name):
         assert got.edges == want and got.n == len(want) + 1
     else:
         assert got.tolist() == want and got.dtype == (float if kind == "points" else int)
+
+
+# pieces of the files the loaders are checked on: numbers as Python writes
+# them, spellings only one parser accepts, and stray characters
+_SPELLINGS = ["1_0", "\u0661", "1e400", "5e-324", "+2", "-0", ".5", "1.", "inf", "nan",
+              "-nan", "12345678901234567890", "#1", '"1"', "1e", "_", ".", ""]
+_PIECES = [*"0123456789.e+-_", "inf", "nan", "\u0661", "#", '"', "\xa0"]
+_BLANKS = [" ", "\t", "\xa0", "  "]
+
+
+@st.composite
+def _field(draw, numbers):
+    roll = draw(st.integers(0, 19))
+    if roll < 16:
+        number = draw(numbers)
+        text = repr(number) if isinstance(number, int) else draw(st.sampled_from(
+            ["{!r}", "{:.18e}", "{:.25g}", "{:.3g}"])).format(number)
+    elif roll < 18:
+        text = draw(st.sampled_from(_SPELLINGS))
+    else:
+        text = "".join(draw(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4)))
+    pad = st.sampled_from(["", "", " ", "\t", "\xa0"])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def _input_file(draw, kind):
+    """The text of a small input file of one kind, mostly well formed."""
+    rows = draw(st.integers(1, 4))
+    width = {"tree": 3, "assignment": 1, "matrix": rows}.get(kind) or draw(st.integers(1, 3))
+    comma = draw(st.booleans())
+    lines = []
+    for i in range(rows):
+        numbers = [st.integers(-30, 30) if kind == "assignment" else st.floats()] * width
+        if kind == "tree":      # mostly a tree: node i + 1 hangs from a node before it
+            numbers = [st.integers(0, i), st.just(i + 1), st.floats(0, 1e300, exclude_min=True)]
+        fields = [draw(_field(number)) for number in numbers]
+        fields = draw(st.sampled_from([fields] * 5 + [fields[1:], fields + ["1"]]))
+        seps = [",", ", ", " ,"] if comma else _BLANKS
+        if not draw(st.integers(0, 5)):         # now and then a row split the other way
+            seps = [",", *_BLANKS]
+        lines.append(draw(st.sampled_from(seps)).join(fields))
+        if not draw(st.integers(0, 5)):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    if not draw(st.integers(0, 4)):
+        lines.insert(0, draw(st.sampled_from(["x", "value", "a,b", "u v w"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return (BOM if draw(st.integers(0, 5)) == 0 else "") + text
+
+
+def _loaded(load, path):
+    """(kind of outcome, comparable value): the bytes of an array, a tree's
+    edges with their weights' exact hex, or an error's type and text."""
+    try:
+        got = load(path)
+    except (cli.CliError, ValueError) as exc:
+        return "error", (type(exc), str(exc))
+    if isinstance(got, np.ndarray):
+        return "array", (got.dtype, got.shape, got.tobytes())
+    return "tree", (got.n, [(u, v, float.hex(w)) for u, v, w in got.edges])
+
+
+LOADERS = {"points": cli.load_points, "matrix": cli.load_matrix, "tree": cli.load_tree,
+           "assignment": cli.load_assignment}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)).flatmap(lambda kind: st.tuples(
+    st.just(kind), _input_file(kind))))
+def test_the_numpy_path_reads_what_the_per_record_path_reads_or_defers_to_it(
+        tmp_path_factory, case):
+    kind, text = case
+    path = tmp_path_factory.mktemp("loader") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _loaded(LOADERS[kind], str(path)) == _loaded(
+        lambda p: per_record_load(kind, p), str(path))
+
+
+@pytest.mark.parametrize("kind, text, per_record", [
+    ("points", "x,y\n1,2\n\n3,4\n", False),
+    ("points", "1e3 2\n-inf nan\n", False),
+    ("assignment", "0\n-1\n+2\n", False),
+    ("tree", "0 1 1.5\n1 2 2\n", False),
+    ("points", "1_0\n2\n", True),
+    ("points", "1,2\n3 4\n", True),
+    ("assignment", "0\n1 2\n", True),
+    ("tree", "0 1 1.0\n1 -2 1.0\n", True),
+    ("points", "", True),
+])
+def test_plain_files_are_read_in_one_numpy_call(tmp_path, monkeypatch, kind, text, per_record):
+    """Only a file numpy declines reaches the per-record path."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    calls = []
+    fields = cli._fields
+    monkeypatch.setattr(cli, "_fields", lambda lines: calls.append(1) or fields(lines))
+    want = _loaded(lambda p: per_record_load(kind, p), str(path))
+    assert _loaded(LOADERS[kind], str(path)) == want
+    assert bool(calls) == per_record
 
 
 def test_a_byte_order_mark_keeps_the_first_row(tmp_path):
@@ -1147,3 +1256,37 @@ def test_files_are_opened_only_by_the_reader_and_the_writer():
     openers = [f.name for f in module.body if isinstance(f, ast.FunctionDef) for _ in opens(f)]
     assert sorted(openers) == ["_records", "_write_text"]
     assert len(opens(module)) == 2
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """main parses with one parser built at import; each call's Namespace is
+    the one a fresh parser gives, so no flag leaks into the next call."""
+    values, labels = tmp_path / "v.csv", tmp_path / "a.txt"
+    _write_csv(values, [0.0, 1.0, 1.5, 7.0, 8.0, 8.5])
+    _write_lines(labels, [0, 0, 0, 1, 1, 1])
+    out = str(tmp_path / "out")
+    calls = [
+        ["solve", "--input", str(values), "--algo", "solve-1d", "--k", "2", "--vi",
+         "--seed", "5", "--out", out, "--report", out + ".json"],
+        ["solve", "--input", str(values), "--algo", "solve-1d", "--k", "2", "--out", out],
+        ["audit", "--input", str(values), "--assignment", str(labels), "--vi", "--p", "2",
+         "--format", "csv", "--out", out],
+        ["audit", "--input", str(values), "--assignment", str(labels), "--out", out],
+        ["bench", "--input", str(values), "--algo", "random", "--k", "2", "--seed", "3",
+         "--repeat", "2", "--out", out],
+        ["bench", "--input", str(values), "--algo", "kcenter", "--k", "2", "--out", out],
+        ["solve", "--input", str(values), "--algo", "solve-1d", "--k", "2", "--out", out],
+    ]
+    seen = []
+    parse = cli.PARSER.parse_args
+    monkeypatch.setattr(cli.PARSER, "parse_args", lambda argv: seen.append(parse(argv)) or seen[-1])
+    for argv in calls:
+        assert cli.main(argv) == 0
+    assert seen == [cli.build_parser().parse_args(argv) for argv in calls]
+    assert (seen[1].vi, seen[1].seed, seen[1].report) == (False, 0, None)
+    for argv in (["-h"], ["solve", "-h"], ["solve", "--algo", "nope"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == (2 if "nope" in argv else 0)
+    capsys.readouterr()
+    assert cli.main(calls[1]) == 0 and seen[-1] == seen[1]
