@@ -1,20 +1,32 @@
 """Exact IP-stable k-clustering of points on the real line.
 
 Clusters of an optimal solution can be taken contiguous in sorted order, and
-stability of a contiguous clustering is equivalent to stability of the 2(k-1)
-points adjacent to the separators (checked only against the neighboring
-cluster; farther clusters are automatically no closer on a line). The solver
-starts with one big cluster followed by k-1 singletons and only ever moves
-separators left, which bounds the total number of moves by k*n.
+a contiguous clustering is stable when the points next to the separators are
+stable against the neighboring cluster (farther clusters are no closer on a
+line). The solver starts with one big cluster followed by k-1 singletons and
+only moves separators left, at most k*n moves. It checks only the k-1 points
+just left of the separators: in exact arithmetic each cluster's first point
+stays stable (a separator hands a point over only when it is closer on
+average to the cluster on the right, and later moves only take farther
+points from its cluster or add farther ones to the cluster on its left).
+`core._line_sums_to`'s audit certifies that, in arithmetic of its own.
+
+The sweep settles one separator per visit, moving it until the last point
+before it is stable, then goes back one separator if it moved, else on to
+the next. A move only makes its neighbours less stable (the cluster on its
+left loses its point farthest from the separator before, the one on its
+right gains a point farther than its members from the separator after), so
+moves commute and have one final state in any order (Newman 1942): the
+order changes neither the bounds nor the move count, their total
+displacement. That argument holds in exact arithmetic, and each check
+rounds its exact sums once; the gate is a differential test against the
+one-step sweep kept in `tests/conftest.py`.
 
 `LineInstance` is the one model of the sorted line that this sweep and the
-size-targeted DP in `dp_target` share. It holds the values exactly as
-integers over a common power of two, with their exact prefix sums, and
-defines once the distance sum from a sorted point to the c points next to it
-on either side. A separator move then only changes the bounds; the sweep
-reads its sums off the prefix sums, exactly and on any scale. The DP reads
-all the sums from a block of points at once, one row of running float sums
-of its distances per point.
+size-targeted DP in `dp_target` share: the values exactly as integers over a
+common power of two with their exact prefix sums, which the sweep reads
+exactly and on any scale, and rows of running float sums of the distances
+for the DP, a block of points at a time.
 """
 
 from __future__ import annotations
@@ -76,13 +88,12 @@ class LineInstance:
     # sums[i] of ints[:i]. The distance sum from sorted point a to the c
     # points left of it is then c * ints[a] - (sums[a] - sums[a - c]), over
     # scale, and its mirror on the right: exact, so 0 across tied values and
-    # never negative, whatever the spread and the offset. The scalar forms
-    # round it once and serve the sweep. The array form serves the DP
-    # thresholds at numpy speed, a block of points at a time: running sums
-    # of the distances, nearest first. Each distance is a correctly rounded
-    # nonnegative difference, so a sum is exactly 0 across ties, never
-    # negative, exact for c <= 1 and within c ulps (relative) of the exact
-    # sum, whatever the offset.
+    # never negative, whatever the spread and the offset; `settle` rounds it
+    # once. The array form serves the DP thresholds at numpy speed, a block
+    # of points at a time: running sums of the distances, nearest first.
+    # Each distance is a correctly rounded nonnegative difference, so a sum
+    # is exactly 0 across ties, never negative, exact for c <= 1 and within
+    # c ulps (relative) of the exact sum, whatever the offset.
 
     @cached_property
     def _exact(self):
@@ -95,18 +106,6 @@ class LineInstance:
         # the same correctly rounded float as d / scale, about twice as fast
         fast = scale < 2**1000 and len(ints) * sums[-1] < 2**1000
         return ints, sums, (1 / scale if fast else None), scale
-
-    def dist_left(self, a, c):
-        """Total distance from sorted point a to the c points just left of it."""
-        ints, sums, inv, scale = self._exact
-        d = c * ints[a] - (sums[a] - sums[a - c])
-        return d * inv if inv else d / scale
-
-    def dist_right(self, a, c):
-        """Total distance from sorted point a to the c points just right of it."""
-        ints, sums, inv, scale = self._exact
-        d = (sums[a + c + 1] - sums[a + 1]) - c * ints[a]
-        return d * inv if inv else d / scale
 
     @cached_property
     def _windows(self):
@@ -136,17 +135,22 @@ class LineInstance:
         np.cumsum(win_right[lo:hi, 1 : n - lo] - v, axis=1, out=right[:, 1:])
         return left, right
 
-    def last_point_stable(self, b, left, right):
-        """Is the last of the `left` points before sorted position b stable
-        against the `right` points from b on?
-
-        It is when its average distance to its own cluster (0 for a
-        singleton) is at most `stable_limit` of its average distance to the
-        right cluster.
-        """
-        a = b - 1
-        own = self.dist_left(a, left - 1) / (left - 1) if left > 1 else 0.0
-        return own <= stable_limit(self.dist_right(a, right) / right)
+    def settle(self, lo, b, hi):
+        """Move separator b left, with its neighbours lo < b < hi fixed,
+        until the last point of [lo, b) is stable against [b, hi): its own
+        average is at most `stable_limit` of its average to [b, hi), each
+        sum exact and rounded once. Returns the new position, lo + 1 at the
+        latest, where the point is a singleton with own average 0."""
+        ints, sums, inv, scale = self._exact
+        while b - 1 > lo:
+            a = b - 1
+            own = (a - lo) * ints[a] - (sums[a] - sums[lo])
+            foreign = (sums[hi] - sums[b]) - (hi - b) * ints[a]
+            own, foreign = (own * inv, foreign * inv) if inv else (own / scale, foreign / scale)
+            if own / (a - lo) <= stable_limit(foreign / (hi - b)):
+                break
+            b -= 1
+        return b
 
     def clustering(self, sizes):
         """The contiguous clustering whose clusters, left to right in sorted
@@ -177,35 +181,29 @@ class SeparatorState:
 
 
 def sweep(instance, k):
-    """Run the leftward separator sweep to a fully stable state."""
+    """Run the leftward separator sweep to a fully stable state, settling
+    one separator per visit (see the module docstring)."""
     n = instance.n
     _check_k(k, n)
-    # one big cluster on the left, then k-1 singletons
-    b = [0] + list(range(n - k + 1, n + 1))
-    stable = instance.last_point_stable
+    b = [0] + list(range(n - k + 1, n + 1))   # one big cluster, k-1 singletons
     moves = 0
-    max_moves = k * n
     j = 1
     while j <= k - 1:
-        if stable(b[j], b[j] - b[j - 1], b[j + 1] - b[j]):
-            j += 1
-            continue
-        # a singleton's own average is 0, so an unstable point has a
-        # cluster mate to its left and the move leaves no cluster empty
-        b[j] -= 1
-        moves += 1
-        if moves > max_moves:
+        new = instance.settle(b[j - 1], b[j], b[j + 1])
+        moved, b[j] = b[j] - new, new
+        moves += moved
+        if moves > k * n:
             raise RuntimeError("separator sweep exceeded the k*n move bound")
-        # the move changed cluster j-1's right neighbor; recheck one step back
-        j = max(1, j - 1)
+        # a move shrank cluster j-1, so separator j-1 is checked again
+        j = j - 1 if moved and j > 1 else j + 1
     return SeparatorState(instance, b, moves)
 
 
 def solve_1d(values, k):
     """IP-stable k-clustering of real values, returned in input order.
 
-    Accepts raw values or a LineInstance. Runs in O(k*n) separator moves on
-    top of an O(n log n) sort.
+    Accepts raw values or a LineInstance. Runs in at most k*n separator
+    moves, settled one separator at a time, on top of an O(n log n) sort.
     """
     instance = values if isinstance(values, LineInstance) else LineInstance.from_values(values)
     return sweep(instance, k).to_clustering()

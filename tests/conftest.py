@@ -7,13 +7,15 @@ bfs_dists_from, bfs_solve_tree2, node_dist, naive_point_distance_matrix,
 walk_hst_k_clustering, frontier_embed_hst, two_pass_normalize_leaves,
 walk_restrict, dfs_root_fields, full_scan_size_guard, full_scan_conditioned,
 max_pick_cut, reaudit_prune, per_row_dp_table, member_row_sums,
-per_cluster_lloyd, stretch_ratios, relabel_by_first_appearance and
-per_record_load are the breadth-first walks, plain per-call walks,
-per-point ancestor walks, per-node frontier loops, two-pass splices,
-per-edge scans, per-row fills, member-row loops, per-cluster means, whole
-ratio matrices, per-point loops and per-field conversions the tree, HST,
-linkage, dendrogram, DP, cluster-sums, Lloyd, stretch, relabeling and
-input-loading code replaced; the faster paths must reproduce them exactly.
+per_cluster_lloyd, stretch_ratios, relabel_by_first_appearance,
+per_record_load and one_step_sweep are the breadth-first walks, plain
+per-call walks, per-point ancestor walks, per-node frontier loops, two-pass
+splices, per-edge scans, per-row fills, member-row loops, per-cluster means,
+whole ratio matrices, per-point loops, per-field conversions and one-step
+separator moves the tree, HST, linkage, dendrogram, DP, cluster-sums, Lloyd,
+stretch, relabeling, input-loading and line-sweep code replaced; the faster
+paths must reproduce them exactly. fraction_settle is the line sweep's check
+in exact arithmetic.
 """
 
 import itertools
@@ -831,6 +833,54 @@ def contiguous_stable_optimum(values, targets, p, tol=TOL):
         if best is None or obj < best:
             best = obj
     return best
+
+
+def _last_point_stable(instance, b, left, right):
+    """The one-step sweep's check: is the last of the `left` points before
+    sorted position b stable against the `right` points from b on? Each sum
+    is read off the line model's exact prefix sums and rounded once."""
+    ints, sums, inv, scale = instance._exact
+
+    def rounded(d):
+        return d * inv if inv else d / scale
+
+    a, c = b - 1, left - 1
+    own = rounded(c * ints[a] - (sums[a] - sums[a - c])) / c if c else 0.0
+    foreign = rounded((sums[a + right + 1] - sums[a + 1]) - right * ints[a]) / right
+    return own <= foreign * (1.0 + STABILITY_TOL)
+
+
+def one_step_sweep(instance, k):
+    """The sweep `line1d.sweep` replaced: move one separator one step, then
+    recheck the separator before it. Returns (bounds, moves)."""
+    n = instance.n
+    b = [0] + list(range(n - k + 1, n + 1))
+    moves = 0
+    j = 1
+    while j <= k - 1:
+        if _last_point_stable(instance, b[j], b[j] - b[j - 1], b[j + 1] - b[j]):
+            j += 1
+            continue
+        b[j] -= 1
+        moves += 1
+        assert moves <= k * n
+        j = max(1, j - 1)
+    return b, moves
+
+
+def fraction_settle(values, lo, b, hi):
+    """`LineInstance.settle` in exact arithmetic: each distance sum formed
+    exactly as a Fraction of the sorted values and rounded once, then the
+    same float divisions and tolerance."""
+    x = [Fraction(v) for v in values]
+    while b - 1 > lo:
+        a = b - 1
+        own = float(sum(x[a] - x[t] for t in range(lo, a))) / (a - lo)
+        foreign = float(sum(x[t] - x[a] for t in range(b, hi))) / (hi - b)
+        if own <= foreign * (1.0 + STABILITY_TOL):
+            break
+        b -= 1
+    return b
 
 
 MULTI_SCALE_FAR = [-1.0, -3.5, -1e6]

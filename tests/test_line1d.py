@@ -10,7 +10,9 @@ from ipstable.dp_target import solve_targets
 from ipstable.hardgen import fixtures
 from ipstable.line1d import LineInstance, solve_1d, sweep
 
-from conftest import clusters, line_values, naive_num_unstable, naive_vi
+from conftest import (
+    clusters, fraction_settle, line_values, naive_num_unstable, naive_vi, one_step_sweep,
+)
 
 
 def _line_matrix(values):
@@ -52,10 +54,10 @@ MODEL_VALUES = {
 
 @pytest.mark.parametrize("kind", sorted(MODEL_VALUES))
 def test_model_sums_exact_scalar_and_close_array(kind):
-    """The scalar sums are the exact sums rounded once; the array sums stay
-    within 1e-12 of them on every kind, multi- and extreme-scale included,
-    exactly 0 across ties and equal for one point. A block's rows are the
-    same floats whatever block they are read in."""
+    """The array sums stay within 1e-12 of the exact sums on every kind,
+    multi- and extreme-scale included, exactly 0 across ties and equal to
+    the exact sum rounded once for one point. A block's rows are the same
+    floats whatever block they are read in."""
     rng = np.random.default_rng(sorted(MODEL_VALUES).index(kind))
     for n in (1, 2, 7, 30):
         line = LineInstance.from_values(MODEL_VALUES[kind](rng, n))
@@ -66,17 +68,56 @@ def test_model_sums_exact_scalar_and_close_array(kind):
             assert np.array_equal(part_left, left[lo:hi, :hi])
             assert np.array_equal(part_right, right[lo:hi, : n - lo])
         for a in range(n):
-            for side, c_max, arr, dist in (
-                (-1, a, left[a], line.dist_left),
-                (1, n - 1 - a, right[a], line.dist_right),
-            ):
+            for side, c_max, arr in ((-1, a, left[a]), (1, n - 1 - a, right[a])):
                 for c in range(c_max + 1):
                     want = float(sum(abs(x[a] - x[a + side * t]) for t in range(1, c + 1)))
-                    got = dist(a, c)
-                    assert got == want, (a, side, c)
                     if c <= 1:
-                        assert arr[c] == got, (a, side, c)
+                        assert arr[c] == want, (a, side, c)
                     assert arr[c] == pytest.approx(want, rel=1e-12, abs=0), (a, side, c)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_VALUES))
+def test_settle_matches_the_exact_reference(kind):
+    """`settle` stops where the check in exact sums, each rounded once,
+    first reads stable, for every separator and pair of neighbours."""
+    rng = np.random.default_rng(sorted(MODEL_VALUES).index(kind))
+    for n in (2, 5, 9):
+        line = LineInstance.from_values(MODEL_VALUES[kind](rng, n))
+        values = line.values.tolist()
+        for lo in range(n - 1):
+            for hi in range(lo + 2, n + 1):
+                for b in range(lo + 1, hi):
+                    got = line.settle(lo, b, hi)
+                    assert got == fraction_settle(values, lo, b, hi), (values, lo, b, hi)
+
+
+def _sweeps_agree(line, ks):
+    for k in ks:
+        state = sweep(line, k)
+        assert (state.bounds, state.moves) == one_step_sweep(line, k), (line.values.tolist(), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(MODEL_VALUES)), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_sweep_equals_the_one_step_sweep(kind, seed, n):
+    """Settling one separator per visit reaches the one-step sweep's bounds
+    with the same number of moves, for every k, on every model kind."""
+    line = LineInstance.from_values(MODEL_VALUES[kind](np.random.default_rng(seed), n))
+    _sweeps_agree(line, range(1, n + 1))
+
+
+def test_sweep_equals_the_one_step_sweep_on_the_benchmark_recipes():
+    """The benchmark's line inputs, drawn as `perfbench/workloads.py`'s
+    `line_exact` draws its first four variants: a 4000-value mixture of 8
+    Gaussians, and 1000 and 400 uniform values on [0, 100)."""
+    fixed = np.random.default_rng([32, 0])
+    means, sds = fixed.uniform(0.0, 100.0, size=8), fixed.uniform(0.5, 3.0, size=8)
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 0])
+        comp = rng.integers(8, size=4000)
+        for vals in (rng.normal(means[comp], sds[comp]), rng.uniform(0.0, 100.0, size=1000),
+                     rng.uniform(0.0, 100.0, size=400)):
+            _sweeps_agree(LineInstance.from_values(vals), (2, 8, 20, 50, 200))
 
 
 def test_instance_is_read_only():

@@ -93,9 +93,9 @@ def test_one_ulp_past_the_tolerance_is_unstable_everywhere(tmp_path, capsys):
     assert rep.num_unstable == 1 and rep.mean_violation == rep.vi[0]
     assert is_t_stable(o, c, 1.0) is False
     # the line solvers' check on the mirrored line, where point 0 is the
-    # last of the left pair {1, 0} against {2}
+    # last of the left pair {1, 0} against {2}: the separator moves past it
     mirrored = LineInstance.from_values([-x for x in ULP_PAST])
-    assert not mirrored.last_point_stable(2, 2, 1)
+    assert mirrored.settle(0, 2, 3) == 1
     inp, assign = tmp_path / "points.csv", tmp_path / "assignment.txt"
     inp.write_text("".join(f"{x!r}\n" for x in ULP_PAST))
     assign.write_text("0\n0\n1\n")
