@@ -19,9 +19,11 @@ running float sums of a point's distances, nearest first, which are 0 across
 ties and close to the exact sums on any scale. They are formed ROW_BLOCK
 points at a time (a few numpy calls per block), and each boundary then
 takes one pair of binary searches over its two points' rows.
-They are kept with the table as two n x n small-int arrays; `reconstruct`
-reads the boundaries it walks from them, so it accepts exactly the
-boundaries the fill did.
+Only the (m, j) with a nonempty interval are kept, as int16 columns
+(j, s_lo, s_hi) in row-major order with per-row offsets (138,575 of 499,500
+on 1000 uniform values). Float averages wobble in the last bit, so the
+thresholds are not monotone in j and every pair is tested. `reconstruct`
+reads its boundaries from the same list: it accepts exactly what the fill did.
 
 Almost every cell of the (n+1)^2 (k+1) cube is infinite, so the table keeps
 only each row's band: for row i of layer l, the cells from its first to its
@@ -30,15 +32,13 @@ rows lie back to back in one float64 array, with per-row offsets and first
 columns; a row without a finite cell keeps nothing. At n = 1000, k = 5 the
 band is about 39,000 cells, against 6.0 million in the cube.
 
-Each layer l is then filled from layer l-1 in blocks of ROW_BLOCK rows m: a
-block gathers its rows' bands into the sparse-table levels along s (range
-minima, Bender and Farach-Colton; one numpy minimum per level) and answers
-all of its (m, j) interval minima with one gather. Every interval is clipped
-to its row's band, so the block's width and the number of queries follow the
-finite cells. The finite results are scattered into layer l's band once all
-blocks have run and its rows' spans are known. A layer costs O(n^2) for the
-threshold masks plus at most O(n^2 log n) for the levels, in
-O(n / ROW_BLOCK) Python steps, instead of the naive O(n^3) per layer.
+Each layer l is then filled from layer l-1 through the pair list: each
+pair's interval is clipped to its row's band in int16, and only the nonempty
+ones (1,220 to 7,979 of those 138,575 a layer at k = 5) are queried. No
+query leaves its row's band, so one sparse table over the whole band answers
+them all (range minima, Bender and Farach-Colton), its levels built in
+place, one numpy minimum each. A layer costs O(P) int16 steps over P pairs
+plus O(B log n) over a band of B cells, in O(log n) Python steps, not O(n^3).
 
 `reconstruct` walks back one layer per numpy step and needs no tolerance.
 Every cell is pen[j] (+ or max) a minimum of the previous layer, and a
@@ -65,10 +65,8 @@ from .line1d import LineInstance
 # values every reachable cell is finite
 MAX_TABLE_CELLS = 2.5e8
 
-# boundary rows per block, in the thresholds and in the layer fill; bounds
-# the thresholds' few (ROW_BLOCK + 1) x n float64 rows and the fill's
-# levels x ROW_BLOCK x width scratch, where the width follows the rows'
-# bands and is at most n (at most about 5 MB at n = 1000)
+# boundary rows per block of the thresholds; bounds their few
+# (ROW_BLOCK + 1) x n float64 rows and ROW_BLOCK x n int16 thresholds
 ROW_BLOCK = 64
 
 
@@ -80,8 +78,7 @@ class DpTable:
     targets: np.ndarray
     p: float
     instance: LineInstance
-    s_lo: np.ndarray = None  # feasibility thresholds, None for k = 1
-    s_hi: np.ndarray = None
+    pairs: tuple = None      # (start, j, s_lo, s_hi) of _feasibility_thresholds, None for k = 1
 
     def row(self, l, i, lo, hi):
         """T[i, lo:hi+1, l]: row i of layer l over columns lo..hi, inf outside its band."""
@@ -100,20 +97,18 @@ def _offsets(first, last):
 
 
 def _feasibility_thresholds(line):
-    """Feasible previous-size interval endpoints for every boundary.
+    """The (m, j) with a nonempty feasible previous-size interval.
 
-    Returns (s_lo, s_hi), two (n, n) arrays indexed [m, j] for boundary
-    position m = 1..n-1 and right size j = 1..n-m. s_hi[m, j] is the largest
-    s satisfying the left-boundary condition, s_lo[m, j] the smallest s
-    satisfying the right-boundary one; the interval is empty when
-    s_lo > s_hi, and every unused cell (m = 0, j = 0 or j > n - m) holds an
-    empty interval.
+    Returns (start, j, s_lo, s_hi): int16 columns over boundary positions
+    m = 1..n-1 and right sizes j = 1..n-m with s_lo <= s_hi, in row-major
+    order, row m's pairs at start[m]..start[m+1]-1. s_hi is the largest s
+    satisfying the left-boundary condition, s_lo the smallest s satisfying
+    the right-boundary one.
     """
     n = line.n
     # n + 1 fits int16: thresholds are built only for k >= 2, where
     # MAX_TABLE_CELLS ((n+1)^2 (k+1) <= 2.5e8) caps n + 1 at 9128
-    s_lo = np.full((n, n), n + 1, dtype=np.int16)
-    s_hi = np.zeros((n, n), dtype=np.int16)
+    per_row, cols = [], ([], [], [])              # pair counts of rows 1..n-1, columns
     counts = np.arange(1, n, dtype=float)
     # point m - 1 ends the left cluster and point m starts the right one; each
     # point's averages serve as own-cluster ones at one boundary and as
@@ -127,63 +122,63 @@ def _feasibility_thresholds(line):
         left[:, 1:] /= counts[: m1 - 1]
         right[:, 1:] /= counts[: n - m0]
         left_lim, right_lim = stable_limit(left), stable_limit(right)
+        # [r, j - 1] for boundary m0 + r; a j past n - m stays empty
+        s_lo = np.full((m1 - m0, n - m0), n + 1, dtype=np.int16)
+        s_hi = np.zeros((m1 - m0, n - m0), dtype=np.int16)
         for r, m in enumerate(range(m0, m1)):
             jmax = n - m
-            s_hi[m, 1 : jmax + 1] = left[r, :m].searchsorted(right_lim[r, 1 : jmax + 1], "right")
-            s_lo[m, 1 : jmax + 1] = left_lim[r + 1, 1 : m + 1].searchsorted(right[r + 1, :jmax]) + 1
-    return s_lo, s_hi
+            s_hi[r, :jmax] = left[r, :m].searchsorted(right_lim[r, 1 : jmax + 1], "right")
+            s_lo[r, :jmax] = left_lim[r + 1, 1 : m + 1].searchsorted(right[r + 1, :jmax]) + 1
+        ok = s_lo <= s_hi
+        per_row.append(np.count_nonzero(ok, axis=1))
+        at = np.flatnonzero(ok)
+        for col, part in zip(cols, ((at % (n - m0) + 1).astype(np.int16),
+                                    s_lo.ravel().take(at), s_hi.ravel().take(at))):
+            col.append(part)
+    start = np.concatenate(([0, 0], np.cumsum(np.concatenate(per_row))))
+    pairs = [start]
+    for parts in cols:                 # only one column is ever held twice
+        pairs.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(pairs)
 
 
-def _fill_layer(band, first, last, l, pen, s_lo, s_hi, p):
-    """Layer l's (band, first, last) from layer l-1's, ROW_BLOCK boundary rows at a time.
+def _fill_layer(band, first, last, pen, pairs, p):
+    """Layer l's (band, first, last) from layer l-1's and the feasible pairs.
 
     band holds row m of layer l-1 (the first m points, last cluster of size
     s) over columns first[m]..last[m], rows back to back; every cell outside
-    it is infinite, and last[m] <= m - l + 2. Row m feeds T[m + j, j, l] =
-    pen[j] (+ or max) the min over s in [s_lo[m, j], s_hi[m, j]] of
-    T[m, s, l-1], so each interval is clipped to the row's band; rows and
-    (m, j) pairs left empty are skipped, and the cells they would feed stay
-    infinite. Layer l's band spans each row's first to last finite cell.
+    it is infinite. Pair (m, j) feeds T[m + j, j, l] = pen[j] (+ or max) the
+    min over s in [s_lo, s_hi] of T[m, s, l-1], so only the intervals that
+    stay nonempty clipped to their row's band are queried; the cells the
+    others feed stay infinite. Layer l's band spans each row's first to last
+    finite cell.
     """
     n = len(first) - 1
-    off = _offsets(first, last)
-    rows = np.arange(l - 1, n)
-    rows = rows[first[rows] <= last[rows]]
-    floor_log2 = np.frexp(np.arange(1, n + 1))[1] - 1          # [length - 1]
-    hits = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]   # finite (i, j, T)
-    for start in range(0, len(rows), ROW_BLOCK):
-        ms = rows[start : start + ROW_BLOCK]
-        a, b = first[ms], last[ms]
-        c0 = int(a.min())
-        width = int(b.max()) - c0 + 1
-        levels = int(floor_log2[width - 1]) + 1
-        # table[t, r, c] = min of T[ms[r], c0+c .. c0+c+2^t-1, l-1]; level 0
-        # places the block's bands, back to back in band, at their columns
-        table = np.empty((levels, len(ms), width))
-        span = b - a + 1
-        seg = band[off[ms[0]] : off[ms[-1] + 1]]
-        level0 = table[0].reshape(-1)
-        level0.fill(np.inf)
-        level0[np.repeat(np.arange(len(ms)) * width + (a - c0) - (np.cumsum(span) - span), span)
-               + np.arange(len(seg))] = seg
-        for t in range(1, levels):
+    start, pj, s_lo, s_hi = pairs
+    per_row = np.diff(start)
+    lo = np.repeat(first[:n].astype(np.int16), per_row)
+    np.maximum(lo, s_lo, out=lo)
+    hi = np.repeat(last[:n].astype(np.int16), per_row)
+    np.minimum(hi, s_hi, out=hi)
+    q = np.flatnonzero(lo <= hi)
+    m, js = start.searchsorted(q, "right") - 1, pj[q].astype(int)
+    col0 = _offsets(first, last)[m] - first[m]      # band index of column 0 of row m
+    lo, hi = col0 + lo[q], col0 + hi[q]
+    # level t holds the minima of 2^t consecutive cells, built in place from
+    # level t - 1; a query of length in [2^t, 2^(t+1)) reads both its ends
+    e = np.frexp(hi - lo + 1)[1] - 1
+    level = band.copy()
+    mins = np.empty(len(q))
+    for t in range(int(e.max(initial=-1)) + 1):
+        if t:
             half = 1 << (t - 1)
-            w = width - 2 * half + 1
-            np.minimum(table[t - 1, :, :w], table[t - 1, :, half : half + w], out=table[t, :, :w])
-
-        jmax = n - int(ms[0])
-        lo = np.maximum(s_lo[ms, 1 : jmax + 1], a[:, None])
-        hi = np.minimum(s_hi[ms, 1 : jmax + 1], b[:, None])
-        r, jj = np.nonzero(lo <= hi)
-        lo = lo[r, jj] - c0
-        hi = hi[r, jj] - c0
-        t = floor_log2[hi - lo]
-        mins = np.minimum(table[t, r, lo], table[t, r, hi - (1 << t) + 1])
-        js = jj + 1
-        vals = np.maximum(pen[js], mins) if p == math.inf else pen[js] + mins
-        fin = np.isfinite(vals)
-        hits.append((ms[r[fin]] + js[fin], js[fin], vals[fin]))
-    i, js, vals = map(np.concatenate, zip(*hits))
+            np.minimum(level[:-half], level[half:], out=level[:-half])
+        at = np.flatnonzero(e == t)
+        mins[at] = np.minimum(level[lo[at]], level[hi[at] - (1 << t) + 1])
+    vals = np.maximum(pen[js], mins) if p == math.inf else pen[js] + mins
+    fin = np.isfinite(vals)
+    i, js, vals = m[fin] + js[fin], js[fin], vals[fin]
     new_first = np.full(n + 1, n + 1)
     new_last = np.zeros(n + 1, dtype=int)
     np.minimum.at(new_first, i, js)
@@ -226,21 +221,21 @@ def build_table(values, targets, p=math.inf):
     empty = (np.empty(0), np.full(n + 1, n + 1), np.zeros(n + 1, dtype=int))
     layers = [empty, (diagonal, np.r_[n + 1, 1 : n + 1], np.arange(n + 1))]
 
-    s_lo = s_hi = None
+    pairs = None
     if k > 1:
-        s_lo, s_hi = _feasibility_thresholds(instance)
+        pairs = _feasibility_thresholds(instance)
         all_j = np.arange(n + 1, dtype=float)
         with np.errstate(over="ignore"):             # an overflowed cell is inf
             for l in range(2, k + 1):
                 tl = float(targets[l - 1])
                 pen = np.abs(all_j - tl) if p == math.inf else np.abs(all_j - tl) ** p
-                layers.append(_fill_layer(*layers[-1], l, pen, s_lo, s_hi, p))
+                layers.append(_fill_layer(*layers[-1], pen, pairs, p))
 
     bands, firsts, lasts = zip(*layers)
     flat = _offsets(np.concatenate(firsts), np.concatenate(lasts))
     offsets = np.stack([flat[l * (n + 1) : (l + 1) * (n + 1) + 1] for l in range(k + 1)])
     return DpTable(np.concatenate(bands), offsets, np.stack(firsts), targets, p, instance,
-                   s_lo, s_hi)
+                   pairs)
 
 
 def reconstruct(dp):
@@ -273,9 +268,12 @@ def reconstruct(dp):
     sizes = [right]                  # right to left
     rem = n - right
     for l in range(k - 1, 0, -1):
-        # the fill's interval for cell T[rem + right, right, l + 1]
-        lo = max(1, int(dp.s_lo[rem, right]))
-        hi = min(rem - l + 1, int(dp.s_hi[rem, right]))
+        # the fill's interval for cell T[rem + right, right, l + 1]: pair
+        # (rem, right) in row rem's run, sorted by j
+        start, pj, s_lo, s_hi = dp.pairs
+        c = start[rem] + int(pj[start[rem] : start[rem + 1]].searchsorted(right))
+        lo = max(1, int(s_lo[c]))
+        hi = min(rem - l + 1, int(s_hi[c]))
         row = dp.row(l, rem, lo, hi)
         right = lo + int(np.argmax(row <= vstar) if p == math.inf else np.argmin(row))
         sizes.append(right)

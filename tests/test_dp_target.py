@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipstable.core import STABILITY_TOL, DistanceOracle, audit
+from ipstable.core import STABILITY_TOL, DistanceOracle, audit, stable_limit
 from ipstable import dp_target
 from ipstable.dp_target import build_table, reconstruct, solve_targets
 from ipstable.hardgen import fixtures
@@ -50,6 +51,8 @@ def _sweep_values(rng, kind, n):
         return np.round(rng.normal(size=n), 1)
     if kind == "multi-scale":
         return np.array([rng.choice(MULTI_SCALE_FAR), *rng.choice(MULTI_SCALE_POOL, size=n - 1)])
+    if kind == "repeated-tenths":
+        return _repeated_tenths(rng, n)
     return rng.integers(0, 4, size=n).astype(float)     # duplicate-heavy
 
 
@@ -206,7 +209,7 @@ def test_build_then_reconstruct_equals_wrapper():
     assert np.array_equal(c1.assignment, c2.assignment)
 
 
-FILL_KINDS = ["random", "tied", "duplicates", "multi-scale"]
+FILL_KINDS = ["random", "tied", "duplicates", "multi-scale", "repeated-tenths"]
 
 
 @pytest.mark.parametrize("kind", FILL_KINDS)
@@ -223,9 +226,10 @@ def test_layer_fill_is_bit_identical_to_per_row_fill(kind, p):
 
 
 def test_layer_fill_spans_several_row_blocks(monkeypatch):
-    # more boundary rows than one block holds: on all-equal values every
-    # reachable cell is finite, so each block's sparse table spans whole rows;
-    # evenly spaced values leave a few finite cells per row
+    # more boundary rows than one threshold block holds: on all-equal values
+    # every reachable cell is finite, so queries span whole rows and read the
+    # sparse table's top levels; evenly spaced values leave a few finite
+    # cells per row
     for vals in (np.zeros(150), np.arange(150.0)):
         for p in (2.0, math.inf):
             table = dense_table(build_table(vals, [50, 30, 70], p=p))
@@ -242,31 +246,49 @@ def test_layer_fill_spans_several_row_blocks(monkeypatch):
             assert np.array_equal(table, per_row_dp_table(vals, targets, p=p)), (n, p)
 
 
+def _repeated_tenths(rng, n):
+    """Tie-heavy values on a 0.1 grid, after -d, 0 and four copies of 0.1.
+
+    Running averages of repeated distances wobble in the last bit: the right
+    averages of 0 read 0.1, 0.1, 0.10000000000000002, 0.1, and d is the
+    stable limit of the third, so of j = 1..4 boundary m = 2 admits s = 2 at
+    j = 3 only and its s_hi reads 1, 1, 2, 1: not monotone in j.
+    """
+    d = stable_limit((0.1 + 0.1 + 0.1) / 3)
+    levels = np.round(0.1 * np.cumsum(rng.integers(1, 4, size=n)), 1)
+    repeated = np.repeat(levels, rng.integers(1, 5, size=n))
+    return np.concatenate(([-d, 0.0, 0.1, 0.1, 0.1, 0.1], repeated))[:n]
+
+
 THRESHOLD_VALUES = {
     "tied": lambda rng, n: np.round(rng.normal(size=n), 1),
     "multi-scale": lambda rng, n: _sweep_values(rng, "multi-scale", n),
     # each value near 1e307, so n (max |x|) overflows but n (max - min) does not
     "huge-small-spread": lambda rng, n: 1e307 + rng.permutation(n) * 1e292,
+    "repeated-tenths": _repeated_tenths,
 }
 
 
 @pytest.mark.parametrize("kind", sorted(THRESHOLD_VALUES))
 def test_thresholds_in_row_blocks_equal_the_per_row_thresholds(kind):
-    """Row blocks of ROW_BLOCK points give every boundary's thresholds bit
-    for bit, on both sides of each block edge, and leave every unused cell
-    an empty interval."""
+    """Row blocks of ROW_BLOCK points list, in row-major order, exactly the
+    (m, j) whose per-row interval [s_lo, s_hi] is nonempty, with its
+    endpoints bit for bit, on both sides of each block edge; row m's pairs
+    are the entries start[m] .. start[m+1]-1."""
     rng = np.random.default_rng(sorted(THRESHOLD_VALUES).index(kind))
     for n in (2, 3, 63, 64, 65, 133):
         line = LineInstance.from_values(THRESHOLD_VALUES[kind](rng, n))
-        s_lo, s_hi = dp_target._feasibility_thresholds(line)
+        start, *cols = dp_target._feasibility_thresholds(line)
+        assert len(start) == n + 1 and start[0] == start[1] == 0
+        assert all(col.dtype == np.int16 and len(col) == start[-1] for col in cols)
+        rows = np.repeat(np.arange(n), np.diff(start))
         want_hi, want_lo = _per_row_thresholds(line.values, STABILITY_TOL)
-        for m in range(1, n):
-            assert np.array_equal(s_hi[m, 1 : n - m + 1], want_hi[m]), (n, m)
-            assert np.array_equal(s_lo[m, 1 : n - m + 1], want_lo[m]), (n, m)
-        used = np.zeros((n, n), dtype=bool)
-        for m in range(1, n):
-            used[m, 1 : n - m + 1] = True
-        assert (s_lo[~used] == n + 1).all() and (s_hi[~used] == 0).all(), n
+        want = [(m, j, want_lo[m][j - 1], want_hi[m][j - 1])
+                for m in range(1, n) for j in range(1, n - m + 1)
+                if want_lo[m][j - 1] <= want_hi[m][j - 1]]
+        assert list(zip(rows.tolist(), *(col.tolist() for col in cols))) == want, n
+        if kind == "repeated-tenths" and n >= 6:
+            assert cols[2][start[2] : start[2] + 4].tolist() == [1, 1, 2, 1]
 
 
 def test_table_keeps_only_each_rows_finite_span():
@@ -308,14 +330,28 @@ with open("/proc/self/status") as fh:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/status as on Linux")
 def test_large_table_stays_within_its_band_memory():
     """A fresh interpreter solves 3000 values at k = 5. The full cube alone
-    would be 432 MB; the bands and the two 18 MB threshold arrays keep the
-    child's peak resident set below 160 MB."""
+    would be 432 MB; the bands and the 7 MB list of feasible boundary pairs
+    keep the child's peak resident set below 160 MB."""
     src = str(Path(dp_target.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert int(done.stdout) * 1024 < 160e6          # VmHWM is in kB
+
+
+def test_large_table_traced_peak_stays_below_30_mb():
+    """3000 uniform values at k = 5: the int16 pair list, the bands and each
+    layer's int16 clipping scratch peak at about 14 MB under tracemalloc,
+    where two n x n int16 threshold arrays alone would be 36 MB."""
+    values = np.random.default_rng(0).uniform(0.0, 100.0, size=3000)
+    tracemalloc.start()
+    try:
+        solve_targets(values, [600] * 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 def _draw_targets(data, n):
